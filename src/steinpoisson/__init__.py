@@ -68,6 +68,7 @@ from .bounds import (
     bound_monochromatic,
     bound_negative_association,
     bound_poisson_binomial,
+    bound_process_matching,
     coloring_dependency_graph,
 )
 from .multivariate import (

@@ -41,6 +41,7 @@ __all__ = [
     "bound_generalized_matching",
     "bound_birthday_pairs",
     "bound_birthday_triples",
+    "bound_process_matching",
     "bound_coupon_collector",
     "bound_coupling",
     "bound_negative_association",
@@ -163,6 +164,17 @@ def bound_generalized_matching(l) -> BoundReport:
     return _report("generalized_matching", lam, raw, CONVENTION_TV, l=tuple(mult), n=n, mu=mu)
 
 
+def bound_process_matching(n: int) -> BoundReport:
+    """4/n for the fixed-point indicator configuration of a uniform
+    permutation against independent Poisson(1/n) coordinates.
+
+    The distance is taken over configuration events, hence ``set_distance``.
+    """
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError("process matching bound needs n >= 2")
+    return _report("config_matching", 1.0, 4.0 / n, CONVENTION_SET, n=n)
+
+
 # ---------------------------------------------------------------------------
 # birthday problem
 # ---------------------------------------------------------------------------
@@ -176,7 +188,7 @@ def bound_birthday_pairs(n: int, k: int) -> BoundReport:
     if not (isinstance(k, int) and k >= 0):
         raise ValueError("k must be a nonnegative integer")
     theta = k / math.sqrt(n)
-    lam = theta * theta / 2.0
+    lam = k * k / (2.0 * n)
     if k == 0:
         return _report("birthday_pairs", 0.0, 0.0, CONVENTION_SET, degenerate=True, n=n, k=k, theta=0.0)
     prefactor = min(1.0, math.sqrt(2.0) / theta)

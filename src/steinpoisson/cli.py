@@ -11,10 +11,10 @@ Subcommands:
                      enumeration on small instances, 4-sigma Monte Carlo
                      otherwise)
 
-Exit codes: 0 all pass, 1 dominance/verification failure, 2 usage error.
-Identical command + seed produces byte-identical report bodies; the
-``seconds`` column is the only timing field.  ``STEIN_POISSON_THREADS``
-overrides the sweep worker count.
+Every problem family is described once, in ``FAMILIES``; the subcommands
+look its entry up.  Exit codes: 0 all pass, 1 dominance/verification
+failure, 2 usage error.  Identical command + seed produces byte-identical
+report bodies; the ``seconds`` column is the only timing field.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
 from . import bounds as bd
 from . import exact_laws as laws
@@ -52,20 +52,6 @@ CSV_COLUMNS = [
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 VERDICT_SLACK = 1e-12
-
-EXACT_PROBLEMS = (
-    "matching",
-    "generalized-matching",
-    "poisson-binomial",
-    "birthday-pairs",
-    "birthday-pair-count",
-    "birthday-triples",
-    "coupon",
-    "coloring",
-    "joint-matching-succession",
-    "process-matching",
-)
-MC_PROBLEMS = ("matching", "poisson-binomial", "birthday-pairs", "birthday-triples", "coupon")
 
 
 class UsageError(Exception):
@@ -157,115 +143,239 @@ def parse_p_vector(text: str, n: int | None) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
+# problem families
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the subcommands know about one problem family.
+
+    - ``axes``: the parameters of one point.
+    - ``check(point)``: raises ValueError where the exact law (through its
+      module's own cap check) or the bounds cannot go.
+    - ``exact_tv(point, lam)``: exact TV against the target of rate ``lam``,
+      which is the rate of the point's bound report.
+    - ``bounds``: each ``--bound`` kind -> ``point -> BoundReport``.
+    - ``scale_k(n, theta)``: the k of a ``--theta`` value.
+    - ``pair_model(point)``: the exchangeable pair.
+    - ``grid(args)``: replaces the product of the axis lists.
+
+    Entries call the library through its modules at call time, so a function
+    patched on a module is the one that runs.
+    """
+
+    axes: tuple[str, ...]
+    check: Callable[[dict], None]
+    exact_tv: Callable[[dict, float], float]
+    bounds: dict[str, Callable[[dict], bd.BoundReport]]
+    scale_k: Callable[[int, float], int] | None = None
+    pair_model: Callable[[dict], pm.PairModel] | None = None
+    grid: Callable[[argparse.Namespace], list[dict]] | None = None
+
+
+def _poisson_tv(law: Callable[[dict], object]) -> Callable[[dict, float], float]:
+    """``exact_tv`` of a univariate law: TV against Poisson(lam)."""
+    return lambda pt, lam: tv_distance(law(pt), poisson_pmf(SteinParams(lam)))
+
+
+def _matching_spec(pt: dict) -> laws.MatchingSpec:
+    l = pt.get("l")
+    return laws.MatchingSpec(sum(l), tuple(l)) if l else laws.MatchingSpec(pt["n"])
+
+
+def _check_matching(pt: dict) -> None:
+    spec = _matching_spec(pt)
+    laws.check_matching(spec)
+    if spec.n < 2:
+        raise ValueError("matching needs n >= 2")
+
+
+def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
+    law = _poisson_tv(lambda pt: laws.matching_pmf(_matching_spec(pt)))
+    return Family(axes, _check_matching, law, bounds, pair_model=pair_model)
+
+
+def _check_probabilities(pt: dict) -> None:
+    p = pt["p"]
+    if not p:
+        raise ValueError("empty p vector")
+    if any(not 0 <= x <= 1 for x in p):
+        raise ValueError("p entries outside [0, 1]")
+    if sum(p) <= 0:
+        raise ValueError("lam = sum(p) must be positive")
+
+
+def _poisson_binomial_grid(args) -> list[dict]:
+    """Recipe vectors over --n, or --count random vectors from sub-streams of
+    --seed."""
+    if args.p:
+        if not args.n:
+            raise UsageError("--p recipes need --n")
+        return [{"p": parse_p_vector(args.p, n), "tag": f"n={n} recipe={args.p}"}
+                for n in parse_int_list(args.n)]
+    if not args.count or args.count <= 0:
+        raise UsageError("poisson-binomial sweep needs --p or --count")
+    grid = []
+    for i in range(args.count):
+        rng = pm.substream(args.seed, i)
+        length = int(rng.integers(1, args.maxlen + 1))
+        p = tuple(float(x) for x in rng.random(length))
+        grid.append({"p": p, "tag": f"random#{i} len={length}"})
+    return grid
+
+
+def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
+                      min_n: int = 1, min_k: int = 0) -> Family:
+    """k balls in n boxes; ``min_n``/``min_k`` are the bounds' own domain."""
+
+    def spec(pt):
+        return laws.OccupancySpec(pt["n"], pt["k"], statistic)
+
+    def check(pt):
+        if pt["n"] < min_n or pt["k"] < min_k:
+            raise ValueError(f"the bounds need n >= {min_n} boxes and k >= {min_k} balls")
+        laws.check_occupancy(spec(pt))
+
+    return Family(("n", "k"), check, _poisson_tv(lambda pt: laws.occupancy_pmf(spec(pt))),
+                  bounds, scale_k, pair_model)
+
+
+def _sqrt_scale(n: int, theta: float) -> int:
+    return max(1, round(theta * math.sqrt(n)))
+
+
+def _coupon_negative_association(pt: dict) -> bd.BoundReport:
+    n, k = pt["n"], pt["k"]
+    lam = n * (1.0 - 1.0 / n) ** k
+    sigma2 = lam + n * (n - 1) * (1 - 2 / n) ** k - lam * lam
+    return bd.bound_negative_association(lam, sigma2)
+
+
+def _coloring_spec(pt: dict) -> laws.ColoringSpec:
+    return laws.ColoringSpec(pt["n"], pt["k"], pt["c"])
+
+
+FAMILIES: dict[str, Family] = {
+    "matching": _matching_family(
+        ("n",),
+        {"default": lambda pt: bd.bound_matching(pt["n"]),
+         "coupling": lambda pt: bd.bound_coupling("matching", n=pt["n"])},
+        lambda pt: pm.matching_model(pt["n"]),
+    ),
+    "generalized-matching": _matching_family(
+        ("l",),
+        {"default": lambda pt: bd.bound_generalized_matching(pt["l"])},
+        lambda pt: pm.matching_model(sum(pt["l"]), pt["l"]),
+    ),
+    "poisson-binomial": Family(
+        ("p",),
+        _check_probabilities,
+        _poisson_tv(lambda pt: laws.poisson_binomial_pmf(pt["p"])),
+        {"default": lambda pt: bd.bound_poisson_binomial(pt["p"]),
+         "coupling": lambda pt: bd.bound_coupling("poisson_binomial", p=pt["p"])},
+        pair_model=lambda pt: pm.poisson_binomial_model(pt["p"]),
+        grid=_poisson_binomial_grid,
+    ),
+    "birthday-pairs": _occupancy_family(
+        "pairs",
+        {"default": lambda pt: bd.bound_birthday_pairs(pt["n"], pt["k"])},
+        _sqrt_scale,
+        lambda pt: pm.birthday_pairs_model(pt["n"], pt["k"]),
+    ),
+    "birthday-pair-count": _occupancy_family(
+        "pair_count",
+        dict.fromkeys(("default", "coupling"),
+                      lambda pt: bd.bound_coupling("birthday", n=pt["n"], k=pt["k"])),
+        _sqrt_scale,
+    ),
+    "birthday-triples": _occupancy_family(
+        "triples",
+        {"default": lambda pt: bd.bound_birthday_triples(pt["n"], pt["k"])},
+        lambda n, theta: max(3, round(theta * n ** (2.0 / 3.0))),
+        lambda pt: pm.birthday_triples_model(pt["n"], pt["k"]),
+        min_k=3,
+    ),
+    "coupon": _occupancy_family(
+        "empty",
+        {"default": lambda pt: bd.bound_coupon_collector(pt["n"], pt["k"]),
+         "coupling": lambda pt: bd.bound_coupling("coupon", n=pt["n"], k=pt["k"]),
+         "negative-association": _coupon_negative_association},
+        lambda n, theta: max(1, round(n * math.log(n) + theta * n)),
+        lambda pt: pm.coupon_model(pt["n"], pt["k"]),
+        min_n=3,
+        min_k=1,
+    ),
+    "coloring": Family(
+        ("n", "k", "c"),
+        lambda pt: laws.check_coloring(_coloring_spec(pt)),
+        _poisson_tv(lambda pt: laws.coloring_pmf(_coloring_spec(pt))),
+        {"default": lambda pt: bd.bound_monochromatic(pt["n"], pt["k"], pt["c"])},
+    ),
+    "joint-matching-succession": Family(
+        ("n",),
+        lambda pt: mv.check_joint(pt["n"]),
+        lambda pt, lam: mv.joint_tv(mv.joint_fixed_point_succession_pmf(pt["n"]),
+                                    mv.product_poisson_joint([lam, lam])),
+        {"default": lambda pt: mv.bound_fixed_point_succession(pt["n"])},
+    ),
+    "process-matching": Family(
+        ("n",),
+        lambda pt: mv.check_config(pt["n"]),
+        lambda pt, lam: mv.process_tv(mv.matching_config_law(pt["n"]),
+                                      mv.product_poisson_config_law([lam / pt["n"]] * pt["n"])),
+        {"default": lambda pt: bd.bound_process_matching(pt["n"])},
+    ),
+}
+BOUND_KINDS = tuple(dict.fromkeys(kind for fam in FAMILIES.values() for kind in fam.bounds))
+
+
+def _family(problem: str, args=None) -> Family:
+    """The entry of ``problem``; with ``args``, also refuse an --l the family
+    has no axis for."""
+    fam = FAMILIES.get(problem)
+    if fam is None:
+        raise UsageError(f"unknown problem {problem!r}")
+    if args is not None and args.l and "l" not in fam.axes:
+        raise UsageError(f"{problem} has no --l axis")
+    return fam
+
+
+def _bound_fn(problem: str, kind: str) -> Callable[[dict], bd.BoundReport]:
+    bounds = _family(problem).bounds
+    if kind not in bounds:
+        raise UsageError(f"{problem} has no {kind!r} bound (available: {', '.join(bounds)})")
+    return bounds[kind]
+
+
+def _pair_model(problem: str, point: dict) -> pm.PairModel:
+    fam = _family(problem)
+    if fam.pair_model is None:
+        raise UsageError(f"problem {problem!r} has no pair model")
+    return fam.pair_model(point)
+
+
+# ---------------------------------------------------------------------------
 # certification records
 # ---------------------------------------------------------------------------
 
 
-def _coupon_theta(n: int, k: int) -> float:
-    return (k - n * math.log(n)) / n
-
-
-def _empty_mean(n: int, k: int) -> float:
-    return n * (1.0 - 1.0 / n) ** k
-
-
-def _exact_law_and_bound(problem: str, params: dict, bound_kind: str):
-    """(exact TV handle, target lambda, BoundReport) for one grid point."""
-    if problem == "matching":
-        n = params["n"]
-        law = laws.matching_pmf(laws.MatchingSpec(n))
-        if bound_kind == "coupling":
-            report = bd.bound_coupling("matching", n=n)
-        else:
-            report = bd.bound_matching(n)
-        return law, 1.0, report
-    if problem == "generalized-matching":
-        l = params["l"]
-        n = sum(l)
-        law = laws.matching_pmf(laws.MatchingSpec(n, tuple(l)))
-        report = bd.bound_generalized_matching(l)
-        return law, report.lam, report
-    if problem == "poisson-binomial":
-        p = params["p"]
-        law = laws.poisson_binomial_pmf(p)
-        if bound_kind == "coupling":
-            report = bd.bound_coupling("poisson_binomial", p=p)
-        else:
-            report = bd.bound_poisson_binomial(p)
-        return law, report.lam, report
-    if problem == "birthday-pairs":
-        n, k = params["n"], params["k"]
-        law = laws.occupancy_pmf(laws.OccupancySpec(n, k, "pairs"))
-        report = bd.bound_birthday_pairs(n, k)
-        return law, k * k / (2.0 * n), report
-    if problem == "birthday-pair-count":
-        n, k = params["n"], params["k"]
-        law = laws.occupancy_pmf(laws.OccupancySpec(n, k, "pair_count"))
-        report = bd.bound_coupling("birthday", n=n, k=k)
-        return law, math.comb(k, 2) / n, report
-    if problem == "birthday-triples":
-        n, k = params["n"], params["k"]
-        law = laws.occupancy_pmf(laws.OccupancySpec(n, k, "triples"))
-        report = bd.bound_birthday_triples(n, k)
-        return law, math.comb(k, 3) / n**2, report
-    if problem == "coupon":
-        n, k = params["n"], params["k"]
-        law = laws.occupancy_pmf(laws.OccupancySpec(n, k, "empty"))
-        if bound_kind == "coupling":
-            report = bd.bound_coupling("coupon", n=n, k=k)
-            return law, _empty_mean(n, k), report
-        if bound_kind == "negative-association":
-            lam = _empty_mean(n, k)
-            sigma2 = lam + n * (n - 1) * (1 - 2 / n) ** k - lam * lam
-            report = bd.bound_negative_association(lam, sigma2)
-            return law, lam, report
-        report = bd.bound_coupon_collector(n, k)
-        return law, math.exp(-_coupon_theta(n, k)), report
-    if problem == "coloring":
-        n, k, c = params["n"], params["k"], params["c"]
-        law = laws.coloring_pmf(laws.ColoringSpec(n, k, c))
-        report = bd.bound_monochromatic(n, k, c)
-        return law, report.lam, report
-    raise UsageError(f"problem {problem!r} has no exact-TV path")
-
-
 def compute_record(problem: str, params: dict, bound_kind: str = "default") -> CertRecord:
     start = time.perf_counter()
-    if problem == "joint-matching-succession":
-        n = params["n"]
-        joint = mv.joint_fixed_point_succession_pmf(n)
-        ref = mv.product_poisson_joint([1.0, 1.0])
-        exact = mv.joint_tv(joint, ref)
-        report = mv.bound_fixed_point_succession(n)
-        lam = 1.0
-    elif problem == "process-matching":
-        n = params["n"]
-        config = mv.matching_config_law(n)
-        ref = mv.product_poisson_config_law([1.0 / n] * n)
-        exact = mv.process_tv(config, ref)
-        report = bd._report("config_matching", 1.0, 4.0 / n, bd.CONVENTION_SET, n=n)
-        lam = 1.0
-    else:
-        law, lam, report = _exact_law_and_bound(problem, params, bound_kind)
-        target = poisson_pmf(SteinParams(lam))
-        exact = tv_distance(law, target)
+    report = _bound_fn(problem, bound_kind)(params)
+    exact = FAMILIES[problem].exact_tv(params, report.lam)
     # dominance is judged on the set-distance equivalent: tv_distance is the
     # standard sup-over-events distance, and "tv"-convention values carry a
     # halved bookkeeping whose standard-TV claim is twice the printed number
-    verdict = "pass" if report.in_convention("set_distance") >= exact - VERDICT_SLACK else "fail"
-    return CertRecord(
-        problem=problem,
-        params=_params_string(params),
-        lam=lam,
-        exact_tv=exact,
-        mc_tv=None,
-        mc_stderr=None,
-        bound=report.value,
-        convention=report.convention,
-        surrogate=report.surrogate,
-        verdict=verdict,
-        seconds=time.perf_counter() - start,
-    )
+    ok = report.in_convention("set_distance") >= exact - VERDICT_SLACK
+    return _record(problem, params, report.lam, report, ok, start, exact_tv=exact)
+
+
+def _record(problem, params, lam, report, ok, start, exact_tv=None, mc_tv=None,
+            mc_stderr=None) -> CertRecord:
+    return CertRecord(problem, _params_string(params), lam, exact_tv, mc_tv, mc_stderr,
+                      report.value, report.convention, report.surrogate,
+                      "pass" if ok else "fail", time.perf_counter() - start)
 
 
 def _params_string(params: dict) -> str:
@@ -286,50 +396,14 @@ def _params_string(params: dict) -> str:
     return " ".join(parts)
 
 
-def _pair_model_for(problem: str, params: dict) -> pm.PairModel:
-    if problem == "poisson-binomial":
-        return pm.poisson_binomial_model(params["p"])
-    if problem == "matching":
-        return pm.matching_model(params["n"], params.get("l"))
-    if problem == "birthday-pairs":
-        return pm.birthday_pairs_model(params["n"], params["k"])
-    if problem == "birthday-triples":
-        return pm.birthday_triples_model(params["n"], params["k"])
-    if problem == "coupon":
-        return pm.coupon_model(params["n"], params["k"])
-    raise UsageError(f"problem {problem!r} has no pair model")
-
-
 def compute_mc_record(problem: str, params: dict, trials: int, seed: int) -> CertRecord:
     start = time.perf_counter()
-    model = _pair_model_for(problem, params)
-    if problem == "matching":
-        report = bd.bound_matching(params["n"])
-    elif problem == "poisson-binomial":
-        report = bd.bound_poisson_binomial(params["p"])
-    elif problem == "birthday-pairs":
-        report = bd.bound_birthday_pairs(params["n"], params["k"])
-    elif problem == "birthday-triples":
-        report = bd.bound_birthday_triples(params["n"], params["k"])
-    else:
-        report = bd.bound_coupon_collector(params["n"], params["k"])
+    model = _pair_model(problem, params)
+    report = _bound_fn(problem, "default")(params)
     target = poisson_pmf(SteinParams(model.lam))
     est, se = pm.mc_tv_estimate(model, target, trials, pm.substream(seed, 0))
-    effective = report.in_convention("set_distance")
-    verdict = "pass" if effective >= est - 3.0 * se else "fail"
-    return CertRecord(
-        problem=problem,
-        params=_params_string(params),
-        lam=model.lam,
-        exact_tv=None,
-        mc_tv=est,
-        mc_stderr=se,
-        bound=report.value,
-        convention=report.convention,
-        surrogate=report.surrogate,
-        verdict=verdict,
-        seconds=time.perf_counter() - start,
-    )
+    ok = report.in_convention("set_distance") >= est - 3.0 * se
+    return _record(problem, params, model.lam, report, ok, start, mc_tv=est, mc_stderr=se)
 
 
 # ---------------------------------------------------------------------------
@@ -338,63 +412,11 @@ def compute_mc_record(problem: str, params: dict, trials: int, seed: int) -> Cer
 
 
 def feasibility_error(problem: str, params: dict) -> str | None:
+    fam = FAMILIES.get(problem)
+    if fam is None:
+        return f"unknown problem {problem!r}"
     try:
-        if problem == "matching":
-            laws.MatchingSpec(params["n"])
-            if params["n"] > laws.PLAIN_MATCHING_CAP:
-                return f"n={params['n']} over plain matching cap {laws.PLAIN_MATCHING_CAP}"
-            if params["n"] < 2:
-                return "matching needs n >= 2"
-        elif problem == "generalized-matching":
-            l = params["l"]
-            n = sum(l)
-            laws.MatchingSpec(n, tuple(l))
-            if n > laws.MULTISET_ENUMERATION_CAP:
-                return (
-                    f"sum(l)={n} over multiset enumeration cap "
-                    f"{laws.MULTISET_ENUMERATION_CAP} (~{math.factorial(n):.1e} permutations)"
-                )
-        elif problem == "poisson-binomial":
-            if not params["p"]:
-                return "empty p vector"
-            if any(not 0 <= x <= 1 for x in params["p"]):
-                return "p entries outside [0, 1]"
-            if sum(params["p"]) <= 0:
-                return "lam = sum(p) must be positive"
-        elif problem in ("birthday-pairs", "birthday-pair-count", "birthday-triples"):
-            stat = {"birthday-pairs": "pairs", "birthday-pair-count": "pair_count",
-                    "birthday-triples": "triples"}[problem]
-            spec = laws.OccupancySpec(params["n"], params["k"], stat)
-            states = params["n"] * max(1, params["k"]) * max(1, laws._stat_support_max(spec))
-            if states > laws.DP_STATE_CAP:
-                return f"occupancy DP needs ~{states:.2e} states (cap {laws.DP_STATE_CAP:.0e})"
-            if problem == "birthday-triples" and params["k"] < 3:
-                return "triples need k >= 3"
-        elif problem == "coupon":
-            n, k = params["n"], params["k"]
-            if n < 3 or k < 1:
-                return "coupon needs n >= 3 and k >= 1"
-            digits = k * math.log10(n)
-            if (n > laws.EMPTY_EXACT_BOX_CAP or digits > laws.EMPTY_EXACT_DIGIT_CAP) and (
-                n * math.exp(-k / n) > laws.EMPTY_CERTIFIED_RATIO_CAP
-            ):
-                return (
-                    f"empty-box law infeasible at n={n}, k={k}: needs ~{digits:.0f}-digit "
-                    "rationals and the sparse-regime certificate does not apply"
-                )
-        elif problem == "coloring":
-            spec = laws.ColoringSpec(params["n"], params["k"], params["c"])
-            states = spec.n_colors * spec.n_points * math.comb(spec.n_points, spec.tuple_size)
-            if states > laws.DP_STATE_CAP:
-                return f"coloring DP needs ~{states:.2e} states (cap {laws.DP_STATE_CAP:.0e})"
-        elif problem == "joint-matching-succession":
-            if not 2 <= params["n"] <= mv.JOINT_ENUMERATION_CAP:
-                return f"joint law enumerates n!; needs 2 <= n <= {mv.JOINT_ENUMERATION_CAP}"
-        elif problem == "process-matching":
-            if not 2 <= params["n"] <= mv.CONFIG_LAW_CAP:
-                return f"configuration law needs 2 <= n <= {mv.CONFIG_LAW_CAP}"
-        else:
-            return f"unknown problem {problem!r}"
+        fam.check(params)
     except (ValueError, KeyError) as exc:
         return str(exc)
     return None
@@ -406,59 +428,20 @@ def feasibility_error(problem: str, params: dict) -> str | None:
 
 
 def build_grid(problem: str, args) -> list[dict]:
-    ns = parse_int_list(args.n) if args.n else None
-    ks = parse_int_list(args.k) if args.k else None
-    cs = parse_int_list(args.c) if args.c else None
-    thetas = parse_float_list(args.theta) if args.theta else None
-
-    if problem == "matching" or problem in ("joint-matching-succession", "process-matching"):
-        if not ns:
-            raise UsageError(f"{problem} sweep needs --n")
-        return [{"n": n} for n in ns]
-    if problem == "generalized-matching":
-        if not args.l:
-            raise UsageError("generalized-matching sweep needs --l (repeatable)")
-        return [{"l": tuple(parse_int_list(spec))} for spec in args.l]
-    if problem == "poisson-binomial":
-        if args.p:
-            if not ns:
-                raise UsageError("--p recipes need --n")
-            return [{"p": parse_p_vector(args.p, n), "tag": f"n={n} recipe={args.p}"} for n in ns]
-        count = args.count or 0
-        if count <= 0:
-            raise UsageError("poisson-binomial sweep needs --p or --count")
-        grid = []
-        for i in range(count):
-            rng = pm.substream(args.seed, i)
-            length = int(rng.integers(1, args.maxlen + 1))
-            p = tuple(float(x) for x in rng.random(length))
-            grid.append({"p": p, "tag": f"random#{i} len={length}"})
-        return grid
-    if problem in ("birthday-pairs", "birthday-pair-count", "birthday-triples", "coupon"):
-        if not ns:
-            raise UsageError(f"{problem} sweep needs --n")
-        grid = []
-        for n in ns:
-            if ks:
-                for k in ks:
-                    grid.append({"n": n, "k": k})
-            elif thetas:
-                for theta in thetas:
-                    if problem == "coupon":
-                        k = max(1, round(n * math.log(n) + theta * n))
-                    elif problem == "birthday-triples":
-                        k = max(3, round(theta * n ** (2.0 / 3.0)))
-                    else:
-                        k = max(1, round(theta * math.sqrt(n)))
-                    grid.append({"n": n, "k": k})
-            else:
-                raise UsageError(f"{problem} sweep needs --k or --theta")
-        return grid
-    if problem == "coloring":
-        if not (ns and ks and cs):
-            raise UsageError("coloring sweep needs --n, --k and --c")
-        return [{"n": n, "k": k, "c": c} for n in ns for k in ks for c in cs]
-    raise UsageError(f"unknown problem {problem!r}")
+    fam = _family(problem, args)
+    if fam.grid is not None:
+        return fam.grid(args)
+    values = {axis: [tuple(parse_int_list(spec)) for spec in args.l] if axis == "l"
+              else parse_int_list(getattr(args, axis))
+              for axis in fam.axes if getattr(args, axis)}
+    if "k" not in values and fam.scale_k and args.theta and "n" in values:
+        thetas = parse_float_list(args.theta)
+        return [{"n": n, "k": fam.scale_k(n, theta)} for n in values["n"] for theta in thetas]
+    missing = [f"--{axis}" for axis in fam.axes if axis not in values]
+    if missing:
+        alt = " (or --theta for --k)" if fam.scale_k else ""
+        raise UsageError(f"{problem} sweep needs {', '.join(missing)}{alt}")
+    return [dict(zip(fam.axes, combo)) for combo in product(*values.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -537,35 +520,8 @@ def _print_bound(report: bd.BoundReport, convention: str | None) -> None:
 
 
 def cmd_bound(args) -> int:
-    problem = args.problem
-    params = _collect_params(args)
-    if problem == "matching":
-        report = bd.bound_matching(_need(params, "n"))
-    elif problem == "generalized-matching":
-        report = bd.bound_generalized_matching(_need(params, "l"))
-    elif problem == "poisson-binomial":
-        report = bd.bound_poisson_binomial(_need(params, "p"))
-    elif problem == "birthday-pairs":
-        report = bd.bound_birthday_pairs(_need(params, "n"), _need(params, "k"))
-    elif problem == "birthday-triples":
-        report = bd.bound_birthday_triples(_need(params, "n"), _need(params, "k"))
-    elif problem == "coupon":
-        report = bd.bound_coupon_collector(_need(params, "n"), _need(params, "k"))
-    elif problem == "coloring":
-        report = bd.bound_monochromatic(_need(params, "n"), _need(params, "k"), _need(params, "c"))
-    elif problem == "coupling":
-        sub = args.coupling or "matching"
-        report = bd.bound_coupling(
-            sub.replace("-", "_"), p=params.get("p"), n=params.get("n"), k=params.get("k")
-        )
-    elif problem == "joint-matching-succession":
-        report = mv.bound_fixed_point_succession(_need(params, "n"))
-    elif problem == "process-matching":
-        n = _need(params, "n")
-        report = bd._report("config_matching", 1.0, 4.0 / n, bd.CONVENTION_TV, n=n)
-    else:
-        raise UsageError(f"unknown problem {args.problem!r}")
-    _print_bound(report, args.convention)
+    point = _single_point(args)
+    _print_bound(_bound_fn(args.problem, args.bound)(point), args.convention)
     return EXIT_OK
 
 
@@ -575,58 +531,53 @@ def _need(params: dict, key: str):
     return params[key]
 
 
-def _collect_params(args) -> dict:
-    params: dict = {}
-    if getattr(args, "n", None):
-        ns = parse_int_list(args.n)
-        params["n"] = ns[0] if len(ns) == 1 else ns
-    if getattr(args, "k", None):
-        ks = parse_int_list(args.k)
-        params["k"] = ks[0] if len(ks) == 1 else ks
-    if getattr(args, "c", None):
-        cs = parse_int_list(args.c)
-        params["c"] = cs[0] if len(cs) == 1 else cs
-    if getattr(args, "theta", None):
-        params["theta"] = parse_float_list(args.theta)
-    if getattr(args, "l", None):
-        specs = [tuple(parse_int_list(s)) for s in args.l]
-        params["l"] = specs[0] if len(specs) == 1 else specs
-    if getattr(args, "p", None):
-        n = params.get("n") if isinstance(params.get("n"), int) else None
-        params["p"] = parse_p_vector(args.p, n)
-    return params
+def _one(values: list, flag: str):
+    if len(values) != 1:
+        raise UsageError(f"--{flag} takes one value here; sweep takes lists")
+    return values[0]
+
+
+def _single_point(args) -> dict:
+    """The one point of a non-sweep subcommand: every axis of the family,
+    with k from --theta where the family scales it."""
+    fam = _family(args.problem, args)
+    point: dict = {}
+    for key in ("n", "k", "c"):
+        if getattr(args, key):
+            point[key] = _one(parse_int_list(getattr(args, key)), key)
+    if args.l:
+        point["l"] = tuple(parse_int_list(_one(args.l, "l")))
+    if args.p:
+        point["p"] = parse_p_vector(args.p, point.get("n"))
+    if args.theta and "k" not in point and fam.scale_k:
+        point["k"] = fam.scale_k(_need(point, "n"), _one(parse_float_list(args.theta), "theta"))
+    for axis in fam.axes:
+        _need(point, axis)
+    return point
+
+
+def _print_record(rec: CertRecord) -> int:
+    for key, val in zip(CSV_COLUMNS, rec.row()):
+        print(f"{key}: {val}")
+    return EXIT_OK if rec.verdict == "pass" else EXIT_FAIL
 
 
 def cmd_exact_tv(args) -> int:
-    params = _collect_params(args)
-    problem = args.problem
-    if problem == "coupon" and "k" not in params and params.get("theta"):
-        n = _need(params, "n")
-        theta = params.pop("theta")[0]
-        params["k"] = max(1, round(n * math.log(n) + theta * n))
-    point = {k: v for k, v in params.items() if k in ("n", "k", "c", "p", "l")}
-    err = feasibility_error(problem, point)
+    point = _single_point(args)
+    _bound_fn(args.problem, args.bound)
+    err = feasibility_error(args.problem, point)
     if err:
         raise UsageError(f"{err}; consider mc-tv for large instances")
-    rec = compute_record(problem, point, args.bound)
-    for key, val in zip(CSV_COLUMNS, rec.row()):
-        print(f"{key}: {val}")
-    return EXIT_OK if rec.verdict == "pass" else EXIT_FAIL
+    return _print_record(compute_record(args.problem, point, args.bound))
 
 
 def cmd_mc_tv(args) -> int:
-    params = _collect_params(args)
-    problem = args.problem
-    if problem not in MC_PROBLEMS:
-        raise UsageError(f"mc-tv supports {MC_PROBLEMS}")
-    point = {k: v for k, v in params.items() if k in ("n", "k", "p", "l")}
-    rec = compute_mc_record(problem, point, args.trials, args.seed)
-    for key, val in zip(CSV_COLUMNS, rec.row()):
-        print(f"{key}: {val}")
-    return EXIT_OK if rec.verdict == "pass" else EXIT_FAIL
+    point = _single_point(args)
+    return _print_record(compute_mc_record(args.problem, point, args.trials, args.seed))
 
 
 def cmd_sweep(args) -> int:
+    _bound_fn(args.problem, args.bound)
     grid = build_grid(args.problem, args)
     if not grid:
         raise UsageError("empty parameter grid")
@@ -638,26 +589,14 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"grid point {point}: {err}")
         problems.append((clean, point.get("tag")))
 
-    workers = int(os.environ.get("STEIN_POISSON_THREADS", "1") or "1")
-
-    def run(item):
-        clean, tag = item
-        rec = compute_record(args.problem, clean, args.bound)
-        if tag:
-            rec.params = tag
-        return rec
-
     out, close = _open_out(args.out)
     writer = RecordWriter(args.format, out)
     try:
-        # records are emitted in grid order regardless of completion order
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for rec in ex.map(run, problems):
-                    writer.write(rec)
-        else:
-            for item in problems:
-                writer.write(run(item))
+        for clean, tag in problems:
+            rec = compute_record(args.problem, clean, args.bound)
+            if tag:
+                rec.params = tag
+            writer.write(rec)
     except KeyboardInterrupt:
         writer.finish()
         raise
@@ -674,9 +613,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_pair(args) -> int:
-    params = _collect_params(args)
-    point = {k: v for k, v in params.items() if k in ("n", "k", "p", "l")}
-    model = _pair_model_for(args.problem, point)
+    model = _pair_model(args.problem, _single_point(args))
     ok = True
     if args.exact:
         if not pm.is_enumerable(model):
@@ -731,30 +668,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poisson-approximation bound certification harness",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    pair_problems = [name for name, fam in FAMILIES.items() if fam.pair_model]
 
     b = subs.add_parser("bound", help="evaluate one closed-form bound")
     b.add_argument("problem")
-    b.add_argument("--coupling", help="coupling flavor: matching|poisson_binomial|coupon|birthday")
+    b.add_argument("--bound", default="default", choices=BOUND_KINDS)
     _add_common_flags(b)
     b.set_defaults(func=cmd_bound)
 
     e = subs.add_parser("exact-tv", help="exact law vs Poisson target with verdict")
-    e.add_argument("problem", choices=EXACT_PROBLEMS)
-    e.add_argument("--bound", default="default",
-                   choices=["default", "coupling", "negative-association"])
+    e.add_argument("problem", choices=FAMILIES)
+    e.add_argument("--bound", default="default", choices=BOUND_KINDS)
     _add_common_flags(e)
     e.set_defaults(func=cmd_exact_tv)
 
     m = subs.add_parser("mc-tv", help="Monte Carlo TV estimate with verdict")
-    m.add_argument("problem", choices=MC_PROBLEMS)
+    m.add_argument("problem", choices=pair_problems)
     m.add_argument("--trials", type=int, default=100_000)
     _add_common_flags(m)
     m.set_defaults(func=cmd_mc_tv)
 
     s = subs.add_parser("sweep", help="run a certification grid to CSV/JSON")
-    s.add_argument("problem", choices=EXACT_PROBLEMS)
-    s.add_argument("--bound", default="default",
-                   choices=["default", "coupling", "negative-association"])
+    s.add_argument("problem", choices=FAMILIES)
+    s.add_argument("--bound", default="default", choices=BOUND_KINDS)
     s.add_argument("--count", type=int, help="number of random p vectors (poisson-binomial)")
     s.add_argument("--maxlen", type=int, default=12, help="max random p vector length")
     s.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -763,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_sweep)
 
     v = subs.add_parser("verify-pair", help="certify pair-construction conditionals")
-    v.add_argument("problem", choices=MC_PROBLEMS)
+    v.add_argument("problem", choices=pair_problems)
     v.add_argument("--exact", action="store_true", help="exact enumeration (small instances)")
     v.add_argument("--trials", type=int)
     _add_common_flags(v)

@@ -36,6 +36,9 @@ __all__ = [
     "coloring_pmf",
     "coupon_collector_diagnostics",
     "iter_permutation_chunks",
+    "check_matching",
+    "check_occupancy",
+    "check_coloring",
 ]
 
 #: plain matching uses the rencontres closed form up to this many letters
@@ -195,6 +198,19 @@ def poisson_binomial_pmf(p) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
+def check_matching(spec: MatchingSpec) -> None:
+    """Raise ValueError if :func:`matching_pmf` cannot take ``spec``."""
+    n = spec.n
+    if spec.is_plain:
+        if n > PLAIN_MATCHING_CAP:
+            raise ValueError(f"plain matching capped at n={PLAIN_MATCHING_CAP}")
+    elif n > MULTISET_ENUMERATION_CAP:
+        raise ValueError(
+            f"multiset matching enumerates n! permutations; capped at "
+            f"n={MULTISET_ENUMERATION_CAP} (requested n={n}, about {math.factorial(n):.2e} states)"
+        )
+
+
 def matching_pmf(spec: MatchingSpec) -> Pmf:
     """Exact law of the number of fixed points.
 
@@ -204,21 +220,15 @@ def matching_pmf(spec: MatchingSpec) -> Pmf:
     which matches the uniform-permutation model directly and avoids any
     multiplicity-weighting subtlety.
     """
+    check_matching(spec)
     n = spec.n
     if spec.is_plain:
-        if n > PLAIN_MATCHING_CAP:
-            raise ValueError(f"plain matching capped at n={PLAIN_MATCHING_CAP}")
         d = derangement_numbers(n)
         n_fact = math.factorial(n)
         mass = [
             float(Fraction(math.comb(n, m) * d[n - m], n_fact)) for m in range(n + 1)
         ]
         return Pmf(np.array(mass))
-    if n > MULTISET_ENUMERATION_CAP:
-        raise ValueError(
-            f"multiset matching enumerates n! permutations; capped at "
-            f"n={MULTISET_ENUMERATION_CAP} (requested n={n}, about {math.factorial(n):.2e} states)"
-        )
     word = np.array(spec.word(), dtype=np.int8)
     counts = np.zeros(n + 1, dtype=np.int64)
     for perms in iter_permutation_chunks(n):
@@ -422,12 +432,25 @@ def _empty_boxes_pmf(n: int, k: int) -> Pmf:
         mass = np.zeros(n + 1)
         mass[n] = 1.0
         return Pmf(mass)
-    digits = k * math.log10(n) if n > 1 else 0.0
-    if n <= EMPTY_EXACT_BOX_CAP and digits <= EMPTY_EXACT_DIGIT_CAP:
+    if n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP:
         mass = np.array([float(x) for x in _empty_boxes_mass_exact(n, k)])
     else:
+        mass = _empty_boxes_mass_certified(n, k)
+    last = int(np.nonzero(mass)[0].max(initial=0))
+    return Pmf.from_mass(mass[: last + 1])
+
+
+def check_occupancy(spec: OccupancySpec) -> None:
+    """Raise ValueError if :func:`occupancy_pmf` cannot take ``spec``."""
+    n, k = spec.n_boxes, spec.k_balls
+    if k == 0:
+        return
+    if spec.statistic == "empty":
+        digits = k * math.log10(n)  # size of the exact-rational path
         r0 = n * math.exp(-k / n)
-        if r0 > EMPTY_CERTIFIED_RATIO_CAP:
+        if (n > EMPTY_EXACT_BOX_CAP or digits > EMPTY_EXACT_DIGIT_CAP) and (
+            r0 > EMPTY_CERTIFIED_RATIO_CAP
+        ):
             raise ValueError(
                 "empty-box law infeasible: exact path needs about "
                 f"{digits:.0f}-digit integers over {n + 1} support points "
@@ -435,18 +458,24 @@ def _empty_boxes_pmf(n: int, k: int) -> Pmf:
                 f"and the certified path needs n*exp(-k/n) <= "
                 f"{EMPTY_CERTIFIED_RATIO_CAP} (got {r0:.3g})"
             )
-        mass = _empty_boxes_mass_certified(n, k)
-    last = int(np.nonzero(mass)[0].max(initial=0))
-    return Pmf.from_mass(mass[: last + 1])
+        return
+    states = n * k * max(1, _stat_support_max(spec))
+    if states > DP_STATE_CAP:
+        raise ValueError(
+            f"occupancy DP needs ~{states:.2e} states "
+            f"(cap {DP_STATE_CAP:.0e}); n={n}, k={k}, statistic={spec.statistic}"
+        )
 
 
 def occupancy_pmf(spec: OccupancySpec) -> Pmf:
     """Exact law of the requested occupancy statistic.
 
     The empty-box count uses the inclusion-exclusion closed form; the other
-    statistics run the allocation DP, whose feasibility cap
-    ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` is checked up front.
+    statistics run the allocation DP.  :func:`check_occupancy` applies the
+    caps up front, e.g. ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP``
+    for the DP.
     """
+    check_occupancy(spec)
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "empty":
         return _empty_boxes_pmf(n, k)
@@ -457,12 +486,6 @@ def occupancy_pmf(spec: OccupancySpec) -> Pmf:
             return Pmf(mass)
         return Pmf(np.array([1.0]))
     s_max = _stat_support_max(spec)
-    states = n * k * max(1, s_max)
-    if states > DP_STATE_CAP:
-        raise ValueError(
-            f"occupancy DP needs ~{states:.2e} states "
-            f"(cap {DP_STATE_CAP:.0e}); n={n}, k={k}, statistic={spec.statistic}"
-        )
     dist = _sequential_allocation_dp(n, k, _stat_increment(spec.statistic, spec.level), s_max)
     last = int(np.nonzero(dist)[0].max(initial=0))
     return Pmf.from_mass(dist[: last + 1])
@@ -533,6 +556,15 @@ def occupancy_moments(spec: OccupancySpec, levels=None) -> OccupancyMoments:
 # ---------------------------------------------------------------------------
 
 
+def check_coloring(spec: ColoringSpec) -> None:
+    """Raise ValueError if :func:`coloring_pmf` cannot take ``spec``."""
+    states = spec.n_colors * spec.n_points * max(1, math.comb(spec.n_points, spec.tuple_size))
+    if states > DP_STATE_CAP:
+        raise ValueError(
+            f"coloring DP needs ~{states:.2e} states (cap {DP_STATE_CAP:.0e})"
+        )
+
+
 def coloring_pmf(spec: ColoringSpec) -> Pmf:
     """Exact law of the monochromatic tuple count.
 
@@ -540,13 +572,9 @@ def coloring_pmf(spec: ColoringSpec) -> Pmf:
     sequential-allocation DP applies with colors as cells and points as items;
     a class of size m contributes C(m, tuple_size).
     """
+    check_coloring(spec)
     n, k, c = spec.n_points, spec.tuple_size, spec.n_colors
     s_max = math.comb(n, k)
-    states = c * n * max(1, s_max)
-    if states > DP_STATE_CAP:
-        raise ValueError(
-            f"coloring DP needs ~{states:.2e} states (cap {DP_STATE_CAP:.0e})"
-        )
     dist = _sequential_allocation_dp(c, n, lambda m: math.comb(m, k), s_max)
     last = int(np.nonzero(dist)[0].max(initial=0))
     return Pmf.from_mass(dist[: last + 1])

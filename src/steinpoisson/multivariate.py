@@ -25,6 +25,8 @@ __all__ = [
     "ConfigLaw",
     "JOINT_ENUMERATION_CAP",
     "CONFIG_LAW_CAP",
+    "check_joint",
+    "check_config",
     "joint_fixed_point_succession_pmf",
     "product_poisson_joint",
     "joint_tv",
@@ -102,12 +104,17 @@ class ConfigLaw:
 # ---------------------------------------------------------------------------
 
 
+def check_joint(n: int) -> None:
+    """Raise ValueError if :func:`joint_fixed_point_succession_pmf` cannot take ``n``."""
+    if not (isinstance(n, int) and 2 <= n <= JOINT_ENUMERATION_CAP):
+        raise ValueError(f"joint law enumerates n! permutations; needs 2 <= n <= {JOINT_ENUMERATION_CAP}")
+
+
 def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     """Exact joint law of (fixed points, cyclic successions) of a uniform
     permutation: positions with sigma(i) = i and with sigma(i) = i + 1,
     counted cyclically so sigma(n) = 1 contributes to the second count."""
-    if not (isinstance(n, int) and 2 <= n <= JOINT_ENUMERATION_CAP):
-        raise ValueError(f"joint law enumerates n! permutations; needs 2 <= n <= {JOINT_ENUMERATION_CAP}")
+    check_joint(n)
     ident = np.arange(n, dtype=np.int8)
     succ = np.roll(ident, -1)  # succ[i] = i + 1 mod n
     counts: dict[tuple[int, int], int] = {}
@@ -202,6 +209,12 @@ def multivariate_error_bound(lambdas, error_terms) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def check_config(n: int) -> None:
+    """Raise ValueError if :func:`matching_config_law` cannot take ``n``."""
+    if not (isinstance(n, int) and 2 <= n <= CONFIG_LAW_CAP):
+        raise ValueError(f"configuration law needs 2 <= n <= {CONFIG_LAW_CAP}")
+
+
 def matching_config_law(n: int) -> ConfigLaw:
     """Exact law of the fixed-point indicator configuration of a uniform
     permutation.
@@ -211,8 +224,7 @@ def matching_config_law(n: int) -> ConfigLaw:
     D_{n-s}/n!; the closed form extends the reach well past brute-force
     enumeration of permutations.
     """
-    if not (isinstance(n, int) and 2 <= n <= CONFIG_LAW_CAP):
-        raise ValueError(f"configuration law needs 2 <= n <= {CONFIG_LAW_CAP}")
+    check_config(n)
     d = derangement_numbers(n)
     n_fact = math.factorial(n)
     by_size = [float(Fraction(d[n - s], n_fact)) for s in range(n + 1)]

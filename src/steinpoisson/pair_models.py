@@ -196,6 +196,16 @@ def _box_counts(model: PairModel, state) -> np.ndarray:
     return np.bincount(np.asarray(state, dtype=np.int64), minlength=model.n)
 
 
+#: contribution to W of a box holding ``c`` balls, elementwise over count
+#: arrays; the indicator statistics stay boolean, so count matrices are never
+#: widened
+_BOX_STAT = {
+    "birthday_pairs": lambda c: c >= 2,
+    "birthday_triples": lambda c: c * (c - 1) * (c - 2) // 6,
+    "coupon": lambda c: c == 0,
+}
+
+
 def statistic(model: PairModel, state) -> int:
     """Value of the problem's statistic W at a state."""
     arr = np.asarray(state)
@@ -204,13 +214,7 @@ def statistic(model: PairModel, state) -> int:
     if model.problem == "matching":
         word = np.asarray(model.spec.word())
         return int((word[arr] == word).sum())
-    counts = _box_counts(model, arr)
-    if model.problem == "birthday_pairs":
-        return int((counts >= 2).sum())
-    if model.problem == "birthday_triples":
-        c = counts.astype(np.int64)
-        return int((c * (c - 1) * (c - 2) // 6).sum())
-    return int((counts == 0).sum())  # coupon
+    return int(_BOX_STAT[model.problem](_box_counts(model, arr)).sum())
 
 
 def state_stats(model: PairModel, state):
@@ -253,6 +257,29 @@ def _check_occupancy_stats(model: PairModel, s: OccupancyStats):
         raise ValueError("triple count cannot be below m3")
 
 
+# One-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state)) per family.
+# Each takes scalars or equal-length arrays, so the exact check
+# (step_probs) and the Monte Carlo gate (_mc_arrays) evaluate one formula.
+
+
+def _bernoulli_steps(n, lam, s, w):
+    return (lam - s) / n, (w - s) / n
+
+
+def _plain_matching_steps(n, w, a2):
+    denom = n * (n - 1)
+    return 2.0 * (n - w - 2 * a2) / denom, 2.0 * w * (n - w) / denom
+
+
+def _occupancy_steps(problem, n, k, m0, m1, m2, m3, w):
+    kn = k * n
+    if problem == "birthday_pairs":
+        return m1 * (k - 2 * m2 - 1) / kn, 2.0 * m2 * (n - m1 - 1) / kn
+    if problem == "birthday_triples":
+        return (m1 * m2 + 2 * m2**2 - 2 * m2) / kn, (3.0 * m3 * m0 + 3.0 * m3 * m1) / kn
+    return m1 * (n - w - 1) / kn, (k - m1) * w / kn  # coupon
+
+
 def step_probs(model: PairModel, stats) -> tuple[float, float]:
     """Analytic one-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state))."""
     if model.problem == "poisson_binomial":
@@ -263,17 +290,17 @@ def step_probs(model: PairModel, stats) -> tuple[float, float]:
             raise ValueError("w out of range")
         if s < -1e-12 or s > min(lam, float(w)) + 1e-9:
             raise ValueError("weighted_sum inconsistent with w")
-        return (lam - s) / n, (w - s) / n
+        return _bernoulli_steps(n, lam, s, w)
     if model.problem == "matching":
         n = model.n
-        denom = n * (n - 1)
         if model.spec.is_plain:
             if not isinstance(stats, PlainMatchingStats):
                 raise ValueError("plain matching expects PlainMatchingStats")
             w, a2 = stats.w, stats.a2
             if not (0 <= w <= n and a2 >= 0 and w + 2 * a2 <= n):
                 raise ValueError("fixed points and 2-cycles inconsistent")
-            return 2.0 * (n - w - 2 * a2) / denom, 2.0 * w * (n - w) / denom
+            return _plain_matching_steps(n, w, a2)
+        denom = n * (n - 1)
         if not isinstance(stats, GeneralizedMatchingStats):
             raise ValueError("generalized matching expects GeneralizedMatchingStats")
         l = np.asarray(model.spec.multiplicities, dtype=np.int64)
@@ -297,20 +324,8 @@ def step_probs(model: PairModel, stats) -> tuple[float, float]:
     if not isinstance(stats, OccupancyStats):
         raise ValueError(f"{model.problem} expects OccupancyStats")
     _check_occupancy_stats(model, stats)
-    n, k = model.n, model.k
-    kn = k * n
-    if model.problem == "birthday_pairs":
-        up = stats.m1 * (k - 2 * stats.m2 - 1) / kn
-        down = 2.0 * stats.m2 * (n - stats.m1 - 1) / kn
-        return up, down
-    if model.problem == "birthday_triples":
-        up = (stats.m1 * stats.m2 + 2 * stats.m2**2 - 2 * stats.m2) / kn
-        down = (3.0 * stats.m3 * stats.m0 + 3.0 * stats.m3 * stats.m1) / kn
-        return up, down
-    # coupon
-    up = stats.m1 * (n - stats.w - 1) / kn
-    down = (k - stats.m1) * stats.w / kn
-    return up, down
+    return _occupancy_steps(model.problem, model.n, model.k,
+                            stats.m0, stats.m1, stats.m2, stats.m3, stats.w)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +541,7 @@ def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
         n = model.n
         omega = rng.random((size, n)) < p
         w = omega.sum(axis=1)
-        s = omega @ p
-        up = (model.lam - s) / n
-        down = (w - s) / n
+        up, down = _bernoulli_steps(n, model.lam, omega @ p, w)
         idx = rng.integers(0, n, size)
         eps = rng.random(size) < p[idx]
         dw = eps.astype(np.int64) - omega[np.arange(size), idx]
@@ -541,12 +554,8 @@ def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
             fixed = sig == ident
             w = fixed.sum(axis=1)
             two = (np.take_along_axis(sig, sig, axis=1) == ident) & ~fixed
-            a2 = two.sum(axis=1) // 2
-            up = 2.0 * (n - w - 2 * a2) / (n * (n - 1))
-            down = 2.0 * w * (n - w) / (n * (n - 1))
-            word = ident
+            up, down = _plain_matching_steps(n, w, two.sum(axis=1) // 2)
         else:
-            word = np.asarray(model.spec.word())
             up = np.empty(size)
             down = np.empty(size)
             w = np.empty(size, dtype=np.int64)
@@ -559,55 +568,35 @@ def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
         j = j + (j >= i)
         rows = np.arange(size)
         si, sj = sig[rows, i], sig[rows, j]
-        if model.spec.is_plain:
-            dw = (sj == i).astype(np.int64) + (si == j) - (si == i) - (sj == j)
-        else:
-            wv = np.asarray(model.spec.word())
-            dw = (
-                (wv[sj] == wv[i]).astype(np.int64)
-                + (wv[si] == wv[j])
-                - (wv[si] == wv[i])
-                - (wv[sj] == wv[j])
-            )
+        wv = np.asarray(model.spec.word())  # the identity for plain matching
+        dw = (
+            (wv[sj] == wv[i]).astype(np.int64)
+            + (wv[si] == wv[j])
+            - (wv[si] == wv[i])
+            - (wv[sj] == wv[j])
+        )
         return up, down, dw, w
     # balls in boxes families
     n, k = model.n, model.k
     boxes = rng.integers(0, n, (size, k))
     offsets = np.arange(size)[:, None] * n
     counts = np.bincount((boxes + offsets).ravel(), minlength=size * n).reshape(size, n)
-    m0 = (counts == 0).sum(axis=1)
-    m1 = (counts == 1).sum(axis=1)
-    m2 = (counts == 2).sum(axis=1)
-    m3 = (counts == 3).sum(axis=1)
-    kn = k * n
+    m0, m1, m2, m3 = ((counts == level).sum(axis=1) for level in range(4))
+    stat = _BOX_STAT[model.problem]
+    w = stat(counts).sum(axis=1)
+    up, down = _occupancy_steps(model.problem, n, k, m0, m1, m2, m3, w)
     ball = rng.integers(0, k, size)
     newbox = rng.integers(0, n, size)
     rows = np.arange(size)
     oldbox = boxes[rows, ball]
     c_old = counts[rows, oldbox]
     c_new = counts[rows, newbox]
-    moved = oldbox != newbox
-    if model.problem == "birthday_pairs":
-        w = (counts >= 2).sum(axis=1)
-        up = m1 * (k - 2 * m2 - 1) / kn
-        down = 2.0 * m2 * (n - m1 - 1) / kn
-        dw = np.where(moved, (c_new + 1 >= 2).astype(np.int64) - (c_new >= 2)
-                      + (c_old - 1 >= 2).astype(np.int64) - (c_old >= 2), 0)
-    elif model.problem == "birthday_triples":
-        cc = counts.astype(np.int64)
-        w = (cc * (cc - 1) * (cc - 2) // 6).sum(axis=1)
-        up = (m1 * m2 + 2 * m2**2 - 2 * m2) / kn
-        down = (3.0 * m3 * m0 + 3.0 * m3 * m1) / kn
 
-        def c3(x):
-            return x * (x - 1) * (x - 2) // 6
+    def box_w(c):  # 1-D move vectors only
+        return stat(c).astype(np.int64)
 
-        dw = np.where(moved, c3(c_new + 1) - c3(c_new) + c3(c_old - 1) - c3(c_old), 0)
-    else:  # coupon
-        w = m0
-        up = m1 * (n - w - 1) / kn
-        down = (k - m1) * w / kn
-        dw = np.where(moved, (c_old == 1).astype(np.int64) - (c_new == 0), 0)
+    dw = np.where(oldbox != newbox,
+                  box_w(c_new + 1) - box_w(c_new) + box_w(c_old - 1) - box_w(c_old), 0)
     return up, down, dw, w
 
 

@@ -462,13 +462,22 @@ def test_criterion_16_sweep_determinism(tmp_path):
             outputs.append([row[:-1] for row in rows])  # timestamps excluded
         return outputs
 
-    ok = True
-    a, b = run_twice(["sweep", "matching", "--n", "4..10", "--seed", "42"])
-    ok = ok and a == b
-    a, b = run_twice(
-        ["sweep", "poisson-binomial", "--count", "20", "--maxlen", "9", "--seed", "42"]
-    )
-    ok = ok and a == b
+    sweeps = {
+        "matching": ["--n", "4..10", "--seed", "42"],
+        "generalized-matching": ["--l", "2,2", "--l", "1,2,3"],
+        "poisson-binomial": ["--count", "20", "--maxlen", "9", "--seed", "42"],
+        "birthday-pairs": ["--n", "10..20", "--theta", "1"],
+        "birthday-pair-count": ["--n", "10..20", "--theta", "1"],
+        "birthday-triples": ["--n", "8..12", "--theta", "1"],
+        "coupon": ["--n", "10..20", "--theta", "0,1"],
+        "coloring": ["--n", "6..8", "--k", "2", "--c", "2,3"],
+        "joint-matching-succession": ["--n", "3..6"],
+        "process-matching": ["--n", "2..6"],
+    }
+    ok = set(sweeps) == set(cli.FAMILIES)  # one small sweep per family
+    for problem, flags in sweeps.items():
+        a, b = run_twice(["sweep", problem] + flags)
+        ok = ok and a == b and len(a) > 1
     elapsed = time.perf_counter() - start
-    assert _report(16, ok, f"byte-identical sweeps modulo the seconds column "
-                   f"in {elapsed:.1f}s")
+    assert _report(16, ok, f"byte-identical sweeps of all {len(sweeps)} families modulo "
+                   f"the seconds column in {elapsed:.1f}s")

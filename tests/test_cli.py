@@ -1,14 +1,16 @@
 import csv
 import json
-import os
 
 import pytest
 
+from steinpoisson import exact_laws, multivariate
 from steinpoisson.cli import (
     CSV_COLUMNS,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    FAMILIES,
+    feasibility_error,
     main,
     parse_int_list,
     parse_p_vector,
@@ -124,17 +126,6 @@ class TestSweepCommand:
         assert run(argv + ["--out", str(b)]) == EXIT_OK
         assert strip_seconds(read_csv(a)) == strip_seconds(read_csv(b))
 
-    def test_threaded_matches_sequential(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["sweep", "matching", "--n", "4..10"]
-        assert run(argv + ["--out", str(a)]) == EXIT_OK
-        os.environ["STEIN_POISSON_THREADS"] = "3"
-        try:
-            assert run(argv + ["--out", str(b)]) == EXIT_OK
-        finally:
-            del os.environ["STEIN_POISSON_THREADS"]
-        assert strip_seconds(read_csv(a)) == strip_seconds(read_csv(b))
-
     def test_interrupt_flushes_partial_results(self, tmp_path, monkeypatch):
         import steinpoisson.cli as cli_mod
 
@@ -211,3 +202,151 @@ class TestMcTvCommand:
         out = capsys.readouterr().out
         assert "mc_tv:" in out
         assert "verdict: pass" in out
+
+
+#: one small point per family, as flags
+POINTS = {
+    "matching": ["--n", "8"],
+    "generalized-matching": ["--l", "2,2,2"],
+    "poisson-binomial": ["--p", "0.1,0.2,0.3"],
+    "birthday-pairs": ["--n", "365", "--k", "23"],  # k^2/2n and theta^2/2 differ here
+    "birthday-pair-count": ["--n", "30", "--k", "6"],
+    "birthday-triples": ["--n", "30", "--k", "9"],
+    "coupon": ["--n", "20", "--k", "60"],
+    "coloring": ["--n", "8", "--k", "3", "--c", "3"],
+    "joint-matching-succession": ["--n", "5"],
+    "process-matching": ["--n", "6"],
+}
+
+
+def fields(out):
+    """``key: value`` lines of bound / exact-tv / mc-tv output."""
+    pairs = (line.split(":", 1) for line in out.splitlines() if ":" in line)
+    return {key.strip(): val.strip() for key, val in pairs}
+
+
+class TestFamilyTable:
+    def test_points_cover_every_family(self):
+        assert set(POINTS) == set(FAMILIES)
+
+    @pytest.mark.parametrize(
+        "problem,kind",
+        [(problem, kind) for problem, fam in FAMILIES.items() for kind in fam.bounds],
+    )
+    def test_bound_and_exact_tv_share_convention(self, capsys, problem, kind):
+        flags = POINTS[problem] + ["--bound", kind]
+        assert run(["bound", problem] + flags) == EXIT_OK
+        bound = fields(capsys.readouterr().out)
+        assert run(["exact-tv", problem] + flags) in (EXIT_OK, EXIT_FAIL)
+        exact = fields(capsys.readouterr().out)
+        assert bound["convention"] == exact["convention"]
+        assert float(bound["value"].split()[0]) == float(exact["bound"])
+        assert float(bound["lambda"]) == float(exact["lambda"])
+
+    def test_process_matching_bound_is_set_distance(self, capsys):
+        assert run(["bound", "process-matching", "--n", "10"]) == EXIT_OK
+        out = fields(capsys.readouterr().out)
+        assert out["convention"] == "set_distance"
+        assert out["as tv"] == "0.2"
+        # the bound is not limited by the configuration law's cap
+        assert run(["bound", "process-matching", "--n", "100"]) == EXIT_OK
+
+
+class TestGeneralizedMatchingPair:
+    def test_mc_tv_uses_generalized_bound(self, capsys):
+        argv = ["mc-tv", "generalized-matching", "--l", "4,4", "--trials", "20000", "--seed", "1"]
+        assert run(argv) == EXIT_OK
+        out = fields(capsys.readouterr().out)
+        assert out["lambda"] == "4.0"
+        assert out["convention"] == "tv"  # bound_generalized_matching, not 2/n
+        assert out["verdict"] == "pass"
+
+    def test_verify_pair_exact(self, capsys):
+        assert run(["verify-pair", "generalized-matching", "--l", "2,2,2", "--exact"]) == EXIT_OK
+        assert "verdict: pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["mc-tv", "matching", "--n", "8", "--l", "4,4", "--trials", "20000", "--seed", "1"],
+        ["verify-pair", "matching", "--n", "6", "--l", "2,2,2", "--exact"],
+        ["exact-tv", "matching", "--n", "8", "--l", "4,4"],
+        ["bound", "coupon", "--n", "20", "--k", "60", "--l", "2,2"],
+        ["sweep", "birthday-pairs", "--n", "20", "--k", "5", "--l", "2,2"],
+    ])
+    def test_l_without_l_axis_is_usage_error(self, capsys, argv):
+        assert run(argv) == EXIT_USAGE
+        assert "--l" in capsys.readouterr().err
+
+
+class TestDispatchHoles:
+    def test_unsupported_bound_kind_exits_2(self, capsys, tmp_path):
+        argv = ["exact-tv", "matching", "--n", "10", "--bound", "negative-association"]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "matching", "--n", "4..6", "--bound", "negative-association"]
+        assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()  # rejected before any record is written
+
+    def test_theta_scales_k_for_every_scaled_family(self, capsys):
+        assert run(["exact-tv", "birthday-pairs", "--n", "100", "--theta", "1"]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["params"] == "k=10 n=100"
+        assert run(["exact-tv", "birthday-triples", "--n", "64", "--theta", "0.5"]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["params"] == "k=8 n=64"
+
+    def test_bound_covers_every_family_by_kind(self, capsys):
+        assert run(["bound", "birthday-pair-count", "--n", "100", "--k", "10"]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["theorem_id"] == "coupling_birthday"
+        argv = ["bound", "coupon", "--n", "100", "--k", "500", "--bound", "coupling"]
+        assert run(argv) == EXIT_OK
+        assert fields(capsys.readouterr().out)["theorem_id"] == "coupling_coupon"
+        # the old pseudo-problem and its flag are gone
+        assert run(["bound", "coupling", "--n", "10"]) == EXIT_USAGE
+
+
+#: one over-cap point per family with a cap, and the law call that refuses it;
+#: poisson-binomial has no cap
+OVER_CAP = {
+    "matching": ({"n": 501}, lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(501))),
+    "generalized-matching": (
+        {"l": (2, 2, 2, 2, 2, 1)},
+        lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(11, (2, 2, 2, 2, 2, 1))),
+    ),
+    "birthday-pairs": (
+        {"n": 10_000, "k": 300},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(10_000, 300, "pairs")),
+    ),
+    "birthday-pair-count": (
+        {"n": 1000, "k": 100},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(1000, 100, "pair_count")),
+    ),
+    "birthday-triples": (
+        {"n": 4000, "k": 300},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(4000, 300, "triples")),
+    ),
+    "coupon": (
+        {"n": 5000, "k": 100},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(5000, 100, "empty")),
+    ),
+    "coloring": (
+        {"n": 40, "k": 5, "c": 100},
+        lambda: exact_laws.coloring_pmf(exact_laws.ColoringSpec(40, 5, 100)),
+    ),
+    "joint-matching-succession": (
+        {"n": 10}, lambda: multivariate.joint_fixed_point_succession_pmf(10)
+    ),
+    "process-matching": ({"n": 15}, lambda: multivariate.matching_config_law(15)),
+}
+
+
+def test_over_cap_points_cover_capped_families():
+    assert set(OVER_CAP) == set(FAMILIES) - {"poisson-binomial"}
+
+
+@pytest.mark.parametrize("problem", sorted(OVER_CAP))
+def test_over_cap_rejected_by_precheck_and_law_alike(problem):
+    point, law = OVER_CAP[problem]
+    message = feasibility_error(problem, point)
+    assert message
+    with pytest.raises(ValueError) as exc:
+        law()
+    assert str(exc.value) == message
