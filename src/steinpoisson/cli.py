@@ -632,8 +632,7 @@ def cmd_verify_pair(args) -> int:
         print("verdict:", "pass" if report.passed and ok else "fail")
         ok = ok and report.passed
     else:
-        trials = args.trials or 100_000
-        report = pm.verify_step_probs(model, trials=trials, rng=pm.substream(args.seed, 0))
+        report = pm.verify_step_probs(model, trials=args.trials, rng=pm.substream(args.seed, 0))
         print(f"mode: monte-carlo, {report.samples} trials")
         print(f"max standardized deviation: {report.max_dev:.3f} (gate 4.0)")
         print(f"  up z: {report.up_dev:.3f}  down z: {report.down_dev:.3f}  "
@@ -701,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = subs.add_parser("verify-pair", help="certify pair-construction conditionals")
     v.add_argument("problem", choices=pair_problems)
     v.add_argument("--exact", action="store_true", help="exact enumeration (small instances)")
-    v.add_argument("--trials", type=int)
+    v.add_argument("--trials", type=int, default=100_000)
     _add_common_flags(v)
     v.set_defaults(func=cmd_verify_pair)
     return parser

@@ -53,7 +53,18 @@ EMPTY_EXACT_DIGIT_CAP = 20_000
 #: certified high-precision empty-box path requires n*exp(-k/n) below this
 EMPTY_CERTIFIED_RATIO_CAP = 50.0
 
-OCCUPANCY_STATISTICS = ("pairs", "triples", "empty", "exact_level", "pair_count")
+#: contribution ``f(c, level)`` of a box holding ``c`` balls to each additive
+#: occupancy statistic, elementwise over count arrays (indicators stay boolean,
+#: so count matrices are never widened); the allocation DP and the pair models
+#: both read it
+BOX_STATISTICS = {
+    "pairs": lambda c, level: c >= 2,
+    "triples": lambda c, level: c * (c - 1) * (c - 2) // 6,
+    "empty": lambda c, level: c == 0,
+    "exact_level": lambda c, level: c == level,
+    "pair_count": lambda c, level: c * (c - 1) // 2,
+}
+OCCUPANCY_STATISTICS = tuple(BOX_STATISTICS)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +298,6 @@ def matching_moments(spec: MatchingSpec) -> MatchingMoments:
 # ---------------------------------------------------------------------------
 
 
-def _stat_increment(statistic: str, level: int | None):
-    if statistic == "pairs":
-        return lambda c: 1 if c >= 2 else 0
-    if statistic == "triples":
-        return lambda c: math.comb(c, 3)
-    if statistic == "pair_count":
-        return lambda c: math.comb(c, 2)
-    if statistic == "exact_level":
-        return lambda c: 1 if c == level else 0
-    if statistic == "empty":
-        return lambda c: 1 if c == 0 else 0
-    raise ValueError(statistic)
-
-
 def _stat_support_max(spec: OccupancySpec) -> int:
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "pairs":
@@ -320,8 +317,10 @@ def _sequential_allocation_dp(cells: int, items: int, stat_fn, s_max: int) -> np
     Cells are processed in order; conditioned on ``b`` items already placed,
     cell ``i`` receives ``Binomial(items - b, 1/(cells - i))`` items.  All
     weights are nonnegative, so the recursion is numerically benign; rows are
-    combined in ascending index order.
+    combined in ascending index order.  ``stat_fn(c)``, the contribution of a
+    cell holding ``c`` items, is tabulated once per call.
     """
+    increments = [int(stat_fn(c)) for c in range(items + 1)]
     state = np.zeros((items + 1, s_max + 1))
     state[0, 0] = 1.0
     for i in range(cells):
@@ -345,7 +344,7 @@ def _sequential_allocation_dp(cells: int, items: int, stat_fn, s_max: int) -> np
             for c, pw in weights.items():
                 if pw == 0.0:
                     continue
-                ds = stat_fn(c)
+                ds = increments[c]
                 if ds == 0:
                     new[b + c] += row * pw
                 elif ds <= s_max:
@@ -486,7 +485,8 @@ def occupancy_pmf(spec: OccupancySpec) -> Pmf:
             return Pmf(mass)
         return Pmf(np.array([1.0]))
     s_max = _stat_support_max(spec)
-    dist = _sequential_allocation_dp(n, k, _stat_increment(spec.statistic, spec.level), s_max)
+    box = BOX_STATISTICS[spec.statistic]
+    dist = _sequential_allocation_dp(n, k, lambda c: box(c, spec.level), s_max)
     last = int(np.nonzero(dist)[0].max(initial=0))
     return Pmf.from_mass(dist[: last + 1])
 

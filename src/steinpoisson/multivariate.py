@@ -46,6 +46,27 @@ JOINT_ENUMERATION_CAP = 9
 CONFIG_LAW_CAP = 14
 
 
+def _check_sparse_law(mass: dict, tail: float, check_key) -> None:
+    """``check_key`` vets each support point; probabilities and tail sum to one."""
+    total = 0.0
+    for key, prob in mass.items():
+        check_key(key)
+        if not (-1e-15 <= prob <= 1 + 1e-12):
+            raise ValueError("probabilities must lie in [0, 1]")
+        total += prob
+    if not (-1e-15 <= tail <= 1 + 1e-12):
+        raise ValueError("tail must lie in [0, 1]")
+    if abs(total + tail - 1.0) > 1e-12:
+        raise ValueError(f"mass + tail must sum to 1 (got {total + tail:.17g})")
+
+
+def _sparse_tv(a, b) -> float:
+    """Total variation over the union of supports, tails added conservatively."""
+    keys = set(a.mass) | set(b.mass)
+    l1 = math.fsum(abs(a.mass.get(k, 0.0) - b.mass.get(k, 0.0)) for k in sorted(keys))
+    return 0.5 * (l1 + a.tail + b.tail)
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Sparse pmf over integer vectors in N^dim with residual tail mass."""
@@ -57,19 +78,13 @@ class JointPmf:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        total = 0.0
-        for vec, prob in self.mass.items():
-            if len(vec) != self.dim:
-                raise ValueError(f"vector {vec} does not have dim {self.dim}")
-            if any(x < 0 for x in vec):
-                raise ValueError("supports live in N^dim: componentwise >= 0")
-            if not (-1e-15 <= prob <= 1 + 1e-12):
-                raise ValueError("probabilities must lie in [0, 1]")
-            total += prob
-        if not (-1e-15 <= self.tail <= 1 + 1e-12):
-            raise ValueError("tail must lie in [0, 1]")
-        if abs(total + self.tail - 1.0) > 1e-12:
-            raise ValueError(f"mass + tail must sum to 1 (got {total + self.tail:.17g})")
+        _check_sparse_law(self.mass, self.tail, self._check_vector)
+
+    def _check_vector(self, vec):
+        if len(vec) != self.dim:
+            raise ValueError(f"vector {vec} does not have dim {self.dim}")
+        if any(x < 0 for x in vec):
+            raise ValueError("supports live in N^dim: componentwise >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,17 +101,11 @@ class ConfigLaw:
     tail: float = 0.0
 
     def __post_init__(self):
-        total = 0.0
-        for cfg, prob in self.mass.items():
-            if len(cfg) != self.index_size or any(x not in (0, 1) for x in cfg):
-                raise ValueError("configurations must be binary tuples of index_size")
-            if not (-1e-15 <= prob <= 1 + 1e-12):
-                raise ValueError("probabilities must lie in [0, 1]")
-            total += prob
-        if not (-1e-15 <= self.tail <= 1 + 1e-12):
-            raise ValueError("tail must lie in [0, 1]")
-        if abs(total + self.tail - 1.0) > 1e-12:
-            raise ValueError(f"mass + tail must sum to 1 (got {total + self.tail:.17g})")
+        _check_sparse_law(self.mass, self.tail, self._check_config)
+
+    def _check_config(self, cfg):
+        if len(cfg) != self.index_size or any(x not in (0, 1) for x in cfg):
+            raise ValueError("configurations must be binary tuples of index_size")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +166,7 @@ def joint_tv(p: JointPmf, q: JointPmf) -> float:
     """Total variation over the union of supports, tails added conservatively."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    keys = set(p.mass) | set(q.mass)
-    l1 = math.fsum(abs(p.mass.get(k, 0.0) - q.mass.get(k, 0.0)) for k in sorted(keys))
-    return 0.5 * (l1 + p.tail + q.tail)
+    return _sparse_tv(p, q)
 
 
 def joint_marginal(p: JointPmf, axis: int) -> Pmf:
@@ -275,9 +282,7 @@ def process_tv(a: ConfigLaw, b: ConfigLaw) -> float:
     """
     if a.index_size != b.index_size:
         raise ValueError("index sets differ")
-    keys = set(a.mass) | set(b.mass)
-    l1 = math.fsum(abs(a.mass.get(k, 0.0) - b.mass.get(k, 0.0)) for k in sorted(keys))
-    return 0.5 * (l1 + a.tail + b.tail)
+    return _sparse_tv(a, b)
 
 
 def config_generator_apply(h, p, xi) -> float:

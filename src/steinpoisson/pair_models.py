@@ -7,23 +7,27 @@ of the statistic moving up or down by one.  Small instances can be
 enumerated exactly, which is the strongest possible check of those formulas;
 large instances are certified statistically.
 
+Every family is one private record (:class:`_PairFamily`) that writes W,
+the step observables, the (up, down) formula, the stationary draw and the
+move once, over an array holding one state per row, next to an enumeration
+oracle.  The scalar API applies those batch functions to one row.
+
 Seeding contract: samplers take a ``numpy.random.Generator``.  Reproducible
-parallel sweeps derive sub-streams from a 64-bit master seed by a counter
-scheme, ``substream(master_seed, index)``; identical seeds give identical
-sample streams.  Generators are thread-confined: send them between threads,
-never share one concurrently.
+runs derive sub-streams from a 64-bit master seed by a counter scheme,
+``substream(master_seed, index)``; identical seeds give identical sample
+streams.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .exact_laws import MatchingSpec
+from .exact_laws import BOX_STATISTICS, MatchingSpec
 from .stein_core import EnumeratedPairMeasure, Pmf, tv_distance
 
 __all__ = [
@@ -149,8 +153,10 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# state statistics
+# step observables
 # ---------------------------------------------------------------------------
+# Each field holds one value per state of a batch, or a plain scalar for the
+# one state that ``state_stats`` returns.
 
 
 @dataclass(frozen=True)
@@ -168,17 +174,17 @@ class PlainMatchingStats:
 @dataclass(frozen=True)
 class GeneralizedMatchingStats:
     """Per-letter transfer counts: wij[i, j] = slots showing letter j where
-    letter i originally stood."""
+    letter i originally stood (a stack of such tables for a batch)."""
 
     wij: np.ndarray
 
     @property
     def wi(self) -> np.ndarray:
-        return np.diagonal(self.wij)
+        return np.diagonal(self.wij, axis1=-2, axis2=-1)
 
     @property
-    def w(self) -> int:
-        return int(np.trace(self.wij))
+    def w(self):
+        return self.wi.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -192,174 +198,349 @@ class OccupancyStats:
     w: int
 
 
-def _box_counts(model: PairModel, state) -> np.ndarray:
-    return np.bincount(np.asarray(state, dtype=np.int64), minlength=model.n)
+# ---------------------------------------------------------------------------
+# the pair families
+# ---------------------------------------------------------------------------
 
 
-#: contribution to W of a box holding ``c`` balls, elementwise over count
-#: arrays; the indicator statistics stay boolean, so count matrices are never
-#: widened
-_BOX_STAT = {
-    "birthday_pairs": lambda c: c >= 2,
-    "birthday_triples": lambda c: c * (c - 1) * (c - 2) // 6,
-    "coupon": lambda c: c == 0,
-}
+class _PairFamily:
+    """One exchangeable pair, written once as batch functions over a
+    (rows x dim) array ``states`` holding one state per row: ``draw``
+    (stationary states), ``w`` (the statistic W), ``observe`` (the step
+    observables ``s``, of class ``stats``), ``steps`` (P(W'=W+1 | state),
+    P(W'=W-1 | state)), ``check`` (rejects inconsistent observables) and
+    ``move`` (columns, new values and dw of one reversible move).  ``cells``
+    is the size per state of the largest observable table.
+
+    The enumeration oracle shares no code with them: ``size`` (states,
+    kernel transitions), ``iter_states`` (state tuples), and ``prob`` and
+    ``kernel`` (stationary probability, (probability, next state) pairs) in
+    exact Fractions.
+    """
+
+    def cells(self, model):
+        return model.n
+
+    def prob(self, model, state):  # uniform stationary law
+        return Fraction(1, self.size(model)[0])
 
 
-def statistic(model: PairModel, state) -> int:
-    """Value of the problem's statistic W at a state."""
-    arr = np.asarray(state)
-    if model.problem == "poisson_binomial":
-        return int(arr.sum())
-    if model.problem == "matching":
-        word = np.asarray(model.spec.word())
-        return int((word[arr] == word).sum())
-    return int(_BOX_STAT[model.problem](_box_counts(model, arr)).sum())
+class _Bernoulli(_PairFamily):
+    """Independent indicators; a move resamples one uniform coordinate."""
 
+    stats = BernoulliStats
 
-def state_stats(model: PairModel, state):
-    """Extract the observables the conditional step formulas need."""
-    arr = np.asarray(state)
-    if model.problem == "poisson_binomial":
-        p = np.asarray(model.p)
-        return BernoulliStats(w=int(arr.sum()), weighted_sum=float(np.dot(p, arr)))
-    if model.problem == "matching":
-        if model.spec.is_plain:
-            n = model.n
-            fixed = arr == np.arange(n)
-            two_cycle = (arr[arr] == np.arange(n)) & ~fixed
-            return PlainMatchingStats(w=int(fixed.sum()), a2=int(two_cycle.sum()) // 2)
-        word = np.asarray(model.spec.word())
-        n_letters = len(model.spec.multiplicities)
-        wij = np.zeros((n_letters, n_letters), dtype=np.int64)
-        np.add.at(wij, (word, word[arr]), 1)
-        wij.flags.writeable = False
-        return GeneralizedMatchingStats(wij=wij)
-    counts = _box_counts(model, arr)
-    m = [int((counts == i).sum()) for i in range(4)]
-    return OccupancyStats(m0=m[0], m1=m[1], m2=m[2], m3=m[3], w=statistic(model, arr))
+    def draw(self, model, rows, rng):
+        return rng.random((rows, model.n)) < np.asarray(model.p)
 
+    def w(self, model, states):
+        return states.sum(axis=1)
 
-def _check_occupancy_stats(model: PairModel, s: OccupancyStats):
-    n, k = model.n, model.k
-    for name in ("m0", "m1", "m2", "m3", "w"):
-        if getattr(s, name) < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    if s.m0 + s.m1 + s.m2 + s.m3 > n:
-        raise ValueError("level counts m0 + m1 + m2 + m3 exceed the box count")
-    if s.m1 + 2 * s.m2 + 3 * s.m3 > k:
-        raise ValueError("level counts use more balls than available")
-    if model.problem == "birthday_pairs" and s.w != n - s.m0 - s.m1:
-        raise ValueError("pair statistic must equal n - m0 - m1")
-    if model.problem == "coupon" and s.w != s.m0:
-        raise ValueError("empty-box statistic must equal m0")
-    if model.problem == "birthday_triples" and s.w < s.m3:
-        raise ValueError("triple count cannot be below m3")
+    def observe(self, model, states):
+        return BernoulliStats(w=self.w(model, states), weighted_sum=states @ np.asarray(model.p))
 
+    def steps(self, model, s):
+        return (model.lam - s.weighted_sum) / model.n, (s.w - s.weighted_sum) / model.n
 
-# One-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state)) per family.
-# Each takes scalars or equal-length arrays, so the exact check
-# (step_probs) and the Monte Carlo gate (_mc_arrays) evaluate one formula.
-
-
-def _bernoulli_steps(n, lam, s, w):
-    return (lam - s) / n, (w - s) / n
-
-
-def _plain_matching_steps(n, w, a2):
-    denom = n * (n - 1)
-    return 2.0 * (n - w - 2 * a2) / denom, 2.0 * w * (n - w) / denom
-
-
-def _occupancy_steps(problem, n, k, m0, m1, m2, m3, w):
-    kn = k * n
-    if problem == "birthday_pairs":
-        return m1 * (k - 2 * m2 - 1) / kn, 2.0 * m2 * (n - m1 - 1) / kn
-    if problem == "birthday_triples":
-        return (m1 * m2 + 2 * m2**2 - 2 * m2) / kn, (3.0 * m3 * m0 + 3.0 * m3 * m1) / kn
-    return m1 * (n - w - 1) / kn, (k - m1) * w / kn  # coupon
-
-
-def step_probs(model: PairModel, stats) -> tuple[float, float]:
-    """Analytic one-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state))."""
-    if model.problem == "poisson_binomial":
-        if not isinstance(stats, BernoulliStats):
-            raise ValueError("poisson_binomial expects BernoulliStats")
-        n, lam, s, w = model.n, model.lam, stats.weighted_sum, stats.w
-        if not (0 <= w <= n):
+    def check(self, model, s):
+        if not (0 <= s.w <= model.n):
             raise ValueError("w out of range")
-        if s < -1e-12 or s > min(lam, float(w)) + 1e-9:
+        if s.weighted_sum < -1e-12 or s.weighted_sum > min(model.lam, float(s.w)) + 1e-9:
             raise ValueError("weighted_sum inconsistent with w")
-        return _bernoulli_steps(n, lam, s, w)
-    if model.problem == "matching":
+
+    def move(self, model, states, rng):
+        idx = rng.integers(0, model.n, len(states))
+        eps = rng.random(len(states)) < np.asarray(model.p)[idx]
+        dw = eps.astype(np.int64) - states[np.arange(len(states)), idx]
+        return idx[:, None], eps[:, None], dw
+
+    def size(self, model):
+        return 2**model.n, 2**model.n * 2 * model.n
+
+    def iter_states(self, model):
+        return itertools.product((0, 1), repeat=model.n)
+
+    def prob(self, model, state):
+        prob = Fraction(1)
+        for x, pi in zip(state, model.p):
+            f = Fraction(pi)
+            prob *= f if x else 1 - f
+        return prob
+
+    def kernel(self, model, state):
+        base = Fraction(1, model.n)
+        for i in range(model.n):
+            pi = Fraction(model.p[i])
+            for eps, pr in ((1, pi), (0, 1 - pi)):
+                if pr != 0:
+                    yield base * pr, state[:i] + (eps,) + state[i + 1 :]
+
+
+class _PlainMatching(_PairFamily):
+    """Fixed points of a uniform permutation; a move composes it with a
+    uniform transposition."""
+
+    stats = PlainMatchingStats
+
+    def draw(self, model, rows, rng):
+        return rng.permuted(np.tile(np.arange(model.n), (rows, 1)), axis=1)
+
+    def w(self, model, states):
+        return (states == np.arange(model.n)).sum(axis=1)
+
+    def observe(self, model, states):
+        ident = np.arange(model.n)
+        two_cycle = (np.take_along_axis(states, states, axis=1) == ident) & (states != ident)
+        return PlainMatchingStats(w=self.w(model, states), a2=two_cycle.sum(axis=1) // 2)
+
+    def steps(self, model, s):
         n = model.n
-        if model.spec.is_plain:
-            if not isinstance(stats, PlainMatchingStats):
-                raise ValueError("plain matching expects PlainMatchingStats")
-            w, a2 = stats.w, stats.a2
-            if not (0 <= w <= n and a2 >= 0 and w + 2 * a2 <= n):
-                raise ValueError("fixed points and 2-cycles inconsistent")
-            return _plain_matching_steps(n, w, a2)
         denom = n * (n - 1)
-        if not isinstance(stats, GeneralizedMatchingStats):
-            raise ValueError("generalized matching expects GeneralizedMatchingStats")
+        return 2.0 * (n - s.w - 2 * s.a2) / denom, 2.0 * s.w * (n - s.w) / denom
+
+    def check(self, model, s):
+        if not (0 <= s.w <= model.n and s.a2 >= 0 and s.w + 2 * s.a2 <= model.n):
+            raise ValueError("fixed points and 2-cycles inconsistent")
+
+    def move(self, model, states, rng):
+        n = model.n
+        i = rng.integers(0, n, len(states))
+        j = rng.integers(0, n - 1, len(states))
+        j = j + (j >= i)
+        rows = np.arange(len(states))
+        si, sj = states[rows, i], states[rows, j]
+        wv = np.asarray(model.spec.word())  # the identity for plain matching
+        dw = ((wv[sj] == wv[i]).astype(np.int64) + (wv[si] == wv[j])
+              - (wv[si] == wv[i]) - (wv[sj] == wv[j]))
+        return np.stack((i, j), axis=1), np.stack((sj, si), axis=1), dw
+
+    def size(self, model):
+        return math.factorial(model.n), math.factorial(model.n) * math.comb(model.n, 2)
+
+    def iter_states(self, model):
+        return itertools.permutations(range(model.n))
+
+    def kernel(self, model, state):
+        pr = Fraction(1, math.comb(model.n, 2))
+        for i in range(model.n):
+            for j in range(i + 1, model.n):
+                nxt = list(state)
+                nxt[i], nxt[j] = nxt[j], nxt[i]
+                yield pr, tuple(nxt)
+
+
+class _MultisetMatching(_PlainMatching):
+    """Matches of a multiset word against a uniform rearrangement; the same
+    permutations and moves as plain matching."""
+
+    stats = GeneralizedMatchingStats
+
+    def w(self, model, states):
+        word = np.asarray(model.spec.word())
+        return (word[states] == word).sum(axis=1)
+
+    def observe(self, model, states):
+        word = np.asarray(model.spec.word())
+        letters = len(model.spec.multiplicities)
+        cells = letters * letters
+        flat = word * letters + word[states] + np.arange(len(states))[:, None] * cells
+        wij = np.bincount(flat.ravel(), minlength=len(states) * cells)
+        wij.flags.writeable = False
+        return GeneralizedMatchingStats(wij=wij.reshape(len(states), letters, letters))
+
+    def steps(self, model, s):
+        n = model.n
+        denom = n * (n - 1)
         l = np.asarray(model.spec.multiplicities, dtype=np.int64)
-        wij = stats.wij
-        if wij.shape != (l.size, l.size) or np.any(wij < 0):
-            raise ValueError("wij must be a nonnegative letters x letters matrix")
-        if not (np.array_equal(wij.sum(axis=1), l) and np.array_equal(wij.sum(axis=0), l)):
-            raise ValueError("wij margins must equal the multiplicities")
-        wi = np.diagonal(wij)
-        w = int(wi.sum())
-        cross = wij * wij.T
-        off_cross = int(cross.sum() - (wi * wi).sum())
-        up = 2.0 * float(np.sum(l * l - 2 * l * wi + wi * wi) - off_cross) / denom
+        wi, w = s.wi, s.w
+        wi2 = (wi * wi).sum(axis=-1)
+        off_cross = np.einsum("...ij,...ji->...", s.wij, s.wij) - wi2
+        up = 2.0 * ((l * l - 2 * l * wi + wi * wi).sum(axis=-1) - off_cross) / denom
         # a swap lowers the match count by one iff it pairs a matched slot of
         # letter i with an unmatched slot that neither holds nor displays
         # letter i; those exclusion sets are disjoint (l_i - w_i slots each),
         # giving sum_i w_i (n - w - 2(l_i - w_i)) over C(n, 2) swaps.  Kernel
         # enumeration certifies this count exactly (see test suite).
-        down = 2.0 * float(n * w - 2 * np.dot(l, wi) - w * w + 2 * np.dot(wi, wi)) / denom
+        down = 2.0 * (n * w - 2 * (wi @ l) - w * w + 2 * wi2) / denom
         return up, down
-    if not isinstance(stats, OccupancyStats):
-        raise ValueError(f"{model.problem} expects OccupancyStats")
-    _check_occupancy_stats(model, stats)
-    return _occupancy_steps(model.problem, model.n, model.k,
-                            stats.m0, stats.m1, stats.m2, stats.m3, stats.w)
+
+    def check(self, model, s):
+        l = np.asarray(model.spec.multiplicities, dtype=np.int64)
+        if s.wij.shape != (l.size, l.size) or np.any(s.wij < 0):
+            raise ValueError("wij must be a nonnegative letters x letters matrix")
+        if not (np.array_equal(s.wij.sum(axis=1), l) and np.array_equal(s.wij.sum(axis=0), l)):
+            raise ValueError("wij margins must equal the multiplicities")
+
+    def cells(self, model):
+        return len(model.spec.multiplicities) ** 2
+
+
+class _Boxes(_PairFamily):
+    """k uniform balls in n boxes; a move sends one uniform ball to a uniform
+    box.  Each subclass names its per-box statistic in
+    ``exact_laws.BOX_STATISTICS``, which the allocation DP reads too, and
+    gives its (up, down) formula and the rule tying w to the box profile."""
+
+    stats = OccupancyStats
+
+    def box_w(self, c):
+        return BOX_STATISTICS[self.statistic](c, None)
+
+    def counts(self, model, states):
+        offsets = np.arange(len(states))[:, None] * model.n
+        counts = np.bincount((states + offsets).ravel(), minlength=len(states) * model.n)
+        return counts.reshape(len(states), model.n)
+
+    def draw(self, model, rows, rng):
+        return rng.integers(0, model.n, (rows, model.k))
+
+    def w(self, model, states):
+        return self.box_w(self.counts(model, states)).sum(axis=1)
+
+    def observe(self, model, states):
+        counts = self.counts(model, states)
+        m0, m1, m2, m3 = ((counts == level).sum(axis=1) for level in range(4))
+        return OccupancyStats(m0=m0, m1=m1, m2=m2, m3=m3, w=self.box_w(counts).sum(axis=1))
+
+    def check(self, model, s):
+        for name in ("m0", "m1", "m2", "m3", "w"):
+            if getattr(s, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if s.m0 + s.m1 + s.m2 + s.m3 > model.n:
+            raise ValueError("level counts m0 + m1 + m2 + m3 exceed the box count")
+        if s.m1 + 2 * s.m2 + 3 * s.m3 > model.k:
+            raise ValueError("level counts use more balls than available")
+        self.check_w(model, s)
+
+    def move(self, model, states, rng):
+        ball = rng.integers(0, model.k, len(states))
+        newbox = rng.integers(0, model.n, len(states))
+        oldbox = states[np.arange(len(states)), ball]
+        c_old = (states == oldbox[:, None]).sum(axis=1)
+        c_new = (states == newbox[:, None]).sum(axis=1)
+        box_w = self.box_w
+        dw = box_w(c_new + 1).astype(np.int64) - box_w(c_new) + box_w(c_old - 1) - box_w(c_old)
+        return ball[:, None], newbox[:, None], np.where(oldbox != newbox, dw, 0)
+
+    def size(self, model):
+        return model.n**model.k, model.n**model.k * model.k * model.n
+
+    def iter_states(self, model):
+        return itertools.product(range(model.n), repeat=model.k)
+
+    def kernel(self, model, state):
+        pr = Fraction(1, model.k * model.n)
+        for ball in range(model.k):
+            for box in range(model.n):
+                yield pr, state[:ball] + (box,) + state[ball + 1 :]
+
+
+class _BirthdayPairs(_Boxes):
+    statistic = "pairs"
+
+    def steps(self, model, s):
+        n, k = model.n, model.k
+        return s.m1 * (k - 2 * s.m2 - 1) / (k * n), 2.0 * s.m2 * (n - s.m1 - 1) / (k * n)
+
+    def check_w(self, model, s):
+        if s.w != model.n - s.m0 - s.m1:
+            raise ValueError("pair statistic must equal n - m0 - m1")
+
+
+class _BirthdayTriples(_Boxes):
+    statistic = "triples"
+
+    def steps(self, model, s):
+        kn = model.k * model.n
+        up = (s.m1 * s.m2 + 2 * s.m2**2 - 2 * s.m2) / kn
+        return up, (3.0 * s.m3 * s.m0 + 3.0 * s.m3 * s.m1) / kn
+
+    def check_w(self, model, s):
+        if s.w < s.m3:
+            raise ValueError("triple count cannot be below m3")
+
+
+class _Coupon(_Boxes):
+    statistic = "empty"
+
+    def steps(self, model, s):
+        n, k = model.n, model.k
+        return s.m1 * (n - s.w - 1) / (k * n), (k - s.m1) * s.w / (k * n)
+
+    def check_w(self, model, s):
+        if s.w != s.m0:
+            raise ValueError("empty-box statistic must equal m0")
+
+
+_FAMILIES = {
+    "poisson_binomial": _Bernoulli(),
+    "matching": _PlainMatching(),
+    "birthday_pairs": _BirthdayPairs(),
+    "birthday_triples": _BirthdayTriples(),
+    "coupon": _Coupon(),
+}
+_MULTISET = _MultisetMatching()
+
+
+def _family(model: PairModel) -> _PairFamily:
+    if model.spec is not None and not model.spec.is_plain:
+        return _MULTISET
+    return _FAMILIES[model.problem]
+
+
+def _predict(fam: _PairFamily, model: PairModel, states: np.ndarray):
+    """(up, down, W) of each row, evaluated a block of rows at a time so that
+    no block's observable table holds more entries than ``states``."""
+    step = max(1, states.size // fam.cells(model))
+    parts = []
+    for start in range(0, len(states), step):
+        stats = fam.observe(model, states[start : start + step])
+        parts.append((*fam.steps(model, stats), stats.w))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# scalar API: the batch functions applied to one row
 # ---------------------------------------------------------------------------
+
+
+def statistic(model: PairModel, state) -> int:
+    """Value of the problem's statistic W at a state."""
+    return int(_family(model).w(model, np.asarray(state)[None])[0])
+
+
+def _first_row(value):
+    row = value[0]
+    return row.item() if row.ndim == 0 else row
+
+
+def state_stats(model: PairModel, state):
+    """Extract the observables the conditional step formulas need."""
+    batch = _family(model).observe(model, np.asarray(state)[None])
+    return type(batch)(**{f.name: _first_row(getattr(batch, f.name)) for f in fields(batch)})
+
+
+def step_probs(model: PairModel, stats) -> tuple[float, float]:
+    """Analytic one-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state))."""
+    fam = _family(model)
+    if not isinstance(stats, fam.stats):
+        raise ValueError(f"{model.problem} expects {fam.stats.__name__}")
+    fam.check(model, stats)
+    up, down = fam.steps(model, stats)
+    return float(up), float(down)
 
 
 def sample_state(model: PairModel, rng: np.random.Generator):
     """One stationary draw: product Bernoulli, uniform permutation, or
     i.i.d. uniform box assignments."""
-    if model.problem == "poisson_binomial":
-        return (rng.random(model.n) < np.asarray(model.p)).astype(np.int8)
-    if model.problem == "matching":
-        return rng.permutation(model.n)
-    return rng.integers(0, model.n, size=model.k)
+    return _family(model).draw(model, 1, rng)[0]
 
 
 def sample_pair(model: PairModel, state, rng: np.random.Generator):
     """One reversible move from ``state``; (state, result) is exchangeable."""
     new = np.array(state, copy=True)
-    if model.problem == "poisson_binomial":
-        i = int(rng.integers(model.n))
-        new[i] = 1 if rng.random() < model.p[i] else 0
-        return new
-    if model.problem == "matching":
-        n = model.n
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        new[i], new[j] = new[j], new[i]
-        return new
-    ball = int(rng.integers(model.k))
-    new[ball] = int(rng.integers(model.n))
+    columns, values, _ = _family(model).move(model, new[None], rng)
+    new[columns[0]] = values[0]
     return new
 
 
@@ -370,69 +551,12 @@ def sample_pair(model: PairModel, state, rng: np.random.Generator):
 
 def enumeration_size(model: PairModel) -> tuple[int, int]:
     """(number of states, number of kernel transitions) of the instance."""
-    if model.problem == "poisson_binomial":
-        states = 2**model.n
-        return states, states * 2 * model.n
-    if model.problem == "matching":
-        states = math.factorial(model.n)
-        return states, states * math.comb(model.n, 2)
-    states = model.n**model.k
-    return states, states * model.k * model.n
+    return _family(model).size(model)
 
 
 def is_enumerable(model: PairModel) -> bool:
     states, transitions = enumeration_size(model)
     return states <= ENUM_STATE_CAP and transitions <= ENUM_TRANSITION_CAP
-
-
-def _iter_states(model: PairModel):
-    if model.problem == "poisson_binomial":
-        yield from itertools.product((0, 1), repeat=model.n)
-    elif model.problem == "matching":
-        yield from itertools.permutations(range(model.n))
-    else:
-        yield from itertools.product(range(model.n), repeat=model.k)
-
-
-def _state_prob(model: PairModel, state) -> Fraction:
-    if model.problem == "poisson_binomial":
-        prob = Fraction(1)
-        for x, pi in zip(state, model.p):
-            f = Fraction(pi)
-            prob *= f if x else 1 - f
-        return prob
-    if model.problem == "matching":
-        return Fraction(1, math.factorial(model.n))
-    return Fraction(1, model.n**model.k)
-
-
-def _iter_kernel(model: PairModel, state):
-    """Yield (probability, next_state) pairs of one reversible move."""
-    if model.problem == "poisson_binomial":
-        n = model.n
-        base = Fraction(1, n)
-        for i in range(n):
-            pi = Fraction(model.p[i])
-            for eps, pr in ((1, pi), (0, 1 - pi)):
-                if pr == 0:
-                    continue
-                nxt = state[:i] + (eps,) + state[i + 1 :]
-                yield base * pr, nxt
-    elif model.problem == "matching":
-        n = model.n
-        pr = Fraction(1, math.comb(n, 2))
-        for i in range(n):
-            for j in range(i + 1, n):
-                nxt = list(state)
-                nxt[i], nxt[j] = nxt[j], nxt[i]
-                yield pr, tuple(nxt)
-    else:
-        n, k = model.n, model.k
-        pr = Fraction(1, k * n)
-        for ball in range(k):
-            for box in range(n):
-                nxt = state[:ball] + (box,) + state[ball + 1 :]
-                yield pr, nxt
 
 
 def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
@@ -447,18 +571,18 @@ def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
             f"{transitions:.3e} transitions "
             f"(caps {ENUM_STATE_CAP:.0e} / {ENUM_TRANSITION_CAP:.0e})"
         )
+    fam = _family(model)
     probs, w_vals, q_up, q_down = [], [], [], []
-    for state in _iter_states(model):
-        w = statistic(model, state)
-        up = 0.0
-        down = 0.0
-        for pr, nxt in _iter_kernel(model, state):
-            w_next = statistic(model, nxt)
-            if w_next == w + 1:
+    for state in fam.iter_states(model):
+        moves = list(fam.kernel(model, state))
+        w, *w_next = fam.w(model, np.array([state] + [nxt for _, nxt in moves])).tolist()
+        up = down = 0.0
+        for (pr, _), wn in zip(moves, w_next):
+            if wn == w + 1:
                 up += float(pr)
-            elif w_next == w - 1:
+            elif wn == w - 1:
                 down += float(pr)
-        probs.append(float(_state_prob(model, state)))
+        probs.append(float(fam.prob(model, state)))
         w_vals.append(w)
         q_up.append(up)
         q_down.append(down)
@@ -479,12 +603,13 @@ def exact_joint_measure(model: PairModel):
             f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
             f"(instance has {states_n})"
         )
-    states = list(_iter_states(model))
+    fam = _family(model)
+    states = list(fam.iter_states(model))
     index = {s: i for i, s in enumerate(states)}
-    probs = [_state_prob(model, s) for s in states]
+    probs = [fam.prob(model, s) for s in states]
     q: dict[tuple[int, int], Fraction] = {}
     for i, state in enumerate(states):
-        for pr, nxt in _iter_kernel(model, state):
+        for pr, nxt in fam.kernel(model, state):
             key = (i, index[nxt])
             q[key] = q.get(key, Fraction(0)) + probs[i] * pr
     return states, probs, q
@@ -536,67 +661,10 @@ class StepProbsReport:
 
 def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
     """Vectorized batch: predicted (up, down), realized move dw, and W."""
-    if model.problem == "poisson_binomial":
-        p = np.asarray(model.p)
-        n = model.n
-        omega = rng.random((size, n)) < p
-        w = omega.sum(axis=1)
-        up, down = _bernoulli_steps(n, model.lam, omega @ p, w)
-        idx = rng.integers(0, n, size)
-        eps = rng.random(size) < p[idx]
-        dw = eps.astype(np.int64) - omega[np.arange(size), idx]
-        return up, down, dw, w
-    if model.problem == "matching":
-        n = model.n
-        sig = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-        ident = np.arange(n)
-        if model.spec.is_plain:
-            fixed = sig == ident
-            w = fixed.sum(axis=1)
-            two = (np.take_along_axis(sig, sig, axis=1) == ident) & ~fixed
-            up, down = _plain_matching_steps(n, w, two.sum(axis=1) // 2)
-        else:
-            up = np.empty(size)
-            down = np.empty(size)
-            w = np.empty(size, dtype=np.int64)
-            for t in range(size):
-                st = state_stats(model, sig[t])
-                up[t], down[t] = step_probs(model, st)
-                w[t] = st.w
-        i = rng.integers(0, n, size)
-        j = rng.integers(0, n - 1, size)
-        j = j + (j >= i)
-        rows = np.arange(size)
-        si, sj = sig[rows, i], sig[rows, j]
-        wv = np.asarray(model.spec.word())  # the identity for plain matching
-        dw = (
-            (wv[sj] == wv[i]).astype(np.int64)
-            + (wv[si] == wv[j])
-            - (wv[si] == wv[i])
-            - (wv[sj] == wv[j])
-        )
-        return up, down, dw, w
-    # balls in boxes families
-    n, k = model.n, model.k
-    boxes = rng.integers(0, n, (size, k))
-    offsets = np.arange(size)[:, None] * n
-    counts = np.bincount((boxes + offsets).ravel(), minlength=size * n).reshape(size, n)
-    m0, m1, m2, m3 = ((counts == level).sum(axis=1) for level in range(4))
-    stat = _BOX_STAT[model.problem]
-    w = stat(counts).sum(axis=1)
-    up, down = _occupancy_steps(model.problem, n, k, m0, m1, m2, m3, w)
-    ball = rng.integers(0, k, size)
-    newbox = rng.integers(0, n, size)
-    rows = np.arange(size)
-    oldbox = boxes[rows, ball]
-    c_old = counts[rows, oldbox]
-    c_new = counts[rows, newbox]
-
-    def box_w(c):  # 1-D move vectors only
-        return stat(c).astype(np.int64)
-
-    dw = np.where(oldbox != newbox,
-                  box_w(c_new + 1) - box_w(c_new) + box_w(c_old - 1) - box_w(c_old), 0)
+    fam = _family(model)
+    states = fam.draw(model, size, rng)
+    up, down, w = _predict(fam, model, states)
+    _, _, dw = fam.move(model, states, rng)
     return up, down, dw, w
 
 
@@ -620,26 +688,16 @@ def verify_step_probs(
     if trials is None:
         if not is_enumerable(model):
             raise ValueError("instance too large to enumerate; pass trials for Monte Carlo")
+        fam = _family(model)
         measure = enumerate_pair_measure(model)
-        pred = np.array(
-            [step_probs(model, state_stats(model, state)) for state in _iter_states(model)]
-        )
-        up_dev = float(np.abs(pred[:, 0] + bias[0] - measure.q_up).max())
-        down_dev = float(np.abs(pred[:, 1] + bias[1] - measure.q_down).max())
-        balance = abs(
-            math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist())
-        )
+        up, down, _ = _predict(fam, model, np.array(list(fam.iter_states(model))))
+        up_dev = float(np.abs(up + bias[0] - measure.q_up).max())
+        down_dev = float(np.abs(down + bias[1] - measure.q_down).max())
+        balance = abs(math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist()))
         max_dev = max(up_dev, down_dev)
-        return StepProbsReport(
-            problem=model.problem,
-            mode="exact",
-            samples=measure.probs.size,
-            max_dev=max_dev,
-            up_dev=up_dev,
-            down_dev=down_dev,
-            balance_dev=balance,
-            passed=bool(max_dev <= exact_tol and balance <= exact_tol),
-        )
+        passed = bool(max_dev <= exact_tol and balance <= exact_tol)
+        return StepProbsReport(model.problem, "exact", len(measure.probs), max_dev, up_dev,
+                               down_dev, balance, passed)
     trials = int(trials)
     if trials < 10_000:
         raise ValueError("Monte Carlo verification needs trials >= 10000")
@@ -662,16 +720,8 @@ def verify_step_probs(
     variances = np.maximum(sq_sums / trials - means**2, 0.0)
     ses = np.sqrt(variances / trials)
     z = np.where(ses > 0, np.abs(means) / np.where(ses > 0, ses, 1.0), np.where(means == 0, 0.0, np.inf))
-    return StepProbsReport(
-        problem=model.problem,
-        mode="mc",
-        samples=trials,
-        max_dev=float(z.max()),
-        up_dev=float(z[0]),
-        down_dev=float(z[1]),
-        balance_dev=float(z[2]),
-        passed=bool(z.max() <= 4.0),
-    )
+    return StepProbsReport(model.problem, "mc", trials, float(z.max()), float(z[0]), float(z[1]),
+                           float(z[2]), bool(z.max() <= 4.0))
 
 
 def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -194,6 +194,11 @@ class TestVerifyPairCommand:
     def test_exact_over_cap(self, capsys):
         assert run(["verify-pair", "matching", "--n", "30", "--exact"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["verify-pair", "mc-tv"])
+    def test_zero_trials_is_usage_error(self, capsys, command):
+        assert run([command, "matching", "--n", "50", "--trials", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestMcTvCommand:
     def test_matching(self, capsys):

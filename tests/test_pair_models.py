@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from steinpoisson import (
 )
 from steinpoisson.pair_models import (
     BernoulliStats,
+    _mc_arrays,
     OccupancyStats,
     PlainMatchingStats,
     birthday_pairs_model,
@@ -238,6 +240,33 @@ class TestMonteCarloVerification:
         )
         assert not report.passed
         assert report.down_dev > 4.0
+
+    def test_multiset_matching_large_instance(self):
+        model = matching_model(12, (4, 4, 4))
+        report = verify_step_probs(model, trials=40_000, rng=substream(14, 0))
+        assert report.mode == "mc"
+        assert report.passed, report
+
+    def test_multiset_bias_injection_detected(self):
+        # a 1/C(12, 2) shift of the down formula fails the multiset gate
+        report = verify_step_probs(
+            matching_model(12, (4, 4, 4)), trials=40_000, rng=substream(14, 0), bias=(0.0, 1 / 66)
+        )
+        assert not report.passed
+        assert report.down_dev > 4.0
+
+    def test_multiset_batch_memory_is_bounded(self):
+        # 100 letters: a whole-chunk letter-transfer table would take
+        # 8192 x 100 x 100 int64 entries (~650 MB); blocks keep it near the
+        # size of the chunk's state matrix
+        model = matching_model(200, (2,) * 100)
+        tracemalloc.start()
+        try:
+            _mc_arrays(model, 8192, substream(15, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
