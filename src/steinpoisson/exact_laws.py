@@ -1,16 +1,15 @@
 """Exact reference distributions and moments for the combinatorial problems.
 
-Every law here is ground truth: inclusion-exclusion and rencontres formulas
-are evaluated in exact rational arithmetic (or, for very large instances,
-high-precision arithmetic with a rigorous truncation certificate), and
-dynamic-programming paths use only nonnegative weights, summed in ascending
-index order.  Brute-force enumeration oracles live in the test suite, not
-here; these functions are the quantities they certify.
+Every law here is ground truth: inclusion-exclusion, rencontres and rook
+polynomials are evaluated in exact rational arithmetic (or, for very large
+instances, high-precision arithmetic with a rigorous truncation certificate),
+and dynamic-programming paths use only nonnegative weights, summed in
+ascending index order.  Brute-force enumeration oracles live in the test
+suite, not here; these functions are the quantities they certify.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,16 +34,13 @@ __all__ = [
     "occupancy_moments",
     "coloring_pmf",
     "coupon_collector_diagnostics",
-    "iter_permutation_chunks",
     "check_matching",
     "check_occupancy",
     "check_coloring",
 ]
 
-#: plain matching uses the rencontres closed form up to this many letters
-PLAIN_MATCHING_CAP = 500
-#: multiset matching enumerates all n! labeled permutations up to here
-MULTISET_ENUMERATION_CAP = 10
+#: matching laws (plain and multiset letters) are computed up to this many letters
+MATCHING_CAP = 500
 #: feasibility cap for allocation DPs: cells * items * statistic states
 DP_STATE_CAP = 100_000_000
 #: exact-rational empty-box path: max boxes and max digits of n^k
@@ -171,14 +167,24 @@ def derangement_numbers(n: int) -> list[int]:
     return d[: n + 1]
 
 
-def iter_permutation_chunks(n: int, chunk_size: int = 200_000):
-    """Yield all permutations of range(n) as int8 arrays of shape (m, n)."""
-    it = itertools.permutations(range(n))
-    while True:
-        block = list(itertools.islice(it, chunk_size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int8)
+def _hits_exactly(at_least, axis: int = 0) -> np.ndarray:
+    """Inclusion-exclusion from "at least these hits" to "exactly m hits".
+
+    ``E_m = sum_j (-1)^(j-m) C(j, m) N_j`` along ``axis`` of an exact-integer
+    array: the Taylor shift ``E(x) = N(x - 1)`` of the generating polynomials,
+    taken as ``N(-x)`` shifted by +1, one suffix sum per coefficient.
+    """
+    counts = np.moveaxis(np.array(at_least, dtype=object), axis, 0)
+    counts[1::2] = -counts[1::2]
+    for i in range(len(counts) - 1):
+        counts[i:] = np.cumsum(counts[i:][::-1], axis=0)[::-1]
+    counts[1::2] = -counts[1::2]
+    return np.moveaxis(counts, 0, axis)
+
+
+def _completions(n: int) -> np.ndarray:
+    """``(n - j)!`` for ``j = 0..n``: the permutations extending a j-rook placement."""
+    return np.array([math.factorial(n - j) for j in range(n + 1)], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -211,43 +217,32 @@ def poisson_binomial_pmf(p) -> Pmf:
 
 def check_matching(spec: MatchingSpec) -> None:
     """Raise ValueError if :func:`matching_pmf` cannot take ``spec``."""
-    n = spec.n
-    if spec.is_plain:
-        if n > PLAIN_MATCHING_CAP:
-            raise ValueError(f"plain matching capped at n={PLAIN_MATCHING_CAP}")
-    elif n > MULTISET_ENUMERATION_CAP:
-        raise ValueError(
-            f"multiset matching enumerates n! permutations; capped at "
-            f"n={MULTISET_ENUMERATION_CAP} (requested n={n}, about {math.factorial(n):.2e} states)"
-        )
+    if spec.n > MATCHING_CAP:
+        raise ValueError(f"matching capped at n={MATCHING_CAP} (requested n={spec.n})")
 
 
 def matching_pmf(spec: MatchingSpec) -> Pmf:
-    """Exact law of the number of fixed points.
+    """Exact law ``count_m / n!`` of the number of fixed points, where ``count_m``
+    labeled permutations have m matches (n <= MATCHING_CAP).
 
-    Plain case: rencontres closed form ``P(W = m) = C(n, m) D_{n-m} / n!`` in
-    exact rationals (n <= PLAIN_MATCHING_CAP).  Multiset case: exhaustive
-    enumeration of all n! labeled permutations (n <= MULTISET_ENUMERATION_CAP),
-    which matches the uniform-permutation model directly and avoids any
-    multiplicity-weighting subtlety.
+    Plain letters: rencontres, ``count_m = C(n, m) D_{n-m}``.  Multisets: the
+    match cells form a block-diagonal board of ``l x l`` blocks, with rook
+    polynomial ``r(x) = prod_i sum_j C(l_i, j)^2 j! x^j``; ``r_j (n-j)!`` counts
+    permutations with at least j matches, by inclusion-exclusion.
     """
     check_matching(spec)
     n = spec.n
     if spec.is_plain:
         d = derangement_numbers(n)
-        n_fact = math.factorial(n)
-        mass = [
-            float(Fraction(math.comb(n, m) * d[n - m], n_fact)) for m in range(n + 1)
-        ]
-        return Pmf(np.array(mass))
-    word = np.array(spec.word(), dtype=np.int8)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for perms in iter_permutation_chunks(n):
-        w = (word[perms] == word[np.newaxis, :]).sum(axis=1)
-        counts += np.bincount(w, minlength=n + 1)
+        counts = [math.comb(n, m) * d[n - m] for m in range(n + 1)]
+    else:
+        rook = np.ones(1, dtype=object)
+        for l in spec.multiplicities:
+            block = [math.comb(l, j) ** 2 * math.factorial(j) for j in range(l + 1)]
+            rook = np.convolve(rook, np.array(block, dtype=object))
+        counts = _hits_exactly(rook * _completions(n))
     n_fact = math.factorial(n)
-    mass = [float(Fraction(int(c), n_fact)) for c in counts]
-    return Pmf(np.array(mass))
+    return Pmf(np.array([float(Fraction(c, n_fact)) for c in counts]))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Joint laws over integer vectors, binary-configuration laws, their product
 Poisson references with exactly accounted tails, the corresponding total
 variation distances, the immigration-death generator on configurations, and
-the worked multivariate bounds.  Exact enumeration (or the derangement
-closed form) supplies the joint ground truth at desk scale.
+the worked multivariate bounds.  Closed forms in exact integers (bivariate
+rook numbers, derangement numbers) supply the joint ground truth.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import CONVENTION_SET, BoundReport, _report
-from .exact_laws import derangement_numbers, iter_permutation_chunks
+from .exact_laws import _completions, _hits_exactly, derangement_numbers
 from .stein_core import Pmf, SteinParams, poisson_pmf
 
 __all__ = [
     "JointPmf",
     "ConfigLaw",
-    "JOINT_ENUMERATION_CAP",
+    "JOINT_CAP",
     "CONFIG_LAW_CAP",
     "check_joint",
     "check_config",
@@ -40,8 +40,8 @@ __all__ = [
     "config_generator_apply",
 ]
 
-#: permutation-enumeration cap for the exact joint fixed-point/succession law
-JOINT_ENUMERATION_CAP = 9
+#: joint fixed-point/succession law up to this n (0.13 s at n=100, 1.2 s at n=200; 2-vCPU)
+JOINT_CAP = 100
 #: binary-configuration cap for the exact matching configuration law
 CONFIG_LAW_CAP = 14
 
@@ -115,26 +115,34 @@ class ConfigLaw:
 
 def check_joint(n: int) -> None:
     """Raise ValueError if :func:`joint_fixed_point_succession_pmf` cannot take ``n``."""
-    if not (isinstance(n, int) and 2 <= n <= JOINT_ENUMERATION_CAP):
-        raise ValueError(f"joint law enumerates n! permutations; needs 2 <= n <= {JOINT_ENUMERATION_CAP}")
+    if not (isinstance(n, int) and 2 <= n <= JOINT_CAP):
+        raise ValueError(f"joint law needs 2 <= n <= {JOINT_CAP}")
 
 
 def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     """Exact joint law of (fixed points, cyclic successions) of a uniform
     permutation: positions with sigma(i) = i and with sigma(i) = i + 1,
-    counted cyclically so sigma(n) = 1 contributes to the second count."""
+    counted cyclically so sigma(n) = 1 contributes to the second count.
+
+    The hit cells (0,0), (0,1), (1,1), ..., (n-1,0) form a 2n-cycle whose
+    neighbours share a row or a column, so the rook numbers ``rooks[j1, j2]``
+    count its independent sets; a two-state walk (last cell free / taken)
+    around it gives them.  Times ``(n-j1-j2)!`` they count permutations with
+    at least those hits, and inclusion-exclusion on both axes makes them exact.
+    """
     check_joint(n)
-    ident = np.arange(n, dtype=np.int8)
-    succ = np.roll(ident, -1)  # succ[i] = i + 1 mod n
-    counts: dict[tuple[int, int], int] = {}
-    for perms in iter_permutation_chunks(n):
-        w1 = (perms == ident).sum(axis=1)
-        w2 = (perms == succ).sum(axis=1)
-        pairs, pair_counts = np.unique(np.stack([w1, w2], axis=1), axis=0, return_counts=True)
-        for (a, b), cnt in zip(pairs, pair_counts):
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + int(cnt)
+    rooks = np.zeros((n + 1, n + 1), dtype=object)
+    for first in (0, 1):  # cell (0,0) free, then taken
+        free, taken = np.zeros_like(rooks), np.zeros_like(rooks)
+        (taken if first else free)[first, 0] = 1
+        for cell in range(1, 2 * n):  # even cells fixed points (axis 0); rolls never wrap
+            free, taken = free + taken, np.roll(free, 1, axis=cell % 2)
+        rooks += free if first else free + taken  # (n-1,0) neighbours (0,0)
+    j = np.arange(n + 1)  # rooks vanish past j1 + j2 = n
+    at_least = rooks * _completions(n)[np.minimum(j[:, None] + j[None, :], n)]
+    counts = _hits_exactly(_hits_exactly(at_least, 0), 1)
     n_fact = math.factorial(n)
-    mass = {key: float(Fraction(cnt, n_fact)) for key, cnt in counts.items()}
+    mass = {key: float(Fraction(c, n_fact)) for key, c in np.ndenumerate(counts) if c}
     return JointPmf(dim=2, mass=mass)
 
 

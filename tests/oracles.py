@@ -59,6 +59,18 @@ def enumerate_matching(n: int, word=None) -> np.ndarray:
     return np.array([Fraction(c, total) for c in counts], dtype=float)
 
 
+def enumerate_joint_fixed_succession(n: int) -> dict:
+    """Joint law of (fixed points, cyclic successions) over all n! permutations:
+    counts of i with sigma(i) = i and with sigma(i) = i + 1 mod n."""
+    counts = {}
+    for sigma in itertools.permutations(range(n)):
+        fixed = sum(1 for i in range(n) if sigma[i] == i)
+        succ = sum(1 for i in range(n) if sigma[i] == (i + 1) % n)
+        counts[(fixed, succ)] = counts.get((fixed, succ), 0) + 1
+    total = math.factorial(n)
+    return {key: float(Fraction(c, total)) for key, c in counts.items()}
+
+
 def matching_moment_oracle(n: int, word) -> dict:
     """Exact moments of the multiset fixed-point statistic by enumeration."""
     letters = sorted(set(word))

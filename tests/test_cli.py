@@ -82,6 +82,11 @@ class TestExactTvCommand:
     def test_birthday_triples(self, capsys):
         assert run(["exact-tv", "birthday-triples", "--n", "30", "--k", "9"]) == EXIT_OK
 
+    def test_generalized_matching_deck_of_cards(self, capsys):
+        argv = ["exact-tv", "generalized-matching", "--l", ",".join(["4"] * 13)]
+        assert run(argv) == EXIT_OK
+        assert "verdict: pass" in capsys.readouterr().out
+
     def test_coupon_theta(self, capsys):
         assert run(["exact-tv", "coupon", "--n", "100", "--theta", "0.5"]) == EXIT_OK
 
@@ -313,8 +318,8 @@ class TestDispatchHoles:
 OVER_CAP = {
     "matching": ({"n": 501}, lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(501))),
     "generalized-matching": (
-        {"l": (2, 2, 2, 2, 2, 1)},
-        lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(11, (2, 2, 2, 2, 2, 1))),
+        {"l": (2,) * 250 + (1,)},
+        lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(501, (2,) * 250 + (1,))),
     ),
     "birthday-pairs": (
         {"n": 10_000, "k": 300},
@@ -337,7 +342,8 @@ OVER_CAP = {
         lambda: exact_laws.coloring_pmf(exact_laws.ColoringSpec(40, 5, 100)),
     ),
     "joint-matching-succession": (
-        {"n": 10}, lambda: multivariate.joint_fixed_point_succession_pmf(10)
+        {"n": multivariate.JOINT_CAP + 1},
+        lambda: multivariate.joint_fixed_point_succession_pmf(multivariate.JOINT_CAP + 1),
     ),
     "process-matching": ({"n": 15}, lambda: multivariate.matching_config_law(15)),
 }

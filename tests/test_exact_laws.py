@@ -27,6 +27,21 @@ from steinpoisson.exact_laws import (
 import oracles
 
 
+def partitions(n, top=None):
+    """Every partition of n as a non-increasing tuple of parts."""
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, top), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+#: letter multiplicities of every partition of n <= 7
+SMALL_PARTITIONS = [p for n in range(1, 8) for p in partitions(n)]
+
+
 class TestPoissonBinomial:
     def test_symmetric_two_trials(self):
         law = poisson_binomial_pmf([0.5, 0.5])
@@ -99,16 +114,23 @@ class TestMatchingPmf:
 
     def test_multiset_mixed(self):
         spec = MatchingSpec(5, (2, 2, 1))
-        law = matching_pmf(spec)
-        brute = oracles.enumerate_matching(5, spec.word())
-        assert np.abs(law.mass - brute).max() < 1e-15
-        assert law.mean() == pytest.approx(9 / 5, abs=1e-13)
+        assert matching_pmf(spec).mean() == pytest.approx(9 / 5, abs=1e-13)
+        for mult in SMALL_PARTITIONS:  # (2, 2, 1) among them; bit for bit
+            spec = MatchingSpec(sum(mult), mult)
+            brute = oracles.enumerate_matching(spec.n, spec.word())
+            assert matching_pmf(spec).mass.tobytes() == brute.tobytes(), mult
+
+    def test_multiset_deck_of_cards(self):
+        # 13 ranks x 4 suits: the classical P(no rank matches) = 0.016233
+        law = matching_pmf(MatchingSpec(52, (4,) * 13))
+        assert law.mass[0] == pytest.approx(0.016233, abs=5e-7)
+        assert law.mean() == pytest.approx(4.0, abs=1e-12)
 
     def test_caps(self):
         with pytest.raises(ValueError):
             matching_pmf(MatchingSpec(501))
         with pytest.raises(ValueError):
-            matching_pmf(MatchingSpec(12, (6, 6)))
+            matching_pmf(MatchingSpec(501, (2,) * 250 + (1,)))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -221,7 +243,7 @@ class TestOccupancyPmf:
             assert law.mean() == pytest.approx(n * (1 - 1 / n) ** k, abs=1e-12)
 
     def test_multiset_mean_matches_moments(self):
-        for mult in ((2, 2), (3, 2, 1), (2, 2, 2)):
+        for mult in SMALL_PARTITIONS[1:]:  # (2, 2), (3, 2, 1), (2, 2, 2) among them; n >= 2
             spec = MatchingSpec(sum(mult), mult)
             assert matching_pmf(spec).mean() == pytest.approx(
                 matching_moments(spec).lam, abs=1e-12

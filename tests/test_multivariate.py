@@ -22,7 +22,9 @@ from steinpoisson import (
     product_poisson_joint,
     tv_distance,
 )
-from steinpoisson.multivariate import ConfigLaw, JointPmf
+from steinpoisson.multivariate import JOINT_CAP, ConfigLaw, JointPmf
+
+import oracles
 
 
 class TestJointFixedSuccession:
@@ -32,7 +34,7 @@ class TestJointFixedSuccession:
         assert law.mass == {(2, 0): 0.5, (0, 2): 0.5}
 
     def test_marginals_match_univariate(self):
-        for n in (3, 5, 6):
+        for n in (3, 5, 6, 50):
             law = joint_fixed_point_succession_pmf(n)
             fixed = joint_marginal(law, 0)
             succ = joint_marginal(law, 1)
@@ -48,9 +50,15 @@ class TestJointFixedSuccession:
             assert joint_marginal(law, 0).mean() == pytest.approx(1.0, abs=1e-12)
             assert joint_marginal(law, 1).mean() == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_enumeration(self):
+        for n in range(2, 9):
+            brute = oracles.enumerate_joint_fixed_succession(n)
+            # positive floats: equal keys and values means bit for bit
+            assert joint_fixed_point_succession_pmf(n).mass == brute
+
     def test_cap(self):
         with pytest.raises(ValueError):
-            joint_fixed_point_succession_pmf(10)
+            joint_fixed_point_succession_pmf(JOINT_CAP + 1)
 
 
 class TestProductPoissonJoint:
