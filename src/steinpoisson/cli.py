@@ -256,6 +256,12 @@ def _coloring_spec(pt: dict) -> laws.ColoringSpec:
     return laws.ColoringSpec(pt["n"], pt["k"], pt["c"])
 
 
+def _check_joint(pt: dict) -> None:
+    mv.check_joint(pt["n"])
+    if pt["n"] < 3:
+        raise ValueError("the bound needs n >= 3")
+
+
 FAMILIES: dict[str, Family] = {
     "matching": _matching_family(
         ("n",),
@@ -314,7 +320,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "joint-matching-succession": Family(
         ("n",),
-        lambda pt: mv.check_joint(pt["n"]),
+        _check_joint,
         lambda pt, lam: mv.joint_tv(mv.joint_fixed_point_succession_pmf(pt["n"]),
                                     mv.product_poisson_joint([lam, lam])),
         {"default": lambda pt: mv.bound_fixed_point_succession(pt["n"])},

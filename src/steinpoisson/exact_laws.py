@@ -2,10 +2,12 @@
 
 Every law here is ground truth: inclusion-exclusion, rencontres and rook
 polynomials are evaluated in exact rational arithmetic (or, for very large
-instances, high-precision arithmetic with a rigorous truncation certificate),
-and dynamic-programming paths use only nonnegative weights, summed in
-ascending index order.  Brute-force enumeration oracles live in the test
-suite, not here; these functions are the quantities they certify.
+instances, high-precision arithmetic with a rigorous truncation certificate).
+The additive occupancy and coloring statistics share one Poissonized
+allocation engine: one fixed per-cell weight table, raised to the number of
+cells with nonnegative weights only, then conditioned on the total.
+Brute-force enumeration oracles live in the test suite, not here; these
+functions are the quantities they certify.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 
 #: matching laws (plain and multiset letters) are computed up to this many letters
 MATCHING_CAP = 500
-#: feasibility cap for allocation DPs: cells * items * statistic states
+#: feasibility cap for the allocation engine: cells * items * statistic states
 DP_STATE_CAP = 100_000_000
 #: exact-rational empty-box path: max boxes and max digits of n^k
 EMPTY_EXACT_BOX_CAP = 400
@@ -51,8 +53,8 @@ EMPTY_CERTIFIED_RATIO_CAP = 50.0
 
 #: contribution ``f(c, level)`` of a box holding ``c`` balls to each additive
 #: occupancy statistic, elementwise over count arrays (indicators stay boolean,
-#: so count matrices are never widened); the allocation DP and the pair models
-#: both read it
+#: so count matrices are never widened); the allocation engine and the pair
+#: models both read it
 BOX_STATISTICS = {
     "pairs": lambda c, level: c >= 2,
     "triples": lambda c, level: c * (c - 1) * (c - 2) // 6,
@@ -306,46 +308,48 @@ def _stat_support_max(spec: OccupancySpec) -> int:
     return n  # empty
 
 
-def _sequential_allocation_dp(cells: int, items: int, stat_fn, s_max: int) -> np.ndarray:
+def _poissonized_allocation_pmf(cells: int, items: int, stat_fn, s_max: int) -> Pmf:
     """Law of an additive per-cell statistic under uniform multinomial filling.
 
-    Cells are processed in order; conditioned on ``b`` items already placed,
-    cell ``i`` receives ``Binomial(items - b, 1/(cells - i))`` items.  All
-    weights are nonnegative, so the recursion is numerically benign; rows are
-    combined in ascending index order.  ``stat_fn(c)``, the contribution of a
-    cell holding ``c`` items, is tabulated once per call.
+    Poissonization (Barbour, Holst & Janson, *Poisson Approximation*, ch. 6):
+    give every cell an independent Poisson(t) item count; conditioned on the
+    total being ``items`` this is the uniform multinomial for any ``t > 0``.
+    So the law is row ``items`` of the ``cells``-fold product of one fixed
+    (items, statistic) table, divided by ``Poisson(cells*t)(items)``.  Each
+    weight and the divisor are rounded once from 40-digit arithmetic, where
+    nothing underflows however large ``t`` is.  All weights are nonnegative;
+    item counts past ``items`` are dropped, which is exact.  ``stat_fn(c)`` is
+    the contribution of a cell holding ``c`` items.
+
+    ``t`` is ``items/cells`` nudged so that the empty-cell weight ``exp(-t)``
+    is exactly a double (unless it underflows, past t ~ 745): every cell
+    shares one rounded table, so a weight's rounding error enters the law
+    once per cell that uses it, and with many sparse cells the empty weight's
+    error alone would push the total mass past ``MASS_TOL``.
     """
+    with mpmath.workdps(40):
+        t = mpmath.mpf(items) / cells
+        empty = float(mpmath.exp(-t))
+        if empty > 0.0:
+            t = -mpmath.log(empty)
+        term = mpmath.exp(-t)
+        weights = [float(term)]
+        for c in range(1, items + 1):
+            term *= t / c
+            weights.append(float(term))
+        rate = cells * t
+        norm = float(mpmath.exp(-rate) * rate**items / mpmath.factorial(items))
     increments = [int(stat_fn(c)) for c in range(items + 1)]
     state = np.zeros((items + 1, s_max + 1))
     state[0, 0] = 1.0
-    for i in range(cells):
-        remaining_cells = cells - i
-        q = 1.0 / remaining_cells
+    for _ in range(cells):
         new = np.zeros_like(state)
-        for b in range(items + 1):
-            row = state[b]
-            if not row.any():
-                continue
-            r = items - b
-            if remaining_cells == 1:
-                weights = {r: 1.0}
-            else:
-                pw = (1.0 - q) ** r
-                weights = {}
-                for c in range(r + 1):
-                    if c > 0:
-                        pw *= (r - c + 1) / c * q / (1.0 - q)
-                    weights[c] = pw
-            for c, pw in weights.items():
-                if pw == 0.0:
-                    continue
-                ds = increments[c]
-                if ds == 0:
-                    new[b + c] += row * pw
-                elif ds <= s_max:
-                    new[b + c, ds:] += row[: s_max + 1 - ds] * pw
+        for c, (w, ds) in enumerate(zip(weights, increments)):
+            new[c:, ds:] += state[: items + 1 - c, : s_max + 1 - ds] * w
         state = new
-    return state[items]
+    dist = state[items] / norm
+    last = int(np.nonzero(dist)[0].max(initial=0))
+    return Pmf.from_mass(dist[: last + 1])
 
 
 def _empty_boxes_mass_exact(n: int, k: int) -> list[Fraction]:
@@ -465,25 +469,16 @@ def occupancy_pmf(spec: OccupancySpec) -> Pmf:
     """Exact law of the requested occupancy statistic.
 
     The empty-box count uses the inclusion-exclusion closed form; the other
-    statistics run the allocation DP.  :func:`check_occupancy` applies the
-    caps up front, e.g. ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP``
-    for the DP.
+    statistics run the Poissonized allocation engine with boxes as cells and
+    balls as items.  :func:`check_occupancy` applies the caps up front, e.g.
+    ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` for the engine.
     """
     check_occupancy(spec)
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "empty":
         return _empty_boxes_pmf(n, k)
-    if k == 0:
-        if spec.statistic == "exact_level" and spec.level == 0:
-            mass = np.zeros(n + 1)
-            mass[n] = 1.0
-            return Pmf(mass)
-        return Pmf(np.array([1.0]))
-    s_max = _stat_support_max(spec)
     box = BOX_STATISTICS[spec.statistic]
-    dist = _sequential_allocation_dp(n, k, lambda c: box(c, spec.level), s_max)
-    last = int(np.nonzero(dist)[0].max(initial=0))
-    return Pmf.from_mass(dist[: last + 1])
+    return _poissonized_allocation_pmf(n, k, lambda c: box(c, spec.level), _stat_support_max(spec))
 
 
 @dataclass(frozen=True)
@@ -563,16 +558,13 @@ def check_coloring(spec: ColoringSpec) -> None:
 def coloring_pmf(spec: ColoringSpec) -> Pmf:
     """Exact law of the monochromatic tuple count.
 
-    Color class sizes are a uniform multinomial over the colors, so the same
-    sequential-allocation DP applies with colors as cells and points as items;
-    a class of size m contributes C(m, tuple_size).
+    Color class sizes are a uniform multinomial over the colors, so the
+    Poissonized allocation engine applies with colors as cells and points as
+    items; a class of size m contributes C(m, tuple_size).
     """
     check_coloring(spec)
-    n, k, c = spec.n_points, spec.tuple_size, spec.n_colors
-    s_max = math.comb(n, k)
-    dist = _sequential_allocation_dp(c, n, lambda m: math.comb(m, k), s_max)
-    last = int(np.nonzero(dist)[0].max(initial=0))
-    return Pmf.from_mass(dist[: last + 1])
+    n, k = spec.n_points, spec.tuple_size
+    return _poissonized_allocation_pmf(spec.n_colors, n, lambda m: math.comb(m, k), math.comb(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ class _MultisetMatching(_PlainMatching):
 class _Boxes(_PairFamily):
     """k uniform balls in n boxes; a move sends one uniform ball to a uniform
     box.  Each subclass names its per-box statistic in
-    ``exact_laws.BOX_STATISTICS``, which the allocation DP reads too, and
+    ``exact_laws.BOX_STATISTICS``, which the allocation engine reads too, and
     gives its (up, down) formula and the rule tying w to the box profile."""
 
     stats = OccupancyStats

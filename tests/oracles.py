@@ -142,6 +142,38 @@ def stat_level(level):
     return lambda counts: sum(1 for c in counts if c == level)
 
 
+def pairs_law_exact(n: int, k: int) -> np.ndarray:
+    """Law of the number of boxes holding at least two of k balls in n boxes,
+    by exact integer counting rather than enumeration.
+
+    An allocation with m1 singles, m2 doubles and r boxes of three or more
+    balls (m0 = n - m1 - m2 - r empty) arises in
+    ``n!/(m0! m1! m2! r!) * k!/(j! 2^m2) * r! S3(j, r)`` ways, j = k - m1 - 2 m2,
+    where S3(j, r) counts partitions of j balls into r blocks of size >= 3:
+    ``S3(j, r) = r S3(j-1, r) + C(j-1, 2) S3(j-3, r-1)``.
+    """
+    r_max = k // 3
+    s3 = [[0] * (r_max + 1) for _ in range(k + 1)]
+    s3[0][0] = 1
+    for j in range(1, k + 1):
+        for r in range(1, r_max + 1):
+            s3[j][r] = r * s3[j - 1][r] + (math.comb(j - 1, 2) * s3[j - 3][r - 1] if j >= 3 else 0)
+    f = math.factorial
+    counts = [0] * (min(n, k // 2) + 1)
+    for m1 in range(min(n, k) + 1):
+        for m2 in range(min(n - m1, (k - m1) // 2) + 1):
+            j = k - m1 - 2 * m2
+            for r in range(min(n - m1 - m2, j // 3) + 1):
+                if s3[j][r] == 0:
+                    continue
+                boxes = f(n) // (f(n - m1 - m2 - r) * f(m1) * f(m2) * f(r))
+                balls = f(k) // (f(j) * 2**m2) * f(r) * s3[j][r]
+                counts[m2 + r] += boxes * balls
+    total = n**k
+    assert sum(counts) == total
+    return np.array([float(Fraction(c, total)) for c in counts])
+
+
 def enumerate_coloring(n: int, k: int, c: int) -> np.ndarray:
     """Monochromatic k-tuple law over all c^n colorings."""
     top = math.comb(n, k)

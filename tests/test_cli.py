@@ -297,6 +297,12 @@ class TestDispatchHoles:
         assert run(argv + ["--out", str(out)]) == EXIT_USAGE
         assert not out.exists()  # rejected before any record is written
 
+    def test_joint_point_outside_bound_domain_refused_before_output(self, capsys):
+        # the law takes n = 2, but the bound needs n >= 3
+        assert feasibility_error("joint-matching-succession", {"n": 2})
+        assert run(["sweep", "joint-matching-succession", "--n", "2..4"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_theta_scales_k_for_every_scaled_family(self, capsys):
         assert run(["exact-tv", "birthday-pairs", "--n", "100", "--theta", "1"]) == EXIT_OK
         assert fields(capsys.readouterr().out)["params"] == "k=10 n=100"

@@ -232,6 +232,29 @@ class TestOccupancyPmf:
             law = occupancy_pmf(spec)
             assert abs(law.mass.sum() + law.tail - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n,k", [(2, 1100), (3, 1500)])
+    def test_few_boxes_many_balls(self, n, k):
+        # 550 and 500 balls per box: the weights of lopsided splits underflow
+        law = occupancy_pmf(OccupancySpec(n, k, "pairs"))
+        assert law.prob(n) == pytest.approx(1.0, abs=1e-15)
+        assert abs(law.mass.sum() + law.tail - 1.0) < 1e-15
+
+    def test_many_sparse_boxes(self):
+        # one rounded empty-box weight, shared by all 30 000 boxes, would
+        # move the total mass by ~1.6e-12 if it were not exact
+        n = 30_000
+        law = occupancy_pmf(OccupancySpec(n, 2, "pairs"))
+        assert law.prob(1) == pytest.approx(1 / n, rel=1e-13)
+        assert abs(math.fsum(law.mass) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("n,k", [(365, 23), (1000, 47)])
+    def test_pairs_against_exact_integer_law(self, n, k):
+        law = occupancy_pmf(OccupancySpec(n, k, "pairs"))
+        exact = oracles.pairs_law_exact(n, k)
+        assert law.mass.size <= exact.size
+        assert np.abs(exact[: law.mass.size] - law.mass).max() < 1e-13
+        assert np.abs(exact[law.mass.size :]).max(initial=0.0) < 1e-13
+
     def test_cap_rejection_mentions_size(self):
         with pytest.raises(ValueError, match="states"):
             occupancy_pmf(OccupancySpec(4000, 300, "triples"))
