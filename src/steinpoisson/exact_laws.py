@@ -3,9 +3,11 @@
 Every law here is ground truth: inclusion-exclusion, rencontres and rook
 polynomials are evaluated in exact rational arithmetic (or, for very large
 instances, high-precision arithmetic with a rigorous truncation certificate).
-The additive occupancy and coloring statistics share one Poissonized
-allocation engine: one fixed per-cell weight table, raised to the number of
-cells with nonnegative weights only, then conditioned on the total.
+The additive occupancy and coloring statistics share one allocation engine:
+a group of cells holds, for every item count m, the law of its statistic
+given m items; two groups join by splitting the items binomially between
+them, and binary powering over the bits of the cell count needs O(log cells)
+joins, all with nonnegative weights.
 Brute-force enumeration oracles live in the test suite, not here; these
 functions are the quantities they certify.
 """
@@ -43,7 +45,8 @@ __all__ = [
 
 #: matching laws (plain and multiset letters) are computed up to this many letters
 MATCHING_CAP = 500
-#: feasibility cap for the allocation engine: cells * items * statistic states
+#: feasibility cap for the allocation engine, counted as cells * items *
+#: statistic states (the size of a cell-by-cell table, not the engine's work)
 DP_STATE_CAP = 100_000_000
 #: exact-rational empty-box path: max boxes and max digits of n^k
 EMPTY_EXACT_BOX_CAP = 400
@@ -308,48 +311,199 @@ def _stat_support_max(spec: OccupancySpec) -> int:
     return n  # empty
 
 
-def _poissonized_allocation_pmf(cells: int, items: int, stat_fn, s_max: int) -> Pmf:
+def _split_weights(share: float, top: int):
+    """Rows ``m = 0..top`` of the split law Binomial(m, share), ``share >= 1/2``.
+
+    Pascal's rule in mass-conserving form: each entry sends ``fl(share * w)``
+    one place up and keeps ``w - fl(share * w)``, a difference that is exact
+    for ``share >= 1/2``, so the only rounding is where two portions meet.
+    Each row is divided by its sum, so that rounding drift is not carried from
+    one row to the next.
+    """
+    row = np.ones(1)
+    yield 0, row
+    for m in range(1, top + 1):
+        moved = row * share
+        nxt = np.empty(m + 1)
+        np.subtract(row, moved, out=nxt[:-1])
+        nxt[-1] = 0.0
+        nxt[1:] += moved
+        row = nxt / np.add.reduce(nxt)
+        yield m, row
+
+
+def _split_law(share: float, m: int) -> np.ndarray:
+    """Row ``m`` alone of the split law: term ratios multiplied outwards from
+    the mode, then divided by their sum."""
+    mode = min(m, int((m + 1) * share))
+    odds = share / (1.0 - share)
+    row = np.empty(m + 1)
+    row[mode] = 1.0
+    i = np.arange(mode, m, dtype=float)
+    row[mode + 1 :] = np.cumprod((m - i) / (i + 1.0) * odds)
+    i = np.arange(mode, 0, -1, dtype=float)
+    row[:mode] = np.cumprod(i / (m - i + 1.0) / odds)[::-1]
+    return row / row.sum()
+
+
+# A cell-group table holds, for m = 0..items, the law of the group's statistic
+# given that m of the items fall in the group.  It is either dense, a
+# (statistic x items) array, or ragged, (lo, rows): row m holds the
+# probabilities of the statistic values lo[m], lo[m] + 1, ..., trimmed to the
+# values it reaches.
+
+
+def _lengths(table) -> np.ndarray:
+    """Length of every row from its first to its last reached value."""
+    if isinstance(table, np.ndarray):
+        reached = table != 0.0
+        return table.shape[0] - reached.argmax(axis=0) - reached[::-1].argmax(axis=0)
+    return np.fromiter(map(len, table[1]), np.int64, len(table[1]))
+
+
+def _width(table) -> int:
+    """Number of statistic values up to the largest one any row reaches."""
+    if isinstance(table, np.ndarray):
+        return table.shape[0]
+    return int((table[0] + _lengths(table)).max())
+
+
+def _dense(table) -> np.ndarray:
+    """The table as a (statistic x items) array."""
+    if isinstance(table, np.ndarray):
+        return table
+    lo, rows = table
+    lens = _lengths(table)
+    ends = np.cumsum(lens)
+    offset = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
+    out = np.zeros((int((lo + lens).max()), len(rows)))
+    out[np.repeat(lo, lens) + offset, np.repeat(np.arange(len(rows)), lens)] = np.concatenate(rows)
+    return out
+
+
+def _ragged(table):
+    """The table as (lo, rows), each row trimmed to the values it reaches."""
+    if not isinstance(table, np.ndarray):
+        return table
+    reached = table != 0.0
+    lo = reached.argmax(axis=0)
+    hi = table.shape[0] - reached[::-1].argmax(axis=0)
+    by_row = np.ascontiguousarray(table.T)
+    return lo, [row[a:b] for row, a, b in zip(by_row, lo.tolist(), hi.tolist())]
+
+
+def _join_dense(a: np.ndarray, b: np.ndarray, splits) -> np.ndarray:
+    """Row m is ``sum_{s+t=u} g[s, t]`` with ``g = (a_{.,<=m} * w) b_rev^T``:
+    one matrix product over the splits for every row."""
+    top = a.shape[1] - 1
+    wa, wb = a.shape[0], b.shape[0]
+    diagonal = np.add.outer(np.arange(wa), np.arange(wb)).ravel()
+    b_rev = np.ascontiguousarray(b[:, ::-1])  # column top - m + i holds b's column m - i
+    out = np.zeros((wa + wb - 1, top + 1))
+    for m, w in splits:
+        g = (a[:, : m + 1] * w) @ b_rev[:, top - m :].T
+        out[:, m] = np.bincount(diagonal, g.ravel(), wa + wb - 1)
+    return out[: np.flatnonzero(out.any(axis=1))[-1] + 1]
+
+
+def _join_ragged(a, b, splits, square: bool):
+    """Row m is ``sum_i w_i conv(a_i, b_{m-i})``, one 1-D convolution per
+    split; a squaring folds the mirror splits i and m - i into one term."""
+    lo_a, rows_a = a
+    lo_b, rows_b = b
+    top = len(rows_a) - 1
+    hi_a = lo_a + _lengths(a)
+    hi_b = lo_b + _lengths(b)
+    lo_c = np.zeros(top + 1, np.int64)
+    rows_c = [None] * (top + 1)
+    for m, w in splits:
+        starts = lo_a[: m + 1] + lo_b[m::-1]
+        base = int(starts.min())
+        out = np.zeros(int((hi_a[: m + 1] + hi_b[m::-1]).max()) - base - 1)
+        weights = w[: m // 2 + 1] * 2.0 if square else w
+        if square and m % 2 == 0:
+            weights[-1] = w[m // 2]
+        for i, (wi, start) in enumerate(zip(weights.tolist(), (starts - base).tolist())):
+            if wi == 0.0:
+                continue
+            row_a, row_b = rows_a[i], rows_b[m - i]
+            if row_b.size == 1:  # a point mass shifts row_a
+                out[start : start + row_a.size] += (wi * row_b[0]) * row_a
+            else:
+                seg = np.convolve(row_a, row_b)
+                out[start : start + seg.size] += wi * seg
+        nz = np.flatnonzero(out)
+        lo_c[m] = base + nz[0]
+        rows_c[m] = out[nz[0] : nz[-1] + 1]
+    return lo_c, rows_c
+
+
+#: cost of one NumPy call in multiply-adds, for choosing a join's kernel
+_CALL_COST = 2000
+
+
+def _dense_is_cheaper(len_a, len_b, width: int, square: bool, last: bool) -> bool:
+    """Compare a join's estimated work on dense tables (one call and
+    ``(m + 1) * width`` multiply-adds per row, ``width`` the product of the
+    two table widths) with its work on trimmed rows (one convolution per
+    split, of the two rows' lengths)."""
+    top = len(len_a) - 1
+    if last:
+        rows, split_count, products = 1, top + 1, int(len_a @ len_b[::-1])
+    else:
+        rows, split_count = top + 1, (top + 1) * (top + 2) // 2
+        products = int(np.convolve(len_a, len_b)[: top + 1].sum())
+    convolutions = split_count // 2 + rows if square else split_count
+    if square:
+        products //= 2
+    dense = _CALL_COST * rows + split_count * width
+    return dense <= _CALL_COST * convolutions + products
+
+
+def _allocation_pmf(cells: int, items: int, stat_fn) -> Pmf:
     """Law of an additive per-cell statistic under uniform multinomial filling.
 
-    Poissonization (Barbour, Holst & Janson, *Poisson Approximation*, ch. 6):
-    give every cell an independent Poisson(t) item count; conditioned on the
-    total being ``items`` this is the uniform multinomial for any ``t > 0``.
-    So the law is row ``items`` of the ``cells``-fold product of one fixed
-    (items, statistic) table, divided by ``Poisson(cells*t)(items)``.  Each
-    weight and the divisor are rounded once from 40-digit arithmetic, where
-    nothing underflows however large ``t`` is.  All weights are nonnegative;
-    item counts past ``items`` are dropped, which is exact.  ``stat_fn(c)`` is
-    the contribution of a cell holding ``c`` items.
+    A group of cells has a table whose row m is the law of the group's
+    statistic given that m of the items fall in it; for one cell, row m is
+    the point mass at ``stat_fn(m)``.  Two groups of a and b cells join by
+    splitting m items Binomial(m, a/(a+b)) between them (Barbour, Holst &
+    Janson, *Poisson Approximation*, ch. 6, conditioning on the total):
+    row m of the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``.  Binary
+    powering over the bits of ``cells`` (square, then add one cell for each
+    set bit) reaches ``cells`` in O(log cells) joins, and the last join forms
+    only row ``items``.  Row 0 is an exact point mass at every size (no
+    rounding enters it), and all weights are nonnegative.
 
-    ``t`` is ``items/cells`` nudged so that the empty-cell weight ``exp(-t)``
-    is exactly a double (unless it underflows, past t ~ 745): every cell
-    shares one rounded table, so a weight's rounding error enters the law
-    once per cell that uses it, and with many sparse cells the empty weight's
-    error alone would push the total mass past ``MASS_TOL``.
+    Each join runs on whichever kernel the row lengths it sees make cheaper:
+    dense tables with one matrix product per row (short rows, many items),
+    or one 1-D convolution per split of the trimmed rows (long rows).
     """
-    with mpmath.workdps(40):
-        t = mpmath.mpf(items) / cells
-        empty = float(mpmath.exp(-t))
-        if empty > 0.0:
-            t = -mpmath.log(empty)
-        term = mpmath.exp(-t)
-        weights = [float(term)]
-        for c in range(1, items + 1):
-            term *= t / c
-            weights.append(float(term))
-        rate = cells * t
-        norm = float(mpmath.exp(-rate) * rate**items / mpmath.factorial(items))
-    increments = [int(stat_fn(c)) for c in range(items + 1)]
-    state = np.zeros((items + 1, s_max + 1))
-    state[0, 0] = 1.0
-    for _ in range(cells):
-        new = np.zeros_like(state)
-        for c, (w, ds) in enumerate(zip(weights, increments)):
-            new[c:, ds:] += state[: items + 1 - c, : s_max + 1 - ds] * w
-        state = new
-    dist = state[items] / norm
-    last = int(np.nonzero(dist)[0].max(initial=0))
-    return Pmf.from_mass(dist[: last + 1])
+    one = (np.array([int(stat_fn(c)) for c in range(items + 1)], np.int64), [np.ones(1)] * (items + 1))
+    one_lengths, one_width, one_dense = _lengths(one), _width(one), None
+    steps = []
+    for bit in bin(cells)[3:]:
+        steps += [True, False] if bit == "1" else [True]
+    table, size = one, 1
+    for k, square in enumerate(steps):
+        share = 0.5 if square else size / (size + 1)
+        last = k == len(steps) - 1
+        splits = [(items, _split_law(share, items))] if last else _split_weights(share, items)
+        lengths, width = _lengths(table), _width(table)
+        other_lengths, other_width = (lengths, width) if square else (one_lengths, one_width)
+        if _dense_is_cheaper(lengths, other_lengths, width * other_width, square, last):
+            a = _dense(table)
+            if not square and one_dense is None:
+                one_dense = _dense(one)
+            table = _join_dense(a, a if square else one_dense, splits)
+        else:
+            a = _ragged(table)
+            table = _join_ragged(a, a if square else one, splits, square)
+        size = 2 * size if square else size + 1
+    lo, rows = _ragged(table)
+    row = rows[items]
+    dist = np.zeros(int(lo[items]) + row.size)
+    dist[int(lo[items]) :] = row
+    return Pmf.from_mass(dist)
 
 
 def _empty_boxes_mass_exact(n: int, k: int) -> list[Fraction]:
@@ -469,16 +623,18 @@ def occupancy_pmf(spec: OccupancySpec) -> Pmf:
     """Exact law of the requested occupancy statistic.
 
     The empty-box count uses the inclusion-exclusion closed form; the other
-    statistics run the Poissonized allocation engine with boxes as cells and
-    balls as items.  :func:`check_occupancy` applies the caps up front, e.g.
-    ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` for the engine.
+    statistics run the allocation engine (conditional per-box laws joined by
+    binomial splits of the balls, binary powering over the boxes) with boxes
+    as cells and balls as items.  :func:`check_occupancy` applies the caps up
+    front, e.g. ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` for the
+    engine.
     """
     check_occupancy(spec)
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "empty":
         return _empty_boxes_pmf(n, k)
     box = BOX_STATISTICS[spec.statistic]
-    return _poissonized_allocation_pmf(n, k, lambda c: box(c, spec.level), _stat_support_max(spec))
+    return _allocation_pmf(n, k, lambda c: box(c, spec.level))
 
 
 @dataclass(frozen=True)
@@ -559,12 +715,13 @@ def coloring_pmf(spec: ColoringSpec) -> Pmf:
     """Exact law of the monochromatic tuple count.
 
     Color class sizes are a uniform multinomial over the colors, so the
-    Poissonized allocation engine applies with colors as cells and points as
-    items; a class of size m contributes C(m, tuple_size).
+    allocation engine (conditional per-cell laws, binomial splits, binary
+    powering) applies with colors as cells and points as items; a class of
+    size m contributes C(m, tuple_size).
     """
     check_coloring(spec)
     n, k = spec.n_points, spec.tuple_size
-    return _poissonized_allocation_pmf(spec.n_colors, n, lambda m: math.comb(m, k), math.comb(n, k))
+    return _allocation_pmf(spec.n_colors, n, lambda m: math.comb(m, k))
 
 
 # ---------------------------------------------------------------------------

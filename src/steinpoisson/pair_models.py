@@ -208,9 +208,11 @@ class _PairFamily:
     (rows x dim) array ``states`` holding one state per row: ``draw``
     (stationary states), ``w`` (the statistic W), ``observe`` (the step
     observables ``s``, of class ``stats``), ``steps`` (P(W'=W+1 | state),
-    P(W'=W-1 | state)), ``check`` (rejects inconsistent observables) and
-    ``move`` (columns, new values and dw of one reversible move).  ``cells``
-    is the size per state of the largest observable table.
+    P(W'=W-1 | state)), ``check`` (rejects inconsistent observables),
+    ``move`` (columns, new values and dw of one reversible move) and
+    ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
+    move's dw, and W).  ``cells`` is the size per state of the largest
+    observable table.
 
     The enumeration oracle shares no code with them: ``size`` (states,
     kernel transitions), ``iter_states`` (state tuples), and ``prob`` and
@@ -220,6 +222,12 @@ class _PairFamily:
 
     def cells(self, model):
         return model.n
+
+    def step_arrays(self, model, states, rng):
+        """(up, down, dw, W) of each row: the predicted steps, one realized
+        move and the statistic."""
+        up, down, w = _predict(self, model, states)
+        return up, down, self.move(model, states, rng)[2], w
 
     def prob(self, model, state):  # uniform stationary law
         return Fraction(1, self.size(model)[0])
@@ -378,8 +386,11 @@ class _MultisetMatching(_PlainMatching):
 class _Boxes(_PairFamily):
     """k uniform balls in n boxes; a move sends one uniform ball to a uniform
     box.  Each subclass names its per-box statistic in
-    ``exact_laws.BOX_STATISTICS``, which the allocation engine reads too, and
-    gives its (up, down) formula and the rule tying w to the box profile."""
+    ``exact_laws.BOX_STATISTICS``, which the allocation engine (conditional
+    per-box laws joined by binomial splits of the balls) reads too, and gives
+    its (up, down) formula and the rule tying w to the box profile.  The
+    per-row box-count table serves both the observables and the move's
+    change of w."""
 
     stats = OccupancyStats
 
@@ -398,7 +409,9 @@ class _Boxes(_PairFamily):
         return self.box_w(self.counts(model, states)).sum(axis=1)
 
     def observe(self, model, states):
-        counts = self.counts(model, states)
+        return self.tally(self.counts(model, states))
+
+    def tally(self, counts):
         m0, m1, m2, m3 = ((counts == level).sum(axis=1) for level in range(4))
         return OccupancyStats(m0=m0, m1=m1, m2=m2, m3=m3, w=self.box_w(counts).sum(axis=1))
 
@@ -412,15 +425,35 @@ class _Boxes(_PairFamily):
             raise ValueError("level counts use more balls than available")
         self.check_w(model, s)
 
-    def move(self, model, states, rng):
-        ball = rng.integers(0, model.k, len(states))
-        newbox = rng.integers(0, model.n, len(states))
-        oldbox = states[np.arange(len(states)), ball]
-        c_old = (states == oldbox[:, None]).sum(axis=1)
-        c_new = (states == newbox[:, None]).sum(axis=1)
+    def propose(self, model, rows, rng):
+        """The ball each row moves and the box it moves to."""
+        return rng.integers(0, model.k, rows), rng.integers(0, model.n, rows)
+
+    def dw(self, states, counts, ball, newbox):
+        """Change of W under the proposed moves, read off the rows' count table."""
+        rows = np.arange(len(states))
+        oldbox = states[rows, ball]
+        c_old, c_new = counts[rows, oldbox], counts[rows, newbox]
         box_w = self.box_w
         dw = box_w(c_new + 1).astype(np.int64) - box_w(c_new) + box_w(c_old - 1) - box_w(c_old)
-        return ball[:, None], newbox[:, None], np.where(oldbox != newbox, dw, 0)
+        return np.where(oldbox != newbox, dw, 0)
+
+    def move(self, model, states, rng):
+        ball, newbox = self.propose(model, len(states), rng)
+        dw = self.dw(states, self.counts(model, states), ball, newbox)
+        return ball[:, None], newbox[:, None], dw
+
+    def step_arrays(self, model, states, rng):
+        # the move's draws come first, as in the default; each block's count
+        # table then serves both the observables and the move
+        ball, newbox = self.propose(model, len(states), rng)
+        parts = []
+        for rows in _blocks(self, model, states):
+            counts = self.counts(model, states[rows])
+            stats = self.tally(counts)
+            dw = self.dw(states[rows], counts, ball[rows], newbox[rows])
+            parts.append((*self.steps(model, stats), dw, stats.w))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def size(self, model):
         return model.n**model.k, model.n**model.k * model.k * model.n
@@ -488,13 +521,18 @@ def _family(model: PairModel) -> _PairFamily:
     return _FAMILIES[model.problem]
 
 
-def _predict(fam: _PairFamily, model: PairModel, states: np.ndarray):
-    """(up, down, W) of each row, evaluated a block of rows at a time so that
-    no block's observable table holds more entries than ``states``."""
+def _blocks(fam: _PairFamily, model: PairModel, states: np.ndarray) -> list[slice]:
+    """Row blocks of ``states`` whose observable tables hold no more entries
+    than ``states``."""
     step = max(1, states.size // fam.cells(model))
+    return [slice(start, start + step) for start in range(0, len(states), step)]
+
+
+def _predict(fam: _PairFamily, model: PairModel, states: np.ndarray):
+    """(up, down, W) of each row, evaluated a block of rows at a time."""
     parts = []
-    for start in range(0, len(states), step):
-        stats = fam.observe(model, states[start : start + step])
+    for rows in _blocks(fam, model, states):
+        stats = fam.observe(model, states[rows])
         parts.append((*fam.steps(model, stats), stats.w))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -662,10 +700,7 @@ class StepProbsReport:
 def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
     """Vectorized batch: predicted (up, down), realized move dw, and W."""
     fam = _family(model)
-    states = fam.draw(model, size, rng)
-    up, down, w = _predict(fam, model, states)
-    _, _, dw = fam.move(model, states, rng)
-    return up, down, dw, w
+    return fam.step_arrays(model, fam.draw(model, size, rng), rng)
 
 
 def verify_step_probs(

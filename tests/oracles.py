@@ -174,6 +174,31 @@ def pairs_law_exact(n: int, k: int) -> np.ndarray:
     return np.array([float(Fraction(c, total)) for c in counts])
 
 
+def allocation_law_exact(cells: int, items: int, box_value) -> list[Fraction]:
+    """Exact law of ``sum_j box_value(c_j)`` for ``items`` uniform items in
+    ``cells`` cells, one cell at a time in exact rationals.
+
+    Given r items not yet placed and j cells left, the next cell takes c of
+    them with probability ``C(r, c) (1/j)^c (1 - 1/j)^(r - c)``; the last cell
+    takes the rest.  ``box_value`` maps a cell's item count to its integer
+    contribution.
+    """
+    state = {(items, 0): Fraction(1)}
+    for left in range(cells, 0, -1):
+        nxt = {}
+        for (r, s), prob in state.items():
+            for c in range(r + 1) if left > 1 else (r,):
+                split = Fraction(math.comb(r, c) * (left - 1) ** (r - c), left**r)
+                key = (r - c, s + int(box_value(c)))
+                nxt[key] = nxt.get(key, Fraction(0)) + prob * split
+        state = nxt
+    mass = [Fraction(0)] * (max(s for _, s in state) + 1)
+    for (_, s), prob in state.items():
+        mass[s] += prob
+    assert sum(mass) == 1
+    return mass
+
+
 def enumerate_coloring(n: int, k: int, c: int) -> np.ndarray:
     """Monochromatic k-tuple law over all c^n colorings."""
     top = math.comb(n, k)

@@ -20,6 +20,7 @@ from steinpoisson import (
     poisson_binomial_pmf,
 )
 from steinpoisson.exact_laws import (
+    BOX_STATISTICS,
     _empty_boxes_mass_certified,
     _empty_boxes_mass_exact,
 )
@@ -255,6 +256,48 @@ class TestOccupancyPmf:
         assert np.abs(exact[: law.mass.size] - law.mass).max() < 1e-13
         assert np.abs(exact[law.mass.size :]).max(initial=0.0) < 1e-13
 
+    @pytest.mark.parametrize("k", [20_000, 60_000])
+    def test_one_box_is_a_point_mass(self, k):
+        law = occupancy_pmf(OccupancySpec(1, k, "pairs"))
+        assert law.mass.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "n,k,stat", [(14_000, 118, "pairs"), (200_000, 10, "pairs"), (400, 70, "pair_count")]
+    )
+    def test_mass_at_reach(self, n, k, stat):
+        law = occupancy_pmf(OccupancySpec(n, k, stat))
+        assert abs(math.fsum(law.mass) + law.tail - 1.0) < 1e-14
+
+    def test_pairs_against_exact_integer_law_at_reach(self):
+        law = occupancy_pmf(OccupancySpec(2000, 90, "pairs"))
+        exact = oracles.pairs_law_exact(2000, 90)
+        assert law.mass.size <= exact.size
+        assert np.abs(exact[: law.mass.size] - law.mass).max() < 1e-14
+        assert np.abs(exact[law.mass.size :]).max(initial=0.0) < 1e-14
+
+    # per-box contribution of each statistic, written independently of the package
+    BOX_VALUES = {
+        "pairs": lambda c, level: c >= 2,
+        "triples": lambda c, level: math.comb(c, 3),
+        "empty": lambda c, level: c == 0,
+        "exact_level": lambda c, level: c == level,
+        "pair_count": lambda c, level: math.comb(c, 2),
+    }
+
+    @pytest.mark.parametrize("stat", sorted(BOX_STATISTICS))
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_against_exact_rational_allocation(self, n, stat):
+        # 1..17 boxes run every odd/even bit path of the powering
+        assert set(self.BOX_VALUES) == set(BOX_STATISTICS)
+        for k in (0, 1, 2, 5, 9):
+            for level in (0, 1, 2) if stat == "exact_level" else (None,):
+                law = occupancy_pmf(OccupancySpec(n, k, stat, level=level))
+                exact = oracles.allocation_law_exact(n, k, lambda c: self.BOX_VALUES[stat](c, level))
+                exact = np.array([float(x) for x in exact])
+                size = max(exact.size, law.mass.size)
+                assert np.abs(np.pad(exact, (0, size - exact.size))
+                              - np.pad(law.mass, (0, size - law.mass.size))).max() < 1e-15
+
     def test_cap_rejection_mentions_size(self):
         with pytest.raises(ValueError, match="states"):
             occupancy_pmf(OccupancySpec(4000, 300, "triples"))
@@ -347,6 +390,16 @@ class TestColoringPmf:
             m = min(law.mass.size, brute.size)
             assert np.abs(law.mass[:m] - brute[:m]).max() < 1e-13
             assert np.abs(brute[m:]).max(initial=0.0) < 1e-15
+
+    @pytest.mark.parametrize("c", range(1, 18))
+    def test_against_exact_rational_allocation(self, c):
+        for n, k in ((2, 2), (5, 2), (7, 3), (9, 4)):
+            law = coloring_pmf(ColoringSpec(n, k, c))
+            exact = oracles.allocation_law_exact(c, n, lambda m: math.comb(m, k))
+            exact = np.array([float(x) for x in exact])
+            size = max(exact.size, law.mass.size)
+            assert np.abs(np.pad(exact, (0, size - exact.size))
+                          - np.pad(law.mass, (0, size - law.mass.size))).max() < 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):

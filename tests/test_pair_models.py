@@ -268,6 +268,29 @@ class TestMonteCarloVerification:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: birthday_pairs_model(365, 23),
+            lambda: birthday_triples_model(50, 12),
+            lambda: coupon_model(30, 60),
+        ],
+    )
+    def test_boxes_batch_matches_one_state_at_a_time(self, factory):
+        # the batch draws the states, then each row's ball and new box, in
+        # that order; its dw must equal W recomputed after the move
+        model, rows = factory(), 300
+        up, down, dw, w = _mc_arrays(model, rows, substream(16, 0))
+        rng = substream(16, 0)
+        states = rng.integers(0, model.n, (rows, model.k))
+        ball, newbox = rng.integers(0, model.k, rows), rng.integers(0, model.n, rows)
+        for r in range(rows):
+            moved = states[r].copy()
+            moved[ball[r]] = newbox[r]
+            assert dw[r] == statistic(model, moved) - statistic(model, states[r])
+            assert w[r] == statistic(model, states[r])
+            assert (up[r], down[r]) == pytest.approx(step_probs(model, state_stats(model, states[r])))
+
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             verify_step_probs(matching_model(30), trials=100, rng=substream(1, 0))
