@@ -1,8 +1,11 @@
 """Exact reference distributions and moments for the combinatorial problems.
 
-Every law here is ground truth: inclusion-exclusion, rencontres and rook
-polynomials are evaluated in exact rational arithmetic (or, for very large
-instances, high-precision arithmetic with a rigorous truncation certificate).
+Every law here is ground truth.  Inclusion-exclusion, rencontres and rook
+polynomials give exact integer counts; the counts are checked to sum to the
+exact total and each is divided by it once, a correctly rounded int/int
+division, so every probability is the double nearest the exact rational.
+Very large empty-box instances use high-precision arithmetic with a rigorous
+truncation certificate instead.
 The additive occupancy and coloring statistics share one allocation engine:
 a group of cells holds, for every item count m, the law of its statistic
 given m items; two groups join by splitting the items binomially between
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -48,7 +50,7 @@ MATCHING_CAP = 500
 #: feasibility cap for the allocation engine, counted as cells * items *
 #: statistic states (the size of a cell-by-cell table, not the engine's work)
 DP_STATE_CAP = 100_000_000
-#: exact-rational empty-box path: max boxes and max digits of n^k
+#: exact-integer empty-box path: max boxes and max digits of n^k
 EMPTY_EXACT_BOX_CAP = 400
 EMPTY_EXACT_DIGIT_CAP = 20_000
 #: certified high-precision empty-box path requires n*exp(-k/n) below this
@@ -187,6 +189,24 @@ def _hits_exactly(at_least, axis: int = 0) -> np.ndarray:
     return np.moveaxis(counts, 0, axis)
 
 
+def _binomial_row(n: int) -> list[int]:
+    """``C(n, j)`` for ``j = 0..n`` by a running product, one exact division each."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
+def _divided_once(counts, total: int) -> np.ndarray:
+    """``count / total`` for exact-integer counts that must sum to ``total``.
+
+    Python's int/int true division rounds the exact rational once, so each
+    value is the double nearest ``count / total``, with no gcd normalization.
+    """
+    assert sum(counts) == total
+    return np.array([c / total for c in counts])
+
+
 def _completions(n: int) -> np.ndarray:
     """``(n - j)!`` for ``j = 0..n``: the permutations extending a j-rook placement."""
     return np.array([math.factorial(n - j) for j in range(n + 1)], dtype=object)
@@ -239,15 +259,14 @@ def matching_pmf(spec: MatchingSpec) -> Pmf:
     n = spec.n
     if spec.is_plain:
         d = derangement_numbers(n)
-        counts = [math.comb(n, m) * d[n - m] for m in range(n + 1)]
+        counts = [c * d[n - m] for m, c in enumerate(_binomial_row(n))]
     else:
         rook = np.ones(1, dtype=object)
         for l in spec.multiplicities:
             block = [math.comb(l, j) ** 2 * math.factorial(j) for j in range(l + 1)]
             rook = np.convolve(rook, np.array(block, dtype=object))
         counts = _hits_exactly(rook * _completions(n))
-    n_fact = math.factorial(n)
-    return Pmf(np.array([float(Fraction(c, n_fact)) for c in counts]))
+    return Pmf(_divided_once(counts, math.factorial(n)))
 
 
 @dataclass(frozen=True)
@@ -506,20 +525,25 @@ def _allocation_pmf(cells: int, items: int, stat_fn) -> Pmf:
     return Pmf.from_mass(dist)
 
 
-def _empty_boxes_mass_exact(n: int, k: int) -> list[Fraction]:
-    """Inclusion-exclusion law of the empty-box count, exact rationals."""
-    pow_table = [b**k for b in range(n + 1)]
-    denom = n**k
-    mass = []
-    for w in range(n + 1):
-        r = n - w
-        inner = 0
-        for j in range(r + 1):
-            term = math.comb(r, j) * pow_table[r - j]
-            inner += -term if j % 2 else term
-        mass.append(Fraction(math.comb(n, w) * inner, denom))
-    assert sum(mass) == 1
-    return mass
+def _empty_boxes_counts(n: int, k: int) -> np.ndarray:
+    """Allocations of k labelled balls to n boxes with exactly w empty boxes,
+    w = 0..n, as exact integers summing to ``n**k``.
+
+    ``C(n, j) (n - j)^k`` allocations leave a chosen set of j boxes empty,
+    summed over the sets; inclusion-exclusion turns these "at least j empty"
+    counts into exact ones.
+    """
+    return _hits_exactly([c * (n - j) ** k for j, c in enumerate(_binomial_row(n))])
+
+
+def _empty_boxes_mass_exact(n: int, k: int) -> np.ndarray:
+    """Law of the empty-box count: exact integer counts, each divided once by
+    ``n**k`` with correct rounding."""
+    return _divided_once(_empty_boxes_counts(n, k), n**k)
+
+
+#: truncation budget of each certified empty-box mass
+_CERTIFIED_TRUNCATION = 1e-30
 
 
 def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
@@ -527,8 +551,10 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
 
     Valid in the sparse regime ``r0 = n*exp(-k/n) <= EMPTY_CERTIFIED_RATIO_CAP``
     where the alternating terms decay at rate ``r0/(j+1)``; each truncation
-    remainder is bounded geometrically and kept below 1e-30, far inside the
-    1e-12 budget the Pmf invariant allows.
+    remainder is bounded geometrically and kept below ``_CERTIFIED_TRUNCATION
+    = 1e-30``, far inside the 1e-12 budget the Pmf invariant allows.  A mass
+    that comes out negative is set to 0 only when it lies within that budget;
+    anything more negative raises ValueError.
     """
     r0 = n * math.exp(-k / n)
     if r0 > EMPTY_CERTIFIED_RATIO_CAP:
@@ -557,7 +583,7 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
             inner = mpmath.mpf(0)
             peak = mpmath.mpf(0)
             for j in range(r + 1):
-                term = mpmath.binomial(r, j) * pow_ratio(r - j)
+                term = mpmath.mpf(math.comb(r, j)) * pow_ratio(r - j)
                 inner += -term if j % 2 else term
                 peak = max(peak, term)
                 # once the term-ratio bound r0/(j+2) is below 1/2 the
@@ -566,8 +592,14 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
                 # error of C(n,w)*inner far below the 1e-12 mass budget
                 if j >= 2 * r0 and r0 / (j + 2) < 0.5 and term < rel_eps * peak:
                     break
-            p_w = mpmath.binomial(n, w) * inner
-            p_w = max(p_w, mpmath.mpf(0))
+            p_w = mpmath.mpf(math.comb(n, w)) * inner
+            if p_w < 0:
+                if p_w < -_CERTIFIED_TRUNCATION:
+                    raise ValueError(
+                        f"certified empty-box mass at w={w} is {float(p_w):.3g}, "
+                        f"beyond the truncation budget {_CERTIFIED_TRUNCATION} (n={n}, k={k})"
+                    )
+                p_w = mpmath.mpf(0)
             mass[w] = float(p_w)
             total += p_w
             if p_w < mpmath.mpf("1e-25"):
@@ -585,7 +617,7 @@ def _empty_boxes_pmf(n: int, k: int) -> Pmf:
         mass[n] = 1.0
         return Pmf(mass)
     if n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP:
-        mass = np.array([float(x) for x in _empty_boxes_mass_exact(n, k)])
+        mass = _empty_boxes_mass_exact(n, k)
     else:
         mass = _empty_boxes_mass_certified(n, k)
     last = int(np.nonzero(mass)[0].max(initial=0))
@@ -598,7 +630,7 @@ def check_occupancy(spec: OccupancySpec) -> None:
     if k == 0:
         return
     if spec.statistic == "empty":
-        digits = k * math.log10(n)  # size of the exact-rational path
+        digits = k * math.log10(n)  # size of the exact-integer path
         r0 = n * math.exp(-k / n)
         if (n > EMPTY_EXACT_BOX_CAP or digits > EMPTY_EXACT_DIGIT_CAP) and (
             r0 > EMPTY_CERTIFIED_RATIO_CAP

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,7 +141,8 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     at_least = rooks * _completions(n)[np.minimum(j[:, None] + j[None, :], n)]
     counts = _hits_exactly(_hits_exactly(at_least, 0), 1)
     n_fact = math.factorial(n)
-    mass = {key: float(Fraction(c, n_fact)) for key, c in np.ndenumerate(counts) if c}
+    assert counts.sum() == n_fact
+    mass = {key: c / n_fact for key, c in np.ndenumerate(counts) if c}
     return JointPmf(dim=2, mass=mass)
 
 
@@ -242,7 +242,8 @@ def matching_config_law(n: int) -> ConfigLaw:
     check_config(n)
     d = derangement_numbers(n)
     n_fact = math.factorial(n)
-    by_size = [float(Fraction(d[n - s], n_fact)) for s in range(n + 1)]
+    assert sum(math.comb(n, s) * d[n - s] for s in range(n + 1)) == n_fact
+    by_size = [d[n - s] / n_fact for s in range(n + 1)]
     mass = {}
     for cfg in itertools.product((0, 1), repeat=n):
         mass[cfg] = by_size[sum(cfg)]

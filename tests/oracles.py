@@ -158,7 +158,7 @@ def pairs_law_exact(n: int, k: int) -> np.ndarray:
     for j in range(1, k + 1):
         for r in range(1, r_max + 1):
             s3[j][r] = r * s3[j - 1][r] + (math.comb(j - 1, 2) * s3[j - 3][r - 1] if j >= 3 else 0)
-    f = math.factorial
+    f = [math.factorial(i) for i in range(max(n, k) + 1)]
     counts = [0] * (min(n, k // 2) + 1)
     for m1 in range(min(n, k) + 1):
         for m2 in range(min(n - m1, (k - m1) // 2) + 1):
@@ -166,37 +166,36 @@ def pairs_law_exact(n: int, k: int) -> np.ndarray:
             for r in range(min(n - m1 - m2, j // 3) + 1):
                 if s3[j][r] == 0:
                     continue
-                boxes = f(n) // (f(n - m1 - m2 - r) * f(m1) * f(m2) * f(r))
-                balls = f(k) // (f(j) * 2**m2) * f(r) * s3[j][r]
+                boxes = f[n] // (f[n - m1 - m2 - r] * f[m1] * f[m2] * f[r])
+                balls = f[k] // (f[j] * 2**m2) * f[r] * s3[j][r]
                 counts[m2 + r] += boxes * balls
     total = n**k
     assert sum(counts) == total
-    return np.array([float(Fraction(c, total)) for c in counts])
+    return np.array([c / total for c in counts])
 
 
 def allocation_law_exact(cells: int, items: int, box_value) -> list[Fraction]:
     """Exact law of ``sum_j box_value(c_j)`` for ``items`` uniform items in
-    ``cells`` cells, one cell at a time in exact rationals.
+    ``cells`` cells, one cell at a time in exact integers.
 
-    Given r items not yet placed and j cells left, the next cell takes c of
-    them with probability ``C(r, c) (1/j)^c (1 - 1/j)^(r - c)``; the last cell
-    takes the rest.  ``box_value`` maps a cell's item count to its integer
-    contribution.
+    With r items not yet placed, the next cell takes c of them in
+    ``C(r, c)`` ways; the last cell takes the rest.  The allocations counted
+    this way number ``cells**items``.  ``box_value`` maps a cell's item count
+    to its integer contribution.
     """
-    state = {(items, 0): Fraction(1)}
+    state = {(items, 0): 1}
     for left in range(cells, 0, -1):
         nxt = {}
-        for (r, s), prob in state.items():
+        for (r, s), ways in state.items():
             for c in range(r + 1) if left > 1 else (r,):
-                split = Fraction(math.comb(r, c) * (left - 1) ** (r - c), left**r)
                 key = (r - c, s + int(box_value(c)))
-                nxt[key] = nxt.get(key, Fraction(0)) + prob * split
+                nxt[key] = nxt.get(key, 0) + ways * math.comb(r, c)
         state = nxt
-    mass = [Fraction(0)] * (max(s for _, s in state) + 1)
-    for (_, s), prob in state.items():
-        mass[s] += prob
-    assert sum(mass) == 1
-    return mass
+    counts = [0] * (max(s for _, s in state) + 1)
+    for (_, s), ways in state.items():
+        counts[s] += ways
+    assert sum(counts) == cells**items
+    return [Fraction(c, cells**items) for c in counts]
 
 
 def enumerate_coloring(n: int, k: int, c: int) -> np.ndarray:

@@ -21,6 +21,8 @@ from steinpoisson import (
 )
 from steinpoisson.exact_laws import (
     BOX_STATISTICS,
+    EMPTY_EXACT_DIGIT_CAP,
+    _empty_boxes_counts,
     _empty_boxes_mass_certified,
     _empty_boxes_mass_exact,
 )
@@ -126,6 +128,13 @@ class TestMatchingPmf:
         law = matching_pmf(MatchingSpec(52, (4,) * 13))
         assert law.mass[0] == pytest.approx(0.016233, abs=5e-7)
         assert law.mean() == pytest.approx(4.0, abs=1e-12)
+
+    def test_rencontres_divided_once_at_cap(self):
+        # running-product binomials, each count divided once by n!, bit for bit
+        n = 500
+        d = derangement_numbers(n)
+        expected = [math.comb(n, m) * d[n - m] / math.factorial(n) for m in range(n + 1)]
+        assert matching_pmf(MatchingSpec(n)).mass.tolist() == expected
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -315,10 +324,34 @@ class TestOccupancyPmf:
                 matching_moments(spec).lam, abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_empty_counts_against_exact_allocation(self, n):
+        for k in sorted({0, 1, n - 1, 3 * n}):
+            counts = _empty_boxes_counts(n, k)
+            assert sum(counts) == n**k
+            exact = oracles.allocation_law_exact(n, k, lambda c: c == 0)
+            exact += [Fraction(0)] * (n + 1 - len(exact))
+            assert [Fraction(c, n**k) for c in counts] == exact, k
+
+    def test_empty_exact_path_rounds_correctly_at_digit_cap(self):
+        # the largest k the exact path takes at n = 400: ~20 000-digit counts,
+        # each divided once, must give the double nearest the rational
+        n = 400
+        k = int(EMPTY_EXACT_DIGIT_CAP / math.log10(n))
+        assert k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP < (k + 1) * math.log10(n)
+        total = n**k
+        mass = occupancy_pmf(OccupancySpec(n, k, "empty")).mass.tolist()
+        mass += [0.0] * (n + 1 - len(mass))
+        for count, x in zip(_empty_boxes_counts(n, k), mass):
+            # count/total lies between the midpoints to x's two neighbours
+            for y, side in ((math.nextafter(x, -math.inf), -1), (math.nextafter(x, math.inf), 1)):
+                mid = (Fraction(x) + Fraction(y)) / 2
+                assert side * (count * mid.denominator - total * mid.numerator) <= 0
+
     def test_certified_path_matches_exact_rationals(self):
         n = 300
         k = round(n * math.log(n) - 0.5 * n)
-        exact = np.array([float(x) for x in _empty_boxes_mass_exact(n, k)])
+        exact = _empty_boxes_mass_exact(n, k)
         cert = _empty_boxes_mass_certified(n, k)
         m = min(exact.size, cert.size)
         assert np.abs(exact[:m] - cert[:m]).max() < 1e-25
