@@ -75,8 +75,6 @@ from .multivariate import (
     ConfigLaw,
     JointPmf,
     bound_fixed_point_succession,
-    config_count_projection,
-    config_generator_apply,
     joint_fixed_point_succession_pmf,
     joint_marginal,
     joint_tv,

@@ -327,7 +327,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "process-matching": Family(
         ("n",),
-        lambda pt: mv.check_config(pt["n"]),
+        _check_matching,
         lambda pt, lam: mv.process_tv(mv.matching_config_law(pt["n"]),
                                       mv.product_poisson_config_law([lam / pt["n"]] * pt["n"])),
         {"default": lambda pt: bd.bound_process_matching(pt["n"])},

@@ -1,31 +1,38 @@
 """Multivariate and configuration-level Poisson approximation.
 
-Joint laws over integer vectors, binary-configuration laws, their product
-Poisson references with exactly accounted tails, the corresponding total
-variation distances, the immigration-death generator on configurations, and
-the worked multivariate bounds.  Closed forms in exact integers (bivariate
-rook numbers, derangement numbers) supply the joint ground truth.
+Joint laws over integer vectors as dense tables, exchangeable laws on binary
+configurations stored by the law of their size, their product Poisson
+references with exactly accounted tails, the corresponding total variation
+distances, and the worked multivariate bounds.  Closed forms in exact
+integers (bivariate rook numbers, rencontres numbers) supply the ground
+truth; the fixed-point configuration of process matching reaches
+``MATCHING_CAP`` because its total variation is a univariate one.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import CONVENTION_SET, BoundReport, _report
-from .exact_laws import _completions, _hits_exactly, derangement_numbers
-from .stein_core import Pmf, SteinParams, poisson_pmf
+from .exact_laws import (
+    MatchingSpec,
+    _binomial_row,
+    _completions,
+    _divided_once,
+    _hits_exactly,
+    matching_pmf,
+)
+from .stein_core import Pmf, SteinParams, poisson_pmf, tv_distance
 
 __all__ = [
     "JointPmf",
     "ConfigLaw",
     "JOINT_CAP",
-    "CONFIG_LAW_CAP",
     "check_joint",
-    "check_config",
     "joint_fixed_point_succession_pmf",
     "product_poisson_joint",
     "joint_tv",
@@ -34,77 +41,52 @@ __all__ = [
     "multivariate_error_bound",
     "matching_config_law",
     "product_poisson_config_law",
-    "config_count_projection",
     "process_tv",
-    "config_generator_apply",
 ]
 
 #: joint fixed-point/succession law up to this n (0.13 s at n=100, 1.2 s at n=200; 2-vCPU)
 JOINT_CAP = 100
-#: binary-configuration cap for the exact matching configuration law
-CONFIG_LAW_CAP = 14
-
-
-def _check_sparse_law(mass: dict, tail: float, check_key) -> None:
-    """``check_key`` vets each support point; probabilities and tail sum to one."""
-    total = 0.0
-    for key, prob in mass.items():
-        check_key(key)
-        if not (-1e-15 <= prob <= 1 + 1e-12):
-            raise ValueError("probabilities must lie in [0, 1]")
-        total += prob
-    if not (-1e-15 <= tail <= 1 + 1e-12):
-        raise ValueError("tail must lie in [0, 1]")
-    if abs(total + tail - 1.0) > 1e-12:
-        raise ValueError(f"mass + tail must sum to 1 (got {total + tail:.17g})")
-
-
-def _sparse_tv(a, b) -> float:
-    """Total variation over the union of supports, tails added conservatively."""
-    keys = set(a.mass) | set(b.mass)
-    l1 = math.fsum(abs(a.mass.get(k, 0.0) - b.mass.get(k, 0.0)) for k in sorted(keys))
-    return 0.5 * (l1 + a.tail + b.tail)
 
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Sparse pmf over integer vectors in N^dim with residual tail mass."""
+    """Dense pmf table over a box of N^dim, ``dim = mass.ndim``, with residual
+    tail mass; ``mass[x_1, ..., x_dim]`` is the probability of that vector."""
 
-    dim: int
-    mass: dict
+    mass: np.ndarray
     tail: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
+        arr = np.asarray(self.mass, dtype=float)
+        if arr.ndim < 1:
             raise ValueError("dim must be >= 1")
-        _check_sparse_law(self.mass, self.tail, self._check_vector)
+        tail = Pmf(arr.ravel(), self.tail).tail  # entries, tail and total as for one axis
+        arr.flags.writeable = False
+        object.__setattr__(self, "mass", arr)
+        object.__setattr__(self, "tail", tail)
 
-    def _check_vector(self, vec):
-        if len(vec) != self.dim:
-            raise ValueError(f"vector {vec} does not have dim {self.dim}")
-        if any(x < 0 for x in vec):
-            raise ValueError("supports live in N^dim: componentwise >= 0")
+    @property
+    def dim(self) -> int:
+        return self.mass.ndim
 
 
 @dataclass(frozen=True)
 class ConfigLaw:
-    """Law over binary configurations on an index set of size ``index_size``.
+    """Exchangeable law on the binary configurations {0,1}^index_size, stored
+    as the law of the configuration's size.
 
-    Empirical laws have binary support and ``tail == 0``; a product-Poisson
-    reference restricted to binary configurations stores the exactly
-    aggregated non-binary mass in ``tail``.
+    Exchangeability gives every configuration of size s the same mass,
+    ``size.mass[s] / C(index_size, s)``.  Laws on the cube have
+    ``size.tail == 0``; a product-Poisson reference restricted to binary
+    configurations stores its exactly aggregated non-binary mass there.
     """
 
     index_size: int
-    mass: dict
-    tail: float = 0.0
+    size: Pmf
 
     def __post_init__(self):
-        _check_sparse_law(self.mass, self.tail, self._check_config)
-
-    def _check_config(self, cfg):
-        if len(cfg) != self.index_size or any(x not in (0, 1) for x in cfg):
-            raise ValueError("configurations must be binary tuples of index_size")
+        if self.size.support_max > self.index_size:
+            raise ValueError("configuration sizes cannot exceed index_size")
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +110,7 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     count its independent sets; a two-state walk (last cell free / taken)
     around it gives them.  Times ``(n-j1-j2)!`` they count permutations with
     at least those hits, and inclusion-exclusion on both axes makes them exact.
+    The table is ``counts / n!``, one correctly rounded division per entry.
     """
     check_joint(n)
     rooks = np.zeros((n + 1, n + 1), dtype=object)
@@ -140,52 +123,42 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     j = np.arange(n + 1)  # rooks vanish past j1 + j2 = n
     at_least = rooks * _completions(n)[np.minimum(j[:, None] + j[None, :], n)]
     counts = _hits_exactly(_hits_exactly(at_least, 0), 1)
-    n_fact = math.factorial(n)
-    assert counts.sum() == n_fact
-    mass = {key: c / n_fact for key, c in np.ndenumerate(counts) if c}
-    return JointPmf(dim=2, mass=mass)
+    return JointPmf(_divided_once(counts.ravel(), math.factorial(n)).reshape(counts.shape))
 
 
 def product_poisson_joint(lambdas, truncation_eps: float = 1e-12) -> JointPmf:
     """Product of truncated Poisson laws on a box, exact residual tail.
 
-    Per-coordinate truncation at ``truncation_eps`` makes the total tail at
-    most ``dim * truncation_eps`` (union bound); the stored tail is the exact
+    The table is the outer product of the coordinate tables.  Per-coordinate
+    truncation at ``truncation_eps`` makes the total tail at most
+    ``dim * truncation_eps`` (union bound); the stored tail is the exact
     residual ``1 - prod(coordinate masses)``.
     """
     rates = [float(l) for l in lambdas]
     if not rates or any(l <= 0 for l in rates):
         raise ValueError("all rates must be positive")
     coords = [poisson_pmf(SteinParams(l, truncation_eps)) for l in rates]
-    mass = {}
-    for vec in itertools.product(*(range(c.mass.size) for c in coords)):
-        prob = 1.0
-        for x, c in zip(vec, coords):
-            prob *= c.mass[x]
-        mass[vec] = prob
-    covered = 1.0
-    for c in coords:
-        covered *= math.fsum(c.mass.tolist())
-    tail = max(0.0, 1.0 - covered)
-    return JointPmf(dim=len(rates), mass=mass, tail=tail)
+    mass = functools.reduce(np.multiply.outer, [c.mass for c in coords])
+    covered = math.prod(math.fsum(c.mass.tolist()) for c in coords)
+    return JointPmf(mass, tail=max(0.0, 1.0 - covered))
 
 
 def joint_tv(p: JointPmf, q: JointPmf) -> float:
-    """Total variation over the union of supports, tails added conservatively."""
+    """Total variation between tables zero-padded to a common box, tails
+    added conservatively."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    return _sparse_tv(p, q)
+    shape = np.maximum(p.mass.shape, q.mass.shape)
+    a, b = (np.pad(x.mass, [(0, s - k) for s, k in zip(shape, x.mass.shape)]) for x in (p, q))
+    return 0.5 * (math.fsum(np.abs(a - b).ravel().tolist()) + p.tail + q.tail)
 
 
 def joint_marginal(p: JointPmf, axis: int) -> Pmf:
     """Project a joint law onto one coordinate; the joint tail is inherited."""
     if not (0 <= axis < p.dim):
         raise ValueError("axis out of range")
-    top = max(vec[axis] for vec in p.mass)
-    mass = np.zeros(top + 1)
-    for vec, prob in p.mass.items():
-        mass[vec[axis]] += prob
-    return Pmf.from_mass(mass, tail=p.tail)
+    others = tuple(i for i in range(p.dim) if i != axis)
+    return Pmf.from_mass(p.mass.sum(axis=others), tail=p.tail)
 
 
 def bound_fixed_point_succession(n: int) -> BoundReport:
@@ -224,98 +197,48 @@ def multivariate_error_bound(lambdas, error_terms) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def check_config(n: int) -> None:
-    """Raise ValueError if :func:`matching_config_law` cannot take ``n``."""
-    if not (isinstance(n, int) and 2 <= n <= CONFIG_LAW_CAP):
-        raise ValueError(f"configuration law needs 2 <= n <= {CONFIG_LAW_CAP}")
-
-
 def matching_config_law(n: int) -> ConfigLaw:
     """Exact law of the fixed-point indicator configuration of a uniform
-    permutation.
+    permutation (n <= MATCHING_CAP).
 
-    A binary configuration whose support has size s arises from exactly
-    D_{n-s} permutations (derange the complement), so its mass is
-    D_{n-s}/n!; the closed form extends the reach well past brute-force
-    enumeration of permutations.
+    A configuration whose support has size s arises from exactly D_{n-s}
+    permutations (derange the complement), whatever the support, so the law
+    is exchangeable and its size law is the rencontres law of the number of
+    fixed points.
     """
-    check_config(n)
-    d = derangement_numbers(n)
-    n_fact = math.factorial(n)
-    assert sum(math.comb(n, s) * d[n - s] for s in range(n + 1)) == n_fact
-    by_size = [d[n - s] / n_fact for s in range(n + 1)]
-    mass = {}
-    for cfg in itertools.product((0, 1), repeat=n):
-        mass[cfg] = by_size[sum(cfg)]
-    return ConfigLaw(index_size=n, mass=mass)
+    return ConfigLaw(n, matching_pmf(MatchingSpec(n)))
 
 
-def product_poisson_config_law(p, index_size: int | None = None) -> ConfigLaw:
-    """Independent Poisson coordinates restricted to binary configurations.
+def product_poisson_config_law(p) -> ConfigLaw:
+    """Independent Poisson(x) coordinates, all of one rate x, restricted to
+    binary configurations.
 
-    ``mass[cfg] = prod_i P(Poi(p_i) = cfg_i)``; the exactly aggregated
-    non-binary mass ``1 - prod_i e^{-p_i}(1 + p_i)`` is stored as tail.
+    The size law is ``C(n, s) p0^{n-s} p1^s`` with ``p0 = e^{-x}`` and
+    ``p1 = x e^{-x}``; the exactly aggregated non-binary mass ``1 - sum`` is
+    stored as tail.  Unequal rates give a law that is not exchangeable, with
+    no by-size form, and are rejected.
     """
     rates = [float(x) for x in p]
-    if index_size is not None and index_size != len(rates):
-        raise ValueError("index_size must match len(p)")
     if not rates or any(x <= 0 for x in rates):
         raise ValueError("rates must be positive")
-    n = len(rates)
-    if n > CONFIG_LAW_CAP + 2:
-        raise ValueError(f"configuration law capped at {CONFIG_LAW_CAP + 2} indices")
-    zero_one = [(math.exp(-x), x * math.exp(-x)) for x in rates]
-    mass = {}
-    for cfg in itertools.product((0, 1), repeat=n):
-        prob = 1.0
-        for bit, (p0, p1) in zip(cfg, zero_one):
-            prob *= p1 if bit else p0
-        mass[cfg] = prob
-    covered = math.fsum(mass.values())
-    return ConfigLaw(index_size=n, mass=mass, tail=max(0.0, 1.0 - covered))
-
-
-def config_count_projection(law: ConfigLaw) -> Pmf:
-    """Project a configuration law onto the total count; tail is inherited."""
-    mass = np.zeros(law.index_size + 1)
-    for cfg, prob in law.mass.items():
-        mass[sum(cfg)] += prob
-    return Pmf.from_mass(mass, tail=law.tail)
+    if any(x != rates[0] for x in rates):
+        raise ValueError("a configuration law by size needs equal rates")
+    n, x = len(rates), rates[0]
+    p0, p1 = math.exp(-x), x * math.exp(-x)
+    try:
+        size = [c * (p0 ** (n - s) * p1**s) for s, c in enumerate(_binomial_row(n))]
+    except OverflowError:
+        raise ValueError(f"C({n}, s) overflows a double") from None
+    return ConfigLaw(n, Pmf(np.array(size), tail=max(0.0, 1.0 - math.fsum(size))))
 
 
 def process_tv(a: ConfigLaw, b: ConfigLaw) -> float:
     """Total variation between configuration laws over the binary cube.
 
-    Tails are handled conservatively (added), so the value is exact whenever
-    one side is tail-free and an upper bound otherwise.
+    Both laws are uniform within each size class, so the distance over the
+    cube equals the distance between the size laws.  Tails are added
+    conservatively, so the value is exact whenever one side is tail-free.
     """
     if a.index_size != b.index_size:
         raise ValueError("index sets differ")
-    return _sparse_tv(a, b)
-
-
-def config_generator_apply(h, p, xi) -> float:
-    """Immigration-death generator on configurations:
-
-        sum_i p_i [h(xi + delta_i) - h(xi)] + sum_i x_i [h(xi - delta_i) - h(xi)]
-
-    ``h`` maps count tuples to reals; births at site i run at rate p_i,
-    deaths at unit rate per particle.  The product Poisson law of rates p is
-    stationary for this dynamics, which the test suite checks by truncated
-    exact summation.
-    """
-    rates = [float(x) for x in p]
-    cfg = tuple(int(x) for x in xi)
-    if len(cfg) != len(rates):
-        raise ValueError("configuration and rate table sizes differ")
-    if any(x < 0 for x in cfg):
-        raise ValueError("counts must be nonnegative")
-    base = h(cfg)
-    total = 0.0
-    for i, rate in enumerate(rates):
-        up = cfg[:i] + (cfg[i] + 1,) + cfg[i + 1 :]
-        total += rate * (h(up) - base)
-        if cfg[i] > 0:
-            down = cfg[:i] + (cfg[i] - 1,) + cfg[i + 1 :]
-            total += cfg[i] * (h(down) - base)
-    return total
+    return tv_distance(a.size, b.size)

@@ -59,16 +59,87 @@ def enumerate_matching(n: int, word=None) -> np.ndarray:
     return np.array([Fraction(c, total) for c in counts], dtype=float)
 
 
-def enumerate_joint_fixed_succession(n: int) -> dict:
+def enumerate_joint_fixed_succession(n: int) -> np.ndarray:
     """Joint law of (fixed points, cyclic successions) over all n! permutations:
-    counts of i with sigma(i) = i and with sigma(i) = i + 1 mod n."""
-    counts = {}
+    counts of i with sigma(i) = i and with sigma(i) = i + 1 mod n, as an
+    (n + 1) x (n + 1) table."""
+    counts = np.zeros((n + 1, n + 1), dtype=object)
     for sigma in itertools.permutations(range(n)):
         fixed = sum(1 for i in range(n) if sigma[i] == i)
         succ = sum(1 for i in range(n) if sigma[i] == (i + 1) % n)
-        counts[(fixed, succ)] = counts.get((fixed, succ), 0) + 1
+        counts[fixed, succ] += 1
     total = math.factorial(n)
-    return {key: float(Fraction(c, total)) for key, c in counts.items()}
+    return np.array([[float(Fraction(c, total)) for c in row] for row in counts])
+
+
+def enumerate_fixed_point_configurations(n: int) -> dict:
+    """Number of permutations of n letters with each fixed-point indicator
+    configuration, over all n! permutations."""
+    counts = {}
+    for sigma in itertools.permutations(range(n)):
+        cfg = tuple(int(sigma[i] == i) for i in range(n))
+        counts[cfg] = counts.get(cfg, 0) + 1
+    return counts
+
+
+def derangements(m: int) -> int:
+    """Permutations of m letters without fixed points, by inclusion-exclusion."""
+    return sum((-1) ** j * math.comb(m, j) * math.factorial(m - j) for j in range(m + 1))
+
+
+def matching_config_cube(n: int) -> dict:
+    """Fixed-point configuration law on all 2^n configurations: a configuration
+    with s fixed points is reached by the D_{n-s} derangements of the rest."""
+    total = math.factorial(n)
+    return {
+        cfg: float(Fraction(derangements(n - sum(cfg)), total))
+        for cfg in itertools.product((0, 1), repeat=n)
+    }
+
+
+def product_poisson_config_cube(p) -> tuple[dict, float]:
+    """Independent Poisson(p_i) coordinates on all 2^n binary configurations,
+    with the non-binary mass ``1 - sum`` returned beside them."""
+    mass = {}
+    for cfg in itertools.product((0, 1), repeat=len(p)):
+        prob = 1.0
+        for bit, x in zip(cfg, p):
+            prob *= math.exp(-x) * (x if bit else 1.0)
+        mass[cfg] = prob
+    return mass, 1.0 - math.fsum(mass.values())
+
+
+def cube_tv(a: dict, a_tail: float, b: dict, b_tail: float) -> float:
+    """Total variation configuration by configuration, tails added."""
+    keys = set(a) | set(b)
+    l1 = math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+    return 0.5 * (l1 + a_tail + b_tail)
+
+
+def config_generator_apply(h, p, xi) -> float:
+    """Immigration-death generator on count configurations:
+
+        sum_i p_i [h(xi + delta_i) - h(xi)] + sum_i x_i [h(xi - delta_i) - h(xi)]
+
+    ``h`` maps count tuples to reals; births at site i run at rate p_i,
+    deaths at unit rate per particle.  The product Poisson law of rates p is
+    stationary for this dynamics.
+    """
+    rates = [float(x) for x in p]
+    cfg = tuple(int(x) for x in xi)
+    if len(cfg) != len(rates):
+        raise ValueError("configuration and rate table sizes differ")
+    if any(x < 0 for x in cfg):
+        raise ValueError("counts must be nonnegative")
+    base = h(cfg)
+    total = 0.0
+    for i, rate in enumerate(rates):
+        up = cfg[:i] + (cfg[i] + 1,) + cfg[i + 1 :]
+        total += rate * (h(up) - base)
+        if cfg[i] > 0:
+            down = cfg[:i] + (cfg[i] - 1,) + cfg[i + 1 :]
+            total += cfg[i] * (h(down) - base)
+    return total
 
 
 def matching_moment_oracle(n: int, word) -> dict:

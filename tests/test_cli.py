@@ -76,6 +76,13 @@ class TestExactTvCommand:
         out = capsys.readouterr().out
         assert "verdict: pass" in out
 
+    def test_process_matching_at_cap(self, capsys):
+        n = exact_laws.MATCHING_CAP
+        assert run(["exact-tv", "process-matching", "--n", str(n)]) == EXIT_OK
+        out = fields(capsys.readouterr().out)
+        assert out["verdict"] == "pass"
+        assert float(out["exact_tv"]) * n < 0.5  # the bound is 4/n
+
     def test_joint(self, capsys):
         assert run(["exact-tv", "joint-matching-succession", "--n", "6"]) == EXIT_OK
 
@@ -258,8 +265,8 @@ class TestFamilyTable:
         out = fields(capsys.readouterr().out)
         assert out["convention"] == "set_distance"
         assert out["as tv"] == "0.2"
-        # the bound is not limited by the configuration law's cap
-        assert run(["bound", "process-matching", "--n", "100"]) == EXIT_OK
+        # the bound is not limited by the exact law's cap
+        assert run(["bound", "process-matching", "--n", str(exact_laws.MATCHING_CAP + 1)]) == EXIT_OK
 
 
 class TestGeneralizedMatchingPair:
@@ -351,7 +358,10 @@ OVER_CAP = {
         {"n": multivariate.JOINT_CAP + 1},
         lambda: multivariate.joint_fixed_point_succession_pmf(multivariate.JOINT_CAP + 1),
     ),
-    "process-matching": ({"n": 15}, lambda: multivariate.matching_config_law(15)),
+    "process-matching": (
+        {"n": exact_laws.MATCHING_CAP + 1},
+        lambda: multivariate.matching_config_law(exact_laws.MATCHING_CAP + 1),
+    ),
 }
 
 

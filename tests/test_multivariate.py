@@ -7,9 +7,8 @@ import pytest
 from steinpoisson import (
     MatchingSpec,
     SteinParams,
+    Pmf,
     bound_fixed_point_succession,
-    config_count_projection,
-    config_generator_apply,
     joint_fixed_point_succession_pmf,
     joint_marginal,
     joint_tv,
@@ -22,6 +21,7 @@ from steinpoisson import (
     product_poisson_joint,
     tv_distance,
 )
+from steinpoisson.exact_laws import MATCHING_CAP
 from steinpoisson.multivariate import JOINT_CAP, ConfigLaw, JointPmf
 
 import oracles
@@ -31,7 +31,8 @@ class TestJointFixedSuccession:
     def test_two_letters(self):
         # identity has two fixed points; the swap has two cyclic successions
         law = joint_fixed_point_succession_pmf(2)
-        assert law.mass == {(2, 0): 0.5, (0, 2): 0.5}
+        assert law.dim == 2
+        assert np.array_equal(law.mass, [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]])
 
     def test_marginals_match_univariate(self):
         for n in (3, 5, 6, 50):
@@ -53,8 +54,8 @@ class TestJointFixedSuccession:
     def test_equals_enumeration(self):
         for n in range(2, 9):
             brute = oracles.enumerate_joint_fixed_succession(n)
-            # positive floats: equal keys and values means bit for bit
-            assert joint_fixed_point_succession_pmf(n).mass == brute
+            # nonnegative floats: equal values means bit for bit
+            assert np.array_equal(joint_fixed_point_succession_pmf(n).mass, brute)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -78,7 +79,7 @@ class TestProductPoissonJoint:
         joint = product_poisson_joint([1.0, 1.0], truncation_eps=eps)
         assert joint.tail <= 2 * eps
         # exact residual: 1 - product of covered coordinate masses
-        covered = sum(joint.mass.values())
+        covered = joint.mass.sum()
         assert joint.tail == pytest.approx(1.0 - covered, abs=1e-14)
 
 
@@ -98,6 +99,12 @@ class TestJointTv:
         law = joint_fixed_point_succession_pmf(4)
         with pytest.raises(ValueError):
             joint_tv(law, product_poisson_joint([1.0]))
+
+    def test_pads_to_common_box(self):
+        # tables of different shapes compare as if zero-padded
+        a = JointPmf(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        b = JointPmf(np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [0.25, 0.0, 0.0]]))
+        assert joint_tv(a, b) == 0.5
 
     def test_dominates_marginal_tv(self):
         # projecting to one coordinate can only lose information
@@ -140,51 +147,54 @@ class TestMultivariateBounds:
 
 class TestMatchingConfigLaw:
     def test_two_letters(self):
+        # identity (both fixed) or the swap (neither)
         law = matching_config_law(2)
-        assert law.mass[(1, 1)] == pytest.approx(0.5, abs=1e-16)
-        assert law.mass[(0, 0)] == pytest.approx(0.5, abs=1e-16)
-        assert law.mass[(1, 0)] == 0.0
-        assert law.mass[(0, 1)] == 0.0
+        assert law.index_size == 2
+        assert np.array_equal(law.size.mass, [0.5, 0.0, 0.5])
 
     def test_total_mass_one(self):
-        for n in (3, 6, 10):
+        for n in (3, 6, 10, MATCHING_CAP):
             law = matching_config_law(n)
-            assert math.fsum(law.mass.values()) == pytest.approx(1.0, abs=1e-12)
-            assert law.tail == 0.0
+            assert math.fsum(law.size.mass.tolist()) == pytest.approx(1.0, abs=1e-12)
+            assert law.size.tail == 0.0
 
     def test_projection_is_matching_law(self):
         for n in (3, 5, 9):
-            proj = config_count_projection(matching_config_law(n))
+            size = matching_config_law(n).size
             ref = matching_pmf(MatchingSpec(n))
-            assert np.abs(proj.mass - ref.mass).max() < 1e-12
+            assert np.array_equal(size.mass, ref.mass)
 
     def test_against_permutation_enumeration(self):
-        n = 5
-        law = matching_config_law(n)
-        counts = {}
-        for sigma in itertools.permutations(range(n)):
-            cfg = tuple(int(sigma[i] == i) for i in range(n))
-            counts[cfg] = counts.get(cfg, 0) + 1
-        for cfg, cnt in counts.items():
-            assert law.mass[cfg] == pytest.approx(cnt / math.factorial(n), abs=1e-14)
+        # exchangeability, which the by-size form relies on: every
+        # configuration with s fixed points is reached by the same number
+        # of permutations, D_{n-s}, so it carries mass size.mass[s] / C(n, s)
+        for n in range(2, 8):
+            law = matching_config_law(n)
+            counts = oracles.enumerate_fixed_point_configurations(n)
+            by_size = {}
+            for cfg, cnt in counts.items():
+                by_size.setdefault(sum(cfg), set()).add(cnt)
+            for s, cnts in by_size.items():
+                assert cnts == {oracles.derangements(n - s)}
+                per_cfg = law.size.mass[s] / math.comb(n, s)
+                assert per_cfg == pytest.approx(cnts.pop() / math.factorial(n), rel=1e-14)
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            matching_config_law(15)
+            matching_config_law(MATCHING_CAP + 1)
 
 
 class TestProductPoissonConfigLaw:
     def test_all_zeros_mass(self):
-        p = [0.2, 0.3, 0.4]
-        law = product_poisson_config_law(p)
-        assert law.mass[(0, 0, 0)] == pytest.approx(math.exp(-0.9), rel=1e-13)
+        law = product_poisson_config_law([0.3] * 3)
+        assert law.size.mass[0] == pytest.approx(math.exp(-0.9), rel=1e-13)
 
     def test_pair_of_halves(self):
         law = product_poisson_config_law([0.5, 0.5])
-        assert law.mass[(1, 1)] == pytest.approx(math.exp(-1.0) / 4.0, rel=1e-13)
+        assert law.size.mass[2] == pytest.approx(math.exp(-1.0) / 4.0, rel=1e-13)
 
     def test_tail_formula_against_series(self):
-        p = [0.5, 0.25]
+        p = [0.5, 0.5]
         law = product_poisson_config_law(p)
         # direct series: total mass of the product law with any count >= 2,
         # summed far past numerical relevance
@@ -195,9 +205,28 @@ class TestProductPoissonConfigLaw:
             poi(p[0], a) * poi(p[1], b) for a in range(2) for b in range(2)
         )
         series_tail = 1.0 - covered
-        assert law.tail == pytest.approx(series_tail, abs=1e-14)
+        assert law.size.tail == pytest.approx(series_tail, abs=1e-14)
         formula_tail = 1.0 - math.prod(math.exp(-x) * (1 + x) for x in p)
-        assert law.tail == pytest.approx(formula_tail, abs=1e-14)
+        assert law.size.tail == pytest.approx(formula_tail, abs=1e-14)
+
+    def test_by_size_matches_cube(self):
+        for n in (1, 4, 7):
+            law = product_poisson_config_law([0.2] * n)
+            cube, tail = oracles.product_poisson_config_cube([0.2] * n)
+            for s in range(n + 1):
+                in_class = [m for cfg, m in cube.items() if sum(cfg) == s]
+                assert law.size.mass[s] == pytest.approx(math.fsum(in_class), rel=1e-14)
+            assert law.size.tail == pytest.approx(tail, abs=1e-15)
+
+    def test_rejects_unequal_rates(self):
+        with pytest.raises(ValueError, match="equal rates"):
+            product_poisson_config_law([0.5, 0.25])
+        with pytest.raises(ValueError):
+            product_poisson_config_law([])
+        with pytest.raises(ValueError):
+            product_poisson_config_law([0.0, 0.0])
+        with pytest.raises(ValueError, match="overflows"):
+            product_poisson_config_law([1e-3] * 1100)  # C(1100, 550) > 1.8e308
 
 
 class TestProcessTv:
@@ -216,29 +245,30 @@ class TestProcessTv:
         with pytest.raises(ValueError):
             process_tv(matching_config_law(3), matching_config_law(4))
 
+    def test_equals_cube_total_variation(self):
+        # the by-size distance is the distance over all 2^n configurations
+        for n in range(2, 13):
+            ref = product_poisson_config_law([1 / n] * n)
+            cube, tail = oracles.product_poisson_config_cube([1 / n] * n)
+            brute = oracles.cube_tv(oracles.matching_config_cube(n), 0.0, cube, tail)
+            assert process_tv(matching_config_law(n), ref) == pytest.approx(brute, abs=1e-15)
+
     def test_dominates_count_projection(self):
+        # the size law is the count projection; against the full Poisson
+        # count law the binary restriction's tail is what differs
         for n in (4, 8):
             config = matching_config_law(n)
             ref = product_poisson_config_law([1 / n] * n)
             proc = process_tv(config, ref)
-            proj_tv = tv_distance(
-                config_count_projection(config), config_count_projection(ref)
-            )
             uni = tv_distance(matching_pmf(MatchingSpec(n)), poisson_pmf(SteinParams(1.0)))
-            assert proc >= proj_tv - 1e-12
-            assert proj_tv >= uni - 2e-3  # projections differ by tail handling only
+            assert proc == tv_distance(config.size, ref.size)
+            assert proc >= uni - 2e-3
 
     def test_data_processing_inequalities(self):
-        # two genuine projections: configuration -> count, joint -> marginal.
-        # (the succession count is not a function of the fixed-point
-        # configuration, so no inequality links process TV and joint TV;
-        # at n = 6 they actually order as 0.0738 < 0.0752)
-        for n in (4, 6, 9):
-            config = matching_config_law(n)
-            ref = product_poisson_config_law([1 / n] * n)
-            assert process_tv(config, ref) >= tv_distance(
-                config_count_projection(config), config_count_projection(ref)
-            ) - 1e-12
+        # a genuine projection: joint -> marginal.  (The succession count
+        # is not a function of the fixed-point configuration, so no
+        # inequality links process TV and joint TV; at n = 6 they order as
+        # 0.0738 < 0.0752.)
         for n in (4, 6, 8):
             joint = joint_fixed_point_succession_pmf(n)
             ref2 = product_poisson_joint([1.0, 1.0])
@@ -254,12 +284,12 @@ class TestConfigGenerator:
         def h(cfg):
             return float(sum(cfg) ** 2)
 
-        value = config_generator_apply(h, p, (0, 0))
+        value = oracles.config_generator_apply(h, p, (0, 0))
         expected = sum(pi * (h((1, 0)) - h((0, 0))) for pi in p)
         assert value == pytest.approx(expected, abs=1e-14)
 
     def test_constant_function(self):
-        assert config_generator_apply(lambda cfg: 3.0, [0.3, 0.7], (2, 1)) == 0.0
+        assert oracles.config_generator_apply(lambda cfg: 3.0, [0.3, 0.7], (2, 1)) == 0.0
 
     def test_death_term(self):
         p = [0.4]
@@ -268,7 +298,7 @@ class TestConfigGenerator:
             return float(cfg[0])
 
         # births at rate p, deaths at unit rate per particle
-        assert config_generator_apply(h, p, (3,)) == pytest.approx(0.4 - 3.0, abs=1e-14)
+        assert oracles.config_generator_apply(h, p, (3,)) == pytest.approx(0.4 - 3.0, abs=1e-14)
 
     def test_stationarity_of_product_poisson(self):
         rng = np.random.default_rng(44)
@@ -289,14 +319,14 @@ class TestConfigGenerator:
                 return float(table[min(cfg[0], cap + 1), min(cfg[1], cap + 1), min(cfg[2], cap + 1)])
 
             mean = math.fsum(
-                weights[cfg] * config_generator_apply(h, p, cfg) for cfg in grid
+                weights[cfg] * oracles.config_generator_apply(h, p, cfg) for cfg in grid
             )
             delta = 2.0 * np.abs(table).max()
             assert abs(mean) <= 10.0 * tail * delta
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
-            config_generator_apply(lambda cfg: 0.0, [0.5], (-1,))
+            oracles.config_generator_apply(lambda cfg: 0.0, [0.5], (-1,))
 
     def test_stationary_residual_decays_with_truncation(self):
         # E[T h] over the truncated product law shrinks as the cap grows
@@ -315,7 +345,7 @@ class TestConfigGenerator:
                 w = 1.0
                 for x, lam in zip(cfg, p):
                     w *= math.exp(-lam) * lam**x / math.factorial(x)
-                mean += w * config_generator_apply(h, p, cfg)
+                mean += w * oracles.config_generator_apply(h, p, cfg)
             residuals.append(abs(mean))
         assert residuals == sorted(residuals, reverse=True)
         assert residuals[-1] < 1e-6
@@ -324,14 +354,15 @@ class TestConfigGenerator:
 class TestLawValidation:
     def test_joint_pmf_invariants(self):
         with pytest.raises(ValueError):
-            JointPmf(dim=2, mass={(0, 0): 0.5})  # mass deficit
+            JointPmf(np.array([[0.5, 0.0]]))  # mass deficit
         with pytest.raises(ValueError):
-            JointPmf(dim=2, mass={(0,): 1.0})  # wrong arity
+            JointPmf(np.array(1.0))  # no coordinate
         with pytest.raises(ValueError):
-            JointPmf(dim=1, mass={(-1,): 1.0})  # negative support
+            JointPmf(np.array([[1.5, -0.5]]))  # negative mass
+        assert JointPmf(np.array([[0.25, 0.25], [0.25, 0.0]]), tail=0.25).dim == 2
 
     def test_config_law_invariants(self):
         with pytest.raises(ValueError):
-            ConfigLaw(index_size=2, mass={(0, 2): 1.0})  # non-binary
+            ConfigLaw(2, Pmf(np.array([0.0, 0.0, 0.0, 1.0])))  # size past the index set
         with pytest.raises(ValueError):
-            ConfigLaw(index_size=2, mass={(0, 1): 0.9})  # deficit
+            ConfigLaw(2, Pmf(np.array([0.0, 0.9])))  # deficit
