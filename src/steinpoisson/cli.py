@@ -463,12 +463,16 @@ def _open_out(path: str | None):
 
 class RecordWriter:
     """Streams CSV rows as they arrive (so an interrupt keeps partial
-    results); JSON is buffered and dumped whole, including on interrupt."""
+    results); JSON is buffered and dumped whole, including on interrupt.
+    Only JSON keeps the records; both count the records written and the
+    failed verdicts as they arrive."""
 
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
         self.records: list[CertRecord] = []
+        self.written = 0
+        self.failed = 0
         if fmt == "csv":
             out.write(f"# schema={SCHEMA_VERSION}\n")
             self._csv = csv.writer(out, lineterminator="\n")
@@ -476,10 +480,13 @@ class RecordWriter:
             out.flush()
 
     def write(self, rec: CertRecord) -> None:
-        self.records.append(rec)
+        self.written += 1
+        self.failed += rec.verdict != "pass"
         if self.fmt == "csv":
             self._csv.writerow(rec.row())
             self.out.flush()
+        else:
+            self.records.append(rec)
 
     def finish(self) -> None:
         if self.fmt == "json":
@@ -611,9 +618,8 @@ def cmd_sweep(args) -> int:
     finally:
         if close:
             out.close()
-    failures = sum(1 for rec in writer.records if rec.verdict != "pass")
-    if failures:
-        print(f"{failures}/{len(writer.records)} dominance verdicts FAILED", file=sys.stderr)
+    if writer.failed:
+        print(f"{writer.failed}/{writer.written} dominance verdicts FAILED", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 

@@ -10,7 +10,9 @@ large instances are certified statistically.
 Every family is one private record (:class:`_PairFamily`) that writes W,
 the step observables, the (up, down) formula, the stationary draw and the
 move once, over an array holding one state per row, next to an enumeration
-oracle.  The scalar API applies those batch functions to one row.
+oracle whose stationary law and kernel are integer weights over one integer
+denominator each, so the exact checks compare Python ints.  The scalar API
+applies those batch functions to one row.
 
 Seeding contract: samplers take a ``numpy.random.Generator``.  Reproducible
 runs derive sub-streams from a 64-bit master seed by a counter scheme,
@@ -20,6 +22,7 @@ streams.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -64,9 +67,13 @@ PROBLEMS = ("poisson_binomial", "matching", "birthday_pairs", "birthday_triples"
 #: enumeration caps (states / kernel transitions) for the exact checks
 ENUM_STATE_CAP = 400_000
 ENUM_TRANSITION_CAP = 30_000_000
-#: tighter caps for the exact-rational joint-measure (exchangeability) check
+#: state cap of the joint-measure (exchangeability) check, which holds one
+#: integer weight per kernel transition in a dict keyed by state-index pairs
 JOINT_STATE_CAP = 20_000
 _MC_CHUNK = 8192
+#: observable-table entries per batch evaluation of W over enumerated states
+#: and their successors (rows times ``_PairFamily.cells``)
+_ENUM_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +222,10 @@ class _PairFamily:
     observable table.
 
     The enumeration oracle shares no code with them: ``size`` (states,
-    kernel transitions), ``iter_states`` (state tuples), and ``prob`` and
-    ``kernel`` (stationary probability, (probability, next state) pairs) in
-    exact Fractions.
+    kernel transitions), ``iter_states`` (state tuples), ``denominators``
+    (D_P, D_K), and ``prob`` and ``kernel`` in integer weights: a state has
+    stationary probability ``prob / D_P`` and ``kernel`` yields (weight,
+    next state) pairs, each of probability ``weight / D_K``.
     """
 
     def cells(self, model):
@@ -229,8 +237,8 @@ class _PairFamily:
         up, down, w = _predict(self, model, states)
         return up, down, self.move(model, states, rng)[2], w
 
-    def prob(self, model, state):  # uniform stationary law
-        return Fraction(1, self.size(model)[0])
+    def prob(self, model, state):  # uniform stationary law over D_P states
+        return 1
 
 
 class _Bernoulli(_PairFamily):
@@ -268,20 +276,29 @@ class _Bernoulli(_PairFamily):
     def iter_states(self, model):
         return itertools.product((0, 1), repeat=model.n)
 
+    def denominators(self, model):
+        scale = _numerators(model.p)[0]
+        return scale**model.n, model.n * scale
+
     def prob(self, model, state):
-        prob = Fraction(1)
-        for x, pi in zip(state, model.p):
-            f = Fraction(pi)
-            prob *= f if x else 1 - f
-        return prob
+        scale, a = _numerators(model.p)
+        return math.prod(ai if x else scale - ai for x, ai in zip(state, a))
 
     def kernel(self, model, state):
-        base = Fraction(1, model.n)
-        for i in range(model.n):
-            pi = Fraction(model.p[i])
-            for eps, pr in ((1, pi), (0, 1 - pi)):
-                if pr != 0:
-                    yield base * pr, state[:i] + (eps,) + state[i + 1 :]
+        scale, a = _numerators(model.p)
+        for i, ai in enumerate(a):
+            for eps, weight in ((1, ai), (0, scale - ai)):
+                if weight:
+                    yield weight, state[:i] + (eps,) + state[i + 1 :]
+
+
+@functools.lru_cache(maxsize=8)
+def _numerators(p: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
+    """(L, a) with p_i = a_i / L exactly: L is the lcm of the denominators of
+    the p_i (those of 1 - p_i are the same), and 1 - p_i = (L - a_i) / L."""
+    exact = [Fraction(pi) for pi in p]
+    scale = math.lcm(*(f.denominator for f in exact))
+    return scale, tuple(f.numerator * (scale // f.denominator) for f in exact)
 
 
 class _PlainMatching(_PairFamily):
@@ -328,13 +345,15 @@ class _PlainMatching(_PairFamily):
     def iter_states(self, model):
         return itertools.permutations(range(model.n))
 
+    def denominators(self, model):
+        return math.factorial(model.n), math.comb(model.n, 2)
+
     def kernel(self, model, state):
-        pr = Fraction(1, math.comb(model.n, 2))
         for i in range(model.n):
             for j in range(i + 1, model.n):
                 nxt = list(state)
                 nxt[i], nxt[j] = nxt[j], nxt[i]
-                yield pr, tuple(nxt)
+                yield 1, tuple(nxt)
 
 
 class _MultisetMatching(_PlainMatching):
@@ -461,11 +480,13 @@ class _Boxes(_PairFamily):
     def iter_states(self, model):
         return itertools.product(range(model.n), repeat=model.k)
 
+    def denominators(self, model):
+        return model.n**model.k, model.k * model.n
+
     def kernel(self, model, state):
-        pr = Fraction(1, model.k * model.n)
         for ball in range(model.k):
             for box in range(model.n):
-                yield pr, state[:ball] + (box,) + state[ball + 1 :]
+                yield 1, state[:ball] + (box,) + state[ball + 1 :]
 
 
 class _BirthdayPairs(_Boxes):
@@ -597,10 +618,12 @@ def is_enumerable(model: PairModel) -> bool:
     return states <= ENUM_STATE_CAP and transitions <= ENUM_TRANSITION_CAP
 
 
-def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
-    """Enumerate the stationary law and the exact one-step conditionals.
+def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
+    """The enumerated states, one per row, and their pair measure.
 
-    Raises for instances over the enumeration caps.
+    Each conditional sums the integer kernel weights of the moves that step
+    W up or down by one and divides the sum once by D_K.  W is evaluated
+    over a block of states and all their successors at once.
     """
     states_n, transitions = enumeration_size(model)
     if not is_enumerable(model):
@@ -610,31 +633,51 @@ def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
             f"(caps {ENUM_STATE_CAP:.0e} / {ENUM_TRANSITION_CAP:.0e})"
         )
     fam = _family(model)
+    d_p, d_k = fam.denominators(model)
+    states = list(fam.iter_states(model))
+    block = max(1, _ENUM_ENTRIES // ((1 + transitions // states_n) * fam.cells(model)))
     probs, w_vals, q_up, q_down = [], [], [], []
-    for state in fam.iter_states(model):
-        moves = list(fam.kernel(model, state))
-        w, *w_next = fam.w(model, np.array([state] + [nxt for _, nxt in moves])).tolist()
-        up = down = 0.0
-        for (pr, _), wn in zip(moves, w_next):
-            if wn == w + 1:
-                up += float(pr)
-            elif wn == w - 1:
-                down += float(pr)
-        probs.append(float(fam.prob(model, state)))
-        w_vals.append(w)
-        q_up.append(up)
-        q_down.append(down)
-    return EnumeratedPairMeasure(
+    for start in range(0, states_n, block):
+        chunk = states[start : start + block]
+        rows, weights, ends = list(chunk), [], []
+        for state in chunk:
+            for weight, nxt in fam.kernel(model, state):
+                rows.append(nxt)
+                weights.append(weight)
+            ends.append(len(weights))
+        w_all = fam.w(model, np.array(rows)).tolist()
+        w_next = w_all[len(chunk) :]  # the successors of each state, in order
+        begin = 0
+        for state, w, end in zip(chunk, w_all, ends):
+            up = down = 0
+            for weight, wn in zip(weights[begin:end], w_next[begin:end]):
+                if wn == w + 1:
+                    up += weight
+                elif wn == w - 1:
+                    down += weight
+            begin = end
+            probs.append(fam.prob(model, state) / d_p)
+            w_vals.append(w)
+            q_up.append(up / d_k)
+            q_down.append(down / d_k)
+    measure = EnumeratedPairMeasure(
         probs=np.array(probs), w=np.array(w_vals), q_up=np.array(q_up), q_down=np.array(q_down)
     )
+    return np.array(states), measure
 
 
-def exact_joint_measure(model: PairModel):
-    """Exact-rational joint pair measure Q(state, state') on a small instance.
+def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
+    """Enumerate the stationary law and the exact one-step conditionals.
 
-    Returns (states, probs, q) with ``q`` a sparse dict keyed by state-index
-    pairs; all values are Fractions, so symmetry and margin checks are exact.
+    Raises for instances over the enumeration caps.
     """
+    return _enumerate(model)[1]
+
+
+def _joint_weights(model: PairModel):
+    """(states, a, q): the stationary weights a_i over D_P and the joint pair
+    measure q(i, j) = a_i * (kernel weight of i -> j) over D_P * D_K, all
+    Python ints, with ``q`` a sparse dict keyed by state-index pairs."""
     states_n, _ = enumeration_size(model)
     if states_n > JOINT_STATE_CAP:
         raise ValueError(
@@ -644,13 +687,26 @@ def exact_joint_measure(model: PairModel):
     fam = _family(model)
     states = list(fam.iter_states(model))
     index = {s: i for i, s in enumerate(states)}
-    probs = [fam.prob(model, s) for s in states]
-    q: dict[tuple[int, int], Fraction] = {}
-    for i, state in enumerate(states):
-        for pr, nxt in fam.kernel(model, state):
+    weights = [fam.prob(model, s) for s in states]
+    q: dict[tuple[int, int], int] = {}
+    for i, (state, a) in enumerate(zip(states, weights)):
+        for weight, nxt in fam.kernel(model, state):
             key = (i, index[nxt])
-            q[key] = q.get(key, Fraction(0)) + probs[i] * pr
-    return states, probs, q
+            q[key] = q.get(key, 0) + a * weight
+    return states, weights, q
+
+
+def exact_joint_measure(model: PairModel):
+    """Exact-rational joint pair measure Q(state, state') on a small instance.
+
+    Returns (states, probs, q) with ``q`` a sparse dict keyed by state-index
+    pairs; all values are Fractions, each built once from the integer
+    weights of the enumeration.
+    """
+    states, weights, q = _joint_weights(model)
+    d_p, d_k = _family(model).denominators(model)
+    probs = [Fraction(a, d_p) for a in weights]
+    return states, probs, {key: Fraction(val, d_p * d_k) for key, val in q.items()}
 
 
 @dataclass(frozen=True)
@@ -662,13 +718,15 @@ class ExchangeabilityReport:
 
 def verify_exchangeability(model: PairModel) -> ExchangeabilityReport:
     """Exact check that the joint pair measure is symmetric with the
-    stationary margins."""
-    states, probs, q = exact_joint_measure(model)
-    symmetric = all(q.get((j, i), Fraction(0)) == val for (i, j), val in q.items())
-    margins = [Fraction(0)] * len(states)
+    stationary margins, in integers: q(i, j) == q(j, i), and each row sums
+    to a_i * D_K, i.e. the kernel's weights from every state sum to D_K."""
+    states, weights, q = _joint_weights(model)
+    d_k = _family(model).denominators(model)[1]
+    symmetric = all(q.get((j, i), 0) == val for (i, j), val in q.items())
+    margins = [0] * len(states)
     for (i, _), val in q.items():
         margins[i] += val
-    margins_ok = margins == probs
+    margins_ok = all(m == a * d_k for m, a in zip(margins, weights))
     return ExchangeabilityReport(states=len(states), symmetric=symmetric, margins_ok=margins_ok)
 
 
@@ -723,9 +781,8 @@ def verify_step_probs(
     if trials is None:
         if not is_enumerable(model):
             raise ValueError("instance too large to enumerate; pass trials for Monte Carlo")
-        fam = _family(model)
-        measure = enumerate_pair_measure(model)
-        up, down, _ = _predict(fam, model, np.array(list(fam.iter_states(model))))
+        states, measure = _enumerate(model)
+        up, down, _ = _predict(_family(model), model, states)
         up_dev = float(np.abs(up + bias[0] - measure.q_up).max())
         down_dev = float(np.abs(down + bias[1] - measure.q_down).max())
         balance = abs(math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist()))
@@ -760,13 +817,17 @@ def verify_step_probs(
 
 
 def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized i.i.d. draws of the statistic W."""
+    """Vectorized i.i.d. draws of the statistic W: stationary states a chunk
+    at a time, W evaluated a block of rows at a time (no step observables
+    and no move)."""
+    fam = _family(model)
     out = np.empty(size, dtype=np.int64)
     done = 0
     while done < size:
         chunk = min(_MC_CHUNK, size - done)
-        _, _, _, w = _mc_arrays(model, chunk, rng)
-        out[done : done + chunk] = w
+        states = fam.draw(model, chunk, rng)
+        blocks = _blocks(fam, model, states)
+        out[done : done + chunk] = np.concatenate([fam.w(model, states[rows]) for rows in blocks])
         done += chunk
     return out
 

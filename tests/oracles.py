@@ -320,3 +320,78 @@ def coupon_oracle(n: int, k: int) -> dict:
         "var_n1": float(var),
         "p_single": float(Fraction(en1, total)) / n,
     }
+
+
+def pair_chain_fractions(model):
+    """The state chain of an exchangeable-pair model in exact Fractions:
+    (states, prob, kernel) with ``prob(state)`` the stationary probability
+    and ``kernel(state)`` yielding (probability, next state) pairs.
+
+    Independent indicators resample one uniform coordinate; permutations
+    (plain and multiset matching) compose with a uniform transposition; box
+    assignments send one uniform ball to a uniform box.
+    """
+    n = model.n
+    if model.problem == "poisson_binomial":
+        p = [Fraction(x) for x in model.p]
+
+        def prob(state):
+            out = Fraction(1)
+            for x, pi in zip(state, p):
+                out *= pi if x else 1 - pi
+            return out
+
+        def kernel(state):
+            for i in range(n):
+                for eps, pr in ((1, p[i]), (0, 1 - p[i])):
+                    if pr != 0:
+                        yield Fraction(1, n) * pr, state[:i] + (eps,) + state[i + 1 :]
+
+        return list(itertools.product((0, 1), repeat=n)), prob, kernel
+    if model.problem == "matching":
+        states = list(itertools.permutations(range(n)))
+        pr = Fraction(1, math.comb(n, 2))
+
+        def kernel(state):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    nxt = list(state)
+                    nxt[i], nxt[j] = nxt[j], nxt[i]
+                    yield pr, tuple(nxt)
+
+        return states, lambda state: Fraction(1, len(states)), kernel
+    k = model.k
+    states = list(itertools.product(range(n), repeat=k))
+    pr = Fraction(1, k * n)
+
+    def kernel(state):
+        for ball in range(k):
+            for box in range(n):
+                yield pr, state[:ball] + (box,) + state[ball + 1 :]
+
+    return states, lambda state: Fraction(1, len(states)), kernel
+
+
+def pair_joint_measure_fractions(model):
+    """Joint pair measure Q(state, state') by enumeration in Fractions:
+    (states, probs, q) with ``q`` a sparse dict keyed by state-index pairs."""
+    states, prob, kernel = pair_chain_fractions(model)
+    index = {s: i for i, s in enumerate(states)}
+    probs = [prob(s) for s in states]
+    q = {}
+    for i, state in enumerate(states):
+        for pr, nxt in kernel(state):
+            key = (i, index[nxt])
+            q[key] = q.get(key, Fraction(0)) + probs[i] * pr
+    return states, probs, q
+
+
+def pair_exchangeability_fractions(model) -> tuple[int, bool, bool]:
+    """(states, symmetric, margins_ok) of the joint pair measure: Q equals
+    its transpose, and each row of Q sums to the stationary probability."""
+    states, probs, q = pair_joint_measure_fractions(model)
+    symmetric = all(q.get((j, i), Fraction(0)) == val for (i, j), val in q.items())
+    margins = [Fraction(0)] * len(states)
+    for (i, _), val in q.items():
+        margins[i] += val
+    return len(states), symmetric, margins == probs

@@ -171,6 +171,33 @@ class TestSweepCommand:
             # seconds is the only timing field and the only expected difference
             assert [rec[col] for col in CSV_COLUMNS[:-1]] == row[:-1]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_verdicts_counted_as_they_stream(self, tmp_path, monkeypatch, capsys, fmt):
+        import steinpoisson.cli as cli_mod
+
+        real = cli_mod.compute_record
+        kept = []
+
+        def every_third_fails(problem, params, bound_kind="default"):
+            rec = real(problem, params, bound_kind)
+            if params["n"] % 3 == 0:
+                rec.verdict = "fail"
+            return rec
+
+        def write(self, rec):
+            real_write(self, rec)
+            kept.append(len(self.records))
+
+        real_write = cli_mod.RecordWriter.write
+        monkeypatch.setattr(cli_mod, "compute_record", every_third_fails)
+        monkeypatch.setattr(cli_mod.RecordWriter, "write", write)
+        argv = ["sweep", "matching", "--n", "4..12", "--format", fmt,
+                "--out", str(tmp_path / f"r.{fmt}")]
+        assert run(argv) == EXIT_FAIL
+        assert capsys.readouterr().err == "3/9 dominance verdicts FAILED\n"
+        # only JSON, which is dumped whole at the end, holds the records
+        assert kept == (list(range(1, 10)) if fmt == "json" else [0] * 9)
+
     def test_coupling_bound_sweep(self, tmp_path):
         out = tmp_path / "c.csv"
         # negative values need the --flag=value form (argparse limitation)
@@ -219,6 +246,17 @@ class TestMcTvCommand:
         out = capsys.readouterr().out
         assert "mc_tv:" in out
         assert "verdict: pass" in out
+
+    def test_same_seed_same_output(self, capsys):
+        argv = ["mc-tv", "birthday-pairs", "--n", "200", "--k", "20", "--trials", "20000",
+                "--seed", "4"]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == EXIT_OK
+            outs.append([line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("seconds:")])
+        assert outs[0] == outs[1]
+        assert any(line.startswith("mc_tv: 0.") for line in outs[0])
 
 
 #: one small point per family, as flags

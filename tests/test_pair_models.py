@@ -4,13 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from steinpoisson import (
     MatchingSpec,
+    OccupancySpec,
     SteinParams,
     matching_pmf,
+    occupancy_pmf,
+    poisson_binomial_pmf,
     poisson_pmf,
     tv_distance,
 )
+from steinpoisson import pair_models
 from steinpoisson.pair_models import (
     BernoulliStats,
     _mc_arrays,
@@ -20,6 +25,7 @@ from steinpoisson.pair_models import (
     birthday_triples_model,
     coupon_model,
     enumerate_pair_measure,
+    exact_joint_measure,
     is_enumerable,
     matching_model,
     mc_tv_estimate,
@@ -179,6 +185,15 @@ ENUMERABLE_CASES = [
     ("coupon_32", lambda: coupon_model(3, 2)),
 ]
 
+SYMMETRIC_PAIR_CASES = [
+    lambda: matching_model(4),
+    lambda: poisson_binomial_model([0.3, 0.9, 0.44, 0.18, 0.7, 0.05, 0.99, 0.5, 0.2, 0.6]),
+    lambda: birthday_pairs_model(3, 2),
+    lambda: birthday_triples_model(3, 4),
+    lambda: coupon_model(4, 3),
+    lambda: matching_model(4, (2, 2)),
+]
+
 
 class TestExactVerification:
     @pytest.mark.parametrize("name,factory", ENUMERABLE_CASES)
@@ -189,20 +204,62 @@ class TestExactVerification:
         assert report.balance_dev <= 1e-12, (name, report)
         assert report.passed
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: matching_model(4),
-            lambda: poisson_binomial_model([0.3, 0.9, 0.44, 0.18, 0.7, 0.05, 0.99, 0.5, 0.2, 0.6]),
-            lambda: birthday_pairs_model(3, 2),
-            lambda: birthday_triples_model(3, 4),
-            lambda: coupon_model(4, 3),
-            lambda: matching_model(4, (2, 2)),
-        ],
-    )
+    @pytest.mark.parametrize("factory", SYMMETRIC_PAIR_CASES)
     def test_joint_measure_symmetric_with_margins(self, factory):
         report = verify_exchangeability(factory())
         assert report.symmetric
+        assert report.margins_ok
+
+    @pytest.mark.parametrize(
+        "factory", [factory for _, factory in ENUMERABLE_CASES] + SYMMETRIC_PAIR_CASES
+    )
+    def test_integer_check_matches_fraction_oracle(self, factory):
+        # the integer-weight check against the exact-rational enumeration
+        # that shares no code with it
+        model = factory()
+        report = verify_exchangeability(model)
+        expected = oracles.pair_exchangeability_fractions(model)
+        assert (report.states, report.symmetric, report.margins_ok) == expected
+        assert exact_joint_measure(model) == oracles.pair_joint_measure_fractions(model)
+
+    def test_kernel_missing_moves_is_asymmetric(self, monkeypatch):
+        # no ball ever moves into box 0: leaving box 0 has no reverse move
+        def no_box_zero(model, state):
+            for ball in range(model.k):
+                for box in range(1, model.n):
+                    yield 1, state[:ball] + (box,) + state[ball + 1 :]
+
+        monkeypatch.setattr(pair_models._FAMILIES["birthday_pairs"], "kernel", no_box_zero)
+        report = verify_exchangeability(birthday_pairs_model(3, 2))
+        assert not report.symmetric
+
+    def test_kernel_extra_weight_breaks_margins(self, monkeypatch):
+        # one more self-loop weight: still symmetric, but each row sums to D_K + 1
+        fam = pair_models._FAMILIES["coupon"]
+        kernel = fam.kernel
+
+        def extra_weight(model, state):
+            yield from kernel(model, state)
+            yield 1, state
+
+        monkeypatch.setattr(fam, "kernel", extra_weight)
+        report = verify_exchangeability(coupon_model(3, 2))
+        assert report.symmetric
+        assert not report.margins_ok
+
+    def test_kernel_with_wrong_weights_is_asymmetric(self, monkeypatch):
+        # p = (1/4, 1/2) gives D_K = 2 * 4; resampling coordinate 0 with p_0
+        # and 1 - p_0 swapped keeps every row summing to D_K, but the move no
+        # longer preserves the stationary law
+        def swapped(model, state):
+            yield 3, (1,) + state[1:]
+            yield 1, (0,) + state[1:]
+            yield 2, state[:1] + (1,)
+            yield 2, state[:1] + (0,)
+
+        monkeypatch.setattr(pair_models._FAMILIES["poisson_binomial"], "kernel", swapped)
+        report = verify_exchangeability(poisson_binomial_model([0.25, 0.5]))
+        assert not report.symmetric
         assert report.margins_ok
 
     def test_up_down_rates_balance(self):
@@ -211,6 +268,16 @@ class TestExactVerification:
             up = float(np.dot(measure.probs, measure.q_up))
             down = float(np.dot(measure.probs, measure.q_down))
             assert abs(up - down) <= 1e-13
+
+    @pytest.mark.parametrize("name,factory", ENUMERABLE_CASES)
+    def test_enumeration_blocks_do_not_change_the_measure(self, name, factory, monkeypatch):
+        # one state (and its successors) per evaluation of W
+        model = factory()
+        whole = enumerate_pair_measure(model)
+        monkeypatch.setattr(pair_models, "_ENUM_ENTRIES", 1)
+        blocked = enumerate_pair_measure(model)
+        for field in ("probs", "w", "q_up", "q_down"):
+            assert np.array_equal(getattr(whole, field), getattr(blocked, field)), (name, field)
 
     def test_rejects_non_enumerable(self):
         with pytest.raises(ValueError, match="enumerable"):
@@ -310,6 +377,31 @@ class TestSampleStatistics:
         law = matching_pmf(MatchingSpec(4, (2, 2)))
         emp = np.bincount(w, minlength=law.mass.size) / w.size
         assert np.abs(emp[: law.mass.size] - law.mass).max() < 0.02
+
+    @pytest.mark.parametrize(
+        "model,law",
+        [
+            (birthday_pairs_model(20, 8), lambda: occupancy_pmf(OccupancySpec(20, 8, "pairs"))),
+            (birthday_triples_model(6, 8), lambda: occupancy_pmf(OccupancySpec(6, 8, "triples"))),
+            (coupon_model(6, 10), lambda: occupancy_pmf(OccupancySpec(6, 10, "empty"))),
+            (poisson_binomial_model([0.1, 0.5, 0.9, 0.3, 0.7]),
+             lambda: poisson_binomial_pmf([0.1, 0.5, 0.9, 0.3, 0.7])),
+        ],
+    )
+    def test_boxes_and_bernoulli_statistics(self, model, law):
+        w = sample_statistics(model, 60_000, substream(23, 0))
+        law = law()
+        emp = np.bincount(w, minlength=law.mass.size) / w.size
+        assert emp.size == law.mass.size
+        assert np.abs(emp - law.mass).max() < 0.01
+
+    def test_boxes_w_of_the_stationary_draws(self):
+        # 300 rows of 60 balls in 2000 boxes are evaluated in blocks of 9
+        # rows; W must be the statistic of each drawn row, in order
+        model, rows = birthday_pairs_model(2000, 60), 300
+        w = sample_statistics(model, rows, substream(24, 0))
+        states = substream(24, 0).integers(0, model.n, (rows, model.k))
+        assert w.tolist() == [statistic(model, state) for state in states]
 
 
 class TestMcTvEstimate:
