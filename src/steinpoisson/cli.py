@@ -499,13 +499,6 @@ class RecordWriter:
             self.out.flush()
 
 
-def write_records(records, fmt: str, out) -> None:
-    writer = RecordWriter(fmt, out)
-    for rec in records:
-        writer.write(rec)
-    writer.finish()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

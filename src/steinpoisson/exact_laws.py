@@ -4,8 +4,9 @@ Every law here is ground truth.  Inclusion-exclusion, rencontres and rook
 polynomials give exact integer counts; the counts are checked to sum to the
 exact total and each is divided by it once, a correctly rounded int/int
 division, so every probability is the double nearest the exact rational.
-Very large empty-box instances use high-precision arithmetic with a rigorous
-truncation certificate instead.
+Sparse empty-box instances too large for exact integers take the same
+inclusion-exclusion truncated after its first terms, in ``decimal`` arithmetic
+with a rigorous truncation and rounding certificate.
 The additive occupancy and coloring statistics share one allocation engine:
 a group of cells holds, for every item count m, the law of its statistic
 given m items; two groups join by splitting the items binomially between
@@ -17,10 +18,10 @@ functions are the quantities they certify.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .stein_core import Pmf
@@ -53,7 +54,9 @@ DP_STATE_CAP = 100_000_000
 #: exact-integer empty-box path: max boxes and max digits of n^k
 EMPTY_EXACT_BOX_CAP = 400
 EMPTY_EXACT_DIGIT_CAP = 20_000
-#: certified high-precision empty-box path requires n*exp(-k/n) below this
+#: the certified empty-box path (truncated inclusion-exclusion in decimal)
+#: requires n*exp(-k/n) at most this, which keeps it under 400 terms of at
+#: most ~85 digits
 EMPTY_CERTIFIED_RATIO_CAP = 50.0
 
 #: contribution ``f(c, level)`` of a box holding ``c`` balls to each additive
@@ -536,25 +539,47 @@ def _empty_boxes_counts(n: int, k: int) -> np.ndarray:
     return _hits_exactly([c * (n - j) ** k for j, c in enumerate(_binomial_row(n))])
 
 
+def _empty_exact_fits(n: int, k: int) -> bool:
+    """Whether the exact-integer empty-box path takes n boxes and k balls."""
+    return n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP
+
+
 def _empty_boxes_mass_exact(n: int, k: int) -> np.ndarray:
     """Law of the empty-box count: exact integer counts, each divided once by
     ``n**k`` with correct rounding."""
     return _divided_once(_empty_boxes_counts(n, k), n**k)
 
 
-#: truncation budget of each certified empty-box mass
+#: truncation budget of each certified empty-box mass, and of the total mass
+#: the certified path drops past its last term
 _CERTIFIED_TRUNCATION = 1e-30
 
 
 def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
-    """Empty-box law by truncated inclusion-exclusion in 60-digit arithmetic.
+    """Empty-box law by inclusion-exclusion truncated after its first terms.
 
-    Valid in the sparse regime ``r0 = n*exp(-k/n) <= EMPTY_CERTIFIED_RATIO_CAP``
-    where the alternating terms decay at rate ``r0/(j+1)``; each truncation
-    remainder is bounded geometrically and kept below ``_CERTIFIED_TRUNCATION
-    = 1e-30``, far inside the 1e-12 budget the Pmf invariant allows.  A mass
-    that comes out negative is set to 0 only when it lies within that budget;
-    anything more negative raises ValueError.
+    ``S_j = C(n, j) (1 - j/n)^k`` is the "at least j empty" mass (``E C(W, j)``),
+    and ``S_j <= r0^j / j!`` with ``r0 = n exp(-k/n)``.  The masses come from
+    ``S_0..S_J`` by the exact path's :func:`_hits_exactly`, where J is the
+    first index with ``2^(J+1) S_(J+1) <= _CERTIFIED_TRUNCATION``.
+
+    Truncation: by Bonferroni's inequalities the partial sums of
+    ``P(W = w) = sum_j (-1)^(j-w) C(j, w) S_j`` bracket the mass, so cutting
+    after J moves mass w by at most ``C(J+1, w) S_(J+1) <= 2^(J+1) S_(J+1)``;
+    the masses past J are dropped and total ``P(W > J) <= S_(J+1)``.
+
+    Rounding: everything runs in ``decimal`` at ``p = ceil(2 r0 log10 e) + 40``
+    digits, unit roundoff ``u = 10^(1-p) / 2 <= e^(-2 r0) 10^-39 / 2``.  Each
+    ``S_j`` carries a few roundings: two powers of exact integers (each within
+    about an ulp), a quotient and a product; a power of the rounded ratio
+    ``1 - j/n`` would instead multiply its rounding by k.  ``_hits_exactly``
+    reaches mass w from ``S_j`` along ``C(j, w)`` chains of at most ``j + 1``
+    additions, so every intermediate value is at most
+    ``sum_j 2^j S_j <= sum_j (2 r0)^j / j! = e^(2 r0)`` in size, and mass w is
+    off by at most about ``(J + 5) u e^(2 r0) <= (J + 5) 10^-39 / 2``.  J stays
+    under 400 below ``EMPTY_CERTIFIED_RATIO_CAP``, so this is far inside the
+    budget.  A mass that comes out negative is set to 0 only when it lies
+    within the budget; anything more negative raises ValueError.
     """
     r0 = n * math.exp(-k / n)
     if r0 > EMPTY_CERTIFIED_RATIO_CAP:
@@ -562,52 +587,25 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
             "certified empty-box path needs n*exp(-k/n) <= "
             f"{EMPTY_CERTIFIED_RATIO_CAP}; got {r0:.3g} (n={n}, k={k})"
         )
-    with mpmath.workdps(60):
-        one = mpmath.mpf(1)
-        log_base_cache: dict[int, mpmath.mpf] = {}
-
-        def pow_ratio(b: int) -> mpmath.mpf:
-            # (b/n)^k via exp(k*log(b/n)); cached per base
-            if b == 0:
-                return mpmath.mpf(0) if k > 0 else one
-            if b not in log_base_cache:
-                log_base_cache[b] = mpmath.exp(k * mpmath.log(mpmath.mpf(b) / n))
-            return log_base_cache[b]
-
-        mass = np.zeros(n + 1)
-        total = mpmath.mpf(0)
-        negligible_run = 0
-        rel_eps = mpmath.mpf("1e-42")
-        for w in range(n + 1):
-            r = n - w
-            inner = mpmath.mpf(0)
-            peak = mpmath.mpf(0)
-            for j in range(r + 1):
-                term = mpmath.mpf(math.comb(r, j)) * pow_ratio(r - j)
-                inner += -term if j % 2 else term
-                peak = max(peak, term)
-                # once the term-ratio bound r0/(j+2) is below 1/2 the
-                # remainder is geometrically dominated by 2*term; cutting at
-                # a threshold relative to the peak term keeps the truncation
-                # error of C(n,w)*inner far below the 1e-12 mass budget
-                if j >= 2 * r0 and r0 / (j + 2) < 0.5 and term < rel_eps * peak:
-                    break
-            p_w = mpmath.mpf(math.comb(n, w)) * inner
-            if p_w < 0:
-                if p_w < -_CERTIFIED_TRUNCATION:
-                    raise ValueError(
-                        f"certified empty-box mass at w={w} is {float(p_w):.3g}, "
-                        f"beyond the truncation budget {_CERTIFIED_TRUNCATION} (n={n}, k={k})"
-                    )
-                p_w = mpmath.mpf(0)
-            mass[w] = float(p_w)
-            total += p_w
-            if p_w < mpmath.mpf("1e-25"):
-                negligible_run += 1
-                if negligible_run >= 3 and total > 1 - mpmath.mpf("1e-20"):
-                    break
-            else:
-                negligible_run = 0
+    digits = math.ceil(2 * r0 * math.log10(math.e)) + 40
+    with decimal.localcontext(decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)):
+        budget = decimal.Decimal(_CERTIFIED_TRUNCATION)
+        n_to_k = decimal.Decimal(n) ** k
+        at_least = [decimal.Decimal(1)]
+        while True:
+            j = len(at_least)
+            s_j = math.comb(n, j) * decimal.Decimal(n - j) ** k / n_to_k
+            if 2**j * s_j <= budget:
+                break
+            at_least.append(s_j)
+        mass = np.array([float(m) for m in _hits_exactly(at_least)])
+    for w in np.flatnonzero(mass < 0.0):
+        if mass[w] < -_CERTIFIED_TRUNCATION:
+            raise ValueError(
+                f"certified empty-box mass at w={w} is {mass[w]:.3g}, "
+                f"beyond the truncation budget {_CERTIFIED_TRUNCATION} (n={n}, k={k})"
+            )
+        mass[w] = 0.0
     return mass
 
 
@@ -616,7 +614,7 @@ def _empty_boxes_pmf(n: int, k: int) -> Pmf:
         mass = np.zeros(n + 1)
         mass[n] = 1.0
         return Pmf(mass)
-    if n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP:
+    if _empty_exact_fits(n, k):
         mass = _empty_boxes_mass_exact(n, k)
     else:
         mass = _empty_boxes_mass_certified(n, k)
@@ -630,14 +628,11 @@ def check_occupancy(spec: OccupancySpec) -> None:
     if k == 0:
         return
     if spec.statistic == "empty":
-        digits = k * math.log10(n)  # size of the exact-integer path
         r0 = n * math.exp(-k / n)
-        if (n > EMPTY_EXACT_BOX_CAP or digits > EMPTY_EXACT_DIGIT_CAP) and (
-            r0 > EMPTY_CERTIFIED_RATIO_CAP
-        ):
+        if not _empty_exact_fits(n, k) and r0 > EMPTY_CERTIFIED_RATIO_CAP:
             raise ValueError(
                 "empty-box law infeasible: exact path needs about "
-                f"{digits:.0f}-digit integers over {n + 1} support points "
+                f"{k * math.log10(n):.0f}-digit integers over {n + 1} support points "
                 f"(caps: n<={EMPTY_EXACT_BOX_CAP}, {EMPTY_EXACT_DIGIT_CAP} digits) "
                 f"and the certified path needs n*exp(-k/n) <= "
                 f"{EMPTY_CERTIFIED_RATIO_CAP} (got {r0:.3g})"

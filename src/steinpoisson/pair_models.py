@@ -62,8 +62,6 @@ __all__ = [
     "mc_tv_estimate",
 ]
 
-PROBLEMS = ("poisson_binomial", "matching", "birthday_pairs", "birthday_triples", "coupon")
-
 #: enumeration caps (states / kernel transitions) for the exact checks
 ENUM_STATE_CAP = 400_000
 ENUM_TRANSITION_CAP = 30_000_000
@@ -99,8 +97,8 @@ class PairModel:
     k: int | None = None
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"problem must be one of {PROBLEMS}")
+        if self.problem not in _FAMILIES:
+            raise ValueError(f"problem must be one of {tuple(_FAMILIES)}")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError("c must be positive")
 

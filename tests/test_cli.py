@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import steinpoisson
 from steinpoisson import exact_laws, multivariate
 from steinpoisson.cli import (
     CSV_COLUMNS,
@@ -96,6 +100,12 @@ class TestExactTvCommand:
 
     def test_coupon_theta(self, capsys):
         assert run(["exact-tv", "coupon", "--n", "100", "--theta", "0.5"]) == EXIT_OK
+
+    @pytest.mark.parametrize("n,k", [(50000, 350000), (5000, 23126)])
+    def test_coupon_certified_near_cap(self, capsys, n, k):
+        # n*exp(-k/n) = 45.6 and 49.0, inside the certified path's cap of 50
+        assert run(["exact-tv", "coupon", "--n", str(n), "--k", str(k)]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_over_cap_suggests_mc(self, capsys):
         assert run(["exact-tv", "matching", "--n", "9999"]) == EXIT_USAGE
@@ -415,3 +425,10 @@ def test_over_cap_rejected_by_precheck_and_law_alike(problem):
     with pytest.raises(ValueError) as exc:
         law()
     assert str(exc.value) == message
+
+
+def test_imports_without_mpmath():
+    src = os.path.dirname(os.path.dirname(steinpoisson.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = 'import sys; sys.modules["mpmath"] = None; import steinpoisson.cli'
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

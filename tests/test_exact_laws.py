@@ -21,7 +21,9 @@ from steinpoisson import (
 )
 from steinpoisson.exact_laws import (
     BOX_STATISTICS,
+    EMPTY_CERTIFIED_RATIO_CAP,
     EMPTY_EXACT_DIGIT_CAP,
+    _CERTIFIED_TRUNCATION,
     _empty_boxes_counts,
     _empty_boxes_mass_certified,
     _empty_boxes_mass_exact,
@@ -349,12 +351,16 @@ class TestOccupancyPmf:
                 assert side * (count * mid.denominator - total * mid.numerator) <= 0
 
     def test_certified_path_matches_exact_rationals(self):
-        n = 300
-        k = round(n * math.log(n) - 0.5 * n)
-        exact = _empty_boxes_mass_exact(n, k)
-        cert = _empty_boxes_mass_certified(n, k)
-        m = min(exact.size, cert.size)
-        assert np.abs(exact[:m] - cert[:m]).max() < 1e-25
+        # r0 = n exp(-k/n) from the bench's regime up to the certified cap,
+        # where the alternating sums cancel hardest
+        for n in (300, 400):
+            for r0 in (1, math.exp(0.5), 5, 10, 20, 30, 40, 45, 48, EMPTY_CERTIFIED_RATIO_CAP):
+                k = math.ceil(n * math.log(n / r0))
+                exact = _empty_boxes_mass_exact(n, k)
+                cert = np.zeros(n + 1)
+                cert_mass = _empty_boxes_mass_certified(n, k)
+                cert[: cert_mass.size] = cert_mass
+                assert np.abs(exact - cert).max() <= _CERTIFIED_TRUNCATION, (n, k)
 
     def test_empty_over_cap_message(self):
         # large n with k too small for the sparse-regime certificate
