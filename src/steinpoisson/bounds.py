@@ -92,6 +92,8 @@ class BoundReport:
 
 def _report(theorem_id, lam, raw, convention, surrogate=False, degenerate=False, **inputs):
     raw = float(raw)
+    if not math.isfinite(raw):
+        raise ValueError(f"{theorem_id}: bound evaluated non-finite ({raw})")
     if raw < 0:
         raise ValueError(f"{theorem_id}: bound evaluated negative ({raw})")
     return BoundReport(
@@ -116,15 +118,15 @@ def bound_poisson_binomial(p) -> BoundReport:
     probs = np.ascontiguousarray(p, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("p must be a nonempty 1-D sequence")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("success probabilities must lie in [0, 1]")
     lam = float(probs.sum())
     if lam <= 0.0:
         raise ValueError("lam = sum(p) must be positive")
-    raw = -math.expm1(-lam) / (2.0 * lam) * float(np.sum(probs**2))
+    sum_p_sq = float(np.sum(probs**2))
+    raw = -math.expm1(-lam) / (2.0 * lam) * sum_p_sq
     return _report(
-        "poisson_binomial_independent", lam, raw, CONVENTION_TV, n=probs.size,
-        sum_p_sq=float(np.sum(probs**2)),
+        "poisson_binomial_independent", lam, raw, CONVENTION_TV, n=probs.size, sum_p_sq=sum_p_sq,
     )
 
 
@@ -281,7 +283,7 @@ def bound_coupling(problem: str, *, p=None, n: int | None = None, k: int | None 
         probs = np.ascontiguousarray(p, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("p must be a nonempty 1-D sequence")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValueError("success probabilities must lie in [0, 1]")
         lam = float(probs.sum())
         if lam <= 0.0:
@@ -356,7 +358,7 @@ class DependencyGraph:
         p = np.ascontiguousarray(self.p, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("p must be a nonempty 1-D array")
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError("marginal probabilities must lie in [0, 1]")
         m = p.size
         hoods = tuple(frozenset(int(j) for j in nb) for nb in self.neighborhoods)

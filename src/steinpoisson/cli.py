@@ -12,9 +12,15 @@ Subcommands:
                      otherwise)
 
 Every problem family is described once, in ``FAMILIES``; the subcommands
-look its entry up.  Exit codes: 0 all pass, 1 dominance/verification
-failure, 2 usage error.  Identical command + seed produces byte-identical
-report bodies; the ``seconds`` column is the only timing field.
+look its entry up.  A family hands out the exact laws of a list of points
+as an iterator, so ``sweep`` and ``exact-tv`` (its one-point case) share one
+path: Poisson-binomial grids get their laws a block of points at a time,
+one matrix DP per vector length, every other family one point at a time.
+A record's ``seconds`` covers its bound, Poisson target and TV plus its
+law's time; a law computed in a block is charged an even share of the
+block's time.  Exit codes: 0 all pass, 1 dominance/verification failure,
+2 usage error.  Identical command + seed produces byte-identical report
+bodies; the ``seconds`` column is the only timing field.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import bounds as bd
 from . import exact_laws as laws
@@ -154,8 +160,12 @@ class Family:
     - ``axes``: the parameters of one point.
     - ``check(point)``: raises ValueError where the exact law (through its
       module's own cap check) or the bounds cannot go.
-    - ``exact_tv(point, lam)``: exact TV against the target of rate ``lam``,
-      which is the rate of the point's bound report.
+    - ``laws(points)``: the exact laws of a list of points, in order, as an
+      iterator of ``(law, seconds)`` pairs; ``seconds`` is the law's share
+      of the time spent computing it.  Laws are made as the iterator is
+      advanced, never the whole list ahead.
+    - ``tv(law, lam)``: exact TV of a law against the target of rate
+      ``lam``, which is the rate of the point's bound report.
     - ``bounds``: each ``--bound`` kind -> ``point -> BoundReport``.
     - ``scale_k(n, theta)``: the k of a ``--theta`` value.
     - ``pair_model(point)``: the exchangeable pair.
@@ -167,16 +177,29 @@ class Family:
 
     axes: tuple[str, ...]
     check: Callable[[dict], None]
-    exact_tv: Callable[[dict, float], float]
+    laws: Callable[[list[dict]], Iterator[tuple[object, float]]]
+    tv: Callable[[object, float], float]
     bounds: dict[str, Callable[[dict], bd.BoundReport]]
     scale_k: Callable[[int, float], int] | None = None
     pair_model: Callable[[dict], pm.PairModel] | None = None
     grid: Callable[[argparse.Namespace], list[dict]] | None = None
 
 
-def _poisson_tv(law: Callable[[dict], object]) -> Callable[[dict, float], float]:
-    """``exact_tv`` of a univariate law: TV against Poisson(lam)."""
-    return lambda pt, lam: tv_distance(law(pt), poisson_pmf(SteinParams(lam)))
+def _each(law: Callable[[dict], object]):
+    """``laws`` of a family whose points are computed one at a time."""
+
+    def each(points):
+        for pt in points:
+            start = time.perf_counter()
+            value = law(pt)
+            yield value, time.perf_counter() - start
+
+    return each
+
+
+def _poisson_tv(law, lam: float) -> float:
+    """``tv`` of a univariate law: TV against Poisson(lam)."""
+    return tv_distance(law, poisson_pmf(SteinParams(lam)))
 
 
 def _matching_spec(pt: dict) -> laws.MatchingSpec:
@@ -192,8 +215,8 @@ def _check_matching(pt: dict) -> None:
 
 
 def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
-    law = _poisson_tv(lambda pt: laws.matching_pmf(_matching_spec(pt)))
-    return Family(axes, _check_matching, law, bounds, pair_model=pair_model)
+    law = _each(lambda pt: laws.matching_pmf(_matching_spec(pt)))
+    return Family(axes, _check_matching, law, _poisson_tv, bounds, pair_model=pair_model)
 
 
 def _check_probabilities(pt: dict) -> None:
@@ -216,6 +239,8 @@ def _poisson_binomial_grid(args) -> list[dict]:
                 for n in parse_int_list(args.n)]
     if not args.count or args.count <= 0:
         raise UsageError("poisson-binomial sweep needs --p or --count")
+    if args.maxlen < 1:
+        raise UsageError("--maxlen must be >= 1")
     grid = []
     for i in range(args.count):
         rng = pm.substream(args.seed, i)
@@ -223,6 +248,43 @@ def _poisson_binomial_grid(args) -> list[dict]:
         p = tuple(float(x) for x in rng.random(length))
         grid.append({"p": p, "tag": f"random#{i} len={length}"})
     return grid
+
+
+#: a Poisson-binomial block holds grid points up to this many law entries
+#: (rows x (n + 1)); a single longer vector makes a block of its own, so a
+#: block's tables stay within a small constant of one point's
+PB_BLOCK_ENTRIES = 1 << 12
+
+
+def _poisson_binomial_laws(points):
+    """``laws`` of Poisson-binomial points: consecutive points form blocks of
+    at most ``PB_BLOCK_ENTRIES`` entries, and each block runs one
+    ``poisson_binomial_pmf`` call per vector length in it."""
+    block: list[tuple[float, ...]] = []
+    entries = 0
+    for pt in points:
+        size = len(pt["p"]) + 1
+        if block and entries + size > PB_BLOCK_ENTRIES:
+            yield from _poisson_binomial_block(block)
+            block, entries = [], 0
+        block.append(pt["p"])
+        entries += size
+    if block:
+        yield from _poisson_binomial_block(block)
+
+
+def _poisson_binomial_block(vectors: list[tuple[float, ...]]):
+    start = time.perf_counter()
+    by_length: dict[int, list[int]] = {}
+    for i, p in enumerate(vectors):
+        by_length.setdefault(len(p), []).append(i)
+    out: list = [None] * len(vectors)
+    for rows in by_length.values():
+        for i, law in zip(rows, laws.poisson_binomial_pmf([vectors[i] for i in rows])):
+            out[i] = law
+    share = (time.perf_counter() - start) / len(vectors)
+    for law in out:
+        yield law, share
 
 
 def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
@@ -237,8 +299,8 @@ def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
             raise ValueError(f"the bounds need n >= {min_n} boxes and k >= {min_k} balls")
         laws.check_occupancy(spec(pt))
 
-    return Family(("n", "k"), check, _poisson_tv(lambda pt: laws.occupancy_pmf(spec(pt))),
-                  bounds, scale_k, pair_model)
+    return Family(("n", "k"), check, _each(lambda pt: laws.occupancy_pmf(spec(pt))),
+                  _poisson_tv, bounds, scale_k, pair_model)
 
 
 def _sqrt_scale(n: int, theta: float) -> int:
@@ -277,7 +339,8 @@ FAMILIES: dict[str, Family] = {
     "poisson-binomial": Family(
         ("p",),
         _check_probabilities,
-        _poisson_tv(lambda pt: laws.poisson_binomial_pmf(pt["p"])),
+        _poisson_binomial_laws,
+        _poisson_tv,
         {"default": lambda pt: bd.bound_poisson_binomial(pt["p"]),
          "coupling": lambda pt: bd.bound_coupling("poisson_binomial", p=pt["p"])},
         pair_model=lambda pt: pm.poisson_binomial_model(pt["p"]),
@@ -315,21 +378,23 @@ FAMILIES: dict[str, Family] = {
     "coloring": Family(
         ("n", "k", "c"),
         lambda pt: laws.check_coloring(_coloring_spec(pt)),
-        _poisson_tv(lambda pt: laws.coloring_pmf(_coloring_spec(pt))),
+        _each(lambda pt: laws.coloring_pmf(_coloring_spec(pt))),
+        _poisson_tv,
         {"default": lambda pt: bd.bound_monochromatic(pt["n"], pt["k"], pt["c"])},
     ),
     "joint-matching-succession": Family(
         ("n",),
         _check_joint,
-        lambda pt, lam: mv.joint_tv(mv.joint_fixed_point_succession_pmf(pt["n"]),
-                                    mv.product_poisson_joint([lam, lam])),
+        _each(lambda pt: mv.joint_fixed_point_succession_pmf(pt["n"])),
+        lambda law, lam: mv.joint_tv(law, mv.product_poisson_joint([lam, lam])),
         {"default": lambda pt: mv.bound_fixed_point_succession(pt["n"])},
     ),
     "process-matching": Family(
         ("n",),
         _check_matching,
-        lambda pt, lam: mv.process_tv(mv.matching_config_law(pt["n"]),
-                                      mv.product_poisson_config_law([lam / pt["n"]] * pt["n"])),
+        _each(lambda pt: mv.matching_config_law(pt["n"])),
+        lambda law, lam: mv.process_tv(
+            law, mv.product_poisson_config_law([lam / law.index_size] * law.index_size)),
         {"default": lambda pt: bd.bound_process_matching(pt["n"])},
     ),
 }
@@ -366,10 +431,13 @@ def _pair_model(problem: str, point: dict) -> pm.PairModel:
 # ---------------------------------------------------------------------------
 
 
-def compute_record(problem: str, params: dict, bound_kind: str = "default") -> CertRecord:
-    start = time.perf_counter()
+def compute_record(problem: str, params: dict, law, bound_kind: str = "default",
+                   law_seconds: float = 0.0) -> CertRecord:
+    """The record of one point whose exact ``law`` came from its family's
+    ``laws``; ``law_seconds`` (the law's time) is added to ``seconds``."""
+    start = time.perf_counter() - law_seconds
     report = _bound_fn(problem, bound_kind)(params)
-    exact = FAMILIES[problem].exact_tv(params, report.lam)
+    exact = FAMILIES[problem].tv(law, report.lam)
     # dominance is judged on the set-distance equivalent: tv_distance is the
     # standard sup-over-events distance, and "tv"-convention values carry a
     # halved bookkeeping whose standard-TV claim is twice the printed number
@@ -574,7 +642,8 @@ def cmd_exact_tv(args) -> int:
     err = feasibility_error(args.problem, point)
     if err:
         raise UsageError(f"{err}; consider mc-tv for large instances")
-    return _print_record(compute_record(args.problem, point, args.bound))
+    [(law, seconds)] = FAMILIES[args.problem].laws([point])
+    return _print_record(compute_record(args.problem, point, law, args.bound, seconds))
 
 
 def cmd_mc_tv(args) -> int:
@@ -597,9 +666,10 @@ def cmd_sweep(args) -> int:
 
     out, close = _open_out(args.out)
     writer = RecordWriter(args.format, out)
+    law_iter = FAMILIES[args.problem].laws([clean for clean, _ in problems])
     try:
-        for clean, tag in problems:
-            rec = compute_record(args.problem, clean, args.bound)
+        for (clean, tag), (law, seconds) in zip(problems, law_iter, strict=True):
+            rec = compute_record(args.problem, clean, law, args.bound, seconds)
             if tag:
                 rec.params = tag
             writer.write(rec)

@@ -220,22 +220,34 @@ def _completions(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def poisson_binomial_pmf(p) -> Pmf:
-    """Exact law of a sum of independent indicators via one-pass convolution."""
+def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
+    """Exact law of a sum of independent indicators via one-pass convolution.
+
+    ``p`` is one vector (returns its ``Pmf``) or a matrix whose rows are
+    vectors of one length (returns one ``Pmf`` per row).  Both run the same
+    DP over the columns, all rows at once, updated in place:
+
+        mass[1 : i + 2] = mass[1 : i + 2] * (1 - p_i) + mass[: i + 1] * p_i
+        mass[0] *= 1 - p_i
+
+    Each row sees exactly the operations of its own one-vector call, so a
+    row's law is bit-identical to the law of that vector alone.
+    """
     probs = np.ascontiguousarray(p, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("p must be a nonempty 1-D sequence")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if probs.ndim not in (1, 2) or probs.size == 0:
+        raise ValueError("p must be a nonempty 1-D sequence or a matrix of such rows")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("each success probability must lie in [0, 1]")
-    mass = np.zeros(probs.size + 1)
-    mass[0] = 1.0
-    for i, pi in enumerate(probs):
-        new = np.empty(mass.shape)
-        new[0] = mass[0] * (1.0 - pi)
-        new[1 : i + 2] = mass[1 : i + 2] * (1.0 - pi) + mass[: i + 1] * pi
-        new[i + 2 :] = 0.0
-        mass = new
-    return Pmf.from_mass(mass)
+    rows = probs.reshape(-1, probs.shape[-1])
+    succ = rows.T[:, :, None]
+    fail = 1.0 - succ
+    mass = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    mass[:, 0] = 1.0
+    for i in range(rows.shape[1]):
+        mass[:, 1 : i + 2] = mass[:, 1 : i + 2] * fail[i] + mass[:, : i + 1] * succ[i]
+        mass[:, 0] *= fail[i, :, 0]
+    laws = [Pmf.from_mass(row) for row in mass]
+    return laws[0] if probs.ndim == 1 else laws
 
 
 # ---------------------------------------------------------------------------

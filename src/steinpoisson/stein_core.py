@@ -74,14 +74,21 @@ class Pmf:
         arr = np.ascontiguousarray(self.mass, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("mass must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
+        # one pass over the entries as Python floats: a nan or inf entry makes
+        # the sum non-finite (or raises), and only then are entries inspected
+        values = arr.tolist()
+        try:
+            total = math.fsum(values)
+        except (OverflowError, ValueError):  # past the float range, or inf - inf
+            total = math.inf
+        if not math.isfinite(total) and not all(map(math.isfinite, values)):
             raise ValueError("mass must be finite")
-        if np.any(arr < 0.0) or np.any(arr > 1.0 + MASS_TOL):
+        if min(values) < 0.0 or max(values) > 1.0 + MASS_TOL:
             raise ValueError("mass entries must lie in [0, 1]")
         tail = float(self.tail)
         if not (0.0 <= tail <= 1.0 + MASS_TOL):
             raise ValueError("tail must lie in [0, 1]")
-        total = math.fsum(arr.tolist()) + tail
+        total += tail
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"mass + tail must sum to 1 (got {total:.17g})")
         arr.flags.writeable = False
@@ -92,8 +99,8 @@ class Pmf:
     def from_mass(cls, values, tail: float = 0.0) -> "Pmf":
         """Build a Pmf, clipping rounding dust (entries in [-1e-15, 0))."""
         arr = np.ascontiguousarray(values, dtype=float).copy()
-        tiny = (arr < 0.0) & (arr > -1e-15)
-        arr[tiny] = 0.0
+        if arr.size and arr.min() < 0.0:
+            arr[(arr < 0.0) & (arr > -1e-15)] = 0.0
         return cls(arr, tail)
 
     @property

@@ -27,7 +27,7 @@ from steinpoisson import (
     poisson_pmf,
     tv_distance,
 )
-from steinpoisson.bounds import TRIPLE_SURROGATE_C
+from steinpoisson.bounds import TRIPLE_SURROGATE_C, _report
 
 
 class TestPoissonBinomialBound:
@@ -56,6 +56,20 @@ class TestPoissonBinomialBound:
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
             bound_poisson_binomial([0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probs(self, bad):
+        with pytest.raises(ValueError, match="success probabilities must lie in"):
+            bound_poisson_binomial([0.5, bad])
+        with pytest.raises(ValueError, match="success probabilities must lie in"):
+            bound_coupling("poisson_binomial", p=[0.5, bad])
+
+    def test_sum_of_squares_reported(self):
+        p = np.array([0.1, 0.25, 0.7])
+        rep = bound_poisson_binomial(p)
+        sum_sq = float(np.sum(p**2))
+        assert rep.inputs["sum_p_sq"] == sum_sq
+        assert rep.raw_value == -math.expm1(-rep.lam) / (2.0 * rep.lam) * sum_sq
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=10), st.randoms())
@@ -265,6 +279,10 @@ class TestDependencyGraph:
                 {(0, 1): 0.01},
             )
 
+    def test_nan_marginal_rejected(self):
+        with pytest.raises(ValueError, match="marginal probabilities"):
+            DependencyGraph(p=[0.5, math.nan], neighborhoods=({0}, {1}), p_pair={})
+
     def test_joint_probability_validated(self):
         with pytest.raises(ValueError):
             DependencyGraph(
@@ -358,3 +376,14 @@ class TestMonochromaticBound:
             set_verdict = rep.in_convention("set_distance") >= exact - 1e-12
             tv_verdict = rep.in_convention("tv") >= exact / 2.0 - 1e-12
             assert set_verdict == tv_verdict
+
+
+class TestReport:
+    @pytest.mark.parametrize("raw", [math.nan, math.inf])
+    def test_rejects_non_finite_raw(self, raw):
+        with pytest.raises(ValueError, match="non-finite"):
+            _report("t", 1.0, raw, "tv")
+
+    def test_rejects_negative_raw(self):
+        with pytest.raises(ValueError, match="negative"):
+            _report("t", 1.0, -0.5, "tv")

@@ -1,8 +1,10 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,15 @@ from steinpoisson.cli import (
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def perfbench_module(name):
+    """A module of the benchmark directory, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_csv(path):
@@ -66,6 +77,14 @@ class TestBoundCommand:
         assert run(["bound", "matching", "--n", "1"]) == EXIT_USAGE
         assert run(["bound", "matching"]) == EXIT_USAGE
         assert run(["bound", "wat", "--n", "5"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_nan_probability_is_no_bound(self, capsys, kind):
+        argv = ["bound", "poisson-binomial", "--p", "0.5,nan", "--bound", kind]
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: success probabilities must lie in [0, 1]\n"
 
 
 class TestExactTvCommand:
@@ -134,6 +153,42 @@ class TestSweepCommand:
     def test_empty_grid_usage_error(self, tmp_path):
         assert run(["sweep", "matching", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
+    def test_maxlen_below_one_usage_error(self, capsys):
+        argv = ["sweep", "poisson-binomial", "--count", "3", "--maxlen", "0"]
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --maxlen must be >= 1\n"
+
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_poisson_binomial_blocks_match_reference(self, capsys, monkeypatch, kind):
+        import steinpoisson.cli as cli_mod
+
+        checks = perfbench_module("checks")
+        argv = ["sweep", "poisson-binomial", "--count", "60", "--maxlen", "8",
+                "--seed", "11", "--bound", kind]
+        assert run(argv) == EXIT_OK
+        one_block = capsys.readouterr().out
+
+        rows_per_call = []
+        real = exact_laws.poisson_binomial_pmf
+
+        def counted(p):
+            rows_per_call.append(len(p))
+            return real(p)
+
+        monkeypatch.setattr(exact_laws, "poisson_binomial_pmf", counted)
+        monkeypatch.setattr(cli_mod, "PB_BLOCK_ENTRIES", 40)
+        assert run(argv) == EXIT_OK
+        blocks = capsys.readouterr().out
+        # at most 40 entries of 2..9 each: many blocks, each with several lengths
+        assert sum(rows_per_call) == 60 and len(rows_per_call) > 8
+        assert strip_seconds(list(csv.reader(blocks.splitlines()[1:]))) == strip_seconds(
+            list(csv.reader(one_block.splitlines()[1:])))
+        want = checks.poisson_binomial_rows(11, 60, 8, kind == "coupling")
+        attempted, failures = checks.check_output(argv, EXIT_OK, blocks, {"kind": "sweep", "rows": want})
+        assert (attempted, failures) == (60, [])
+
     def test_over_cap_grid_rejected_before_running(self, tmp_path):
         assert (
             run(["sweep", "matching", "--n", "4,9999", "--out", str(tmp_path / "x.csv")])
@@ -155,11 +210,11 @@ class TestSweepCommand:
         real = cli_mod.compute_record
         calls = {"n": 0}
 
-        def flaky(problem, params, bound_kind="default"):
+        def flaky(problem, params, law, bound_kind="default", law_seconds=0.0):
             if calls["n"] >= 3:
                 raise KeyboardInterrupt
             calls["n"] += 1
-            return real(problem, params, bound_kind)
+            return real(problem, params, law, bound_kind, law_seconds)
 
         monkeypatch.setattr(cli_mod, "compute_record", flaky)
         with pytest.raises(KeyboardInterrupt):
@@ -188,8 +243,8 @@ class TestSweepCommand:
         real = cli_mod.compute_record
         kept = []
 
-        def every_third_fails(problem, params, bound_kind="default"):
-            rec = real(problem, params, bound_kind)
+        def every_third_fails(problem, params, law, bound_kind="default", law_seconds=0.0):
+            rec = real(problem, params, law, bound_kind, law_seconds)
             if params["n"] % 3 == 0:
                 rec.verdict = "fail"
             return rec

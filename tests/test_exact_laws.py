@@ -77,6 +77,38 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError):
             poisson_binomial_pmf([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probs(self, bad):
+        with pytest.raises(ValueError, match="success probability must lie in"):
+            poisson_binomial_pmf([0.5, bad])
+        with pytest.raises(ValueError, match="success probability must lie in"):
+            poisson_binomial_pmf([[0.5, 0.5], [0.5, bad]])
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            poisson_binomial_pmf(np.full((2, 2, 2), 0.5))
+        with pytest.raises(ValueError, match="nonempty"):
+            poisson_binomial_pmf(np.empty((3, 0)))
+
+    @pytest.mark.parametrize("length", [1, 2, 5, 9])
+    def test_matrix_rows_are_the_vector_laws(self, length):
+        rng = np.random.default_rng(length)
+        p = rng.random((40, length))
+        p[rng.random(p.shape) < 0.15] = 0.0
+        p[rng.random(p.shape) < 0.15] = 1.0
+        p[0] = 0.0
+        p[1] = 1.0
+        laws = poisson_binomial_pmf(p)
+        assert isinstance(laws, list) and len(laws) == len(p)
+        for row, law in zip(p, laws):
+            assert np.array_equal(law.mass, poisson_binomial_pmf(row).mass)
+            assert np.abs(law.mass - oracles.enumerate_poisson_binomial(row)).max() < 1e-13
+        assert np.array_equal(laws[1].mass, np.eye(length + 1)[length])
+
+    def test_one_row_matrix_gives_a_list(self):
+        [law] = poisson_binomial_pmf([[0.25, 0.75]])
+        assert np.array_equal(law.mass, poisson_binomial_pmf([0.25, 0.75]).mass)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=9), st.randoms())
     def test_permutation_invariant(self, p, rnd):

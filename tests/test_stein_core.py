@@ -53,6 +53,35 @@ class TestPmf:
         with pytest.raises(ValueError):
             Pmf(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("mass", [
+        [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf], [-np.inf, 1.0],
+        [1e308, 1e308, np.nan],
+    ])
+    def test_non_finite_entries_named(self, mass):
+        with pytest.raises(ValueError, match="mass must be finite"):
+            Pmf(np.array(mass))
+
+    @pytest.mark.parametrize("mass", [[1e308, 1e308], [-1e308, -1e308], [1.5, -0.5], [-1e-20, 1.0]])
+    def test_out_of_range_entries_named(self, mass):
+        with pytest.raises(ValueError, match=r"mass entries must lie in \[0, 1\]"):
+            Pmf(np.array(mass))
+
+    def test_signed_zero_is_valid(self):
+        assert Pmf(np.array([-0.0, 1.0])).prob(1) == 1.0
+
+    def test_from_mass_clips_only_rounding_dust(self):
+        assert np.array_equal(Pmf.from_mass([-1e-16, 1.0]).mass, [0.0, 1.0])
+        with pytest.raises(ValueError, match="mass entries"):
+            Pmf.from_mass([-1e-3, 1.001])
+        with pytest.raises(ValueError, match="nonempty"):
+            Pmf.from_mass([])
+
+    def test_from_mass_copies(self):
+        values = np.array([0.25, 0.75])
+        law = Pmf.from_mass(values)
+        values[0] = 0.5
+        assert np.array_equal(law.mass, [0.25, 0.75])
+
     def test_immutable(self):
         p = Pmf(np.array([1.0]))
         with pytest.raises(ValueError):

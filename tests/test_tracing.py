@@ -30,3 +30,22 @@ def test_trace_plan_installs_and_multivariate_spans_fire(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert {"multivariate.config", "multivariate.joint"} <= tracing.fired(tracer)
+
+
+def test_poisson_binomial_spans_fire_across_blocks(capsys, monkeypatch):
+    # blocks of 10 length-1 vectors: 11 points make two blocks
+    monkeypatch.setattr(cli, "PB_BLOCK_ENTRIES", 20)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        argv = ["sweep", "poisson-binomial", "--count", "11", "--maxlen", "1", "--seed", "3"]
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert {"exact_laws.poisson_binomial", "stein_core.pmf_check", "bounds",
+            "cli.write"} <= tracing.fired(tracer)
+    assert tracer.spans["cli.record"].calls == 11
+    assert tracer.spans["cli.write"].calls == 11
+    assert tracer.spans["exact_laws.poisson_binomial"].calls == 2
