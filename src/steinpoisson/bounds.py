@@ -113,21 +113,38 @@ def _report(theorem_id, lam, raw, convention, surrogate=False, degenerate=False,
 # ---------------------------------------------------------------------------
 
 
-def bound_poisson_binomial(p) -> BoundReport:
-    """((1 - e^-lam) / 2 lam) * sum p_i^2 for independent indicators."""
+def _poisson_binomial_reports(p, report) -> BoundReport | list[BoundReport]:
+    """``report(lam, sum_p_sq, n)`` of each vector of success probabilities.
+
+    ``p`` is one vector (one report) or a matrix whose rows are vectors of
+    one length n (one report per row).  Row sums of a C-contiguous matrix
+    take the same pairwise summation as the sum of the row alone, so each
+    row's report is bit-identical to the report of its vector.
+    """
     probs = np.ascontiguousarray(p, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValueError("p must be a nonempty 1-D sequence")
+    if probs.ndim not in (1, 2) or probs.size == 0:
+        raise ValueError("p must be a nonempty 1-D sequence or a matrix of such rows")
     if not np.all((probs >= 0.0) & (probs <= 1.0)):
         raise ValueError("success probabilities must lie in [0, 1]")
-    lam = float(probs.sum())
-    if lam <= 0.0:
+    rows = probs.reshape(-1, probs.shape[-1])
+    lams = rows.sum(axis=1).tolist()
+    if min(lams) <= 0.0:
         raise ValueError("lam = sum(p) must be positive")
-    sum_p_sq = float(np.sum(probs**2))
-    raw = -math.expm1(-lam) / (2.0 * lam) * sum_p_sq
-    return _report(
-        "poisson_binomial_independent", lam, raw, CONVENTION_TV, n=probs.size, sum_p_sq=sum_p_sq,
-    )
+    n = rows.shape[1]
+    reports = [report(lam, sum_p_sq, n)
+               for lam, sum_p_sq in zip(lams, (rows**2).sum(axis=1).tolist())]
+    return reports if probs.ndim == 2 else reports[0]
+
+
+def bound_poisson_binomial(p) -> BoundReport | list[BoundReport]:
+    """((1 - e^-lam) / 2 lam) * sum p_i^2 for independent indicators.
+
+    ``p`` is one vector, or a matrix of equal-length vectors (one report per
+    row, see :func:`_poisson_binomial_reports`).
+    """
+    return _poisson_binomial_reports(p, lambda lam, sum_p_sq, n: _report(
+        "poisson_binomial_independent", lam, -math.expm1(-lam) / (2.0 * lam) * sum_p_sq,
+        CONVENTION_TV, n=n, sum_p_sq=sum_p_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +286,22 @@ def bound_coupon_collector(n: int, k: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def bound_coupling(problem: str, *, p=None, n: int | None = None, k: int | None = None) -> BoundReport:
+def bound_coupling(problem: str, *, p=None, n: int | None = None,
+                   k: int | None = None) -> BoundReport | list[BoundReport]:
     """(1 - e^-lam) * E|W + 1 - W*| for the size-bias couplings.
 
     Per problem the coupling expectation has a closed form:
 
-    * ``poisson_binomial``: sum p_i^2 / lam, lam = sum p_i
+    * ``poisson_binomial``: sum p_i^2 / lam, lam = sum p_i > 0; ``p`` may be
+      a matrix of equal-length rows, as in :func:`bound_poisson_binomial`
     * ``matching``:         2/n, lam = 1
     * ``coupon``:           (1 - 1/n)^k (1 + k/n), lam = n (1 - 1/n)^k
     * ``birthday``:         (1 + 2k)/n, lam = C(k, 2)/n  (pair count)
     """
     if problem == "poisson_binomial":
-        probs = np.ascontiguousarray(p, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("p must be a nonempty 1-D sequence")
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        lam = float(probs.sum())
-        if lam <= 0.0:
-            return _report("coupling_poisson_binomial", 0.0, 0.0, CONVENTION_SET,
-                           degenerate=True, n=probs.size)
-        e_term = float(np.sum(probs**2)) / lam
-        return _report("coupling_poisson_binomial", lam, -math.expm1(-lam) * e_term,
-                       CONVENTION_SET, n=probs.size)
+        return _poisson_binomial_reports(p, lambda lam, sum_p_sq, n: _report(
+            "coupling_poisson_binomial", lam, -math.expm1(-lam) * (sum_p_sq / lam),
+            CONVENTION_SET, n=n))
     if problem == "matching":
         if not (isinstance(n, int) and n >= 2):
             raise ValueError("matching coupling needs n >= 2")

@@ -12,15 +12,17 @@ Subcommands:
                      otherwise)
 
 Every problem family is described once, in ``FAMILIES``; the subcommands
-look its entry up.  A family hands out the exact laws of a list of points
-as an iterator, so ``sweep`` and ``exact-tv`` (its one-point case) share one
-path: Poisson-binomial grids get their laws a block of points at a time,
-one matrix DP per vector length, every other family one point at a time.
-A record's ``seconds`` covers its bound, Poisson target and TV plus its
-law's time; a law computed in a block is charged an even share of the
-block's time.  Exit codes: 0 all pass, 1 dominance/verification failure,
-2 usage error.  Identical command + seed produces byte-identical report
-bodies; the ``seconds`` column is the only timing field.
+look its entry up.  A family evaluates a list of points (exact law, bound
+report, exact TV) as an iterator, so ``sweep`` and ``exact-tv`` (its
+one-point case) share one path: Poisson-binomial grids are evaluated a
+block of points at a time, with one matrix DP, one bound call and one
+table of Poisson targets per vector length, every other family one point
+at a time.  A record's ``seconds`` covers its law, bound, Poisson target
+and TV plus the record's assembly; a point evaluated in a block is charged
+an even share of the block's time.  Exit codes: 0 all pass, 1
+dominance/verification failure, 2 usage error.  Identical command + seed
+produces byte-identical report bodies; the ``seconds`` column is the only
+timing field.
 """
 
 from __future__ import annotations
@@ -33,12 +35,15 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
 
 from . import bounds as bd
 from . import exact_laws as laws
 from . import multivariate as mv
 from . import pair_models as pm
+from . import stein_core
 from .stein_core import SteinParams, poisson_pmf, tv_distance
 
 SCHEMA_VERSION = "stein-poisson-cert-v1"
@@ -153,6 +158,19 @@ def parse_p_vector(text: str, n: int | None) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+class Evaluation(NamedTuple):
+    """One point's bound report and exact TV, with the seconds they took."""
+
+    report: bd.BoundReport
+    exact_tv: float
+    seconds: float
+
+
+def _poisson_tv(law, lam: float) -> float:
+    """``tv`` of a univariate law: TV against Poisson(lam)."""
+    return tv_distance(law, poisson_pmf(SteinParams(lam)))
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the subcommands know about one problem family.
@@ -160,12 +178,10 @@ class Family:
     - ``axes``: the parameters of one point.
     - ``check(point)``: raises ValueError where the exact law (through its
       module's own cap check) or the bounds cannot go.
-    - ``laws(points)``: the exact laws of a list of points, in order, as an
-      iterator of ``(law, seconds)`` pairs; ``seconds`` is the law's share
-      of the time spent computing it.  Laws are made as the iterator is
+    - ``evaluate(points, bound)``: the bound report (``bound`` is one of
+      ``bounds``) and exact TV of each of a list of points, in order, as an
+      iterator of ``Evaluation``s.  Points are evaluated as the iterator is
       advanced, never the whole list ahead.
-    - ``tv(law, lam)``: exact TV of a law against the target of rate
-      ``lam``, which is the rate of the point's bound report.
     - ``bounds``: each ``--bound`` kind -> ``point -> BoundReport``.
     - ``scale_k(n, theta)``: the k of a ``--theta`` value.
     - ``pair_model(point)``: the exchangeable pair.
@@ -177,29 +193,27 @@ class Family:
 
     axes: tuple[str, ...]
     check: Callable[[dict], None]
-    laws: Callable[[list[dict]], Iterator[tuple[object, float]]]
-    tv: Callable[[object, float], float]
+    evaluate: Callable[[list[dict], Callable[[dict], bd.BoundReport]], Iterator[Evaluation]]
     bounds: dict[str, Callable[[dict], bd.BoundReport]]
     scale_k: Callable[[int, float], int] | None = None
     pair_model: Callable[[dict], pm.PairModel] | None = None
     grid: Callable[[argparse.Namespace], list[dict]] | None = None
 
 
-def _each(law: Callable[[dict], object]):
-    """``laws`` of a family whose points are computed one at a time."""
+def _each(law: Callable[[dict], object], tv: Callable[[object, float], float] = _poisson_tv):
+    """``evaluate`` of a family whose points are evaluated one at a time:
+    ``law(point)`` is the exact law of a point and ``tv(law, lam)`` its exact
+    TV against the target of rate ``lam``, the rate of the point's report."""
 
-    def each(points):
+    def evaluate(points, bound):
         for pt in points:
             start = time.perf_counter()
             value = law(pt)
-            yield value, time.perf_counter() - start
+            report = bound(pt)
+            exact = tv(value, report.lam)
+            yield Evaluation(report, exact, time.perf_counter() - start)
 
-    return each
-
-
-def _poisson_tv(law, lam: float) -> float:
-    """``tv`` of a univariate law: TV against Poisson(lam)."""
-    return tv_distance(law, poisson_pmf(SteinParams(lam)))
+    return evaluate
 
 
 def _matching_spec(pt: dict) -> laws.MatchingSpec:
@@ -216,7 +230,7 @@ def _check_matching(pt: dict) -> None:
 
 def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
     law = _each(lambda pt: laws.matching_pmf(_matching_spec(pt)))
-    return Family(axes, _check_matching, law, _poisson_tv, bounds, pair_model=pair_model)
+    return Family(axes, _check_matching, law, bounds, pair_model=pair_model)
 
 
 def _check_probabilities(pt: dict) -> None:
@@ -245,7 +259,7 @@ def _poisson_binomial_grid(args) -> list[dict]:
     for i in range(args.count):
         rng = pm.substream(args.seed, i)
         length = int(rng.integers(1, args.maxlen + 1))
-        p = tuple(float(x) for x in rng.random(length))
+        p = tuple(rng.random(length).tolist())
         grid.append({"p": p, "tag": f"random#{i} len={length}"})
     return grid
 
@@ -256,35 +270,60 @@ def _poisson_binomial_grid(args) -> list[dict]:
 PB_BLOCK_ENTRIES = 1 << 12
 
 
-def _poisson_binomial_laws(points):
-    """``laws`` of Poisson-binomial points: consecutive points form blocks of
-    at most ``PB_BLOCK_ENTRIES`` entries, and each block runs one
-    ``poisson_binomial_pmf`` call per vector length in it."""
+def _poisson_binomial_blocks(points: list[dict], bound) -> Iterator[Evaluation]:
+    """``evaluate`` of Poisson-binomial points: consecutive points form
+    blocks of at most ``PB_BLOCK_ENTRIES`` law entries."""
     block: list[tuple[float, ...]] = []
     entries = 0
     for pt in points:
         size = len(pt["p"]) + 1
         if block and entries + size > PB_BLOCK_ENTRIES:
-            yield from _poisson_binomial_block(block)
+            yield from _poisson_binomial_block(block, bound)
             block, entries = [], 0
         block.append(pt["p"])
         entries += size
     if block:
-        yield from _poisson_binomial_block(block)
+        yield from _poisson_binomial_block(block, bound)
 
 
-def _poisson_binomial_block(vectors: list[tuple[float, ...]]):
+def _poisson_binomial_block(vectors: list[tuple[float, ...]], bound) -> Iterator[Evaluation]:
+    """Each vector length in the block gets one matrix of its vectors, and
+    from it one ``poisson_binomial_pmf`` call (the laws), one ``bound`` call
+    on the point ``{"p": matrix}`` (the reports, one per row) and one
+    ``stein_core._poisson_tvs`` call (the targets and TVs).
+
+    If the block raises, it is evaluated again one vector at a time, so the
+    points before the first bad one still make their records and the error
+    raised is that point's, as when points were evaluated one by one.
+    """
     start = time.perf_counter()
+    try:
+        evaluated = _poisson_binomial_rows(vectors, bound)
+    except (ValueError, RuntimeError):
+        if len(vectors) == 1:
+            raise
+        for p in vectors:
+            yield from _poisson_binomial_block([p], bound)
+        return
+    share = (time.perf_counter() - start) / len(vectors)
+    for report, exact in evaluated:
+        yield Evaluation(report, exact, share)
+
+
+def _poisson_binomial_rows(vectors: list[tuple[float, ...]], bound) -> list:
+    """``(report, exact TV)`` of each vector of a block, in block order."""
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(vectors):
         by_length.setdefault(len(p), []).append(i)
     out: list = [None] * len(vectors)
     for rows in by_length.values():
-        for i, law in zip(rows, laws.poisson_binomial_pmf([vectors[i] for i in rows])):
-            out[i] = law
-    share = (time.perf_counter() - start) / len(vectors)
-    for law in out:
-        yield law, share
+        probs = np.array([vectors[i] for i in rows])
+        group_laws = laws.poisson_binomial_pmf(probs)
+        reports = bound({"p": probs})
+        tvs = stein_core._poisson_tvs(group_laws, [r.lam for r in reports])
+        for i, report, exact in zip(rows, reports, tvs):
+            out[i] = (report, exact)
+    return out
 
 
 def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
@@ -300,7 +339,7 @@ def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
         laws.check_occupancy(spec(pt))
 
     return Family(("n", "k"), check, _each(lambda pt: laws.occupancy_pmf(spec(pt))),
-                  _poisson_tv, bounds, scale_k, pair_model)
+                  bounds, scale_k, pair_model)
 
 
 def _sqrt_scale(n: int, theta: float) -> int:
@@ -339,8 +378,8 @@ FAMILIES: dict[str, Family] = {
     "poisson-binomial": Family(
         ("p",),
         _check_probabilities,
-        _poisson_binomial_laws,
-        _poisson_tv,
+        _poisson_binomial_blocks,
+        # each also takes a point whose p is a matrix of equal-length vectors
         {"default": lambda pt: bd.bound_poisson_binomial(pt["p"]),
          "coupling": lambda pt: bd.bound_coupling("poisson_binomial", p=pt["p"])},
         pair_model=lambda pt: pm.poisson_binomial_model(pt["p"]),
@@ -379,22 +418,21 @@ FAMILIES: dict[str, Family] = {
         ("n", "k", "c"),
         lambda pt: laws.check_coloring(_coloring_spec(pt)),
         _each(lambda pt: laws.coloring_pmf(_coloring_spec(pt))),
-        _poisson_tv,
         {"default": lambda pt: bd.bound_monochromatic(pt["n"], pt["k"], pt["c"])},
     ),
     "joint-matching-succession": Family(
         ("n",),
         _check_joint,
-        _each(lambda pt: mv.joint_fixed_point_succession_pmf(pt["n"])),
-        lambda law, lam: mv.joint_tv(law, mv.product_poisson_joint([lam, lam])),
+        _each(lambda pt: mv.joint_fixed_point_succession_pmf(pt["n"]),
+              lambda law, lam: mv.joint_tv(law, mv.product_poisson_joint([lam, lam]))),
         {"default": lambda pt: mv.bound_fixed_point_succession(pt["n"])},
     ),
     "process-matching": Family(
         ("n",),
         _check_matching,
-        _each(lambda pt: mv.matching_config_law(pt["n"])),
-        lambda law, lam: mv.process_tv(
-            law, mv.product_poisson_config_law([lam / law.index_size] * law.index_size)),
+        _each(lambda pt: mv.matching_config_law(pt["n"]),
+              lambda law, lam: mv.process_tv(
+                  law, mv.product_poisson_config_law([lam / law.index_size] * law.index_size))),
         {"default": lambda pt: bd.bound_process_matching(pt["n"])},
     ),
 }
@@ -431,23 +469,23 @@ def _pair_model(problem: str, point: dict) -> pm.PairModel:
 # ---------------------------------------------------------------------------
 
 
-def compute_record(problem: str, params: dict, law, bound_kind: str = "default",
-                   law_seconds: float = 0.0) -> CertRecord:
-    """The record of one point whose exact ``law`` came from its family's
-    ``laws``; ``law_seconds`` (the law's time) is added to ``seconds``."""
-    start = time.perf_counter() - law_seconds
-    report = _bound_fn(problem, bound_kind)(params)
-    exact = FAMILIES[problem].tv(law, report.lam)
+def compute_record(problem: str, params: dict, evaluation: Evaluation,
+                   tag: str | None = None) -> CertRecord:
+    """The record of one point from its family's ``evaluate``; its
+    ``seconds`` add the evaluation's.  ``tag`` replaces the params string."""
+    start = time.perf_counter() - evaluation.seconds
+    report, exact = evaluation.report, evaluation.exact_tv
     # dominance is judged on the set-distance equivalent: tv_distance is the
     # standard sup-over-events distance, and "tv"-convention values carry a
     # halved bookkeeping whose standard-TV claim is twice the printed number
     ok = report.in_convention("set_distance") >= exact - VERDICT_SLACK
-    return _record(problem, params, report.lam, report, ok, start, exact_tv=exact)
+    return _record(problem, tag or _params_string(params), report.lam, report, ok, start,
+                   exact_tv=exact)
 
 
-def _record(problem, params, lam, report, ok, start, exact_tv=None, mc_tv=None,
+def _record(problem, params: str, lam, report, ok, start, exact_tv=None, mc_tv=None,
             mc_stderr=None) -> CertRecord:
-    return CertRecord(problem, _params_string(params), lam, exact_tv, mc_tv, mc_stderr,
+    return CertRecord(problem, params, lam, exact_tv, mc_tv, mc_stderr,
                       report.value, report.convention, report.surrogate,
                       "pass" if ok else "fail", time.perf_counter() - start)
 
@@ -477,7 +515,8 @@ def compute_mc_record(problem: str, params: dict, trials: int, seed: int) -> Cer
     target = poisson_pmf(SteinParams(model.lam))
     est, se = pm.mc_tv_estimate(model, target, trials, pm.substream(seed, 0))
     ok = report.in_convention("set_distance") >= est - 3.0 * se
-    return _record(problem, params, model.lam, report, ok, start, mc_tv=est, mc_stderr=se)
+    return _record(problem, _params_string(params), model.lam, report, ok, start,
+                   mc_tv=est, mc_stderr=se)
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +677,12 @@ def _print_record(rec: CertRecord) -> int:
 
 def cmd_exact_tv(args) -> int:
     point = _single_point(args)
-    _bound_fn(args.problem, args.bound)
+    bound = _bound_fn(args.problem, args.bound)
     err = feasibility_error(args.problem, point)
     if err:
         raise UsageError(f"{err}; consider mc-tv for large instances")
-    [(law, seconds)] = FAMILIES[args.problem].laws([point])
-    return _print_record(compute_record(args.problem, point, law, args.bound, seconds))
+    [evaluation] = FAMILIES[args.problem].evaluate([point], bound)
+    return _print_record(compute_record(args.problem, point, evaluation))
 
 
 def cmd_mc_tv(args) -> int:
@@ -652,7 +691,7 @@ def cmd_mc_tv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _bound_fn(args.problem, args.bound)
+    bound = _bound_fn(args.problem, args.bound)
     grid = build_grid(args.problem, args)
     if not grid:
         raise UsageError("empty parameter grid")
@@ -666,13 +705,10 @@ def cmd_sweep(args) -> int:
 
     out, close = _open_out(args.out)
     writer = RecordWriter(args.format, out)
-    law_iter = FAMILIES[args.problem].laws([clean for clean, _ in problems])
+    evaluations = FAMILIES[args.problem].evaluate([clean for clean, _ in problems], bound)
     try:
-        for (clean, tag), (law, seconds) in zip(problems, law_iter, strict=True):
-            rec = compute_record(args.problem, clean, law, args.bound, seconds)
-            if tag:
-                rec.params = tag
-            writer.write(rec)
+        for (clean, tag), evaluation in zip(problems, evaluations, strict=True):
+            writer.write(compute_record(args.problem, clean, evaluation, tag))
     except KeyboardInterrupt:
         writer.finish()
         raise

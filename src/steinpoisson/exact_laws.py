@@ -224,7 +224,8 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     """Exact law of a sum of independent indicators via one-pass convolution.
 
     ``p`` is one vector (returns its ``Pmf``) or a matrix whose rows are
-    vectors of one length (returns one ``Pmf`` per row).  Both run the same
+    vectors of one length (returns one ``Pmf`` per row, each a view of one
+    table, see :meth:`Pmf.rows_from_mass`).  Both run the same
     DP over the columns, all rows at once, updated in place:
 
         mass[1 : i + 2] = mass[1 : i + 2] * (1 - p_i) + mass[: i + 1] * p_i
@@ -246,7 +247,7 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     for i in range(rows.shape[1]):
         mass[:, 1 : i + 2] = mass[:, 1 : i + 2] * fail[i] + mass[:, : i + 1] * succ[i]
         mass[:, 0] *= fail[i, :, 0]
-    laws = [Pmf.from_mass(row) for row in mass]
+    laws = Pmf.rows_from_mass(mass)
     return laws[0] if probs.ndim == 1 else laws
 
 

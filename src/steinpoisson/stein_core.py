@@ -58,6 +58,38 @@ def _as_fn_table(values, name: str = "f", min_len: int = 1) -> np.ndarray:
     return arr
 
 
+def _check_mass(values: list[float], tail) -> float:
+    """The checks of a :class:`Pmf`, on its entries as Python floats; returns
+    the tail as a float.
+
+    One pass over the entries: a nan or inf entry makes the sum non-finite
+    (or raises), and only then are entries inspected.
+    """
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        total = math.inf
+    if not math.isfinite(total) and not all(map(math.isfinite, values)):
+        raise ValueError("mass must be finite")
+    if min(values) < 0.0 or max(values) > 1.0 + MASS_TOL:
+        raise ValueError("mass entries must lie in [0, 1]")
+    tail = float(tail)
+    if not (0.0 <= tail <= 1.0 + MASS_TOL):
+        raise ValueError("tail must lie in [0, 1]")
+    total += tail
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"mass + tail must sum to 1 (got {total:.17g})")
+    return tail
+
+
+def _clip_dust(values) -> np.ndarray:
+    """A copy of ``values`` with rounding dust (entries in [-1e-15, 0)) set to 0."""
+    arr = np.ascontiguousarray(values, dtype=float).copy()
+    if arr.size and arr.min() < 0.0:
+        arr[(arr < 0.0) & (arr > -1e-15)] = 0.0
+    return arr
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on ``{0, ..., support_max}`` plus tail mass.
@@ -74,23 +106,7 @@ class Pmf:
         arr = np.ascontiguousarray(self.mass, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("mass must be a nonempty 1-D array")
-        # one pass over the entries as Python floats: a nan or inf entry makes
-        # the sum non-finite (or raises), and only then are entries inspected
-        values = arr.tolist()
-        try:
-            total = math.fsum(values)
-        except (OverflowError, ValueError):  # past the float range, or inf - inf
-            total = math.inf
-        if not math.isfinite(total) and not all(map(math.isfinite, values)):
-            raise ValueError("mass must be finite")
-        if min(values) < 0.0 or max(values) > 1.0 + MASS_TOL:
-            raise ValueError("mass entries must lie in [0, 1]")
-        tail = float(self.tail)
-        if not (0.0 <= tail <= 1.0 + MASS_TOL):
-            raise ValueError("tail must lie in [0, 1]")
-        total += tail
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"mass + tail must sum to 1 (got {total:.17g})")
+        tail = _check_mass(arr.tolist(), self.tail)
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
         object.__setattr__(self, "tail", tail)
@@ -98,10 +114,14 @@ class Pmf:
     @classmethod
     def from_mass(cls, values, tail: float = 0.0) -> "Pmf":
         """Build a Pmf, clipping rounding dust (entries in [-1e-15, 0))."""
-        arr = np.ascontiguousarray(values, dtype=float).copy()
-        if arr.size and arr.min() < 0.0:
-            arr[(arr < 0.0) & (arr > -1e-15)] = 0.0
-        return cls(arr, tail)
+        return cls(_clip_dust(values), tail)
+
+    @classmethod
+    def rows_from_mass(cls, table) -> list["Pmf"]:
+        """One tail-free Pmf per row of a 2-D table, each equal to
+        ``from_mass(row)``.  The rows are views of one clipped copy (one
+        clip pass, not one per row), so a kept row keeps the table alive."""
+        return [cls(row) for row in _clip_dust(table)]
 
     @property
     def support_max(self) -> int:
@@ -138,12 +158,9 @@ class SteinParams:
             raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
-def poisson_pmf(params: SteinParams) -> Pmf:
-    """Poisson law truncated at the smallest N whose upper tail is <= eps.
-
-    The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
-    returned Pmf is a certified representation of the full law.
-    """
+def _poisson_terms(params: SteinParams) -> tuple[list[float], float]:
+    """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
+    and the exact remainder ``1 - sum(masses)``."""
     lam, eps = params.lam, params.truncation_eps
     p = math.exp(-lam)
     if p == 0.0:
@@ -158,24 +175,71 @@ def poisson_pmf(params: SteinParams) -> Pmf:
         cum += p
         if k > 100_000:
             raise RuntimeError("Poisson truncation failed to converge")
-    tail = max(0.0, 1.0 - math.fsum(terms))
+    return terms, max(0.0, 1.0 - math.fsum(terms))
+
+
+def poisson_pmf(params: SteinParams) -> Pmf:
+    """Poisson law truncated at the smallest N whose upper tail is <= eps.
+
+    The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
+    returned Pmf is a certified representation of the full law.
+    """
+    terms, tail = _poisson_terms(params)
     return Pmf(np.array(terms), tail)
+
+
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> list:
+    """``|a - b|`` as Python floats, the narrower of ``a`` and ``b``
+    zero-padded to the other's width: two vectors (a flat list), or two
+    tables of matching rows (a list per row).  ``|a - b| == |b - a|`` and
+    ``x - 0 == x`` in floating point, so the wider one is copied and the
+    narrower one subtracted from its leading columns."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    diff = a.copy()
+    diff[..., : b.shape[-1]] -= b
+    return np.abs(diff, out=diff).tolist()
+
+
+def _tv(abs_diff: list[float], p_tail: float, q_tail: float) -> float:
+    """Half the l1 distance from the entries of ``|p - q|``, plus both tails."""
+    return 0.5 * (math.fsum(abs_diff) + p_tail + q_tail)
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance, half the l1 distance between the tables.
 
-    Tail masses are treated conservatively (|p.tail - q.tail| is replaced by
+    Tail masses are counted in full (their overlap is unknown, at most
     ``p.tail + q.tail``), so the result is an upper bound on the true
     distance, tight to within ``p.tail + q.tail``.  Exact for tail-free laws.
     """
-    size = max(p.mass.size, q.mass.size)
-    a = np.zeros(size)
-    b = np.zeros(size)
-    a[: p.mass.size] = p.mass
-    b[: q.mass.size] = q.mass
-    l1 = math.fsum(np.abs(a - b).tolist())
-    return 0.5 * (l1 + p.tail + q.tail)
+    return _tv(_abs_diff(p.mass, q.mass), p.tail, q.tail)
+
+
+def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
+    """The masses of ``poisson_pmf(SteinParams(lam))`` for each rate, as the
+    rows of one table zero-padded to the longest, and their tails.  Each
+    target is checked as a ``Pmf`` checks its table but is never built as
+    one."""
+    targets, tails = [], []
+    for lam in lams:
+        terms, tail = _poisson_terms(SteinParams(lam))
+        tails.append(_check_mass(terms, tail))
+        targets.append(terms)
+    width = max(map(len, targets))
+    return np.array([terms + [0.0] * (width - len(terms)) for terms in targets]), tails
+
+
+def _poisson_tvs(laws: list[Pmf], lams: list[float]) -> list[float]:
+    """``tv_distance(law, poisson_pmf(SteinParams(lam)))`` of each of a
+    nonempty list of laws of one support size and its rate, bit for bit.
+
+    The targets fill one table (:func:`_poisson_table`), and the distances
+    are taken over the two tables at once.
+    """
+    targets, tails = _poisson_table(lams)
+    rows = _abs_diff(np.array([law.mass for law in laws]), targets)
+    return [_tv(row, law.tail, tail) for row, law, tail in zip(rows, laws, tails)]
 
 
 def stein_apply(f, params: SteinParams) -> np.ndarray:

@@ -24,6 +24,7 @@ from steinpoisson import (
     coloring_dependency_graph,
     matching_pmf,
     occupancy_pmf,
+    poisson_binomial_pmf,
     poisson_pmf,
     tv_distance,
 )
@@ -79,6 +80,73 @@ class TestPoissonBinomialBound:
         assert bound_poisson_binomial(p).raw_value == pytest.approx(
             bound_poisson_binomial(shuffled).raw_value, rel=1e-12
         )
+
+
+def _vector_reference(p, coupling: bool) -> tuple[float, float]:
+    """(lam, raw) of one vector by the per-vector formulas: numpy sums of the
+    1-D vector, and math.expm1 of each rate."""
+    probs = np.asarray(p, dtype=float)
+    lam = float(probs.sum())
+    sum_sq = float(np.sum(probs**2))
+    if coupling:
+        return lam, -math.expm1(-lam) * (sum_sq / lam)
+    return lam, -math.expm1(-lam) / (2.0 * lam) * sum_sq
+
+
+POISSON_BINOMIAL_BOUNDS = {
+    "default": bound_poisson_binomial,
+    "coupling": lambda p: bound_coupling("poisson_binomial", p=p),
+}
+
+
+class TestPoissonBinomialBlocks:
+    """A matrix of equal-length vectors gives, row by row, the report of each
+    vector alone, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_block_reports_equal_vector_reports(self, kind):
+        bound = POISSON_BINOMIAL_BOUNDS[kind]
+        rng = np.random.default_rng(20261018)
+        rates = 0
+        # lengths 1..40 cross numpy's 8-way pairwise summation
+        for n in range(1, 41):
+            rows = rng.random((150, n))
+            rows[0] = 1.0
+            rows[1, -1] = 1.0
+            if n > 1:  # zero entries, keeping every rate positive
+                rows[2, ::2] = 0.0
+                rows[3, 0] = 0.0
+                rows[4, 1:] = 0.0
+            block = bound(rows)
+            assert len(block) == len(rows)
+            for row, report in zip(rows, block):
+                assert report == bound(row)
+                assert (report.lam, report.raw_value) == _vector_reference(row, kind == "coupling")
+            assert bound(rows[:1]) == [bound(rows[0])]
+            rates += len(rows)
+        assert rates >= 5000
+
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan, math.inf])
+    def test_invalid_row_raises_the_vector_message(self, kind, bad):
+        rows = np.full((4, 3), 0.2)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^success probabilities must lie in \[0, 1\]$"):
+            POISSON_BINOMIAL_BOUNDS[kind](rows)
+        with pytest.raises(ValueError, match=r"^each success probability must lie in \[0, 1\]$"):
+            poisson_binomial_pmf(rows)
+
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_zero_rate_refused_by_both_bounds(self, kind):
+        # one convention from every entry point: the sweep's own precheck
+        # raises the same message
+        bound = POISSON_BINOMIAL_BOUNDS[kind]
+        with pytest.raises(ValueError, match=r"^lam = sum\(p\) must be positive$"):
+            bound([0.0, 0.0])
+        rows = np.full((3, 2), 0.3)
+        rows[1] = 0.0
+        with pytest.raises(ValueError, match=r"^lam = sum\(p\) must be positive$"):
+            bound(rows)
 
 
 class TestMatchingBound:

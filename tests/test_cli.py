@@ -86,6 +86,15 @@ class TestBoundCommand:
         assert out.out == ""
         assert out.err == "error: success probabilities must lie in [0, 1]\n"
 
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_zero_rate_is_no_bound(self, capsys, kind):
+        # the coupling bound used to print a degenerate value 0.0 here
+        argv = ["bound", "poisson-binomial", "--p", "0,0", "--bound", kind]
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: lam = sum(p) must be positive\n"
+
 
 class TestExactTvCommand:
     def test_matching_pass(self, capsys):
@@ -189,6 +198,42 @@ class TestSweepCommand:
         attempted, failures = checks.check_output(argv, EXIT_OK, blocks, {"kind": "sweep", "rows": want})
         assert (attempted, failures) == (60, [])
 
+    def test_tagged_points_build_no_params_string(self, capsys, monkeypatch):
+        import steinpoisson.cli as cli_mod
+
+        built = []
+        real = cli_mod._params_string
+
+        def counted(params):
+            built.append(params)
+            return real(params)
+
+        monkeypatch.setattr(cli_mod, "_params_string", counted)
+        assert run(["sweep", "poisson-binomial", "--count", "4", "--seed", "2"]) == EXIT_OK
+        assert run(["sweep", "poisson-binomial", "--p", "uniform:1", "--n", "3,4"]) == EXIT_OK
+        assert built == []
+        rows = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("poisson-binomial,")]
+        assert [tag.split()[0] for tag in rows[:4]] == [f"random#{i}" for i in range(4)]
+        assert rows[4:] == ["n=3 recipe=uniform:1", "n=4 recipe=uniform:1"]
+        assert run(["sweep", "matching", "--n", "4..6"]) == EXIT_OK
+        assert built == [{"n": 4}, {"n": 5}, {"n": 6}]
+
+    def test_block_error_keeps_earlier_records(self, capsys, monkeypatch):
+        import dataclasses
+
+        import steinpoisson.cli as cli_mod
+
+        # both vectors share a block; the second one's target underflows, so
+        # the first one's record is written before the error, as point by point
+        grid = [{"p": (0.5, 0.25), "tag": "small"}, {"p": (1.0,) * 800, "tag": "large"}]
+        family = dataclasses.replace(cli_mod.FAMILIES["poisson-binomial"], grid=lambda args: grid)
+        monkeypatch.setitem(cli_mod.FAMILIES, "poisson-binomial", family)
+        assert run(["sweep", "poisson-binomial", "--count", "2"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert [line.split(",")[1] for line in out.out.splitlines()[2:]] == ["small"]
+        assert out.err == "error: lam=800.0 too large: exp(-lam) underflows\n"
+
     def test_over_cap_grid_rejected_before_running(self, tmp_path):
         assert (
             run(["sweep", "matching", "--n", "4,9999", "--out", str(tmp_path / "x.csv")])
@@ -210,11 +255,11 @@ class TestSweepCommand:
         real = cli_mod.compute_record
         calls = {"n": 0}
 
-        def flaky(problem, params, law, bound_kind="default", law_seconds=0.0):
+        def flaky(problem, params, evaluation, tag=None):
             if calls["n"] >= 3:
                 raise KeyboardInterrupt
             calls["n"] += 1
-            return real(problem, params, law, bound_kind, law_seconds)
+            return real(problem, params, evaluation, tag)
 
         monkeypatch.setattr(cli_mod, "compute_record", flaky)
         with pytest.raises(KeyboardInterrupt):
@@ -243,8 +288,8 @@ class TestSweepCommand:
         real = cli_mod.compute_record
         kept = []
 
-        def every_third_fails(problem, params, law, bound_kind="default", law_seconds=0.0):
-            rec = real(problem, params, law, bound_kind, law_seconds)
+        def every_third_fails(problem, params, evaluation, tag=None):
+            rec = real(problem, params, evaluation, tag)
             if params["n"] % 3 == 0:
                 rec.verdict = "fail"
             return rec

@@ -16,6 +16,9 @@ from steinpoisson import (
     stein_inverse,
     tv_distance,
 )
+from steinpoisson.exact_laws import poisson_binomial_pmf
+from steinpoisson import stein_core
+from steinpoisson.stein_core import _poisson_table, _poisson_tvs
 from steinpoisson.pair_models import (
     birthday_pairs_model,
     birthday_triples_model,
@@ -191,6 +194,82 @@ class TestTvDistance:
         assert tv_distance(p, q) == tv_distance(q, p)  # symmetry, exact
         assert tv_distance(p, q) <= tv_distance(p, r) + tv_distance(r, q) + 1e-12
         assert tv_distance(p, p) == 0.0
+
+
+def _reference_tv(p: Pmf, q: Pmf) -> float:
+    """Half the l1 distance of two zero-padded tables plus both tails."""
+    size = max(p.mass.size, q.mass.size)
+    a = np.zeros(size)
+    b = np.zeros(size)
+    a[: p.mass.size] = p.mass
+    b[: q.mass.size] = q.mass
+    return 0.5 * (math.fsum(np.abs(a - b).tolist()) + p.tail + q.tail)
+
+
+#: 1 - cum of its truncated Poisson(lam) table is the float just below the
+#: default truncation_eps
+LAM_AT_EPS = 2.9276433796378063
+
+
+class TestPoissonTvs:
+    """Block targets and TVs are the one-rate ``poisson_pmf`` and
+    ``tv_distance`` values, bit for bit."""
+
+    def _rates(self):
+        rng = np.random.default_rng(5)
+        return [1e-9, LAM_AT_EPS, 1.0, 700.0] + rng.uniform(0.01, 40.0, 300).tolist()
+
+    def test_lam_at_eps_lands_next_to_eps(self):
+        from itertools import accumulate
+
+        *_, cum = accumulate(poisson_pmf(SteinParams(LAM_AT_EPS)).mass.tolist())
+        assert 1e-12 - 2.0**-53 < 1.0 - cum <= 1e-12
+
+    def test_block_targets_equal_poisson_pmf(self):
+        lams = self._rates()
+        table, tails = _poisson_table(lams)
+        for row, tail, lam in zip(table, tails, lams):
+            target = poisson_pmf(SteinParams(lam))
+            assert tail == target.tail
+            assert row[0] == math.exp(-lam)
+            assert np.array_equal(row[: target.mass.size], target.mass)
+            assert not row[target.mass.size :].any()
+
+    def test_block_tvs_equal_tv_distance(self):
+        lams = self._rates()
+        rng = np.random.default_rng(6)
+        for n in (1, 7, 40):
+            laws = poisson_binomial_pmf(rng.random((len(lams), n)))
+            got = _poisson_tvs(laws, lams)
+            for law, lam, tv in zip(laws, lams, got):
+                target = poisson_pmf(SteinParams(lam))
+                assert tv == tv_distance(law, target) == _reference_tv(law, target)
+
+    def test_laws_with_tails(self):
+        law = Pmf(np.array([0.5, 0.3]), tail=0.2)
+        lams = [0.4, LAM_AT_EPS]
+        assert _poisson_tvs([law, law], lams) == [
+            _reference_tv(law, poisson_pmf(SteinParams(lam))) for lam in lams]
+
+    @pytest.mark.parametrize("terms, tail", [([0.5, 0.6], 0.0), ([1.5, -0.5], 0.0), ([1.0], 2.0)])
+    def test_targets_get_the_pmf_checks(self, monkeypatch, terms, tail):
+        with pytest.raises(ValueError) as scalar:
+            Pmf(np.array(terms), tail)
+        monkeypatch.setattr(stein_core, "_poisson_terms", lambda params: (list(terms), tail))
+        with pytest.raises(ValueError) as block:
+            _poisson_tvs([Pmf(np.array([0.5, 0.5]))], [1.0])
+        assert str(block.value) == str(scalar.value)
+
+    def test_underflow_and_bad_rates_raise_the_scalar_message(self):
+        laws = [Pmf(np.array([0.5, 0.5]))] * 3
+        with pytest.raises(ValueError) as scalar:
+            poisson_pmf(SteinParams(800.0))
+        with pytest.raises(ValueError) as block:
+            _poisson_tvs(laws, [1.0, 800.0, 2.0])
+        assert str(block.value) == str(scalar.value) == "lam=800.0 too large: exp(-lam) underflows"
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^lam must be a positive finite real$"):
+                _poisson_tvs(laws, [1.0, bad, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -49,3 +49,33 @@ def test_poisson_binomial_spans_fire_across_blocks(capsys, monkeypatch):
     assert tracer.spans["cli.record"].calls == 11
     assert tracer.spans["cli.write"].calls == 11
     assert tracer.spans["exact_laws.poisson_binomial"].calls == 2
+    # one bound call per (block, length) group, and a Pmf check per law
+    assert tracer.spans["bounds"].calls == 2
+    assert tracer.spans["stein_core.pmf_check"].calls >= 11
+
+
+def test_poisson_binomial_bounds_fire_once_per_length_group(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "PB_BLOCK_ENTRIES", 30)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        argv = ["sweep", "poisson-binomial", "--count", "40", "--maxlen", "4", "--seed", "5",
+                "--bound", "coupling"]
+        assert cli.main(argv) == cli.EXIT_OK
+        grid = cli.build_grid("poisson-binomial", cli.build_parser().parse_args(argv))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    groups, block, entries = 0, set(), 0
+    for point in grid:
+        size = len(point["p"]) + 1
+        if block and entries + size > 30:
+            groups, block, entries = groups + len(block), set(), 0
+        block.add(size)
+        entries += size
+    groups += len(block)
+    assert groups > 10
+    assert tracer.spans["bounds"].calls == groups
+    assert tracer.spans["exact_laws.poisson_binomial"].calls == groups
+    assert tracer.spans["cli.record"].calls == 40
