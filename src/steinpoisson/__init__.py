@@ -51,6 +51,7 @@ from .pair_models import (
     statistic,
     step_probs,
     substream,
+    substreams,
     verify_exchangeability,
     verify_step_probs,
 )

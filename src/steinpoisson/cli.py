@@ -69,6 +69,17 @@ class UsageError(Exception):
     pass
 
 
+def _fmt(x) -> str:
+    """One record field as text: ``repr`` for a float, empty for None."""
+    if isinstance(x, float):
+        return repr(x)
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
+
+
 @dataclass
 class CertRecord:
     problem: str
@@ -84,27 +95,18 @@ class CertRecord:
     seconds: float
 
     def row(self) -> list[str]:
-        def fmt(x):
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return "true" if x else "false"
-            if isinstance(x, float):
-                return repr(x)
-            return str(x)
-
         return [
             self.problem,
             self.params,
-            fmt(self.lam),
-            fmt(self.exact_tv),
-            fmt(self.mc_tv),
-            fmt(self.mc_stderr),
-            fmt(self.bound),
+            _fmt(self.lam),
+            _fmt(self.exact_tv),
+            _fmt(self.mc_tv),
+            _fmt(self.mc_stderr),
+            _fmt(self.bound),
             self.convention,
             "true" if self.surrogate else "false",
             self.verdict,
-            fmt(self.seconds),
+            _fmt(self.seconds),
         ]
 
     def as_dict(self) -> dict:
@@ -256,8 +258,7 @@ def _poisson_binomial_grid(args) -> list[dict]:
     if args.maxlen < 1:
         raise UsageError("--maxlen must be >= 1")
     grid = []
-    for i in range(args.count):
-        rng = pm.substream(args.seed, i)
+    for i, rng in enumerate(pm.substreams(args.seed, args.count)):
         length = int(rng.integers(1, args.maxlen + 1))
         p = tuple(rng.random(length).tolist())
         grid.append({"p": p, "tag": f"random#{i} len={length}"})

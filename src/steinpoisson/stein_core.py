@@ -47,6 +47,7 @@ __all__ = [
 
 #: tolerance used when validating that mass + tail sums to one
 MASS_TOL = 1e-12
+_BAD_RATE = "lam must be a positive finite real"
 
 
 def _as_fn_table(values, name: str = "f", min_len: int = 1) -> np.ndarray:
@@ -153,15 +154,14 @@ class SteinParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError("lam must be a positive finite real")
+            raise ValueError(_BAD_RATE)
         if not (0.0 < self.truncation_eps <= 1e-3):
             raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
-def _poisson_terms(params: SteinParams) -> tuple[list[float], float]:
+def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float]:
     """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
     and the exact remainder ``1 - sum(masses)``."""
-    lam, eps = params.lam, params.truncation_eps
     p = math.exp(-lam)
     if p == 0.0:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
@@ -184,7 +184,7 @@ def poisson_pmf(params: SteinParams) -> Pmf:
     The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
     returned Pmf is a certified representation of the full law.
     """
-    terms, tail = _poisson_terms(params)
+    terms, tail = _poisson_terms(params.lam, params.truncation_eps)
     return Pmf(np.array(terms), tail)
 
 
@@ -218,16 +218,21 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
     """The masses of ``poisson_pmf(SteinParams(lam))`` for each rate, as the
-    rows of one table zero-padded to the longest, and their tails.  Each
-    target is checked as a ``Pmf`` checks its table but is never built as
-    one."""
+    rows of one table zero-padded to the longest, and their tails.  The rates
+    get ``SteinParams``' check all at once, and each target is checked as a
+    ``Pmf`` checks its table but is never built as one."""
+    if not all(0.0 < lam < math.inf for lam in lams):  # finite and positive
+        raise ValueError(_BAD_RATE)
+    eps = SteinParams.truncation_eps
     targets, tails = [], []
     for lam in lams:
-        terms, tail = _poisson_terms(SteinParams(lam))
+        terms, tail = _poisson_terms(lam, eps)
         tails.append(_check_mass(terms, tail))
         targets.append(terms)
-    width = max(map(len, targets))
-    return np.array([terms + [0.0] * (width - len(terms)) for terms in targets]), tails
+    table = np.zeros((len(targets), max(map(len, targets))))
+    for row, terms in zip(table, targets):
+        row[: len(terms)] = terms
+    return table, tails
 
 
 def _poisson_tvs(laws: list[Pmf], lams: list[float]) -> list[float]:

@@ -169,6 +169,28 @@ class TestSweepCommand:
         assert out.out == ""
         assert out.err == "error: --maxlen must be >= 1\n"
 
+    def test_negative_seed_usage_error(self, capsys):
+        assert run(["sweep", "poisson-binomial", "--count", "2", "--seed=-1"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: expected non-negative integer\n"
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("kind", ["default", "coupling"])
+    def test_seeded_sweep_matches_independent_reference(self, capsys, seed, kind):
+        # the benchmark's reference redraws each vector from its own
+        # SeedSequence and recomputes law, TV and bound from scratch
+        checks = perfbench_module("checks")
+        argv = ["sweep", "poisson-binomial", "--count", "300", "--seed", str(seed), "--bound", kind]
+        assert run(argv) == EXIT_OK
+        got = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        want = checks.poisson_binomial_rows(seed, 300, 12, kind == "coupling")
+        assert len(got) == len(want) == 300
+        exact = ("params", "lambda", "bound", "verdict")
+        for g, w in zip(got, want):
+            assert [g[key] for key in exact] == [w[key] for key in exact]
+            assert abs(float(g["exact_tv"]) - float(w["exact_tv"])) <= checks.TV_TOL
+
     @pytest.mark.parametrize("kind", ["default", "coupling"])
     def test_poisson_binomial_blocks_match_reference(self, capsys, monkeypatch, kind):
         import steinpoisson.cli as cli_mod

@@ -344,6 +344,32 @@ class TestMonteCarloVerification:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_count_table_memory_is_bounded(self):
+        # coupon (100, 500) runs the count-table kernel: the chunk's ball
+        # labels take 31 MiB, and offsetting them all at once would add as
+        # much again
+        model = coupon_model(100, 500)
+        assert not pair_models._family(model).sorts(model)
+        tracemalloc.start()
+        try:
+            _mc_arrays(model, 8192, substream(1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+    def test_count_table_across_sub_blocks(self):
+        model = coupon_model(8, 40)
+        fam = pair_models._family(model)
+        rows = 2 * pair_models._TABLE_ROWS + 3
+        rng = substream(18, 0)
+        states = rng.integers(0, model.n, (rows, model.k))
+        counts = np.array([np.bincount(state, minlength=model.n) for state in states])
+        h, count = fam.occupancy(model, states)
+        assert h.tolist() == [np.bincount(c, minlength=h.shape[1]).tolist() for c in counts]
+        boxes = rng.integers(0, model.n, rows)
+        assert count(boxes).tolist() == counts[np.arange(rows), boxes].tolist()
+
     @pytest.mark.parametrize(
         "factory",
         [
