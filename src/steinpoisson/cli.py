@@ -17,12 +17,13 @@ report, exact TV) as an iterator, so ``sweep`` and ``exact-tv`` (its
 one-point case) share one path: Poisson-binomial grids are evaluated a
 block of points at a time, with one matrix DP, one bound call and one
 table of Poisson targets per vector length, every other family one point
-at a time.  A record's ``seconds`` covers its law, bound, Poisson target
-and TV plus the record's assembly; a point evaluated in a block is charged
-an even share of the block's time.  Exit codes: 0 all pass, 1
-dominance/verification failure, 2 usage error.  Identical command + seed
-produces byte-identical report bodies; the ``seconds`` column is the only
-timing field.
+at a time (the allocation-engine families over tables planned from the
+whole list, see ``_planned``).  A record's ``seconds`` covers its law,
+bound, Poisson target and TV plus the record's assembly; a point evaluated
+in a block is charged an even share of the block's time.  Exit codes: 0
+all pass, 1 dominance/verification failure, 2 usage error.  Identical
+command + seed produces byte-identical report bodies; the ``seconds``
+column is the only timing field.
 """
 
 from __future__ import annotations
@@ -183,7 +184,9 @@ class Family:
     - ``evaluate(points, bound)``: the bound report (``bound`` is one of
       ``bounds``) and exact TV of each of a list of points, in order, as an
       iterator of ``Evaluation``s.  Points are evaluated as the iterator is
-      advanced, never the whole list ahead.
+      advanced, never the whole list ahead; the allocation-engine families
+      (occupancy counts but coupon, and coloring) read the whole list first
+      only to plan the tables their laws share.
     - ``bounds``: each ``--bound`` kind -> ``point -> BoundReport``.
     - ``scale_k(n, theta)``: the k of a ``--theta`` value.
     - ``pair_model(point)``: the exchangeable pair.
@@ -214,6 +217,19 @@ def _each(law: Callable[[dict], object], tv: Callable[[object, float], float] = 
             report = bound(pt)
             exact = tv(value, report.lam)
             yield Evaluation(report, exact, time.perf_counter() - start)
+
+    return evaluate
+
+
+def _planned(spec: Callable[[dict], object], law: Callable[[object, object], object]):
+    """``evaluate`` of an allocation-engine family: the whole point list is
+    read first, to plan the cell-group tables its laws share
+    (``exact_laws.AllocationTables``); ``law(spec, tables)`` then gives each
+    point's law one point at a time, as in ``_each``."""
+
+    def evaluate(points, bound):
+        tables = laws.AllocationTables([spec(pt) for pt in points])
+        yield from _each(lambda pt: law(spec(pt), tables))(points, bound)
 
     return evaluate
 
@@ -339,8 +355,11 @@ def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
             raise ValueError(f"the bounds need n >= {min_n} boxes and k >= {min_k} balls")
         laws.check_occupancy(spec(pt))
 
-    return Family(("n", "k"), check, _each(lambda pt: laws.occupancy_pmf(spec(pt))),
-                  bounds, scale_k, pair_model)
+    if statistic == "empty":  # a closed form, no engine tables to share
+        evaluate = _each(lambda pt: laws.occupancy_pmf(spec(pt)))
+    else:
+        evaluate = _planned(spec, lambda s, tables: laws.occupancy_pmf(s, tables))
+    return Family(("n", "k"), check, evaluate, bounds, scale_k, pair_model)
 
 
 def _sqrt_scale(n: int, theta: float) -> int:
@@ -418,7 +437,7 @@ FAMILIES: dict[str, Family] = {
     "coloring": Family(
         ("n", "k", "c"),
         lambda pt: laws.check_coloring(_coloring_spec(pt)),
-        _each(lambda pt: laws.coloring_pmf(_coloring_spec(pt))),
+        _planned(_coloring_spec, lambda s, tables: laws.coloring_pmf(s, tables)),
         {"default": lambda pt: bd.bound_monochromatic(pt["n"], pt["k"], pt["c"])},
     ),
     "joint-matching-succession": Family(

@@ -11,7 +11,8 @@ The additive occupancy and coloring statistics share one allocation engine:
 a group of cells holds, for every item count m, the law of its statistic
 given m items; two groups join by splitting the items binomially between
 them, and binary powering over the bits of the cell count needs O(log cells)
-joins, all with nonnegative weights.
+joins, all with nonnegative weights.  The laws of a sweep share one plan of
+group tables (:class:`AllocationTables`), each built once.
 Brute-force enumeration oracles live in the test suite, not here; these
 functions are the quantities they certify.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "OccupancyMoments",
     "ColoringSpec",
     "CouponDiagnostics",
+    "AllocationTables",
     "derangement_numbers",
     "poisson_binomial_pmf",
     "matching_pmf",
@@ -495,50 +498,149 @@ def _dense_is_cheaper(len_a, len_b, width: int, square: bool, last: bool) -> boo
     return dense <= _CALL_COST * convolutions + products
 
 
-def _allocation_pmf(cells: int, items: int, stat_fn) -> Pmf:
-    """Law of an additive per-cell statistic under uniform multinomial filling.
+def _sources(size: int) -> list[int]:
+    """Group sizes the binary-powering join into ``size`` cells reads: its half
+    (a squaring), or one cell fewer and one cell."""
+    return [size // 2] if size % 2 == 0 else [size - 1, 1]
+
+
+def _top_rows(table, top: int):
+    """Rows ``0..top`` of a table, in its own form (dense: trimmed to the
+    statistic values those rows reach)."""
+    if isinstance(table, np.ndarray):
+        if table.shape[1] == top + 1:
+            return table
+        part = table[:, : top + 1]
+        return part[: np.flatnonzero(part.any(axis=1))[-1] + 1]
+    lo, rows = table
+    return table if len(rows) == top + 1 else (lo[: top + 1], rows[: top + 1])
+
+
+def _row_mass(table, m: int) -> np.ndarray:
+    """Row ``m`` of a table as a new mass vector from statistic value 0."""
+    if isinstance(table, np.ndarray):
+        col = table[:, m]
+        return col[: np.flatnonzero(col)[-1] + 1].copy()
+    lo, rows = table
+    mass = np.zeros(int(lo[m]) + rows[m].size)
+    mass[int(lo[m]) :] = rows[m]
+    return mass
+
+
+def _engine_point(spec):
+    """``(statistic key, cells, items, cell value)`` of an engine law."""
+    if isinstance(spec, ColoringSpec):
+        k = spec.tuple_size
+        return ("coloring", k), spec.n_colors, spec.n_points, lambda m: math.comb(m, k)
+    if spec.statistic == "empty":
+        raise ValueError("the empty-box law has a closed form, not an engine plan")
+    box = BOX_STATISTICS[spec.statistic]
+    return (spec.statistic, spec.level), spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
+
+
+class AllocationTables:
+    """The allocation engine, planned over the laws of a list of specs.
 
     A group of cells has a table whose row m is the law of the group's
     statistic given that m of the items fall in it; for one cell, row m is
-    the point mass at ``stat_fn(m)``.  Two groups of a and b cells join by
+    the point mass at the cell's value.  Two groups of a and b cells join by
     splitting m items Binomial(m, a/(a+b)) between them (Barbour, Holst &
     Janson, *Poisson Approximation*, ch. 6, conditioning on the total):
     row m of the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``.  Binary
-    powering over the bits of ``cells`` (square, then add one cell for each
-    set bit) reaches ``cells`` in O(log cells) joins, and the last join forms
-    only row ``items``.  Row 0 is an exact point mass at every size (no
-    rounding enters it), and all weights are nonnegative.
+    powering over the bits of the cell count (square, then add one cell for
+    each set bit) reaches it in O(log cells) joins.  Row 0 is an exact point
+    mass at every size, and all weights are nonnegative.
+
+    Row m depends on the statistic, the group size and m, not on the spec,
+    so the specs share tables: each group size on any spec's chain is built
+    once per statistic, with rows up to the most items of the specs whose
+    chains pass through it.  A spec whose cell count is an inner group of
+    some chain reads its row from that table; any other forms only its own
+    row, in a last join.  A table is built when a law first needs it and
+    dropped after its last reader (a join or a law), so a one-spec plan
+    holds what one chain does: the one-cell table, the predecessor and the
+    join's output.  :meth:`law` gives a spec's law once per listing.
 
     Each join runs on whichever kernel the row lengths it sees make cheaper:
     dense tables with one matrix product per row (short rows, many items),
-    or one 1-D convolution per split of the trimmed rows (long rows).
+    or one 1-D convolution per split of the trimmed rows (long rows).  A
+    table keeps the form its join produced.
     """
-    one = (np.array([int(stat_fn(c)) for c in range(items + 1)], np.int64), [np.ones(1)] * (items + 1))
-    one_lengths, one_width, one_dense = _lengths(one), _width(one), None
-    steps = []
-    for bit in bin(cells)[3:]:
-        steps += [True, False] if bit == "1" else [True]
-    table, size = one, 1
-    for k, square in enumerate(steps):
-        share = 0.5 if square else size / (size + 1)
-        last = k == len(steps) - 1
-        splits = [(items, _split_law(share, items))] if last else _split_weights(share, items)
-        lengths, width = _lengths(table), _width(table)
-        other_lengths, other_width = (lengths, width) if square else (one_lengths, one_width)
-        if _dense_is_cheaper(lengths, other_lengths, width * other_width, square, last):
-            a = _dense(table)
-            if not square and one_dense is None:
-                one_dense = _dense(one)
-            table = _join_dense(a, a if square else one_dense, splits)
+
+    def __init__(self, specs):
+        self._values = {}  # statistic key -> value of one cell holding c items
+        self._readers = Counter()  # (key, size) -> joins and laws still to read it
+        self._laws = Counter()  # (key, cells, items) -> laws still to give
+        self._live = {}  # (key, size) -> built table
+        chains = []
+        for spec in specs:
+            key, cells, items, value = _engine_point(spec)
+            self._values.setdefault(key, value)
+            self._laws[key, cells, items] += 1
+            chain = [cells]
+            while chain[-1] > 1:
+                chain.append(_sources(chain[-1])[0])
+            chains.append((key, items, chain))
+        # (key, size) of each table -> the last row it needs
+        self._top = {(key, size): 0 for key, _, chain in chains for size in chain[1:] + [1]}
+        for key, items, chain in chains:
+            for size in chain:
+                if (key, size) in self._top:
+                    self._top[key, size] = max(self._top[key, size], items)
+            final = [chain[0]] if (key, chain[0]) in self._top else _sources(chain[0])
+            self._readers.update((key, size) for size in final)
+        for key, size in self._top:
+            if size > 1:
+                self._readers.update((key, source) for source in _sources(size))
+
+    def law(self, spec) -> Pmf:
+        """The law of ``spec``, which the plan must still list."""
+        key, cells, items, _ = _engine_point(spec)
+        if not self._laws[key, cells, items]:
+            raise ValueError(f"{spec} is not, or no longer, in this plan")
+        self._laws[key, cells, items] -= 1
+        if (key, cells) not in self._top:
+            return Pmf.from_mass(_row_mass(self._join(key, cells, items), items))
+        mass = _row_mass(self._table(key, cells), items)
+        self._release(key, [cells])
+        return Pmf.from_mass(mass)
+
+    def _table(self, key, size: int):
+        if (key, size) not in self._live:
+            if size == 1:
+                values = [int(self._values[key](c)) for c in range(self._top[key, 1] + 1)]
+                table = (np.array(values, np.int64), [np.ones(1)] * len(values))
+            else:
+                table = self._join(key, size)
+            self._live[key, size] = table
+        return self._live[key, size]
+
+    def _release(self, key, sizes) -> None:
+        for size in sizes:
+            self._readers[key, size] -= 1
+            if not self._readers[key, size]:
+                del self._live[key, size]
+
+    def _join(self, key, size: int, last: int | None = None):
+        """The table of ``size`` cells from its sources: every row up to its
+        plan's top, or with ``last`` only row ``last`` (the others empty)."""
+        sources = _sources(size)
+        square = len(sources) == 1
+        top = self._top[key, size] if last is None else last
+        a = _top_rows(self._table(key, sources[0]), top)
+        b = a if square else _top_rows(self._table(key, 1), top)
+        share = 0.5 if square else sources[0] / size
+        splits = _split_weights(share, top) if last is None else [(top, _split_law(share, top))]
+        len_a, width_a = _lengths(a), _width(a)
+        len_b, width_b = (len_a, width_a) if square else (_lengths(b), _width(b))
+        if _dense_is_cheaper(len_a, len_b, width_a * width_b, square, last is not None):
+            a = _dense(a)
+            table = _join_dense(a, a if square else _dense(b), splits)
         else:
-            a = _ragged(table)
-            table = _join_ragged(a, a if square else one, splits, square)
-        size = 2 * size if square else size + 1
-    lo, rows = _ragged(table)
-    row = rows[items]
-    dist = np.zeros(int(lo[items]) + row.size)
-    dist[int(lo[items]) :] = row
-    return Pmf.from_mass(dist)
+            a = _ragged(a)
+            table = _join_ragged(a, a if square else b, splits, square)
+        self._release(key, sources)
+        return table
 
 
 def _empty_boxes_counts(n: int, k: int) -> np.ndarray:
@@ -659,13 +761,14 @@ def check_occupancy(spec: OccupancySpec) -> None:
         )
 
 
-def occupancy_pmf(spec: OccupancySpec) -> Pmf:
+def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -> Pmf:
     """Exact law of the requested occupancy statistic.
 
     The empty-box count uses the inclusion-exclusion closed form; the other
     statistics run the allocation engine (conditional per-box laws joined by
     binomial splits of the balls, binary powering over the boxes) with boxes
-    as cells and balls as items.  :func:`check_occupancy` applies the caps up
+    as cells and balls as items, on ``tables`` (a plan listing ``spec``)
+    or on a plan of its own.  :func:`check_occupancy` applies the caps up
     front, e.g. ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` for the
     engine.
     """
@@ -673,8 +776,7 @@ def occupancy_pmf(spec: OccupancySpec) -> Pmf:
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "empty":
         return _empty_boxes_pmf(n, k)
-    box = BOX_STATISTICS[spec.statistic]
-    return _allocation_pmf(n, k, lambda c: box(c, spec.level))
+    return (AllocationTables([spec]) if tables is None else tables).law(spec)
 
 
 @dataclass(frozen=True)
@@ -751,17 +853,17 @@ def check_coloring(spec: ColoringSpec) -> None:
         )
 
 
-def coloring_pmf(spec: ColoringSpec) -> Pmf:
+def coloring_pmf(spec: ColoringSpec, tables: AllocationTables | None = None) -> Pmf:
     """Exact law of the monochromatic tuple count.
 
     Color class sizes are a uniform multinomial over the colors, so the
     allocation engine (conditional per-cell laws, binomial splits, binary
     powering) applies with colors as cells and points as items; a class of
-    size m contributes C(m, tuple_size).
+    size m contributes C(m, tuple_size).  ``tables`` is as in
+    :func:`occupancy_pmf`.
     """
     check_coloring(spec)
-    n, k = spec.n_points, spec.tuple_size
-    return _allocation_pmf(spec.n_colors, n, lambda m: math.comb(m, k))
+    return (AllocationTables([spec]) if tables is None else tables).law(spec)
 
 
 # ---------------------------------------------------------------------------

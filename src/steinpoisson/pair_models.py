@@ -817,9 +817,9 @@ class StepProbsReport:
     """Outcome of checking the analytic step formulas against the kernel.
 
     Exact mode reports the worst absolute error over all states; Monte Carlo
-    mode reports standardized deviations (empirical move frequency minus the
-    predicted conditional, scaled by its standard error) plus the
-    up/down-rate balance implied by exchangeability.
+    mode reports standardized deviations of the up and down move counts from
+    the formulas' expected counts, and of the up moves among all moves from
+    the half that exchangeability implies.
     """
 
     problem: str
@@ -849,11 +849,12 @@ def verify_step_probs(
 
     Enumerable instances (``trials`` omitted) are checked state by state
     against the exactly enumerated kernel.  Otherwise ``trials`` sampled
-    states each take one kernel step and the aggregated move frequencies are
-    compared with the averaged formulas at a 4-sigma gate, together with the
-    up/down balance that exchangeability forces.  ``bias`` adds a constant to
-    the predicted (up, down); it exists so the harness can demonstrate its
-    own detection power and must be (0, 0) for real verification.
+    states each take one kernel step; the up and down move counts are judged
+    against the formulas' expected counts (:func:`_count_z`) at a 4-sigma
+    gate, together with the up/down balance that exchangeability forces.
+    ``bias`` adds a constant to the predicted (up, down); it exists so the
+    harness can demonstrate its own detection power and must be (0, 0) for
+    real verification.
     """
     if trials is None:
         if not is_enumerable(model):
@@ -872,25 +873,70 @@ def verify_step_probs(
         raise ValueError("Monte Carlo verification needs trials >= 10000")
     if rng is None:
         rng = np.random.default_rng()
-    sums = np.zeros(3)
-    sq_sums = np.zeros(3)
+    moves = np.zeros(2, np.int64)  # realized up and down moves
+    expected = np.zeros(2)  # their expected counts under the formulas
+    variances = np.zeros(2)
     done = 0
     while done < trials:
         size = min(_MC_CHUNK, trials - done)
         up, down, dw, _ = _mc_arrays(model, size, rng)
-        d_up = (dw == 1).astype(float) - (up + bias[0])
-        d_down = (dw == -1).astype(float) - (down + bias[1])
-        bal = (up + bias[0]) - (down + bias[1])
-        for i, arr in enumerate((d_up, d_down, bal)):
-            sums[i] += arr.sum()
-            sq_sums[i] += (arr * arr).sum()
+        for i, (step, prob) in enumerate(((1, up + bias[0]), (-1, down + bias[1]))):
+            moves[i] += np.count_nonzero(dw == step)
+            expected[i] += prob.sum()
+            clipped = np.clip(prob, 0.0, 1.0)
+            variances[i] += (clipped * (1.0 - clipped)).sum()
         done += size
-    means = sums / trials
-    variances = np.maximum(sq_sums / trials - means**2, 0.0)
-    ses = np.sqrt(variances / trials)
-    z = np.where(ses > 0, np.abs(means) / np.where(ses > 0, ses, 1.0), np.where(means == 0, 0.0, np.inf))
-    return StepProbsReport(model.problem, "mc", trials, float(z.max()), float(z[0]), float(z[1]),
-                           float(z[2]), bool(z.max() <= 4.0))
+    z = [_count_z(*args) for args in zip(moves.tolist(), expected.tolist(), variances.tolist())]
+    # exchangeability makes up and down moves equally likely: given their
+    # total, the up moves are Binomial(total, 1/2)
+    total = int(moves.sum())
+    norm = math.lgamma(total + 1) - total * math.log(2.0)
+    z.append(_tail_z(int(moves[0]), total / 2, lambda j: (
+        norm - math.lgamma(j + 1) - math.lgamma(total - j + 1) if j <= total else -math.inf)))
+    return StepProbsReport(model.problem, "mc", trials, max(z), *z, max(z) <= _Z_GATE)
+
+
+#: the Monte Carlo gate, in standard deviations (two-sided level 6.3e-5)
+_Z_GATE = 4.0
+#: expected move counts below this are judged by an exact Poisson tail
+_EXACT_TAIL_BELOW = 100.0
+
+
+def _count_z(count: int, mean: float, var: float) -> float:
+    """Standardized deviation of a realized move count from its expected count.
+
+    The normal gate takes the variance ``sum u (1 - u)`` of the formulas'
+    move probabilities u, not that of the realized moves.  A small expected
+    count is judged by its exact Poisson(mean) tail instead: away from the
+    mean, Poisson tails dominate those of the Poisson-binomial count, so
+    the false-alarm rate stays within the normal gate's.
+    """
+    if mean >= _EXACT_TAIL_BELOW and var > 0.0:
+        return abs(count - mean) / math.sqrt(var)
+    return _tail_z(count, mean, lambda j: j * math.log(mean) - mean - math.lgamma(j + 1))
+
+
+def _tail_z(count: int, mean: float, log_pmf) -> float:
+    """The normal deviate of a count's exact tail past the mean of its law
+    (given by its log pmf): ``P(X <= count)`` below the mean, else
+    ``P(X >= count)``, summed outwards from ``count`` while terms matter."""
+    if mean <= 0.0:
+        return 0.0 if count == mean else math.inf
+    step = -1 if count < mean else 1
+    tail, j = 0.0, count
+    while j >= 0:
+        term = math.exp(log_pmf(j))
+        tail += term
+        if term <= tail * 1e-17:
+            break
+        j += step
+    if tail <= 0.0:
+        return math.inf
+    lo, hi = 0.0, 40.0  # bisect for the z whose normal tail erfc(z / sqrt 2) / 2 is ``tail``
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2.0)) / 2 > tail else (lo, mid)
+    return lo
 
 
 def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> np.ndarray:

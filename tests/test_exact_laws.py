@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,10 @@ from steinpoisson import (
     occupancy_pmf,
     poisson_binomial_pmf,
 )
+from steinpoisson import cli, exact_laws
 from steinpoisson.exact_laws import (
     BOX_STATISTICS,
+    AllocationTables,
     EMPTY_CERTIFIED_RATIO_CAP,
     EMPTY_EXACT_DIGIT_CAP,
     _CERTIFIED_TRUNCATION,
@@ -479,6 +482,96 @@ class TestColoringPmf:
             ColoringSpec(3, 1, 2)  # k < 2
         with pytest.raises(ValueError):
             ColoringSpec(3, 2, 0)
+
+
+def _sweep_specs(argv: str) -> list:
+    """The specs of a ``sweep`` command's grid, as its family builds them."""
+    args = cli.build_parser().parse_args(argv.split())
+    spec = cli._coloring_spec if args.problem == "coloring" else (
+        lambda pt: OccupancySpec(pt["n"], pt["k"], {"birthday-pairs": "pairs",
+                                                    "birthday-pair-count": "pair_count",
+                                                    "birthday-triples": "triples"}[args.problem]))
+    return [spec(pt) for pt in cli.build_grid(args.problem, args)]
+
+
+def _law(spec, tables=None):
+    pmf = coloring_pmf if isinstance(spec, ColoringSpec) else occupancy_pmf
+    return pmf(spec, tables)
+
+
+def _track_joins(monkeypatch) -> tuple[list, list]:
+    """Weak references to every join's output table, and how many earlier
+    outputs were still alive as each join started."""
+    outputs, alive_at_start = [], []
+    for name in ("_join_dense", "_join_ragged"):
+        def tracked(*args, _join=getattr(exact_laws, name)):
+            alive_at_start.append(sum(ref() is not None for ref in outputs))
+            table = _join(*args)
+            outputs.append(weakref.ref(table if isinstance(table, np.ndarray) else table[0]))
+            return table
+        monkeypatch.setattr(exact_laws, name, tracked)
+    return outputs, alive_at_start
+
+
+class TestAllocationTables:
+    # the engine sweeps of the many-small benchmark workload
+    @pytest.mark.parametrize("argv", [
+        "sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2",
+        "sweep birthday-triples --n 8..40 --theta 0.5,1",
+        "sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5",
+        "sweep coloring --n 6..12 --k 2,3 --c 2..6",
+    ])
+    def test_plan_laws_match_one_point_laws(self, argv, monkeypatch):
+        specs = _sweep_specs(argv)
+        alone = [_law(spec) for spec in specs]
+        outputs, _ = _track_joins(monkeypatch)
+        tables = AllocationTables(specs)
+        for spec, law in zip(specs, alone):
+            planned = _law(spec, tables)
+            assert planned.mass.size == law.mass.size
+            assert np.abs(planned.mass - law.mass).max() <= 1e-15
+        # after the last law the plan holds no table
+        assert outputs and all(ref() is None for ref in outputs)
+        assert not tables._live
+
+    def test_shared_prefixes_against_exact_allocation(self):
+        # chains 1-2-4-5, 5-10, 10-11 and 10-20: 5 and 10 are read from their
+        # tables, 11 and 20 come from last joins; (10, 3) is listed twice
+        points = [(5, 7), (10, 3), (11, 9), (20, 6), (10, 3), (1, 4)]
+        specs = [OccupancySpec(n, k, stat, level=1 if stat == "exact_level" else None)
+                 for stat in ("pairs", "triples", "pair_count", "exact_level") for n, k in points]
+        specs += [ColoringSpec(k + 2, 2, n) for n, k in points]
+        tables = AllocationTables(specs)
+        for spec in specs:
+            if isinstance(spec, ColoringSpec):
+                cells, items, value = spec.n_colors, spec.n_points, lambda m: math.comb(m, 2)
+            else:
+                box = BOX_STATISTICS[spec.statistic]
+                cells, items = spec.n_boxes, spec.k_balls
+                value = lambda c, box=box, level=spec.level: box(c, level)  # noqa: E731
+            law = _law(spec, tables)
+            exact = np.array([float(x) for x in oracles.allocation_law_exact(cells, items, value)])
+            size = max(exact.size, law.mass.size)
+            assert np.abs(np.pad(exact, (0, size - exact.size))
+                          - np.pad(law.mass, (0, size - law.mass.size))).max() <= 1e-15
+        assert not tables._live
+        with pytest.raises(ValueError, match="plan"):
+            _law(specs[1], tables)
+
+    @pytest.mark.parametrize("spec", [OccupancySpec(1000, 47, "pairs"),
+                                      OccupancySpec(216, 36, "triples"),
+                                      ColoringSpec(40, 3, 23)])
+    def test_one_point_plan_holds_two_tables_at_most(self, spec, monkeypatch):
+        outputs, alive_at_start = _track_joins(monkeypatch)
+        _law(spec)
+        # each join reads the one table before it: that and its output
+        assert len(alive_at_start) > 3
+        assert max(alive_at_start) == 1
+        assert all(ref() is None for ref in outputs)
+
+    def test_empty_boxes_have_no_plan(self):
+        with pytest.raises(ValueError, match="closed form"):
+            AllocationTables([OccupancySpec(5, 3, "empty")])
 
 
 class TestCouponDiagnostics:

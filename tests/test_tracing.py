@@ -7,6 +7,8 @@ deleting one of them fails here rather than only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from steinpoisson import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -79,3 +81,21 @@ def test_poisson_binomial_bounds_fire_once_per_length_group(capsys, monkeypatch)
     assert tracer.spans["bounds"].calls == groups
     assert tracer.spans["exact_laws.poisson_binomial"].calls == groups
     assert tracer.spans["cli.record"].calls == 40
+
+
+@pytest.mark.parametrize("argv, records", [
+    ("sweep coloring --n 6..8 --k 3 --c 2..5", 12),
+    ("sweep birthday-pairs --n 10..20 --theta 1", 11),
+])
+def test_engine_sweeps_fire_one_dp_span_per_record(argv, records, capsys):
+    # the laws of a sweep share tables, but each is still its own dp call
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(argv.split()) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.spans["cli.record"].calls == records
+    assert tracer.spans["exact_laws.dp"].calls == records
