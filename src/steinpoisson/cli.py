@@ -12,18 +12,22 @@ Subcommands:
                      otherwise)
 
 Every problem family is described once, in ``FAMILIES``; the subcommands
-look its entry up.  A family evaluates a list of points (exact law, bound
-report, exact TV) as an iterator, so ``sweep`` and ``exact-tv`` (its
-one-point case) share one path: Poisson-binomial grids are evaluated a
-block of points at a time, with one matrix DP, one bound call and one
-table of Poisson targets per vector length, every other family one point
-at a time (the allocation-engine families over tables planned from the
-whole list, see ``_planned``).  A record's ``seconds`` covers its law,
-bound, Poisson target and TV plus the record's assembly; a point evaluated
-in a block is charged an even share of the block's time.  Exit codes: 0
-all pass, 1 dominance/verification failure, 2 usage error.  Identical
-command + seed produces byte-identical report bodies; the ``seconds``
-column is the only timing field.
+look its entry up.  Every subcommand takes its points from ``build_grid``
+(``bound``, ``exact-tv``, ``mc-tv`` and ``verify-pair`` exactly one), where
+a family reads the flags of its axes, ``--theta`` where it scales k and
+``--n`` where it has its own grid; any other point flag is a usage error.
+A family evaluates a list of points (exact law, bound report, exact TV) as
+an iterator, so ``sweep`` and ``exact-tv`` (its one-point case) share one
+path, ``_certify``: Poisson-binomial grids are evaluated a block of points
+at a time, with one matrix DP, one bound call and one table of Poisson
+targets per vector length, every other family one point at a time (the
+allocation-engine families over tables planned from the whole list, see
+``_planned``).  A record's ``seconds`` covers its law, bound, Poisson
+target and TV plus the record's assembly; a point evaluated in a block is
+charged an even share of the block's time.  Exit codes: 0 all pass, 1
+dominance/verification failure, 2 usage error.  Identical command + seed
+produces byte-identical report bodies; the ``seconds`` column is the only
+timing field.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def parse_p_vector(text: str, n: int | None) -> tuple[float, ...]:
-    """Explicit comma list, or the recipes 'uniform:LAM' (p_i = LAM/n) and
-    'harmonic' (p_i = 1/i), both of which need --n."""
+    """Explicit comma list, which takes no --n, or the recipes 'uniform:LAM'
+    (p_i = LAM/n) and 'harmonic' (p_i = 1/i), both of which need --n."""
     if text.startswith("uniform:"):
         lam = float(text.split(":", 1)[1])
         if n is None:
@@ -153,6 +157,8 @@ def parse_p_vector(text: str, n: int | None) -> tuple[float, ...]:
         if n is None:
             raise UsageError("recipe harmonic needs --n")
         return tuple(1.0 / i for i in range(1, n + 1))
+    if n is not None:
+        raise UsageError("an explicit --p list takes no --n")
     return tuple(float(x) for x in text.split(","))
 
 
@@ -262,15 +268,17 @@ def _check_probabilities(pt: dict) -> None:
 
 
 def _poisson_binomial_grid(args) -> list[dict]:
-    """Recipe vectors over --n, or --count random vectors from sub-streams of
-    --seed."""
-    if args.p:
-        if not args.n:
-            raise UsageError("--p recipes need --n")
+    """Recipe vectors over --n, an explicit --p list as one point, or (sweep
+    only) --count random vectors from sub-streams of --seed."""
+    if args.p and args.n:
         return [{"p": parse_p_vector(args.p, n), "tag": f"n={n} recipe={args.p}"}
                 for n in parse_int_list(args.n)]
-    if not args.count or args.count <= 0:
-        raise UsageError("poisson-binomial sweep needs --p or --count")
+    if args.p:
+        return [{"p": parse_p_vector(args.p, None)}]
+    if args.n:
+        raise UsageError("--n is read by the --p recipes only")
+    if not getattr(args, "count", None) or args.count <= 0:
+        raise UsageError("poisson-binomial needs --p (or, in sweep, --count)")
     if args.maxlen < 1:
         raise UsageError("--maxlen must be >= 1")
     grid = []
@@ -410,12 +418,14 @@ FAMILIES: dict[str, Family] = {
         {"default": lambda pt: bd.bound_birthday_pairs(pt["n"], pt["k"])},
         _sqrt_scale,
         lambda pt: pm.birthday_pairs_model(pt["n"], pt["k"]),
+        min_k=1,
     ),
     "birthday-pair-count": _occupancy_family(
         "pair_count",
         dict.fromkeys(("default", "coupling"),
                       lambda pt: bd.bound_coupling("birthday", n=pt["n"], k=pt["k"])),
         _sqrt_scale,
+        min_k=2,
     ),
     "birthday-triples": _occupancy_family(
         "triples",
@@ -459,14 +469,10 @@ FAMILIES: dict[str, Family] = {
 BOUND_KINDS = tuple(dict.fromkeys(kind for fam in FAMILIES.values() for kind in fam.bounds))
 
 
-def _family(problem: str, args=None) -> Family:
-    """The entry of ``problem``; with ``args``, also refuse an --l the family
-    has no axis for."""
+def _family(problem: str) -> Family:
     fam = FAMILIES.get(problem)
     if fam is None:
         raise UsageError(f"unknown problem {problem!r}")
-    if args is not None and args.l and "l" not in fam.axes:
-        raise UsageError(f"{problem} has no --l axis")
     return fam
 
 
@@ -561,7 +567,14 @@ def feasibility_error(problem: str, params: dict) -> str | None:
 
 
 def build_grid(problem: str, args) -> list[dict]:
-    fam = _family(problem, args)
+    """The points of the flags: the family's own ``grid``, or the product of
+    its axis lists, with k from --theta where the family scales it.  A point
+    flag the family does not read is a usage error."""
+    fam = _family(problem)
+    reads = {*fam.axes, *["theta"] * bool(fam.scale_k), *["n"] * bool(fam.grid)}
+    for flag in ("n", "k", "c", "l", "p", "theta"):
+        if getattr(args, flag) and flag not in reads:
+            raise UsageError(f"{problem} does not read --{flag}")
     if fam.grid is not None:
         return fam.grid(args)
     values = {axis: [tuple(parse_int_list(spec)) for spec in args.l] if axis == "l"
@@ -573,7 +586,7 @@ def build_grid(problem: str, args) -> list[dict]:
     missing = [f"--{axis}" for axis in fam.axes if axis not in values]
     if missing:
         alt = " (or --theta for --k)" if fam.scale_k else ""
-        raise UsageError(f"{problem} sweep needs {', '.join(missing)}{alt}")
+        raise UsageError(f"{problem} needs {', '.join(missing)}{alt}")
     return [dict(zip(fam.axes, combo)) for combo in product(*values.values())]
 
 
@@ -658,35 +671,26 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _need(params: dict, key: str):
-    if params.get(key) is None:
-        raise UsageError(f"missing required flag --{key}")
-    return params[key]
-
-
-def _one(values: list, flag: str):
-    if len(values) != 1:
-        raise UsageError(f"--{flag} takes one value here; sweep takes lists")
-    return values[0]
-
-
 def _single_point(args) -> dict:
-    """The one point of a non-sweep subcommand: every axis of the family,
-    with k from --theta where the family scales it."""
-    fam = _family(args.problem, args)
-    point: dict = {}
-    for key in ("n", "k", "c"):
-        if getattr(args, key):
-            point[key] = _one(parse_int_list(getattr(args, key)), key)
-    if args.l:
-        point["l"] = tuple(parse_int_list(_one(args.l, "l")))
-    if args.p:
-        point["p"] = parse_p_vector(args.p, point.get("n"))
-    if args.theta and "k" not in point and fam.scale_k:
-        point["k"] = fam.scale_k(_need(point, "n"), _one(parse_float_list(args.theta), "theta"))
-    for axis in fam.axes:
-        _need(point, axis)
-    return point
+    """The one point of ``build_grid`` for a single-point subcommand, untagged."""
+    grid = build_grid(args.problem, args)
+    if len(grid) != 1:
+        raise UsageError(f"{args.command} takes one point, not {len(grid)}; sweep takes grids")
+    return {key: val for key, val in grid[0].items() if key != "tag"}
+
+
+def _certify(problem: str, grid: list[dict], bound, hint: str = "") -> Iterator[CertRecord]:
+    """The records of a list of points, made as the returned iterator is
+    advanced; every point is prechecked first, and the first one refused
+    raises a usage error that names it, followed by ``hint``."""
+    points = [{k: v for k, v in point.items() if k != "tag"} for point in grid]
+    for point, clean in zip(grid, points):
+        err = feasibility_error(problem, clean)
+        if err:
+            raise UsageError(f"point {point.get('tag') or _params_string(clean)}: {err}{hint}")
+    evaluations = FAMILIES[problem].evaluate(points, bound)
+    return (compute_record(problem, clean, evaluation, point.get("tag"))
+            for point, clean, evaluation in zip(grid, points, evaluations, strict=True))
 
 
 def _print_record(rec: CertRecord) -> int:
@@ -698,11 +702,8 @@ def _print_record(rec: CertRecord) -> int:
 def cmd_exact_tv(args) -> int:
     point = _single_point(args)
     bound = _bound_fn(args.problem, args.bound)
-    err = feasibility_error(args.problem, point)
-    if err:
-        raise UsageError(f"{err}; consider mc-tv for large instances")
-    [evaluation] = FAMILIES[args.problem].evaluate([point], bound)
-    return _print_record(compute_record(args.problem, point, evaluation))
+    [record] = _certify(args.problem, [point], bound, "; consider mc-tv for large instances")
+    return _print_record(record)
 
 
 def cmd_mc_tv(args) -> int:
@@ -715,20 +716,12 @@ def cmd_sweep(args) -> int:
     grid = build_grid(args.problem, args)
     if not grid:
         raise UsageError("empty parameter grid")
-    problems = []
-    for point in grid:
-        clean = {k: v for k, v in point.items() if k != "tag"}
-        err = feasibility_error(args.problem, clean)
-        if err:
-            raise UsageError(f"grid point {point}: {err}")
-        problems.append((clean, point.get("tag")))
-
+    records = _certify(args.problem, grid, bound)
     out, close = _open_out(args.out)
     writer = RecordWriter(args.format, out)
-    evaluations = FAMILIES[args.problem].evaluate([clean for clean, _ in problems], bound)
     try:
-        for (clean, tag), evaluation in zip(problems, evaluations, strict=True):
-            writer.write(compute_record(args.problem, clean, evaluation, tag))
+        for rec in records:
+            writer.write(rec)
     except KeyboardInterrupt:
         writer.finish()
         raise

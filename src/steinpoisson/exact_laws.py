@@ -385,31 +385,24 @@ def _split_law(share: float, m: int) -> np.ndarray:
 
 
 # A cell-group table holds, for m = 0..items, the law of the group's statistic
-# given that m of the items fall in the group.  It is either dense, a
-# (statistic x items) array, or ragged, (lo, rows): row m holds the
+# given that m of the items fall in the group, as (lo, rows): row m holds the
 # probabilities of the statistic values lo[m], lo[m] + 1, ..., trimmed to the
-# values it reaches.
+# values it reaches.  A join that runs on dense arrays converts its inputs
+# with ``_dense`` and its output back with ``_ragged``.
 
 
 def _lengths(table) -> np.ndarray:
     """Length of every row from its first to its last reached value."""
-    if isinstance(table, np.ndarray):
-        reached = table != 0.0
-        return table.shape[0] - reached.argmax(axis=0) - reached[::-1].argmax(axis=0)
     return np.fromiter(map(len, table[1]), np.int64, len(table[1]))
 
 
 def _width(table) -> int:
     """Number of statistic values up to the largest one any row reaches."""
-    if isinstance(table, np.ndarray):
-        return table.shape[0]
     return int((table[0] + _lengths(table)).max())
 
 
 def _dense(table) -> np.ndarray:
     """The table as a (statistic x items) array."""
-    if isinstance(table, np.ndarray):
-        return table
     lo, rows = table
     lens = _lengths(table)
     ends = np.cumsum(lens)
@@ -419,10 +412,9 @@ def _dense(table) -> np.ndarray:
     return out
 
 
-def _ragged(table):
-    """The table as (lo, rows), each row trimmed to the values it reaches."""
-    if not isinstance(table, np.ndarray):
-        return table
+def _ragged(table: np.ndarray):
+    """A (statistic x items) array as a table, each row trimmed to the values
+    it reaches."""
     reached = table != 0.0
     lo = reached.argmax(axis=0)
     hi = table.shape[0] - reached[::-1].argmax(axis=0)
@@ -430,9 +422,12 @@ def _ragged(table):
     return lo, [row[a:b] for row, a, b in zip(by_row, lo.tolist(), hi.tolist())]
 
 
-def _join_dense(a: np.ndarray, b: np.ndarray, splits) -> np.ndarray:
+def _join_dense(a, b, splits, square: bool):
     """Row m is ``sum_{s+t=u} g[s, t]`` with ``g = (a_{.,<=m} * w) b_rev^T``:
-    one matrix product over the splits for every row."""
+    one matrix product over the splits for every row, on the tables as
+    dense arrays (a squaring converts ``a`` once)."""
+    a = _dense(a)
+    b = a if square else _dense(b)
     top = a.shape[1] - 1
     wa, wb = a.shape[0], b.shape[0]
     diagonal = np.add.outer(np.arange(wa), np.arange(wb)).ravel()
@@ -441,7 +436,7 @@ def _join_dense(a: np.ndarray, b: np.ndarray, splits) -> np.ndarray:
     for m, w in splits:
         g = (a[:, : m + 1] * w) @ b_rev[:, top - m :].T
         out[:, m] = np.bincount(diagonal, g.ravel(), wa + wb - 1)
-    return out[: np.flatnonzero(out.any(axis=1))[-1] + 1]
+    return _ragged(out[: np.flatnonzero(out.any(axis=1))[-1] + 1])
 
 
 def _join_ragged(a, b, splits, square: bool):
@@ -505,22 +500,13 @@ def _sources(size: int) -> list[int]:
 
 
 def _top_rows(table, top: int):
-    """Rows ``0..top`` of a table, in its own form (dense: trimmed to the
-    statistic values those rows reach)."""
-    if isinstance(table, np.ndarray):
-        if table.shape[1] == top + 1:
-            return table
-        part = table[:, : top + 1]
-        return part[: np.flatnonzero(part.any(axis=1))[-1] + 1]
+    """Rows ``0..top`` of a table."""
     lo, rows = table
     return table if len(rows) == top + 1 else (lo[: top + 1], rows[: top + 1])
 
 
 def _row_mass(table, m: int) -> np.ndarray:
     """Row ``m`` of a table as a new mass vector from statistic value 0."""
-    if isinstance(table, np.ndarray):
-        col = table[:, m]
-        return col[: np.flatnonzero(col)[-1] + 1].copy()
     lo, rows = table
     mass = np.zeros(int(lo[m]) + rows[m].size)
     mass[int(lo[m]) :] = rows[m]
@@ -563,8 +549,7 @@ class AllocationTables:
 
     Each join runs on whichever kernel the row lengths it sees make cheaper:
     dense tables with one matrix product per row (short rows, many items),
-    or one 1-D convolution per split of the trimmed rows (long rows).  A
-    table keeps the form its join produced.
+    or one 1-D convolution per split of the trimmed rows (long rows).
     """
 
     def __init__(self, specs):
@@ -633,12 +618,8 @@ class AllocationTables:
         splits = _split_weights(share, top) if last is None else [(top, _split_law(share, top))]
         len_a, width_a = _lengths(a), _width(a)
         len_b, width_b = (len_a, width_a) if square else (_lengths(b), _width(b))
-        if _dense_is_cheaper(len_a, len_b, width_a * width_b, square, last is not None):
-            a = _dense(a)
-            table = _join_dense(a, a if square else _dense(b), splits)
-        else:
-            a = _ragged(a)
-            table = _join_ragged(a, a if square else b, splits, square)
+        dense = _dense_is_cheaper(len_a, len_b, width_a * width_b, square, last is not None)
+        table = (_join_dense if dense else _join_ragged)(a, b, splits, square)
         self._release(key, sources)
         return table
 

@@ -74,7 +74,10 @@ ENUM_TRANSITION_CAP = 30_000_000
 #: state cap of the joint-measure (exchangeability) check, which holds one
 #: integer weight per kernel transition in a dict keyed by state-index pairs
 JOINT_STATE_CAP = 20_000
-_MC_CHUNK = 8192
+#: Monte Carlo chunks hold at most this many rows and state entries
+_MC_CHUNK, _MC_ENTRIES = 8192, 1 << 22
+#: the exact check's tolerance, and the bootstrap resamples of mc_tv_estimate
+_EXACT_TOL, _BOOTSTRAP = 1e-12, 200
 #: rows per sub-block of the balls-in-boxes count table
 _TABLE_ROWS = 512
 #: observable-table entries per batch evaluation of W over enumerated states
@@ -219,9 +222,11 @@ class _PairFamily:
     P(W'=W-1 | state)), ``check`` (rejects inconsistent observables),
     ``move`` (columns, new values and dw of one reversible move) and
     ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
-    move's dw, and W).  ``cells`` bounds the entries per state of the widest
-    table those functions build; ``_blocks`` sizes row blocks by it, so a
-    block's tables hold about as many entries as the state array.
+    move's dw, and W).  ``dim`` is the entries per state, by which
+    ``_chunk_rows`` sizes Monte Carlo chunks; ``cells`` bounds the entries
+    per state of the widest table those functions build, by which
+    ``_blocks`` sizes row blocks, so a block's tables hold about as many
+    entries as the state array.
 
     The enumeration oracle shares no code with them: ``size`` (states,
     kernel transitions), ``iter_states`` (state tuples), ``denominators``
@@ -231,6 +236,9 @@ class _PairFamily:
     """
 
     def cells(self, model):
+        return model.n
+
+    def dim(self, model):
         return model.n
 
     def step_arrays(self, model, states, rng):
@@ -451,6 +459,9 @@ class _Boxes(_PairFamily):
     def cells(self, model):
         return max(model.k, 3) + 1 if self.sorts(model) else max(model.n, model.k, 3) + 1
 
+    def dim(self, model):
+        return model.k
+
     def occupancy(self, model, states):
         """(h, count): the rows' occupancy histogram, at least four columns
         wide, and the function giving the ball count of one box per row."""
@@ -614,6 +625,12 @@ def _blocks(fam: _PairFamily, model: PairModel, states: np.ndarray) -> list[slic
     than ``states``."""
     step = max(1, states.size // fam.cells(model))
     return [slice(start, start + step) for start in range(0, len(states), step)]
+
+
+def _chunk_rows(fam: _PairFamily, model: PairModel) -> int:
+    """Rows per Monte Carlo chunk: ``_MC_CHUNK``, fewer (at least one) where
+    the states are wider than ``_MC_ENTRIES / _MC_CHUNK`` = 512 entries."""
+    return max(1, min(_MC_CHUNK, _MC_ENTRIES // fam.dim(model)))
 
 
 def _predict(fam: _PairFamily, model: PairModel, states: np.ndarray):
@@ -843,7 +860,6 @@ def verify_step_probs(
     trials: int | None = None,
     rng: np.random.Generator | None = None,
     bias: tuple[float, float] = (0.0, 0.0),
-    exact_tol: float = 1e-12,
 ) -> StepProbsReport:
     """Certify the analytic conditionals against the actual kernel.
 
@@ -865,7 +881,7 @@ def verify_step_probs(
         down_dev = float(np.abs(down + bias[1] - measure.q_down).max())
         balance = abs(math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist()))
         max_dev = max(up_dev, down_dev)
-        passed = bool(max_dev <= exact_tol and balance <= exact_tol)
+        passed = bool(max_dev <= _EXACT_TOL and balance <= _EXACT_TOL)
         return StepProbsReport(model.problem, "exact", len(measure.probs), max_dev, up_dev,
                                down_dev, balance, passed)
     trials = int(trials)
@@ -876,9 +892,10 @@ def verify_step_probs(
     moves = np.zeros(2, np.int64)  # realized up and down moves
     expected = np.zeros(2)  # their expected counts under the formulas
     variances = np.zeros(2)
+    rows = _chunk_rows(_family(model), model)
     done = 0
     while done < trials:
-        size = min(_MC_CHUNK, trials - done)
+        size = min(rows, trials - done)
         up, down, dw, _ = _mc_arrays(model, size, rng)
         for i, (step, prob) in enumerate(((1, up + bias[0]), (-1, down + bias[1]))):
             moves[i] += np.count_nonzero(dw == step)
@@ -945,9 +962,10 @@ def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> 
     and no move)."""
     fam = _family(model)
     out = np.empty(size, dtype=np.int64)
+    rows = _chunk_rows(fam, model)
     done = 0
     while done < size:
-        chunk = min(_MC_CHUNK, size - done)
+        chunk = min(rows, size - done)
         states = fam.draw(model, chunk, rng)
         blocks = _blocks(fam, model, states)
         out[done : done + chunk] = np.concatenate([fam.w(model, states[rows]) for rows in blocks])
@@ -960,14 +978,13 @@ def mc_tv_estimate(
     target: Pmf,
     samples: int,
     rng: np.random.Generator,
-    bootstrap: int = 200,
 ) -> tuple[float, float]:
     """Plug-in total variation between the empirical law of W and a target.
 
     The plug-in estimator is upward-biased at finite sample size (the
     empirical pmf has sampling noise in every cell), so treat the estimate as
     a noisy upper indication, not an unbiased value.  The standard error is a
-    multinomial bootstrap over the observed counts with ``bootstrap``
+    multinomial bootstrap over the observed counts with ``_BOOTSTRAP``
     resamples.
     """
     samples = int(samples)
@@ -978,8 +995,8 @@ def mc_tv_estimate(
     emp = Pmf.from_mass(counts / samples)
     estimate = tv_distance(emp, target)
     probs = counts / samples
-    reps = np.empty(bootstrap)
-    for b in range(bootstrap):
+    reps = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         resampled = rng.multinomial(samples, probs)
         reps[b] = tv_distance(Pmf.from_mass(resampled / samples), target)
     return float(estimate), float(reps.std(ddof=1))

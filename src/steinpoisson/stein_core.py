@@ -59,17 +59,19 @@ def _as_fn_table(values, name: str = "f", min_len: int = 1) -> np.ndarray:
     return arr
 
 
-def _check_mass(values: list[float], tail) -> float:
+def _check_mass(values: list[float], tail, total: float | None = None) -> float:
     """The checks of a :class:`Pmf`, on its entries as Python floats; returns
-    the tail as a float.
+    the tail as a float.  ``total``, where given, is ``math.fsum(values)``,
+    already taken by the caller.
 
     One pass over the entries: a nan or inf entry makes the sum non-finite
     (or raises), and only then are entries inspected.
     """
-    try:
-        total = math.fsum(values)
-    except (OverflowError, ValueError):  # past the float range, or inf - inf
-        total = math.inf
+    if total is None:
+        try:
+            total = math.fsum(values)
+        except (OverflowError, ValueError):  # past the float range, or inf - inf
+            total = math.inf
     if not math.isfinite(total) and not all(map(math.isfinite, values)):
         raise ValueError("mass must be finite")
     if min(values) < 0.0 or max(values) > 1.0 + MASS_TOL:
@@ -159,9 +161,9 @@ class SteinParams:
             raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
-def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float]:
+def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float, float]:
     """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
-    and the exact remainder ``1 - sum(masses)``."""
+    the exact remainder ``1 - sum(masses)`` and that sum."""
     p = math.exp(-lam)
     if p == 0.0:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
@@ -175,7 +177,8 @@ def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float]:
         cum += p
         if k > 100_000:
             raise RuntimeError("Poisson truncation failed to converge")
-    return terms, max(0.0, 1.0 - math.fsum(terms))
+    total = math.fsum(terms)
+    return terms, max(0.0, 1.0 - total), total
 
 
 def poisson_pmf(params: SteinParams) -> Pmf:
@@ -184,7 +187,7 @@ def poisson_pmf(params: SteinParams) -> Pmf:
     The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
     returned Pmf is a certified representation of the full law.
     """
-    terms, tail = _poisson_terms(params.lam, params.truncation_eps)
+    terms, tail, _ = _poisson_terms(params.lam, params.truncation_eps)
     return Pmf(np.array(terms), tail)
 
 
@@ -226,8 +229,8 @@ def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
     eps = SteinParams.truncation_eps
     targets, tails = [], []
     for lam in lams:
-        terms, tail = _poisson_terms(lam, eps)
-        tails.append(_check_mass(terms, tail))
+        terms, tail, total = _poisson_terms(lam, eps)
+        tails.append(_check_mass(terms, tail, total))
         targets.append(terms)
     table = np.zeros((len(targets), max(map(len, targets))))
     for row, terms in zip(table, targets):
@@ -366,7 +369,6 @@ def stein_identity_oracle(
     measure: EnumeratedPairMeasure,
     c: float,
     g,
-    truncation_eps: float = 1e-12,
 ) -> tuple[float, float]:
     """Exact-summation check of the exchangeable-pair error identity.
 
@@ -390,7 +392,7 @@ def stein_identity_oracle(
     lam = measure.lam
     if lam <= 0.0:
         raise ValueError("the enumerated statistic has zero mean; identity is vacuous")
-    params = SteinParams(lam, truncation_eps)
+    params = SteinParams(lam)
     ref = poisson_pmf(params)
     w_max = int(measure.w.max())
     length = max(g_arr.size, ref.mass.size, w_max + 2)

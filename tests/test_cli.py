@@ -464,6 +464,76 @@ class TestGeneralizedMatchingPair:
         assert "--l" in capsys.readouterr().err
 
 
+class TestPointFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["mc-tv", "birthday-pairs", "--n", "365", "--k", "23", "--p", "0.9",
+          "--trials", "10000"], "--p"),
+        (["exact-tv", "matching", "--n", "8", "--theta", "1"], "--theta"),
+        (["exact-tv", "coloring", "--n", "8", "--k", "3", "--c", "3", "--theta", "2"], "--theta"),
+        (["bound", "poisson-binomial", "--p", "0.5", "--k", "3"], "--k"),
+        (["sweep", "generalized-matching", "--l", "2,2", "--n", "4"], "--n"),
+        (["verify-pair", "coupon", "--n", "4", "--k", "5", "--c", "2", "--exact"], "--c"),
+    ])
+    def test_flag_the_family_does_not_read_is_usage_error(self, capsys, argv, flag):
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"does not read {flag}" in out.err
+
+    def test_explicit_p_list_sweeps_as_one_point(self, capsys):
+        assert run(["sweep", "poisson-binomial", "--p", "0.1,0.2"]) == EXIT_OK
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert [row["params"] for row in rows] == ["p=0.1,0.2"]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["exact-tv", "poisson-binomial", "--p", "0.1,0.2", "--n", "2"],
+         "an explicit --p list takes no --n"),
+        (["sweep", "poisson-binomial", "--count", "3", "--n", "5"],
+         "--n is read by the --p recipes only"),
+    ])
+    def test_n_without_a_p_recipe_is_usage_error(self, capsys, argv, err):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["exact-tv", "matching", "--n", "4..6"],
+        ["bound", "birthday-pairs", "--n", "100", "--theta", "0.5,1"],
+        ["verify-pair", "generalized-matching", "--l", "2,2", "--l", "3,3", "--exact"],
+        ["mc-tv", "poisson-binomial", "--p", "uniform:1", "--n", "3,4", "--trials", "10000"],
+    ])
+    def test_single_point_subcommands_take_one_point(self, capsys, argv):
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "takes one point" in out.err
+
+    def test_single_point_recipe_drops_its_tag(self, capsys):
+        argv = ["mc-tv", "poisson-binomial", "--p", "uniform:1", "--n", "4", "--trials", "10000"]
+        assert run(argv) == EXIT_OK
+        assert fields(capsys.readouterr().out)["params"] == "p=0.25,0.25,0.25,0.25"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "birthday-pair-count", "--n", "10,11", "--k", "2,1"],
+        ["exact-tv", "birthday-pairs", "--n", "10", "--k", "0"],
+    ])
+    def test_zero_rate_points_refused_before_output(self, capsys, argv):
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "balls" in out.err
+
+    def test_bound_still_reports_a_zero_rate(self, capsys):
+        assert run(["bound", "birthday-pair-count", "--n", "10", "--k", "1"]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["degenerate"] == "true"
+
+    def test_precheck_error_names_the_point_briefly(self, capsys):
+        argv = ["sweep", "poisson-binomial", "--p", "uniform:746", "--n", "745..747"]
+        assert run(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "n=745 recipe=uniform:746" in err
+        assert len(err) < 200
+
+
 class TestDispatchHoles:
     def test_unsupported_bound_kind_exits_2(self, capsys, tmp_path):
         argv = ["exact-tv", "matching", "--n", "10", "--bound", "negative-association"]

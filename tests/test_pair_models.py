@@ -366,6 +366,31 @@ class TestMonteCarloVerification:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_wide_states_chunk_by_entries(self):
+        # coupon (1000, 8000): the ball labels of an 8192-row chunk alone
+        # would take 500 MiB; chunks of at most _MC_ENTRIES entries keep both
+        # Monte Carlo paths near one 32 MiB chunk
+        model = coupon_model(1000, 8000)
+        fam = pair_models._family(model)
+        assert pair_models._chunk_rows(fam, model) == pair_models._MC_ENTRIES // 8000
+        target = poisson_pmf(SteinParams(model.lam))
+        for run in (lambda: verify_step_probs(model, trials=10_000, rng=substream(3, 0)),
+                    lambda: mc_tv_estimate(model, target, 10_000, substream(4, 0))):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 96 * 2**20
+
+    def test_states_up_to_512_wide_keep_full_chunks(self):
+        # the seeded streams of the benchmark's commands depend on the chunk size
+        for model in (coupon_model(100, 500), matching_model(512), birthday_pairs_model(365, 23)):
+            assert pair_models._chunk_rows(pair_models._family(model), model) == 8192
+        model = poisson_binomial_model([0.5] * 513)
+        assert pair_models._chunk_rows(pair_models._family(model), model) < 8192
+
     def test_count_table_across_sub_blocks(self):
         model = coupon_model(8, 40)
         fam = pair_models._family(model)

@@ -255,7 +255,7 @@ class TestPoissonTvs:
     def test_targets_get_the_pmf_checks(self, monkeypatch, terms, tail):
         with pytest.raises(ValueError) as scalar:
             Pmf(np.array(terms), tail)
-        monkeypatch.setattr(stein_core, "_poisson_terms", lambda lam, eps: (list(terms), tail))
+        monkeypatch.setattr(stein_core, "_poisson_terms", lambda lam, eps: (list(terms), tail, math.fsum(terms)))
         with pytest.raises(ValueError) as block:
             _poisson_tvs([Pmf(np.array([0.5, 0.5]))], [1.0])
         assert str(block.value) == str(scalar.value)
