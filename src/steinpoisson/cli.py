@@ -15,7 +15,14 @@ Every problem family is described once, in ``FAMILIES``; the subcommands
 look its entry up.  Every subcommand takes its points from ``build_grid``
 (``bound``, ``exact-tv``, ``mc-tv`` and ``verify-pair`` exactly one), where
 a family reads the flags of its axes, ``--theta`` where it scales k and
-``--n`` where it has its own grid; any other point flag is a usage error.
+``--n``, ``--count`` and ``--maxlen`` where it has its own grid.  Only
+``sweep``, ``mc-tv`` and ``verify-pair`` take ``--seed``, only ``mc-tv``
+and ``verify-pair`` ``--trials``, only ``sweep`` ``--count`` and
+``--maxlen``.  Any other of these flags, or one that a flag given with it
+leaves unread (``UNREAD_WITH``: ``--theta`` with ``--k``,
+``--count``/``--maxlen`` with ``--p``, ``--trials`` with ``--exact``), is a
+usage error that names it.  A Poisson-binomial rate past
+``stein_core.MAX_LAM`` (~708.4) is refused by the precheck.
 A family evaluates a list of points (exact law, bound report, exact TV) as
 an iterator, so ``sweep`` and ``exact-tv`` (its one-point case) share one
 path, ``_certify``: Poisson-binomial grids are evaluated a block of points
@@ -68,6 +75,10 @@ CSV_COLUMNS = [
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 VERDICT_SLACK = 1e-12
+#: the defaults of --trials and --maxlen, which parse as None where another
+#: flag can leave them unread, so that giving one there is seen
+MC_TRIALS = 100_000
+RANDOM_MAXLEN = 12
 
 
 class UsageError(Exception):
@@ -263,8 +274,11 @@ def _check_probabilities(pt: dict) -> None:
         raise ValueError("empty p vector")
     if any(not 0 <= x <= 1 for x in p):
         raise ValueError("p entries outside [0, 1]")
-    if sum(p) <= 0:
+    lam = sum(p)
+    if lam <= 0:
         raise ValueError("lam = sum(p) must be positive")
+    # the Poisson target's own limit, so no block of checked points raises
+    stein_core.check_rate_not_too_large(lam)
 
 
 def _poisson_binomial_grid(args) -> list[dict]:
@@ -279,11 +293,12 @@ def _poisson_binomial_grid(args) -> list[dict]:
         raise UsageError("--n is read by the --p recipes only")
     if not getattr(args, "count", None) or args.count <= 0:
         raise UsageError("poisson-binomial needs --p (or, in sweep, --count)")
-    if args.maxlen < 1:
+    maxlen = RANDOM_MAXLEN if args.maxlen is None else args.maxlen
+    if maxlen < 1:
         raise UsageError("--maxlen must be >= 1")
     grid = []
     for i, rng in enumerate(pm.substreams(args.seed, args.count)):
-        length = int(rng.integers(1, args.maxlen + 1))
+        length = int(rng.integers(1, maxlen + 1))
         p = tuple(rng.random(length).tolist())
         grid.append({"p": p, "tag": f"random#{i} len={length}"})
     return grid
@@ -315,28 +330,8 @@ def _poisson_binomial_block(vectors: list[tuple[float, ...]], bound) -> Iterator
     """Each vector length in the block gets one matrix of its vectors, and
     from it one ``poisson_binomial_pmf`` call (the laws), one ``bound`` call
     on the point ``{"p": matrix}`` (the reports, one per row) and one
-    ``stein_core._poisson_tvs`` call (the targets and TVs).
-
-    If the block raises, it is evaluated again one vector at a time, so the
-    points before the first bad one still make their records and the error
-    raised is that point's, as when points were evaluated one by one.
-    """
+    ``stein_core._poisson_tvs`` call (the targets and TVs)."""
     start = time.perf_counter()
-    try:
-        evaluated = _poisson_binomial_rows(vectors, bound)
-    except (ValueError, RuntimeError):
-        if len(vectors) == 1:
-            raise
-        for p in vectors:
-            yield from _poisson_binomial_block([p], bound)
-        return
-    share = (time.perf_counter() - start) / len(vectors)
-    for report, exact in evaluated:
-        yield Evaluation(report, exact, share)
-
-
-def _poisson_binomial_rows(vectors: list[tuple[float, ...]], bound) -> list:
-    """``(report, exact TV)`` of each vector of a block, in block order."""
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(vectors):
         by_length.setdefault(len(p), []).append(i)
@@ -348,7 +343,9 @@ def _poisson_binomial_rows(vectors: list[tuple[float, ...]], bound) -> list:
         tvs = stein_core._poisson_tvs(group_laws, [r.lam for r in reports])
         for i, report, exact in zip(rows, reports, tvs):
             out[i] = (report, exact)
-    return out
+    share = (time.perf_counter() - start) / len(vectors)
+    for report, exact in out:
+        yield Evaluation(report, exact, share)
 
 
 def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
@@ -566,21 +563,31 @@ def feasibility_error(problem: str, params: dict) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+#: the flags that a mode flag, when given, leaves unread: --k fixes the k
+#: that --theta would scale, --p gives the points that --count and --maxlen
+#: would draw at random, and --exact enumerates what --trials would sample
+UNREAD_WITH = {"k": ("theta",), "p": ("count", "maxlen"), "exact": ("trials",)}
+
+
 def build_grid(problem: str, args) -> list[dict]:
     """The points of the flags: the family's own ``grid``, or the product of
-    its axis lists, with k from --theta where the family scales it.  A point
-    flag the family does not read is a usage error."""
+    its axis lists, with k from --theta where the family scales it.  A flag
+    given that the family does not read, or that a mode flag given with it
+    leaves unread (``UNREAD_WITH``), is a usage error that names it."""
     fam = _family(problem)
-    reads = {*fam.axes, *["theta"] * bool(fam.scale_k), *["n"] * bool(fam.grid)}
-    for flag in ("n", "k", "c", "l", "p", "theta"):
-        if getattr(args, flag) and flag not in reads:
-            raise UsageError(f"{problem} does not read --{flag}")
+    reads = {*fam.axes, "trials", *["theta"] * bool(fam.scale_k),
+             *["n", "count", "maxlen"] * bool(fam.grid)}
+    unread = {flag: f" with --{mode}" for mode, flags in UNREAD_WITH.items()
+              if getattr(args, mode, None) for flag in flags if flag in reads}
+    for flag in ("n", "k", "c", "l", "p", "theta", "count", "maxlen", "trials"):
+        if getattr(args, flag, None) is not None and (flag not in reads or flag in unread):
+            raise UsageError(f"{problem} does not read --{flag}{unread.get(flag, '')}")
     if fam.grid is not None:
         return fam.grid(args)
     values = {axis: [tuple(parse_int_list(spec)) for spec in args.l] if axis == "l"
               else parse_int_list(getattr(args, axis))
               for axis in fam.axes if getattr(args, axis)}
-    if "k" not in values and fam.scale_k and args.theta and "n" in values:
+    if args.theta and "n" in values:
         thetas = parse_float_list(args.theta)
         return [{"n": n, "k": fam.scale_k(n, theta)} for n in values["n"] for theta in thetas]
     missing = [f"--{axis}" for axis in fam.axes if axis not in values]
@@ -644,12 +651,7 @@ class RecordWriter:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_convention(name: str | None) -> str | None:
-    return "set_distance" if name == "set" else name
-
-
-def _print_bound(report: bd.BoundReport, convention: str | None) -> None:
-    convention = _normalize_convention(convention)
+def _print_bound(report: bd.BoundReport) -> None:
     print(f"theorem_id:  {report.theorem_id}")
     print(f"lambda:      {report.lam!r}")
     print(f"value:       {report.value!r}  (raw {report.raw_value!r})")
@@ -659,15 +661,13 @@ def _print_bound(report: bd.BoundReport, convention: str | None) -> None:
         print("degenerate:  true")
     other = "set_distance" if report.convention == "tv" else "tv"
     print(f"as {other}:   {report.in_convention(other)!r}")
-    if convention and convention != report.convention:
-        print(f"requested convention {convention}: {report.in_convention(convention)!r}")
     for key, val in report.inputs.items():
         print(f"  {key} = {val}")
 
 
 def cmd_bound(args) -> int:
     point = _single_point(args)
-    _print_bound(_bound_fn(args.problem, args.bound)(point), args.convention)
+    _print_bound(_bound_fn(args.problem, args.bound)(point))
     return EXIT_OK
 
 
@@ -679,15 +679,15 @@ def _single_point(args) -> dict:
     return {key: val for key, val in grid[0].items() if key != "tag"}
 
 
-def _certify(problem: str, grid: list[dict], bound, hint: str = "") -> Iterator[CertRecord]:
+def _certify(problem: str, grid: list[dict], bound) -> Iterator[CertRecord]:
     """The records of a list of points, made as the returned iterator is
     advanced; every point is prechecked first, and the first one refused
-    raises a usage error that names it, followed by ``hint``."""
+    raises a usage error that names it."""
     points = [{k: v for k, v in point.items() if k != "tag"} for point in grid]
     for point, clean in zip(grid, points):
         err = feasibility_error(problem, clean)
         if err:
-            raise UsageError(f"point {point.get('tag') or _params_string(clean)}: {err}{hint}")
+            raise UsageError(f"point {point.get('tag') or _params_string(clean)}: {err}")
     evaluations = FAMILIES[problem].evaluate(points, bound)
     return (compute_record(problem, clean, evaluation, point.get("tag"))
             for point, clean, evaluation in zip(grid, points, evaluations, strict=True))
@@ -702,7 +702,7 @@ def _print_record(rec: CertRecord) -> int:
 def cmd_exact_tv(args) -> int:
     point = _single_point(args)
     bound = _bound_fn(args.problem, args.bound)
-    [record] = _certify(args.problem, [point], bound, "; consider mc-tv for large instances")
+    [record] = _certify(args.problem, [point], bound)
     return _print_record(record)
 
 
@@ -713,10 +713,7 @@ def cmd_mc_tv(args) -> int:
 
 def cmd_sweep(args) -> int:
     bound = _bound_fn(args.problem, args.bound)
-    grid = build_grid(args.problem, args)
-    if not grid:
-        raise UsageError("empty parameter grid")
-    records = _certify(args.problem, grid, bound)
+    records = _certify(args.problem, build_grid(args.problem, args), bound)
     out, close = _open_out(args.out)
     writer = RecordWriter(args.format, out)
     try:
@@ -756,7 +753,8 @@ def cmd_verify_pair(args) -> int:
         print("verdict:", "pass" if report.passed and ok else "fail")
         ok = ok and report.passed
     else:
-        report = pm.verify_step_probs(model, trials=args.trials, rng=pm.substream(args.seed, 0))
+        trials = MC_TRIALS if args.trials is None else args.trials
+        report = pm.verify_step_probs(model, trials=trials, rng=pm.substream(args.seed, 0))
         print(f"mode: monte-carlo, {report.samples} trials")
         print(f"max standardized deviation: {report.max_dev:.3f} (gate 4.0)")
         print(f"  up z: {report.up_dev:.3f}  down z: {report.down_dev:.3f}  "
@@ -771,18 +769,13 @@ def cmd_verify_pair(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(sub):
+def _add_point_flags(sub):
     sub.add_argument("--n", help="integer list, e.g. 100 or 4..12,20")
     sub.add_argument("--k", help="integer list")
     sub.add_argument("--c", help="integer list (colors)")
-    sub.add_argument("--theta", help="float list; use --theta=-0.5,0 for negatives")
+    sub.add_argument("--theta", help="float list, not with --k; use --theta=-0.5,0 for negatives")
     sub.add_argument("--l", action="append", help="comma list of multiplicities (repeatable)")
     sub.add_argument("--p", help="comma list of probabilities, 'uniform:LAM', or 'harmonic'")
-    sub.add_argument("--seed", type=int, default=20240901)
-    sub.add_argument(
-        "--convention", choices=["tv", "set", "set_distance"],
-        help="display the bound in this convention ('set' = set_distance)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -796,37 +789,42 @@ def build_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("bound", help="evaluate one closed-form bound")
     b.add_argument("problem")
     b.add_argument("--bound", default="default", choices=BOUND_KINDS)
-    _add_common_flags(b)
+    _add_point_flags(b)
     b.set_defaults(func=cmd_bound)
 
     e = subs.add_parser("exact-tv", help="exact law vs Poisson target with verdict")
     e.add_argument("problem", choices=FAMILIES)
     e.add_argument("--bound", default="default", choices=BOUND_KINDS)
-    _add_common_flags(e)
+    _add_point_flags(e)
     e.set_defaults(func=cmd_exact_tv)
 
     m = subs.add_parser("mc-tv", help="Monte Carlo TV estimate with verdict")
     m.add_argument("problem", choices=pair_problems)
-    m.add_argument("--trials", type=int, default=100_000)
-    _add_common_flags(m)
+    m.add_argument("--trials", type=int, default=MC_TRIALS)
+    _add_point_flags(m)
     m.set_defaults(func=cmd_mc_tv)
 
     s = subs.add_parser("sweep", help="run a certification grid to CSV/JSON")
     s.add_argument("problem", choices=FAMILIES)
     s.add_argument("--bound", default="default", choices=BOUND_KINDS)
-    s.add_argument("--count", type=int, help="number of random p vectors (poisson-binomial)")
-    s.add_argument("--maxlen", type=int, default=12, help="max random p vector length")
+    s.add_argument("--count", type=int,
+                   help="number of random p vectors (poisson-binomial without --p)")
+    s.add_argument("--maxlen", type=int,
+                   help=f"max random p vector length (default {RANDOM_MAXLEN}; with --count)")
     s.add_argument("--format", default="csv", choices=["csv", "json"])
     s.add_argument("--out", help="output path (default stdout)")
-    _add_common_flags(s)
+    _add_point_flags(s)
     s.set_defaults(func=cmd_sweep)
 
     v = subs.add_parser("verify-pair", help="certify pair-construction conditionals")
     v.add_argument("problem", choices=pair_problems)
     v.add_argument("--exact", action="store_true", help="exact enumeration (small instances)")
-    v.add_argument("--trials", type=int, default=100_000)
-    _add_common_flags(v)
+    v.add_argument("--trials", type=int,
+                   help=f"Monte Carlo samples (default {MC_TRIALS}; not with --exact)")
+    _add_point_flags(v)
     v.set_defaults(func=cmd_verify_pair)
+    for sub in (m, s, v):
+        sub.add_argument("--seed", type=int, default=20240901)
     return parser
 
 
@@ -835,10 +833,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,6 +28,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ __all__ = [
 #: tolerance used when validating that mass + tail sums to one
 MASS_TOL = 1e-12
 _BAD_RATE = "lam must be a positive finite real"
+#: the largest rate whose first Poisson mass exp(-lam) is a normal float;
+#: past it that mass is subnormal (from ~745, zero) and too badly rounded
+#: for the truncated law to be certified
+MAX_LAM = -math.log(sys.float_info.min)
 
 
 def _as_fn_table(values, name: str = "f", min_len: int = 1) -> np.ndarray:
@@ -161,12 +166,18 @@ class SteinParams:
             raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
+def check_rate_not_too_large(lam: float) -> None:
+    """Raise ValueError if ``lam`` is past ``MAX_LAM``, where
+    :func:`poisson_pmf` refuses it."""
+    if lam > MAX_LAM:
+        raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
+
+
 def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float, float]:
     """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
     the exact remainder ``1 - sum(masses)`` and that sum."""
+    check_rate_not_too_large(lam)
     p = math.exp(-lam)
-    if p == 0.0:
-        raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
     terms = [p]
     cum = p
     k = 0

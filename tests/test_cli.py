@@ -1,7 +1,9 @@
+import argparse
 import csv
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +11,15 @@ from pathlib import Path
 import pytest
 
 import steinpoisson
-from steinpoisson import exact_laws, multivariate
+from steinpoisson import bounds, exact_laws, multivariate
 from steinpoisson.cli import (
     CSV_COLUMNS,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     FAMILIES,
+    build_grid,
+    build_parser,
     feasibility_error,
     main,
     parse_int_list,
@@ -26,6 +30,14 @@ from steinpoisson.cli import (
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def exit_code(argv):
+    """``main``'s exit code, also where argparse itself exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def perfbench_module(name):
@@ -135,10 +147,12 @@ class TestExactTvCommand:
         assert run(["exact-tv", "coupon", "--n", str(n), "--k", str(k)]) == EXIT_OK
         assert fields(capsys.readouterr().out)["verdict"] == "pass"
 
-    def test_over_cap_suggests_mc(self, capsys):
+    def test_over_cap_names_the_cap(self, capsys):
         assert run(["exact-tv", "matching", "--n", "9999"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "mc-tv" in err
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: point n=9999: matching capped at n={exact_laws.MATCHING_CAP}"
+                           " (requested n=9999)\n")
 
 
 class TestSweepCommand:
@@ -241,20 +255,21 @@ class TestSweepCommand:
         assert run(["sweep", "matching", "--n", "4..6"]) == EXIT_OK
         assert built == [{"n": 4}, {"n": 5}, {"n": 6}]
 
-    def test_block_error_keeps_earlier_records(self, capsys, monkeypatch):
+    def test_underflowing_vector_refused_before_any_record(self, capsys, monkeypatch):
         import dataclasses
 
         import steinpoisson.cli as cli_mod
 
-        # both vectors share a block; the second one's target underflows, so
-        # the first one's record is written before the error, as point by point
+        # both vectors would share a block; the second one's target
+        # underflows, so the precheck refuses the grid before the first record
         grid = [{"p": (0.5, 0.25), "tag": "small"}, {"p": (1.0,) * 800, "tag": "large"}]
         family = dataclasses.replace(cli_mod.FAMILIES["poisson-binomial"], grid=lambda args: grid)
         monkeypatch.setitem(cli_mod.FAMILIES, "poisson-binomial", family)
+        monkeypatch.setattr(exact_laws, "poisson_binomial_pmf", None)  # nothing is evaluated
         assert run(["sweep", "poisson-binomial", "--count", "2"]) == EXIT_USAGE
         out = capsys.readouterr()
-        assert [line.split(",")[1] for line in out.out.splitlines()[2:]] == ["small"]
-        assert out.err == "error: lam=800.0 too large: exp(-lam) underflows\n"
+        assert out.out == ""
+        assert out.err == "error: point large: lam=800.0 too large: exp(-lam) underflows\n"
 
     def test_over_cap_grid_rejected_before_running(self, tmp_path):
         assert (
@@ -624,3 +639,90 @@ def test_imports_without_mpmath():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = 'import sys; sys.modules["mpmath"] = None; import steinpoisson.cli'
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestFlagsReadOnly:
+    POINT_FLAGS = {"--n", "--k", "--c", "--theta", "--l", "--p"}
+
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        [subs] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: {opt for action in sub._actions for opt in action.option_strings
+                        if opt.startswith("--") and opt != "--help"}
+                 for name, sub in subs.choices.items()}
+        assert flags == {
+            "bound": {"--bound"} | self.POINT_FLAGS,
+            "exact-tv": {"--bound"} | self.POINT_FLAGS,
+            "mc-tv": {"--trials", "--seed"} | self.POINT_FLAGS,
+            "sweep": {"--bound", "--count", "--maxlen", "--format", "--out", "--seed"}
+            | self.POINT_FLAGS,
+            "verify-pair": {"--exact", "--trials", "--seed"} | self.POINT_FLAGS,
+        }
+        assert sum(map(len, flags.values())) == 43
+
+    @pytest.mark.parametrize("command, err", [
+        # a flag that another flag leaves unread
+        ("exact-tv birthday-pairs --n 100 --k 10 --theta 3",
+         "birthday-pairs does not read --theta with --k"),
+        ("sweep birthday-triples --n 64 --k 8 --theta 0.5",
+         "birthday-triples does not read --theta with --k"),
+        ("mc-tv coupon --n 100 --k 500 --theta 1 --trials 1000",
+         "coupon does not read --theta with --k"),
+        ("sweep poisson-binomial --p 0.1,0.2 --count 5",
+         "poisson-binomial does not read --count with --p"),
+        ("sweep poisson-binomial --p uniform:1 --n 3,4 --maxlen 4",
+         "poisson-binomial does not read --maxlen with --p"),
+        ("verify-pair matching --n 6 --exact --trials 1000",
+         "matching does not read --trials with --exact"),
+        # random-grid flags of a family without a random grid
+        ("sweep matching --n 4 --count 5", "matching does not read --count"),
+        ("sweep coupon --n 10 --theta 1 --maxlen 4", "coupon does not read --maxlen"),
+        ("sweep coloring --n 8 --k 3 --c 3 --theta 1", "coloring does not read --theta"),
+        # flags no longer in the subcommand's parser
+        ("bound matching --n 100 --convention tv", "unrecognized arguments: --convention tv"),
+        ("sweep matching --n 4..6 --convention set", "unrecognized arguments: --convention set"),
+        ("bound matching --n 100 --seed 1", "unrecognized arguments: --seed 1"),
+        ("exact-tv matching --n 8 --seed 1", "unrecognized arguments: --seed 1"),
+        # points refused by the precheck, with no hint that does not apply
+        ("exact-tv matching --n 1", "point n=1: matching needs n >= 2"),
+        ("exact-tv poisson-binomial --p uniform:720 --n 1000", "too large: exp(-lam) underflows"),
+        ("sweep poisson-binomial --p uniform:740 --n 1000", "too large: exp(-lam) underflows"),
+    ])
+    def test_refusal_exits_2_before_output(self, capsys, command, err):
+        assert exit_code(shlex.split(command)) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert err in out.err
+        assert "mc-tv for" not in out.err
+        if "does not read" in err:
+            assert out.err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv, report, other", [
+        (["bound", "poisson-binomial", "--p", "0.1,0.2"],
+         bounds.bound_poisson_binomial((0.1, 0.2)), "set_distance"),
+        (["bound", "matching", "--n", "100"], bounds.bound_matching(100), "tv"),
+    ])
+    def test_bound_prints_both_conventions(self, capsys, argv, report, other):
+        assert run(argv) == EXIT_OK
+        out = fields(capsys.readouterr().out)
+        assert out["convention"] == report.convention != other
+        assert float(out["value"].split()[0]) == report.value
+        assert float(out[f"as {other}"]) == report.in_convention(other)
+        assert not any(key.startswith("requested") for key in out)
+
+
+def readme_cli_commands():
+    """The argument lists of the ``stein-poisson`` lines of README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("stein-poisson ")]
+
+
+def test_readme_cli_examples_build_their_points():
+    # parse and grid only: no law, bound or record is evaluated
+    commands = readme_cli_commands()
+    assert len(commands) >= 12
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        grid = build_grid(args.problem, args)
+        assert len(grid) == 1 or args.command == "sweep", argv

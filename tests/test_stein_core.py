@@ -262,14 +262,29 @@ class TestPoissonTvs:
 
     def test_underflow_and_bad_rates_raise_the_scalar_message(self):
         laws = [Pmf(np.array([0.5, 0.5]))] * 3
-        with pytest.raises(ValueError) as scalar:
-            poisson_pmf(SteinParams(800.0))
-        with pytest.raises(ValueError) as block:
-            _poisson_tvs(laws, [1.0, 800.0, 2.0])
-        assert str(block.value) == str(scalar.value) == "lam=800.0 too large: exp(-lam) underflows"
+        # at 720 and 740 exp(-lam) is subnormal, not 0: the truncation used
+        # to run past 100 000 terms, or miss mass + tail = 1
+        for lam in (720.0, 740.0, 800.0):
+            with pytest.raises(ValueError) as scalar:
+                poisson_pmf(SteinParams(lam))
+            with pytest.raises(ValueError) as block:
+                _poisson_tvs(laws, [1.0, lam, 2.0])
+            want = f"lam={lam} too large: exp(-lam) underflows"
+            assert str(block.value) == str(scalar.value) == want
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="^lam must be a positive finite real$"):
                 _poisson_tvs(laws, [1.0, bad, 2.0])
+
+    def test_largest_rate_still_certified(self):
+        # exp(-MAX_LAM) is the smallest normal float; every rate up to it
+        # gets a target whose mass and tail sum to one
+        assert math.exp(-stein_core.MAX_LAM) >= 2.2e-308
+        for lam in (708.0, stein_core.MAX_LAM):
+            target = poisson_pmf(SteinParams(lam))
+            assert 0.0 <= target.tail <= 1e-12
+            assert _poisson_tvs([target], [lam]) == [target.tail]
+        with pytest.raises(ValueError, match="too large"):
+            poisson_pmf(SteinParams(math.nextafter(stein_core.MAX_LAM, math.inf)))
 
 
 # ---------------------------------------------------------------------------
