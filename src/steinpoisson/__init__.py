@@ -60,8 +60,12 @@ from .bounds import (
     DependencyGraph,
     bound_birthday_pairs,
     bound_birthday_triples,
-    bound_coupling,
+    bound_coupling_coupon,
+    bound_coupling_matching,
+    bound_coupling_pair_count,
+    bound_coupling_poisson_binomial,
     bound_coupon_collector,
+    bound_coupon_negative_association,
     bound_dependency_graph,
     bound_dependency_graph_general,
     bound_generalized_matching,

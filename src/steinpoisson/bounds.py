@@ -43,8 +43,12 @@ __all__ = [
     "bound_birthday_triples",
     "bound_process_matching",
     "bound_coupon_collector",
-    "bound_coupling",
+    "bound_coupling_poisson_binomial",
+    "bound_coupling_matching",
+    "bound_coupling_coupon",
+    "bound_coupling_pair_count",
     "bound_negative_association",
+    "bound_coupon_negative_association",
     "bound_dependency_graph",
     "bound_dependency_graph_general",
     "bound_monochromatic",
@@ -244,6 +248,11 @@ def bound_birthday_triples(n: int, k: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_coupon(n, k, name: str) -> None:
+    if not (isinstance(n, int) and n >= 3 and isinstance(k, int) and k >= 1):
+        raise ValueError(f"{name} needs n >= 3 boxes and k >= 1 balls")
+
+
 def bound_coupon_collector(n: int, k: int) -> BoundReport:
     """Assembled error chain for the empty-box count at k = n log n + theta n.
 
@@ -258,10 +267,7 @@ def bound_coupon_collector(n: int, k: int) -> BoundReport:
     the closed-form variance bound of the singleton count.  theta may be
     negative; absolute values are used where the chain assumed theta >= 0.
     """
-    if not (isinstance(n, int) and n >= 3):
-        raise ValueError("need n >= 3 boxes")
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("need k >= 1 balls")
+    _check_coupon(n, k, "coupon collector chain")
     log_n = math.log(n)
     theta = (k - n * log_n) / n
     lam = math.exp(-theta)
@@ -282,46 +288,45 @@ def bound_coupon_collector(n: int, k: int) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# size-bias couplings
+# size-bias couplings: (1 - e^-lam) E|W + 1 - W*|, where W* has the
+# size-biased law of W; each expectation below is in closed form
 # ---------------------------------------------------------------------------
 
 
-def bound_coupling(problem: str, *, p=None, n: int | None = None,
-                   k: int | None = None) -> BoundReport | list[BoundReport]:
-    """(1 - e^-lam) * E|W + 1 - W*| for the size-bias couplings.
+def bound_coupling_poisson_binomial(p) -> BoundReport | list[BoundReport]:
+    """(1 - e^-lam) sum p_i^2 / lam for independent indicators, lam = sum p_i > 0;
+    ``p`` may be a matrix of equal-length rows, as in :func:`bound_poisson_binomial`."""
+    return _poisson_binomial_reports(p, lambda lam, sum_p_sq, n: _report(
+        "coupling_poisson_binomial", lam, -math.expm1(-lam) * (sum_p_sq / lam),
+        CONVENTION_SET, n=n))
 
-    Per problem the coupling expectation has a closed form:
 
-    * ``poisson_binomial``: sum p_i^2 / lam, lam = sum p_i > 0; ``p`` may be
-      a matrix of equal-length rows, as in :func:`bound_poisson_binomial`
-    * ``matching``:         2/n, lam = 1
-    * ``coupon``:           (1 - 1/n)^k (1 + k/n), lam = n (1 - 1/n)^k
-    * ``birthday``:         (1 + 2k)/n, lam = C(k, 2)/n  (pair count)
-    """
-    if problem == "poisson_binomial":
-        return _poisson_binomial_reports(p, lambda lam, sum_p_sq, n: _report(
-            "coupling_poisson_binomial", lam, -math.expm1(-lam) * (sum_p_sq / lam),
-            CONVENTION_SET, n=n))
-    if problem == "matching":
-        if not (isinstance(n, int) and n >= 2):
-            raise ValueError("matching coupling needs n >= 2")
-        lam = 1.0
-        return _report("coupling_matching", lam, -math.expm1(-lam) * 2.0 / n, CONVENTION_SET, n=n)
-    if problem == "coupon":
-        if not (isinstance(n, int) and n >= 2 and isinstance(k, int) and k >= 0):
-            raise ValueError("coupon coupling needs n >= 2 and k >= 0")
-        lam = n * (1.0 - 1.0 / n) ** k
-        e_term = (1.0 - 1.0 / n) ** k * (1.0 + k / n)
-        return _report("coupling_coupon", lam, -math.expm1(-lam) * e_term, CONVENTION_SET, n=n, k=k)
-    if problem == "birthday":
-        if not (isinstance(n, int) and n >= 1 and isinstance(k, int) and k >= 0):
-            raise ValueError("birthday coupling needs n >= 1 and k >= 0")
-        lam = math.comb(k, 2) / n
-        if lam <= 0.0:
-            return _report("coupling_birthday", 0.0, 0.0, CONVENTION_SET, degenerate=True, n=n, k=k)
-        e_term = (1.0 + 2.0 * k) / n
-        return _report("coupling_birthday", lam, -math.expm1(-lam) * e_term, CONVENTION_SET, n=n, k=k)
-    raise ValueError("problem must be poisson_binomial, matching, coupon or birthday")
+def bound_coupling_matching(n: int) -> BoundReport:
+    """(1 - e^-1) 2/n for the fixed points of a uniform permutation, lam = 1."""
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError("matching coupling needs n >= 2")
+    lam = 1.0
+    return _report("coupling_matching", lam, -math.expm1(-lam) * 2.0 / n, CONVENTION_SET, n=n)
+
+
+def bound_coupling_coupon(n: int, k: int) -> BoundReport:
+    """(1 - e^-lam)(1 - 1/n)^k (1 + k/n) for the empty boxes, lam = n (1 - 1/n)^k;
+    at n = 2, k = 1 (W = 1 for sure) 0.474 is below the exact TV 1 - e^-1."""
+    _check_coupon(n, k, "coupon coupling")
+    lam = n * (1.0 - 1.0 / n) ** k
+    e_term = (1.0 - 1.0 / n) ** k * (1.0 + k / n)
+    return _report("coupling_coupon", lam, -math.expm1(-lam) * e_term, CONVENTION_SET, n=n, k=k)
+
+
+def bound_coupling_pair_count(n: int, k: int) -> BoundReport:
+    """(1 - e^-lam)(1 + 2k)/n for the pair count, lam = C(k, 2)/n (degenerate at k < 2)."""
+    if not (isinstance(n, int) and n >= 1 and isinstance(k, int) and k >= 0):
+        raise ValueError("birthday coupling needs n >= 1 and k >= 0")
+    lam = math.comb(k, 2) / n
+    if lam <= 0.0:
+        return _report("coupling_birthday", 0.0, 0.0, CONVENTION_SET, degenerate=True, n=n, k=k)
+    e_term = (1.0 + 2.0 * k) / n
+    return _report("coupling_birthday", lam, -math.expm1(-lam) * e_term, CONVENTION_SET, n=n, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +348,15 @@ def bound_negative_association(lam: float, sigma2: float) -> BoundReport:
         )
     raw = -math.expm1(-lam) * max(0.0, 1.0 - sigma2 / lam)
     return _report("negative_association", lam, raw, CONVENTION_SET, sigma2=sigma2)
+
+
+def bound_coupon_negative_association(n: int, k: int) -> BoundReport:
+    """:func:`bound_negative_association` for the (negatively associated) empty
+    boxes: lam = n (1 - 1/n)^k, sigma^2 = lam + n (n - 1)(1 - 2/n)^k - lam^2."""
+    _check_coupon(n, k, "coupon negative association")
+    lam = n * (1.0 - 1.0 / n) ** k
+    sigma2 = lam + n * (n - 1) * (1 - 2 / n) ** k - lam * lam
+    return bound_negative_association(lam, sigma2)
 
 
 # ---------------------------------------------------------------------------

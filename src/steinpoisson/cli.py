@@ -20,9 +20,10 @@ a family reads the flags of its axes, ``--theta`` where it scales k and
 and ``verify-pair`` ``--trials``, only ``sweep`` ``--count`` and
 ``--maxlen``.  Any other of these flags, or one that a flag given with it
 leaves unread (``UNREAD_WITH``: ``--theta`` with ``--k``,
-``--count``/``--maxlen`` with ``--p``, ``--trials`` with ``--exact``), is a
-usage error that names it.  A Poisson-binomial rate past
-``stein_core.MAX_LAM`` (~708.4) is refused by the precheck.
+``--count``/``--maxlen`` with ``--p``, ``--trials`` and ``--seed`` with
+``--exact``), is a usage error that names it.  So is the first point of a
+``sweep`` or ``exact-tv`` that the family's ``check`` refuses: each bound
+owns its domain, and the point's rate must be in (0, ``MAX_LAM``] (~708.4).
 A family evaluates a list of points (exact law, bound report, exact TV) as
 an iterator, so ``sweep`` and ``exact-tv`` (its one-point case) share one
 path, ``_certify``: Poisson-binomial grids are evaluated a block of points
@@ -75,10 +76,11 @@ CSV_COLUMNS = [
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 VERDICT_SLACK = 1e-12
-#: the defaults of --trials and --maxlen, which parse as None where another
-#: flag can leave them unread, so that giving one there is seen
+#: the defaults of --trials, --maxlen and --seed, which parse as None where
+#: another flag can leave them unread, so that giving one there is seen
 MC_TRIALS = 100_000
 RANDOM_MAXLEN = 12
+DEFAULT_SEED = 20240901
 
 
 class UsageError(Exception):
@@ -140,8 +142,10 @@ def parse_int_list(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split(".."))
+            if lo > hi:
+                raise UsageError(f"reversed range {part!r} in {text!r}")
+            out.extend(range(lo, hi + 1))
         elif part:
             out.append(int(part))
     if not out:
@@ -151,8 +155,8 @@ def parse_int_list(text: str) -> list[int]:
 
 def parse_float_list(text: str) -> list[float]:
     out = [float(p) for p in text.split(",") if p.strip()]
-    if not out:
-        raise UsageError(f"empty float list: {text!r}")
+    if not out or not all(map(math.isfinite, out)):
+        raise UsageError(f"not a list of finite floats: {text!r}")
     return out
 
 
@@ -196,8 +200,9 @@ class Family:
     """Everything the subcommands know about one problem family.
 
     - ``axes``: the parameters of one point.
-    - ``check(point)``: raises ValueError where the exact law (through its
-      module's own cap check) or the bounds cannot go.
+    - ``check(point, bound)``: raises ValueError where the law module's cap
+      check (asked first) or ``bound`` (each bound owns its domain) refuses
+      the point, or its report's rate is outside (0, ``stein_core.MAX_LAM``].
     - ``evaluate(points, bound)``: the bound report (``bound`` is one of
       ``bounds``) and exact TV of each of a list of points, in order, as an
       iterator of ``Evaluation``s.  Points are evaluated as the iterator is
@@ -214,7 +219,7 @@ class Family:
     """
 
     axes: tuple[str, ...]
-    check: Callable[[dict], None]
+    check: Callable[[dict, Callable[[dict], bd.BoundReport]], None]
     evaluate: Callable[[list[dict], Callable[[dict], bd.BoundReport]], Iterator[Evaluation]]
     bounds: dict[str, Callable[[dict], bd.BoundReport]]
     scale_k: Callable[[int, float], int] | None = None
@@ -256,11 +261,17 @@ def _matching_spec(pt: dict) -> laws.MatchingSpec:
     return laws.MatchingSpec(sum(l), tuple(l)) if l else laws.MatchingSpec(pt["n"])
 
 
-def _check_matching(pt: dict) -> None:
-    spec = _matching_spec(pt)
-    laws.check_matching(spec)
-    if spec.n < 2:
-        raise ValueError("matching needs n >= 2")
+def _bounded(law_check: Callable[[dict], None]):
+    """``check`` of a family from its law module's cap check."""
+
+    def check(pt, bound):
+        law_check(pt)
+        stein_core.check_rate(bound(pt).lam)
+
+    return check
+
+
+_check_matching = _bounded(lambda pt: laws.check_matching(_matching_spec(pt)))
 
 
 def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
@@ -268,17 +279,15 @@ def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
     return Family(axes, _check_matching, law, bounds, pair_model=pair_model)
 
 
-def _check_probabilities(pt: dict) -> None:
+def _check_probabilities(pt: dict, bound) -> None:
+    """``check`` of Poisson-binomial; both its bounds take every vector it passes."""
     p = pt["p"]
     if not p:
         raise ValueError("empty p vector")
     if any(not 0 <= x <= 1 for x in p):
         raise ValueError("p entries outside [0, 1]")
-    lam = sum(p)
-    if lam <= 0:
-        raise ValueError("lam = sum(p) must be positive")
-    # the Poisson target's own limit, so no block of checked points raises
-    stein_core.check_rate_not_too_large(lam)
+    # the Poisson target's own domain, so no block of checked points raises
+    stein_core.check_rate(sum(p))
 
 
 def _poisson_binomial_grid(args) -> list[dict]:
@@ -297,7 +306,7 @@ def _poisson_binomial_grid(args) -> list[dict]:
     if maxlen < 1:
         raise UsageError("--maxlen must be >= 1")
     grid = []
-    for i, rng in enumerate(pm.substreams(args.seed, args.count)):
+    for i, rng in enumerate(pm.substreams(_seed(args), args.count)):
         length = int(rng.integers(1, maxlen + 1))
         p = tuple(rng.random(length).tolist())
         grid.append({"p": p, "tag": f"random#{i} len={length}"})
@@ -348,22 +357,17 @@ def _poisson_binomial_block(vectors: list[tuple[float, ...]], bound) -> Iterator
         yield Evaluation(report, exact, share)
 
 
-def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None,
-                      min_n: int = 1, min_k: int = 0) -> Family:
-    """k balls in n boxes; ``min_n``/``min_k`` are the bounds' own domain."""
+def _occupancy_family(statistic: str, bounds: dict, scale_k, pair_model=None) -> Family:
+    """k balls in n boxes."""
 
     def spec(pt):
         return laws.OccupancySpec(pt["n"], pt["k"], statistic)
-
-    def check(pt):
-        if pt["n"] < min_n or pt["k"] < min_k:
-            raise ValueError(f"the bounds need n >= {min_n} boxes and k >= {min_k} balls")
-        laws.check_occupancy(spec(pt))
 
     if statistic == "empty":  # a closed form, no engine tables to share
         evaluate = _each(lambda pt: laws.occupancy_pmf(spec(pt)))
     else:
         evaluate = _planned(spec, lambda s, tables: laws.occupancy_pmf(s, tables))
+    check = _bounded(lambda pt: laws.check_occupancy(spec(pt)))
     return Family(("n", "k"), check, evaluate, bounds, scale_k, pair_model)
 
 
@@ -371,28 +375,15 @@ def _sqrt_scale(n: int, theta: float) -> int:
     return max(1, round(theta * math.sqrt(n)))
 
 
-def _coupon_negative_association(pt: dict) -> bd.BoundReport:
-    n, k = pt["n"], pt["k"]
-    lam = n * (1.0 - 1.0 / n) ** k
-    sigma2 = lam + n * (n - 1) * (1 - 2 / n) ** k - lam * lam
-    return bd.bound_negative_association(lam, sigma2)
-
-
 def _coloring_spec(pt: dict) -> laws.ColoringSpec:
     return laws.ColoringSpec(pt["n"], pt["k"], pt["c"])
-
-
-def _check_joint(pt: dict) -> None:
-    mv.check_joint(pt["n"])
-    if pt["n"] < 3:
-        raise ValueError("the bound needs n >= 3")
 
 
 FAMILIES: dict[str, Family] = {
     "matching": _matching_family(
         ("n",),
         {"default": lambda pt: bd.bound_matching(pt["n"]),
-         "coupling": lambda pt: bd.bound_coupling("matching", n=pt["n"])},
+         "coupling": lambda pt: bd.bound_coupling_matching(pt["n"])},
         lambda pt: pm.matching_model(pt["n"]),
     ),
     "generalized-matching": _matching_family(
@@ -406,7 +397,7 @@ FAMILIES: dict[str, Family] = {
         _poisson_binomial_blocks,
         # each also takes a point whose p is a matrix of equal-length vectors
         {"default": lambda pt: bd.bound_poisson_binomial(pt["p"]),
-         "coupling": lambda pt: bd.bound_coupling("poisson_binomial", p=pt["p"])},
+         "coupling": lambda pt: bd.bound_coupling_poisson_binomial(pt["p"])},
         pair_model=lambda pt: pm.poisson_binomial_model(pt["p"]),
         grid=_poisson_binomial_grid,
     ),
@@ -415,41 +406,36 @@ FAMILIES: dict[str, Family] = {
         {"default": lambda pt: bd.bound_birthday_pairs(pt["n"], pt["k"])},
         _sqrt_scale,
         lambda pt: pm.birthday_pairs_model(pt["n"], pt["k"]),
-        min_k=1,
     ),
     "birthday-pair-count": _occupancy_family(
         "pair_count",
         dict.fromkeys(("default", "coupling"),
-                      lambda pt: bd.bound_coupling("birthday", n=pt["n"], k=pt["k"])),
+                      lambda pt: bd.bound_coupling_pair_count(pt["n"], pt["k"])),
         _sqrt_scale,
-        min_k=2,
     ),
     "birthday-triples": _occupancy_family(
         "triples",
         {"default": lambda pt: bd.bound_birthday_triples(pt["n"], pt["k"])},
         lambda n, theta: max(3, round(theta * n ** (2.0 / 3.0))),
         lambda pt: pm.birthday_triples_model(pt["n"], pt["k"]),
-        min_k=3,
     ),
     "coupon": _occupancy_family(
         "empty",
         {"default": lambda pt: bd.bound_coupon_collector(pt["n"], pt["k"]),
-         "coupling": lambda pt: bd.bound_coupling("coupon", n=pt["n"], k=pt["k"]),
-         "negative-association": _coupon_negative_association},
+         "coupling": lambda pt: bd.bound_coupling_coupon(pt["n"], pt["k"]),
+         "negative-association": lambda pt: bd.bound_coupon_negative_association(pt["n"], pt["k"])},
         lambda n, theta: max(1, round(n * math.log(n) + theta * n)),
         lambda pt: pm.coupon_model(pt["n"], pt["k"]),
-        min_n=3,
-        min_k=1,
     ),
     "coloring": Family(
         ("n", "k", "c"),
-        lambda pt: laws.check_coloring(_coloring_spec(pt)),
+        _bounded(lambda pt: laws.check_coloring(_coloring_spec(pt))),
         _planned(_coloring_spec, lambda s, tables: laws.coloring_pmf(s, tables)),
         {"default": lambda pt: bd.bound_monochromatic(pt["n"], pt["k"], pt["c"])},
     ),
     "joint-matching-succession": Family(
         ("n",),
-        _check_joint,
+        _bounded(lambda pt: mv.check_joint(pt["n"])),
         _each(lambda pt: mv.joint_fixed_point_succession_pmf(pt["n"]),
               lambda law, lam: mv.joint_tv(law, mv.product_poisson_joint([lam, lam]))),
         {"default": lambda pt: mv.bound_fixed_point_succession(pt["n"])},
@@ -547,12 +533,13 @@ def compute_mc_record(problem: str, params: dict, trials: int, seed: int) -> Cer
 # ---------------------------------------------------------------------------
 
 
-def feasibility_error(problem: str, params: dict) -> str | None:
+def feasibility_error(problem: str, params: dict, bound=None) -> str | None:
+    """Why ``check`` refuses ``params`` with ``bound`` (default: kind ``default``), or None."""
     fam = FAMILIES.get(problem)
     if fam is None:
         return f"unknown problem {problem!r}"
     try:
-        fam.check(params)
+        fam.check(params, bound or fam.bounds["default"])
     except (ValueError, KeyError) as exc:
         return str(exc)
     return None
@@ -565,8 +552,9 @@ def feasibility_error(problem: str, params: dict) -> str | None:
 
 #: the flags that a mode flag, when given, leaves unread: --k fixes the k
 #: that --theta would scale, --p gives the points that --count and --maxlen
-#: would draw at random, and --exact enumerates what --trials would sample
-UNREAD_WITH = {"k": ("theta",), "p": ("count", "maxlen"), "exact": ("trials",)}
+#: would draw at random, and --exact enumerates what --trials and --seed
+#: would sample
+UNREAD_WITH = {"k": ("theta",), "p": ("count", "maxlen"), "exact": ("trials", "seed")}
 
 
 def build_grid(problem: str, args) -> list[dict]:
@@ -575,11 +563,11 @@ def build_grid(problem: str, args) -> list[dict]:
     given that the family does not read, or that a mode flag given with it
     leaves unread (``UNREAD_WITH``), is a usage error that names it."""
     fam = _family(problem)
-    reads = {*fam.axes, "trials", *["theta"] * bool(fam.scale_k),
+    reads = {*fam.axes, "trials", "seed", *["theta"] * bool(fam.scale_k),
              *["n", "count", "maxlen"] * bool(fam.grid)}
     unread = {flag: f" with --{mode}" for mode, flags in UNREAD_WITH.items()
               if getattr(args, mode, None) for flag in flags if flag in reads}
-    for flag in ("n", "k", "c", "l", "p", "theta", "count", "maxlen", "trials"):
+    for flag in ("n", "k", "c", "l", "p", "theta", "count", "maxlen", "trials", "seed"):
         if getattr(args, flag, None) is not None and (flag not in reads or flag in unread):
             raise UsageError(f"{problem} does not read --{flag}{unread.get(flag, '')}")
     if fam.grid is not None:
@@ -681,16 +669,20 @@ def _single_point(args) -> dict:
 
 def _certify(problem: str, grid: list[dict], bound) -> Iterator[CertRecord]:
     """The records of a list of points, made as the returned iterator is
-    advanced; every point is prechecked first, and the first one refused
-    raises a usage error that names it."""
+    advanced; every point is prechecked with ``bound`` first, and the first
+    one refused raises a usage error that names it."""
     points = [{k: v for k, v in point.items() if k != "tag"} for point in grid]
     for point, clean in zip(grid, points):
-        err = feasibility_error(problem, clean)
+        err = feasibility_error(problem, clean, bound)
         if err:
             raise UsageError(f"point {point.get('tag') or _params_string(clean)}: {err}")
     evaluations = FAMILIES[problem].evaluate(points, bound)
     return (compute_record(problem, clean, evaluation, point.get("tag"))
             for point, clean, evaluation in zip(grid, points, evaluations, strict=True))
+
+
+def _seed(args) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
 
 
 def _print_record(rec: CertRecord) -> int:
@@ -700,15 +692,13 @@ def _print_record(rec: CertRecord) -> int:
 
 
 def cmd_exact_tv(args) -> int:
-    point = _single_point(args)
-    bound = _bound_fn(args.problem, args.bound)
-    [record] = _certify(args.problem, [point], bound)
+    [record] = _certify(args.problem, [_single_point(args)], _bound_fn(args.problem, args.bound))
     return _print_record(record)
 
 
 def cmd_mc_tv(args) -> int:
     point = _single_point(args)
-    return _print_record(compute_mc_record(args.problem, point, args.trials, args.seed))
+    return _print_record(compute_mc_record(args.problem, point, args.trials, _seed(args)))
 
 
 def cmd_sweep(args) -> int:
@@ -754,7 +744,7 @@ def cmd_verify_pair(args) -> int:
         ok = ok and report.passed
     else:
         trials = MC_TRIALS if args.trials is None else args.trials
-        report = pm.verify_step_probs(model, trials=trials, rng=pm.substream(args.seed, 0))
+        report = pm.verify_step_probs(model, trials=trials, rng=pm.substream(_seed(args), 0))
         print(f"mode: monte-carlo, {report.samples} trials")
         print(f"max standardized deviation: {report.max_dev:.3f} (gate 4.0)")
         print(f"  up z: {report.up_dev:.3f}  down z: {report.down_dev:.3f}  "
@@ -824,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(v)
     v.set_defaults(func=cmd_verify_pair)
     for sub in (m, s, v):
-        sub.add_argument("--seed", type=int, default=20240901)
+        sub.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}")
     return parser
 
 

@@ -166,9 +166,11 @@ class SteinParams:
             raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
-def check_rate_not_too_large(lam: float) -> None:
-    """Raise ValueError if ``lam`` is past ``MAX_LAM``, where
-    :func:`poisson_pmf` refuses it."""
+def check_rate(lam: float) -> None:
+    """Raise ValueError unless ``lam`` lies in (0, ``MAX_LAM``], the rates
+    whose target :func:`poisson_pmf` builds."""
+    if not 0.0 < lam < math.inf:  # finite and positive
+        raise ValueError(_BAD_RATE)
     if lam > MAX_LAM:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
 
@@ -176,7 +178,7 @@ def check_rate_not_too_large(lam: float) -> None:
 def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float, float]:
     """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
     the exact remainder ``1 - sum(masses)`` and that sum."""
-    check_rate_not_too_large(lam)
+    check_rate(lam)
     p = math.exp(-lam)
     terms = [p]
     cum = p
@@ -232,11 +234,9 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
     """The masses of ``poisson_pmf(SteinParams(lam))`` for each rate, as the
-    rows of one table zero-padded to the longest, and their tails.  The rates
-    get ``SteinParams``' check all at once, and each target is checked as a
-    ``Pmf`` checks its table but is never built as one."""
-    if not all(0.0 < lam < math.inf for lam in lams):  # finite and positive
-        raise ValueError(_BAD_RATE)
+    rows of one table zero-padded to the longest, and their tails.  Each rate
+    gets :func:`check_rate`, and each target is checked as a ``Pmf`` checks
+    its table but is never built as one."""
     eps = SteinParams.truncation_eps
     targets, tails = [], []
     for lam in lams:

@@ -301,7 +301,7 @@ def test_criterion_09_coupon_trend_and_dominance():
             ok = False
         lam_mean = n * (1.0 - 1.0 / n) ** k
         tv_mean = tv_distance(law, poisson_pmf(SteinParams(lam_mean)))
-        coup = bd.bound_coupling("coupon", n=n, k=k)
+        coup = bd.bound_coupling_coupon(n, k)
         if coup.value < tv_mean - 1e-12 or coup.value > chain.value:
             ok = False
     # bounded: pinned from observation (max 0.0271 at n=100); no blow-up
@@ -349,22 +349,22 @@ def test_criterion_12_coupling_dominance():
     unit = _unit_poisson()
     ok = True
     for n in range(2, 201):
-        if tv_distance(_matching_law(n), unit) > bd.bound_coupling("matching", n=n).value - 1e-12:
+        if tv_distance(_matching_law(n), unit) > bd.bound_coupling_matching(n).value - 1e-12:
             ok = False
     for p in _random_p_vectors():
-        rep = bd.bound_coupling("poisson_binomial", p=p)
+        rep = bd.bound_coupling_poisson_binomial(p)
         exact = tv_distance(sp.poisson_binomial_pmf(p), poisson_pmf(SteinParams(rep.lam)))
         if rep.value < exact - 1e-12:
             ok = False
     for n, k in _coupon_grid():
-        rep = bd.bound_coupling("coupon", n=n, k=k)
+        rep = bd.bound_coupling_coupon(n, k)
         exact = tv_distance(_empty_law(n, k), poisson_pmf(SteinParams(rep.lam)))
         if rep.value < exact - 1e-12:
             ok = False
     for n, k in _birthday_grid():
         if k < 2:
             continue
-        rep = bd.bound_coupling("birthday", n=n, k=k)
+        rep = bd.bound_coupling_pair_count(n, k)
         law = _occupancy_law(n, k, "pair_count")
         exact = tv_distance(law, poisson_pmf(SteinParams(rep.lam)))
         if rep.value < exact - 1e-12:

@@ -12,8 +12,12 @@ from steinpoisson import (
     SteinParams,
     bound_birthday_pairs,
     bound_birthday_triples,
-    bound_coupling,
+    bound_coupling_coupon,
+    bound_coupling_matching,
+    bound_coupling_pair_count,
+    bound_coupling_poisson_binomial,
     bound_coupon_collector,
+    bound_coupon_negative_association,
     bound_dependency_graph,
     bound_dependency_graph_general,
     bound_generalized_matching,
@@ -63,7 +67,7 @@ class TestPoissonBinomialBound:
         with pytest.raises(ValueError, match="success probabilities must lie in"):
             bound_poisson_binomial([0.5, bad])
         with pytest.raises(ValueError, match="success probabilities must lie in"):
-            bound_coupling("poisson_binomial", p=[0.5, bad])
+            bound_coupling_poisson_binomial([0.5, bad])
 
     def test_sum_of_squares_reported(self):
         p = np.array([0.1, 0.25, 0.7])
@@ -95,7 +99,7 @@ def _vector_reference(p, coupling: bool) -> tuple[float, float]:
 
 POISSON_BINOMIAL_BOUNDS = {
     "default": bound_poisson_binomial,
-    "coupling": lambda p: bound_coupling("poisson_binomial", p=p),
+    "coupling": bound_coupling_poisson_binomial,
 }
 
 
@@ -274,29 +278,31 @@ class TestCouponBound:
 
 class TestCouplingBounds:
     def test_matching(self):
-        rep = bound_coupling("matching", n=100)
+        rep = bound_coupling_matching(100)
         assert rep.raw_value == pytest.approx(-math.expm1(-1.0) * 0.02, rel=1e-12)
 
     def test_poisson_binomial(self):
-        rep = bound_coupling("poisson_binomial", p=[0.5, 0.5])
+        rep = bound_coupling_poisson_binomial([0.5, 0.5])
         assert rep.lam == pytest.approx(1.0)
         assert rep.raw_value == pytest.approx(-math.expm1(-1.0) * 0.5, rel=1e-12)
 
     def test_birthday_degenerate(self):
-        rep = bound_coupling("birthday", n=10, k=0)
+        rep = bound_coupling_pair_count(10, 0)
         assert rep.value == 0.0
         assert rep.degenerate
 
     def test_coupon_form(self):
         n, k = 20, 65
-        rep = bound_coupling("coupon", n=n, k=k)
+        rep = bound_coupling_coupon(n, k)
         lam = n * (1 - 1 / n) ** k
         expected = -math.expm1(-lam) * (1 - 1 / n) ** k * (1 + k / n)
         assert rep.raw_value == pytest.approx(expected, rel=1e-12)
 
-    def test_unknown_problem(self):
-        with pytest.raises(ValueError):
-            bound_coupling("dice")
+    def test_coupon_domain(self):
+        # at n = 2, k = 1 the coupling value 0.474 is below the exact TV 1 - e^-1
+        for n, k in ((2, 1), (3, 0), (2, 5)):
+            with pytest.raises(ValueError, match="coupon coupling needs n >= 3 boxes"):
+                bound_coupling_coupon(n, k)
 
 
 class TestNegativeAssociationBound:
@@ -319,6 +325,15 @@ class TestNegativeAssociationBound:
         law = occupancy_pmf(OccupancySpec(n, k, "empty"))
         exact = tv_distance(law, poisson_pmf(SteinParams(lam)))
         assert rep.value >= exact
+        assert bound_coupon_negative_association(n, k) == rep
+
+    def test_coupon_domain(self):
+        # one ball leaves exactly n - 1 boxes empty: sigma^2 = 0
+        with pytest.raises(ValueError, match="sigma2 must be positive"):
+            bound_coupon_negative_association(10, 1)
+        for n, k in ((2, 5), (5, 0)):
+            with pytest.raises(ValueError, match="needs n >= 3 boxes and k >= 1 balls"):
+                bound_coupon_negative_association(n, k)
 
 
 class TestDependencyGraph:
@@ -438,7 +453,7 @@ class TestMonochromaticBound:
         cases = [
             (bound_matching(8), tv_distance(matching_pmf(MatchingSpec(8)), poisson_pmf(SteinParams(1.0)))),
             (bound_poisson_binomial([0.7]), 0.3524),
-            (bound_coupling("matching", n=8), tv_distance(matching_pmf(MatchingSpec(8)), poisson_pmf(SteinParams(1.0)))),
+            (bound_coupling_matching(8), tv_distance(matching_pmf(MatchingSpec(8)), poisson_pmf(SteinParams(1.0)))),
         ]
         for rep, exact in cases:
             set_verdict = rep.in_convention("set_distance") >= exact - 1e-12

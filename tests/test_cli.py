@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,18 @@ import steinpoisson
 from steinpoisson import bounds, exact_laws, multivariate
 from steinpoisson.cli import (
     CSV_COLUMNS,
+    DEFAULT_SEED,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
     FAMILIES,
+    UsageError,
+    _certify,
     build_grid,
     build_parser,
     feasibility_error,
     main,
+    parse_float_list,
     parse_int_list,
     parse_p_vector,
 )
@@ -66,6 +71,17 @@ class TestParsers:
     def test_int_list(self):
         assert parse_int_list("4..7,10") == [4, 5, 6, 7, 10]
         assert parse_int_list("3") == [3]
+        assert parse_int_list("5..5") == [5]
+
+    def test_reversed_range_refused(self):
+        # it used to be dropped: "10..5,20" gave [20]
+        with pytest.raises(UsageError, match="reversed range '10..5'"):
+            parse_int_list("10..5,20")
+
+    @pytest.mark.parametrize("text", ["inf", "1,nan", "-inf,0"])
+    def test_non_finite_float_refused(self, text):
+        with pytest.raises(UsageError, match="not a list of finite floats"):
+            parse_float_list(text)
 
     def test_p_recipes(self):
         assert parse_p_vector("uniform:2.0", 4) == (0.5, 0.5, 0.5, 0.5)
@@ -535,7 +551,7 @@ class TestPointFlags:
         assert run(argv) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert "balls" in out.err
+        assert "lam must be a positive finite real" in out.err
 
     def test_bound_still_reports_a_zero_rate(self, capsys):
         assert run(["bound", "birthday-pair-count", "--n", "10", "--k", "1"]) == EXIT_OK
@@ -683,9 +699,14 @@ class TestFlagsReadOnly:
         ("bound matching --n 100 --seed 1", "unrecognized arguments: --seed 1"),
         ("exact-tv matching --n 8 --seed 1", "unrecognized arguments: --seed 1"),
         # points refused by the precheck, with no hint that does not apply
-        ("exact-tv matching --n 1", "point n=1: matching needs n >= 2"),
+        ("exact-tv matching --n 1", "point n=1: matching bound needs n >= 2"),
         ("exact-tv poisson-binomial --p uniform:720 --n 1000", "too large: exp(-lam) underflows"),
         ("sweep poisson-binomial --p uniform:740 --n 1000", "too large: exp(-lam) underflows"),
+        # --seed that --exact leaves unread, and point lists that are no grid
+        ("verify-pair matching --n 6 --exact --seed 5", "matching does not read --seed with --exact"),
+        ("sweep matching --n 10..5,20", "reversed range '10..5' in '10..5,20'"),
+        ("sweep coupon --n 10 --theta inf", "not a list of finite floats: 'inf'"),
+        ("sweep coupon --n 10 --theta 1,nan", "not a list of finite floats: '1,nan'"),
     ])
     def test_refusal_exits_2_before_output(self, capsys, command, err):
         assert exit_code(shlex.split(command)) == EXIT_USAGE
@@ -695,6 +716,15 @@ class TestFlagsReadOnly:
         assert "mc-tv for" not in out.err
         if "does not read" in err:
             assert out.err == f"error: {err}\n"
+
+    def test_seed_default_applied_where_read(self, capsys):
+        argv = ["verify-pair", "matching", "--n", "6", "--trials", "10000"]
+        assert run(argv) == EXIT_OK
+        default = capsys.readouterr().out
+        assert run(argv + ["--seed", str(DEFAULT_SEED)]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        # a sweep without a random grid still takes --seed
+        assert run(["sweep", "matching", "--n", "4", "--seed", "3"]) == EXIT_OK
 
     @pytest.mark.parametrize("argv, report, other", [
         (["bound", "poisson-binomial", "--p", "0.1,0.2"],
@@ -726,3 +756,88 @@ def test_readme_cli_examples_build_their_points():
         args = build_parser().parse_args(argv)
         grid = build_grid(args.problem, args)
         assert len(grid) == 1 or args.command == "sweep", argv
+
+
+#: the theorem that each family's bound kind reports at its ``POINTS`` point
+THEOREM_IDS = {
+    ("matching", "default"): "matching_fixed_points",
+    ("matching", "coupling"): "coupling_matching",
+    ("generalized-matching", "default"): "generalized_matching",
+    ("poisson-binomial", "default"): "poisson_binomial_independent",
+    ("poisson-binomial", "coupling"): "coupling_poisson_binomial",
+    ("birthday-pairs", "default"): "birthday_pairs",
+    ("birthday-pair-count", "default"): "coupling_birthday",
+    ("birthday-pair-count", "coupling"): "coupling_birthday",
+    ("birthday-triples", "default"): "birthday_triples_surrogate",
+    ("coupon", "default"): "coupon_collector_chain",
+    ("coupon", "coupling"): "coupling_coupon",
+    ("coupon", "negative-association"): "negative_association",
+    ("coloring", "default"): "monochromatic_tuples",
+    ("joint-matching-succession", "default"): "joint_fixed_point_succession",
+    ("process-matching", "default"): "config_matching",
+}
+
+#: small values of each point axis; a family's grid is their product over its axes
+AXIS_VALUES = {
+    "n": (1, 2, 3, 4, 5, 7, 10),
+    "k": (0, 1, 2, 3, 4, 6, 9, 13),
+    "c": (1, 2, 3),
+    "l": ((1,), (2,), (1, 1), (2, 1), (3, 1, 2), (2, 2, 2)),
+    "p": ((0.0,), (0.3,), (1.0,), (0.1, 0.9), (1.0, 1.0), (0.0, 0.5, 0.2)),
+}
+
+
+class TestBoundDomains:
+    """Each bound owns its domain: the precheck asks the point's own bound
+    and its Poisson rate, never a copy of either."""
+
+    def test_theorem_ids_cover_every_kind(self):
+        assert set(THEOREM_IDS) == {(problem, kind) for problem, fam in FAMILIES.items()
+                                    for kind in fam.bounds}
+
+    @pytest.mark.parametrize("problem, kind", sorted(THEOREM_IDS))
+    def test_theorem_id_of_each_kind(self, capsys, problem, kind):
+        assert run(["bound", problem, *POINTS[problem], "--bound", kind]) == EXIT_OK
+        assert fields(capsys.readouterr().out)["theorem_id"] == THEOREM_IDS[problem, kind]
+
+    def test_every_accepted_point_is_certified(self):
+        failed, certified = [], 0
+        for problem, fam in FAMILIES.items():
+            grid = [dict(zip(fam.axes, combo))
+                    for combo in product(*(AXIS_VALUES[axis] for axis in fam.axes))]
+            for kind, bound in fam.bounds.items():
+                accepted = [pt for pt in grid if feasibility_error(problem, pt, bound) is None]
+                for rec in _certify(problem, accepted, bound):
+                    certified += 1
+                    if rec.verdict != "pass":
+                        failed.append((problem, kind, rec.params))
+        assert certified > 300
+        assert failed == []
+
+    @pytest.mark.parametrize("command, err", [
+        # rates past stein_core.MAX_LAM, once refused only when the target was built
+        ("sweep birthday-pairs --n 100 --k 10,400",
+         "point k=400 n=100: lam=800.0 too large: exp(-lam) underflows"),
+        ("sweep birthday-pair-count --n 20 --k 5,200",
+         "point k=200 n=20: lam=995.0 too large: exp(-lam) underflows"),
+        ("sweep coloring --n 10,45 --k 2 --c 1",
+         "point c=1 k=2 n=45: lam=990.0 too large: exp(-lam) underflows"),
+        # one ball: W = n - 1 for sure, so sigma^2 = 0
+        ("sweep coupon --bound negative-association --n 10 --k 2,1",
+         "point k=1 n=10: sigma2 must be positive"),
+        # W = 1 for sure, and the coupling value 0.474 is below the TV 0.632
+        ("exact-tv coupon --n 2 --k 1 --bound coupling",
+         "point k=1 n=2: coupon coupling needs n >= 3 boxes and k >= 1 balls"),
+        ("bound coupon --n 2 --k 1 --bound coupling",
+         "coupon coupling needs n >= 3 boxes and k >= 1 balls"),
+    ])
+    def test_refused_before_output(self, capsys, command, err):
+        assert run(shlex.split(command)) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {err}\n"
+
+    def test_default_kind_without_a_bound(self):
+        assert feasibility_error("coupon", {"n": 10, "k": 1}) is None
+        assert feasibility_error("coupon", {"n": 10, "k": 1},
+                                 FAMILIES["coupon"].bounds["negative-association"])
