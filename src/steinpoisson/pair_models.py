@@ -7,10 +7,11 @@ of the statistic moving up or down by one.  Small instances can be
 enumerated exactly, which is the strongest possible check of those formulas;
 large instances are certified statistically.
 
-Every family is one private record (:class:`_PairFamily`) that writes W,
-the step observables, the (up, down) formula, the stationary draw and the
-move once, over an array holding one state per row, next to an enumeration
-oracle whose stationary law and kernel are integer weights over one integer
+Each family is one frozen class, a subclass of :class:`PairModel` whose
+instances hold only their own parameters.  It writes W, the step
+observables, the (up, down) formula, the stationary draw and the move once,
+over an array holding one state per row, next to an enumeration oracle
+whose stationary law and kernel are integer weights over one integer
 denominator each, so the exact checks compare Python ints.  The scalar API
 applies those batch functions to one row.
 
@@ -62,7 +63,6 @@ __all__ = [
     "is_enumerable",
     "enumeration_size",
     "enumerate_pair_measure",
-    "exact_joint_measure",
     "verify_exchangeability",
     "verify_step_probs",
     "mc_tv_estimate",
@@ -81,86 +81,8 @@ _EXACT_TOL, _BOOTSTRAP = 1e-12, 200
 #: rows per sub-block of the balls-in-boxes count table
 _TABLE_ROWS = 512
 #: observable-table entries per batch evaluation of W over enumerated states
-#: and their successors (rows times ``_PairFamily.cells``)
+#: and their successors (rows times ``PairModel.cells``)
 _ENUM_ENTRIES = 1 << 18
-
-
-# ---------------------------------------------------------------------------
-# model definitions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairModel:
-    """One exchangeable-pair problem instance.
-
-    ``c`` is the error-term scaling constant for the problem's pair
-    construction and ``lam`` the Poisson rate the statistic is compared
-    against.  Fields not used by a family are ``None``.
-    """
-
-    problem: str
-    c: float
-    lam: float
-    p: tuple[float, ...] | None = None
-    spec: MatchingSpec | None = None
-    n: int | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.problem not in _FAMILIES:
-            raise ValueError(f"problem must be one of {tuple(_FAMILIES)}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be positive")
-
-
-def poisson_binomial_model(p) -> PairModel:
-    """Independent indicators with success probabilities ``p``; c = n."""
-    probs = tuple(float(x) for x in p)
-    if not probs:
-        raise ValueError("p must be nonempty")
-    if any(not 0.0 <= x <= 1.0 for x in probs):
-        raise ValueError("success probabilities must lie in [0, 1]")
-    n = len(probs)
-    return PairModel("poisson_binomial", c=float(n), lam=sum(probs), p=probs, n=n)
-
-
-def matching_model(n: int, multiplicities=None) -> PairModel:
-    """Fixed points of a uniform permutation, moved by a random transposition;
-    c = (n - 1) / 2."""
-    spec = MatchingSpec(n, tuple(multiplicities) if multiplicities is not None else None)
-    if n < 2:
-        raise ValueError("matching pair model needs n >= 2")
-    mult = spec.multiplicities if spec.multiplicities is not None else (1,) * n
-    lam = sum(l * l for l in mult) / n
-    return PairModel("matching", c=(n - 1) / 2.0, lam=lam, spec=spec, n=n)
-
-
-def birthday_pairs_model(n: int, k: int) -> PairModel:
-    """Boxes holding two or more of k uniform balls; c = k / 2."""
-    _check_balls(n, k)
-    return PairModel("birthday_pairs", c=k / 2.0, lam=k * k / (2.0 * n), n=n, k=k)
-
-
-def birthday_triples_model(n: int, k: int) -> PairModel:
-    """Ball triples sharing a box; c = k / 3."""
-    _check_balls(n, k)
-    return PairModel("birthday_triples", c=k / 3.0, lam=math.comb(k, 3) / n**2, n=n, k=k)
-
-
-def coupon_model(n: int, k: int) -> PairModel:
-    """Empty boxes after k uniform drops; c = n, rate exp(-theta) with
-    theta = (k - n log n) / n."""
-    _check_balls(n, k)
-    theta = (k - n * math.log(n)) / n
-    return PairModel("coupon", c=float(n), lam=math.exp(-theta), n=n, k=k)
-
-
-def _check_balls(n, k):
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError("need at least n >= 2 boxes")
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError("need at least one ball")
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +132,28 @@ class OccupancyStats:
 
 
 # ---------------------------------------------------------------------------
-# the pair families
+# the pair models
 # ---------------------------------------------------------------------------
 
 
-class _PairFamily:
-    """One exchangeable pair, written once as batch functions over a
-    (rows x dim) array ``states`` holding one state per row: ``draw``
-    (stationary states), ``w`` (the statistic W), ``observe`` (the step
-    observables ``s``, of class ``stats``), ``steps`` (P(W'=W+1 | state),
-    P(W'=W-1 | state)), ``check`` (rejects inconsistent observables),
-    ``move`` (columns, new values and dw of one reversible move) and
-    ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
-    move's dw, and W).  ``dim`` is the entries per state, by which
-    ``_chunk_rows`` sizes Monte Carlo chunks; ``cells`` bounds the entries
-    per state of the widest table those functions build, by which
-    ``_blocks`` sizes row blocks, so a block's tables hold about as many
-    entries as the state array.
+class PairModel:
+    """One exchangeable-pair problem instance.  Each family is a frozen
+    dataclass subclass that holds only its own parameters; ``problem`` names
+    the family, ``c`` is the error-term scaling constant of its pair
+    construction and ``lam`` the Poisson rate the statistic is compared
+    against.
+
+    The pair is written once as batch functions over a (rows x dim) array
+    ``states`` holding one state per row: ``draw`` (stationary states), ``w``
+    (the statistic W), ``observe`` (the step observables ``s``, of class
+    ``stats``), ``steps`` (P(W'=W+1 | state), P(W'=W-1 | state)), ``check``
+    (rejects inconsistent observables), ``move`` (columns, new values and dw
+    of one reversible move) and ``step_arrays`` (the Monte Carlo batch:
+    predicted steps, one realized move's dw, and W).  ``dim`` is the entries
+    per state, by which ``_chunk_rows`` sizes Monte Carlo chunks; ``cells``
+    bounds the entries per state of the widest table those functions build,
+    by which ``_blocks`` sizes row blocks, so a block's tables hold about as
+    many entries as the state array.
 
     The enumeration oracle shares no code with them: ``size`` (states,
     kernel transitions), ``iter_states`` (state tuples), ``denominators``
@@ -235,162 +162,189 @@ class _PairFamily:
     next state) pairs, each of probability ``weight / D_K``.
     """
 
-    def cells(self, model):
-        return model.n
+    problem: str
 
-    def dim(self, model):
-        return model.n
+    def cells(self):
+        return self.n
 
-    def step_arrays(self, model, states, rng):
+    def dim(self):
+        return self.n
+
+    def step_arrays(self, states, rng):
         """(up, down, dw, W) of each row: the predicted steps, one realized
         move and the statistic."""
-        up, down, w = _predict(self, model, states)
-        return up, down, self.move(model, states, rng)[2], w
+        up, down, w = _predict(self, states)
+        return up, down, self.move(states, rng)[2], w
 
-    def prob(self, model, state):  # uniform stationary law over D_P states
+    def prob(self, state):  # uniform stationary law over D_P states
         return 1
 
 
-class _Bernoulli(_PairFamily):
+@dataclass(frozen=True)
+class _Bernoulli(PairModel):
     """Independent indicators; a move resamples one uniform coordinate."""
 
+    p: tuple[float, ...]
+    problem = "poisson_binomial"
     stats = BernoulliStats
+    n = property(lambda self: len(self.p))
+    c = property(lambda self: float(self.n))
+    lam = property(lambda self: sum(self.p))
 
-    def draw(self, model, rows, rng):
-        return rng.random((rows, model.n)) < np.asarray(model.p)
+    def draw(self, rows, rng):
+        return rng.random((rows, self.n)) < np.asarray(self.p)
 
-    def w(self, model, states):
+    def w(self, states):
         return states.sum(axis=1)
 
-    def observe(self, model, states):
-        return BernoulliStats(w=self.w(model, states), weighted_sum=states @ np.asarray(model.p))
+    def observe(self, states):
+        return BernoulliStats(w=self.w(states), weighted_sum=states @ np.asarray(self.p))
 
-    def steps(self, model, s):
-        return (model.lam - s.weighted_sum) / model.n, (s.w - s.weighted_sum) / model.n
+    def steps(self, s):
+        return (self.lam - s.weighted_sum) / self.n, (s.w - s.weighted_sum) / self.n
 
-    def check(self, model, s):
-        if not (0 <= s.w <= model.n):
+    def check(self, s):
+        if not (0 <= s.w <= self.n):
             raise ValueError("w out of range")
-        if s.weighted_sum < -1e-12 or s.weighted_sum > min(model.lam, float(s.w)) + 1e-9:
+        if s.weighted_sum < -1e-12 or s.weighted_sum > min(self.lam, float(s.w)) + 1e-9:
             raise ValueError("weighted_sum inconsistent with w")
 
-    def move(self, model, states, rng):
-        idx = rng.integers(0, model.n, len(states))
-        eps = rng.random(len(states)) < np.asarray(model.p)[idx]
+    def move(self, states, rng):
+        idx = rng.integers(0, self.n, len(states))
+        eps = rng.random(len(states)) < np.asarray(self.p)[idx]
         dw = eps.astype(np.int64) - states[np.arange(len(states)), idx]
         return idx[:, None], eps[:, None], dw
 
-    def size(self, model):
-        return 2**model.n, 2**model.n * 2 * model.n
+    def size(self):
+        return 2**self.n, 2**self.n * 2 * self.n
 
-    def iter_states(self, model):
-        return itertools.product((0, 1), repeat=model.n)
+    def iter_states(self):
+        return itertools.product((0, 1), repeat=self.n)
 
-    def denominators(self, model):
-        scale = _numerators(model.p)[0]
-        return scale**model.n, model.n * scale
+    @functools.cached_property
+    def _numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(L, a) with p_i = a_i / L exactly: L is the lcm of the denominators
+        of the p_i (those of 1 - p_i are the same), and 1 - p_i = (L - a_i) / L."""
+        exact = [Fraction(pi) for pi in self.p]
+        scale = math.lcm(*(f.denominator for f in exact))
+        return scale, tuple(f.numerator * (scale // f.denominator) for f in exact)
 
-    def prob(self, model, state):
-        scale, a = _numerators(model.p)
+    def denominators(self):
+        scale = self._numerators[0]
+        return scale**self.n, self.n * scale
+
+    def prob(self, state):
+        scale, a = self._numerators
         return math.prod(ai if x else scale - ai for x, ai in zip(state, a))
 
-    def kernel(self, model, state):
-        scale, a = _numerators(model.p)
+    def kernel(self, state):
+        scale, a = self._numerators
         for i, ai in enumerate(a):
             for eps, weight in ((1, ai), (0, scale - ai)):
                 if weight:
                     yield weight, state[:i] + (eps,) + state[i + 1 :]
 
 
-@functools.lru_cache(maxsize=8)
-def _numerators(p: tuple[float, ...]) -> tuple[int, tuple[int, ...]]:
-    """(L, a) with p_i = a_i / L exactly: L is the lcm of the denominators of
-    the p_i (those of 1 - p_i are the same), and 1 - p_i = (L - a_i) / L."""
-    exact = [Fraction(pi) for pi in p]
-    scale = math.lcm(*(f.denominator for f in exact))
-    return scale, tuple(f.numerator * (scale // f.denominator) for f in exact)
+class _Permutations(PairModel):
+    """Uniform permutations of n slots; a move composes one with a uniform
+    transposition.  ``word`` gives the letter of each slot."""
 
+    problem = "matching"
+    c = property(lambda self: (self.n - 1) / 2.0)
 
-class _PlainMatching(_PairFamily):
-    """Fixed points of a uniform permutation; a move composes it with a
-    uniform transposition."""
-
-    stats = PlainMatchingStats
-
-    def draw(self, model, rows, rng):
-        states = np.tile(np.arange(model.n), (rows, 1))
+    def draw(self, rows, rng):
+        states = np.tile(np.arange(self.n), (rows, 1))
         rng.permuted(states, axis=1, out=states)
         return states
 
-    def w(self, model, states):
-        return (states == np.arange(model.n)).sum(axis=1)
-
-    def observe(self, model, states):
-        ident = np.arange(model.n)
-        two_cycle = (np.take_along_axis(states, states, axis=1) == ident) & (states != ident)
-        return PlainMatchingStats(w=self.w(model, states), a2=two_cycle.sum(axis=1) // 2)
-
-    def steps(self, model, s):
-        n = model.n
-        denom = n * (n - 1)
-        return 2.0 * (n - s.w - 2 * s.a2) / denom, 2.0 * s.w * (n - s.w) / denom
-
-    def check(self, model, s):
-        if not (0 <= s.w <= model.n and s.a2 >= 0 and s.w + 2 * s.a2 <= model.n):
-            raise ValueError("fixed points and 2-cycles inconsistent")
-
-    def move(self, model, states, rng):
-        n = model.n
+    def move(self, states, rng):
+        n = self.n
         i = rng.integers(0, n, len(states))
         j = rng.integers(0, n - 1, len(states))
         j = j + (j >= i)
         rows = np.arange(len(states))
         si, sj = states[rows, i], states[rows, j]
-        wv = np.asarray(model.spec.word())  # the identity for plain matching
+        wv = self.word()
         dw = ((wv[sj] == wv[i]).astype(np.int64) + (wv[si] == wv[j])
               - (wv[si] == wv[i]) - (wv[sj] == wv[j]))
         return np.stack((i, j), axis=1), np.stack((sj, si), axis=1), dw
 
-    def size(self, model):
-        return math.factorial(model.n), math.factorial(model.n) * math.comb(model.n, 2)
+    def size(self):
+        return math.factorial(self.n), math.factorial(self.n) * math.comb(self.n, 2)
 
-    def iter_states(self, model):
-        return itertools.permutations(range(model.n))
+    def iter_states(self):
+        return itertools.permutations(range(self.n))
 
-    def denominators(self, model):
-        return math.factorial(model.n), math.comb(model.n, 2)
+    def denominators(self):
+        return math.factorial(self.n), math.comb(self.n, 2)
 
-    def kernel(self, model, state):
-        for i in range(model.n):
-            for j in range(i + 1, model.n):
+    def kernel(self, state):
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
                 nxt = list(state)
                 nxt[i], nxt[j] = nxt[j], nxt[i]
                 yield 1, tuple(nxt)
 
 
-class _MultisetMatching(_PlainMatching):
-    """Matches of a multiset word against a uniform rearrangement; the same
-    permutations and moves as plain matching."""
+@dataclass(frozen=True)
+class _PlainMatching(_Permutations):
+    """Fixed points of a uniform permutation."""
 
+    n: int
+    lam = 1.0
+    stats = PlainMatchingStats
+
+    def word(self):
+        return np.arange(self.n)
+
+    def w(self, states):
+        return (states == np.arange(self.n)).sum(axis=1)
+
+    def observe(self, states):
+        ident = np.arange(self.n)
+        two_cycle = (np.take_along_axis(states, states, axis=1) == ident) & (states != ident)
+        return PlainMatchingStats(w=self.w(states), a2=two_cycle.sum(axis=1) // 2)
+
+    def steps(self, s):
+        n = self.n
+        denom = n * (n - 1)
+        return 2.0 * (n - s.w - 2 * s.a2) / denom, 2.0 * s.w * (n - s.w) / denom
+
+    def check(self, s):
+        if not (0 <= s.w <= self.n and s.a2 >= 0 and s.w + 2 * s.a2 <= self.n):
+            raise ValueError("fixed points and 2-cycles inconsistent")
+
+
+@dataclass(frozen=True)
+class _MultisetMatching(_Permutations):
+    """Matches of the multiset word of ``spec`` against a uniform
+    rearrangement."""
+
+    spec: MatchingSpec
     stats = GeneralizedMatchingStats
+    n = property(lambda self: self.spec.n)
+    lam = property(lambda self: sum(l * l for l in self.spec.multiplicities) / self.n)
 
-    def w(self, model, states):
-        word = np.asarray(model.spec.word())
+    def word(self):
+        return np.asarray(self.spec.word())
+
+    def w(self, states):
+        word = self.word()
         return (word[states] == word).sum(axis=1)
 
-    def observe(self, model, states):
-        word = np.asarray(model.spec.word())
-        letters = len(model.spec.multiplicities)
+    def observe(self, states):
+        word = self.word()
+        letters = len(self.spec.multiplicities)
         cells = letters * letters
         flat = word * letters + word[states] + np.arange(len(states))[:, None] * cells
         wij = np.bincount(flat.ravel(), minlength=len(states) * cells)
         wij.flags.writeable = False
         return GeneralizedMatchingStats(wij=wij.reshape(len(states), letters, letters))
 
-    def steps(self, model, s):
-        n = model.n
+    def steps(self, s):
+        n = self.n
         denom = n * (n - 1)
-        l = np.asarray(model.spec.multiplicities, dtype=np.int64)
+        l = np.asarray(self.spec.multiplicities, dtype=np.int64)
         wi, w = s.wi, s.w
         wi2 = (wi * wi).sum(axis=-1)
         off_cross = np.einsum("...ij,...ji->...", s.wij, s.wij) - wi2
@@ -403,18 +357,19 @@ class _MultisetMatching(_PlainMatching):
         down = 2.0 * (n * w - 2 * (wi @ l) - w * w + 2 * wi2) / denom
         return up, down
 
-    def check(self, model, s):
-        l = np.asarray(model.spec.multiplicities, dtype=np.int64)
+    def check(self, s):
+        l = np.asarray(self.spec.multiplicities, dtype=np.int64)
         if s.wij.shape != (l.size, l.size) or np.any(s.wij < 0):
             raise ValueError("wij must be a nonnegative letters x letters matrix")
         if not (np.array_equal(s.wij.sum(axis=1), l) and np.array_equal(s.wij.sum(axis=0), l)):
             raise ValueError("wij margins must equal the multiplicities")
 
-    def cells(self, model):
-        return len(model.spec.multiplicities) ** 2
+    def cells(self):
+        return len(self.spec.multiplicities) ** 2
 
 
-class _Boxes(_PairFamily):
+@dataclass(frozen=True)
+class _Boxes(PairModel):
     """k uniform balls in n boxes; a move sends one uniform ball to a uniform
     box.  Each subclass names its per-box statistic in
     ``exact_laws.BOX_STATISTICS``, which the allocation engine (conditional
@@ -446,28 +401,35 @@ class _Boxes(_PairFamily):
     k, the count table n.
     """
 
+    n: int
+    k: int
     stats = OccupancyStats
+
+    def __post_init__(self):
+        if not (isinstance(self.n, int) and self.n >= 2):
+            raise ValueError("need at least n >= 2 boxes")
+        if not (isinstance(self.k, int) and self.k >= 1):
+            raise ValueError("need at least one ball")
 
     def box_w(self, c):
         return BOX_STATISTICS[self.statistic](c, None)
 
-    @staticmethod
-    def sorts(model):
+    def sorts(self):
         """Whether ``occupancy`` runs the sorted-runs kernel."""
-        return 3 * model.k < model.n
+        return 3 * self.k < self.n
 
-    def cells(self, model):
-        return max(model.k, 3) + 1 if self.sorts(model) else max(model.n, model.k, 3) + 1
+    def cells(self):
+        return max(self.k, 3) + 1 if self.sorts() else max(self.n, self.k, 3) + 1
 
-    def dim(self, model):
-        return model.k
+    def dim(self):
+        return self.k
 
-    def occupancy(self, model, states):
+    def occupancy(self, states):
         """(h, count): the rows' occupancy histogram, at least four columns
         wide, and the function giving the ball count of one box per row."""
-        n, k = model.n, model.k
+        n, k = self.n, self.k
         rows = np.arange(len(states))
-        if self.sorts(model):
+        if self.sorts():
             keys = (np.sort(states, axis=1) + rows[:, None] * n).ravel()
             edges = np.empty(keys.size + 1, dtype=bool)  # where runs start and end
             edges[0] = edges[-1] = True
@@ -504,28 +466,28 @@ class _Boxes(_PairFamily):
         w = h @ self.box_w(np.arange(h.shape[1])).astype(np.int64)
         return OccupancyStats(m0=h[:, 0], m1=h[:, 1], m2=h[:, 2], m3=h[:, 3], w=w)
 
-    def draw(self, model, rows, rng):
-        return rng.integers(0, model.n, (rows, model.k))
+    def draw(self, rows, rng):
+        return rng.integers(0, self.n, (rows, self.k))
 
-    def w(self, model, states):
-        return self.observe(model, states).w
+    def w(self, states):
+        return self.observe(states).w
 
-    def observe(self, model, states):
-        return self.tally(self.occupancy(model, states)[0])
+    def observe(self, states):
+        return self.tally(self.occupancy(states)[0])
 
-    def check(self, model, s):
+    def check(self, s):
         for name in ("m0", "m1", "m2", "m3", "w"):
             if getattr(s, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if s.m0 + s.m1 + s.m2 + s.m3 > model.n:
+        if s.m0 + s.m1 + s.m2 + s.m3 > self.n:
             raise ValueError("level counts m0 + m1 + m2 + m3 exceed the box count")
-        if s.m1 + 2 * s.m2 + 3 * s.m3 > model.k:
+        if s.m1 + 2 * s.m2 + 3 * s.m3 > self.k:
             raise ValueError("level counts use more balls than available")
-        self.check_w(model, s)
+        self.check_w(s)
 
-    def propose(self, model, rows, rng):
+    def propose(self, rows, rng):
         """The ball each row moves and the box it moves to."""
-        return rng.integers(0, model.k, rows), rng.integers(0, model.n, rows)
+        return rng.integers(0, self.k, rows), rng.integers(0, self.n, rows)
 
     def dw(self, states, count, ball, newbox):
         """Change of W under the proposed moves, from the rows' box counts."""
@@ -535,110 +497,139 @@ class _Boxes(_PairFamily):
         dw = box_w(c_new + 1).astype(np.int64) - box_w(c_new) + box_w(c_old - 1) - box_w(c_old)
         return np.where(oldbox != newbox, dw, 0)
 
-    def move(self, model, states, rng):
-        ball, newbox = self.propose(model, len(states), rng)
-        dw = self.dw(states, self.occupancy(model, states)[1], ball, newbox)
+    def move(self, states, rng):
+        ball, newbox = self.propose(len(states), rng)
+        dw = self.dw(states, self.occupancy(states)[1], ball, newbox)
         return ball[:, None], newbox[:, None], dw
 
-    def step_arrays(self, model, states, rng):
+    def step_arrays(self, states, rng):
         # the move's draws come first, as in the default; each block's
         # occupancy then serves both the observables and the move
-        ball, newbox = self.propose(model, len(states), rng)
+        ball, newbox = self.propose(len(states), rng)
         parts = []
-        for rows in _blocks(self, model, states):
-            h, count = self.occupancy(model, states[rows])
+        for rows in _blocks(self, states):
+            h, count = self.occupancy(states[rows])
             stats = self.tally(h)
             dw = self.dw(states[rows], count, ball[rows], newbox[rows])
-            parts.append((*self.steps(model, stats), dw, stats.w))
+            parts.append((*self.steps(stats), dw, stats.w))
         return tuple(np.concatenate(column) for column in zip(*parts))
 
-    def size(self, model):
-        return model.n**model.k, model.n**model.k * model.k * model.n
+    def size(self):
+        return self.n**self.k, self.n**self.k * self.k * self.n
 
-    def iter_states(self, model):
-        return itertools.product(range(model.n), repeat=model.k)
+    def iter_states(self):
+        return itertools.product(range(self.n), repeat=self.k)
 
-    def denominators(self, model):
-        return model.n**model.k, model.k * model.n
+    def denominators(self):
+        return self.n**self.k, self.k * self.n
 
-    def kernel(self, model, state):
-        for ball in range(model.k):
-            for box in range(model.n):
+    def kernel(self, state):
+        for ball in range(self.k):
+            for box in range(self.n):
                 yield 1, state[:ball] + (box,) + state[ball + 1 :]
 
 
+@dataclass(frozen=True)
 class _BirthdayPairs(_Boxes):
-    statistic = "pairs"
+    problem, statistic = "birthday_pairs", "pairs"
+    c = property(lambda self: self.k / 2.0)
+    lam = property(lambda self: self.k * self.k / (2.0 * self.n))
 
-    def steps(self, model, s):
-        n, k = model.n, model.k
+    def steps(self, s):
+        n, k = self.n, self.k
         return s.m1 * (k - 2 * s.m2 - 1) / (k * n), 2.0 * s.m2 * (n - s.m1 - 1) / (k * n)
 
-    def check_w(self, model, s):
-        if s.w != model.n - s.m0 - s.m1:
+    def check_w(self, s):
+        if s.w != self.n - s.m0 - s.m1:
             raise ValueError("pair statistic must equal n - m0 - m1")
 
 
+@dataclass(frozen=True)
 class _BirthdayTriples(_Boxes):
-    statistic = "triples"
+    problem, statistic = "birthday_triples", "triples"
+    c = property(lambda self: self.k / 3.0)
+    lam = property(lambda self: math.comb(self.k, 3) / self.n**2)
 
-    def steps(self, model, s):
-        kn = model.k * model.n
+    def steps(self, s):
+        kn = self.k * self.n
         up = (s.m1 * s.m2 + 2 * s.m2**2 - 2 * s.m2) / kn
         return up, (3.0 * s.m3 * s.m0 + 3.0 * s.m3 * s.m1) / kn
 
-    def check_w(self, model, s):
+    def check_w(self, s):
         if s.w < s.m3:
             raise ValueError("triple count cannot be below m3")
 
 
+@dataclass(frozen=True)
 class _Coupon(_Boxes):
-    statistic = "empty"
+    problem, statistic = "coupon", "empty"
+    c = property(lambda self: float(self.n))
+    lam = property(lambda self: math.exp(-(self.k - self.n * math.log(self.n)) / self.n))
 
-    def steps(self, model, s):
-        n, k = model.n, model.k
+    def steps(self, s):
+        n, k = self.n, self.k
         return s.m1 * (n - s.w - 1) / (k * n), (k - s.m1) * s.w / (k * n)
 
-    def check_w(self, model, s):
+    def check_w(self, s):
         if s.w != s.m0:
             raise ValueError("empty-box statistic must equal m0")
 
 
-_FAMILIES = {
-    "poisson_binomial": _Bernoulli(),
-    "matching": _PlainMatching(),
-    "birthday_pairs": _BirthdayPairs(),
-    "birthday_triples": _BirthdayTriples(),
-    "coupon": _Coupon(),
-}
-_MULTISET = _MultisetMatching()
+def poisson_binomial_model(p) -> PairModel:
+    """Independent indicators with success probabilities ``p``; c = n."""
+    probs = tuple(float(x) for x in p)
+    if not probs:
+        raise ValueError("p must be nonempty")
+    if any(not 0.0 <= x <= 1.0 for x in probs):
+        raise ValueError("success probabilities must lie in [0, 1]")
+    return _Bernoulli(probs)
 
 
-def _family(model: PairModel) -> _PairFamily:
-    if model.spec is not None and not model.spec.is_plain:
-        return _MULTISET
-    return _FAMILIES[model.problem]
+def matching_model(n: int, multiplicities=None) -> PairModel:
+    """Fixed points of a uniform permutation, moved by a random transposition;
+    c = (n - 1) / 2.  Multiplicities other than all ones give multiset
+    matching."""
+    spec = MatchingSpec(n, tuple(multiplicities) if multiplicities is not None else None)
+    if n < 2:
+        raise ValueError("matching pair model needs n >= 2")
+    return _PlainMatching(n) if spec.is_plain else _MultisetMatching(spec)
 
 
-def _blocks(fam: _PairFamily, model: PairModel, states: np.ndarray) -> list[slice]:
+def birthday_pairs_model(n: int, k: int) -> PairModel:
+    """Boxes holding two or more of k uniform balls; c = k / 2."""
+    return _BirthdayPairs(n, k)
+
+
+def birthday_triples_model(n: int, k: int) -> PairModel:
+    """Ball triples sharing a box; c = k / 3."""
+    return _BirthdayTriples(n, k)
+
+
+def coupon_model(n: int, k: int) -> PairModel:
+    """Empty boxes after k uniform drops; c = n, rate exp(-theta) with
+    theta = (k - n log n) / n."""
+    return _Coupon(n, k)
+
+
+def _blocks(model: PairModel, states: np.ndarray) -> list[slice]:
     """Row blocks of ``states`` whose observable tables hold no more entries
     than ``states``."""
-    step = max(1, states.size // fam.cells(model))
+    step = max(1, states.size // model.cells())
     return [slice(start, start + step) for start in range(0, len(states), step)]
 
 
-def _chunk_rows(fam: _PairFamily, model: PairModel) -> int:
+def _chunk_rows(model: PairModel) -> int:
     """Rows per Monte Carlo chunk: ``_MC_CHUNK``, fewer (at least one) where
     the states are wider than ``_MC_ENTRIES / _MC_CHUNK`` = 512 entries."""
-    return max(1, min(_MC_CHUNK, _MC_ENTRIES // fam.dim(model)))
+    return max(1, min(_MC_CHUNK, _MC_ENTRIES // model.dim()))
 
 
-def _predict(fam: _PairFamily, model: PairModel, states: np.ndarray):
+def _predict(model: PairModel, states: np.ndarray):
     """(up, down, W) of each row, evaluated a block of rows at a time."""
     parts = []
-    for rows in _blocks(fam, model, states):
-        stats = fam.observe(model, states[rows])
-        parts.append((*fam.steps(model, stats), stats.w))
+    for rows in _blocks(model, states):
+        stats = model.observe(states[rows])
+        parts.append((*model.steps(stats), stats.w))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -651,7 +642,7 @@ def _row(model: PairModel, state) -> np.ndarray:
     """``state`` as a batch of one row, after checking that its ball labels
     name boxes (the batch code, fed by ``draw`` and enumeration, does not)."""
     states = np.asarray(state)[None]
-    if isinstance(_family(model), _Boxes) and states.size:
+    if isinstance(model, _Boxes) and states.size:
         if states.min() < 0 or states.max() >= model.n:
             raise ValueError(f"ball labels must lie in [0, {model.n})")
     return states
@@ -659,7 +650,7 @@ def _row(model: PairModel, state) -> np.ndarray:
 
 def statistic(model: PairModel, state) -> int:
     """Value of the problem's statistic W at a state."""
-    return int(_family(model).w(model, _row(model, state))[0])
+    return int(model.w(_row(model, state))[0])
 
 
 def _first_row(value):
@@ -669,30 +660,29 @@ def _first_row(value):
 
 def state_stats(model: PairModel, state):
     """Extract the observables the conditional step formulas need."""
-    batch = _family(model).observe(model, _row(model, state))
+    batch = model.observe(_row(model, state))
     return type(batch)(**{f.name: _first_row(getattr(batch, f.name)) for f in fields(batch)})
 
 
 def step_probs(model: PairModel, stats) -> tuple[float, float]:
     """Analytic one-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state))."""
-    fam = _family(model)
-    if not isinstance(stats, fam.stats):
-        raise ValueError(f"{model.problem} expects {fam.stats.__name__}")
-    fam.check(model, stats)
-    up, down = fam.steps(model, stats)
+    if not isinstance(stats, model.stats):
+        raise ValueError(f"{model.problem} expects {model.stats.__name__}")
+    model.check(stats)
+    up, down = model.steps(stats)
     return float(up), float(down)
 
 
 def sample_state(model: PairModel, rng: np.random.Generator):
     """One stationary draw: product Bernoulli, uniform permutation, or
     i.i.d. uniform box assignments."""
-    return _family(model).draw(model, 1, rng)[0]
+    return model.draw(1, rng)[0]
 
 
 def sample_pair(model: PairModel, state, rng: np.random.Generator):
     """One reversible move from ``state``; (state, result) is exchangeable."""
     new = _row(model, state)[0].copy()
-    columns, values, _ = _family(model).move(model, new[None], rng)
+    columns, values, _ = model.move(new[None], rng)
     new[columns[0]] = values[0]
     return new
 
@@ -704,7 +694,7 @@ def sample_pair(model: PairModel, state, rng: np.random.Generator):
 
 def enumeration_size(model: PairModel) -> tuple[int, int]:
     """(number of states, number of kernel transitions) of the instance."""
-    return _family(model).size(model)
+    return model.size()
 
 
 def is_enumerable(model: PairModel) -> bool:
@@ -726,20 +716,19 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
             f"{transitions:.3e} transitions "
             f"(caps {ENUM_STATE_CAP:.0e} / {ENUM_TRANSITION_CAP:.0e})"
         )
-    fam = _family(model)
-    d_p, d_k = fam.denominators(model)
-    states = list(fam.iter_states(model))
-    block = max(1, _ENUM_ENTRIES // ((1 + transitions // states_n) * fam.cells(model)))
+    d_p, d_k = model.denominators()
+    states = list(model.iter_states())
+    block = max(1, _ENUM_ENTRIES // ((1 + transitions // states_n) * model.cells()))
     probs, w_vals, q_up, q_down = [], [], [], []
     for start in range(0, states_n, block):
         chunk = states[start : start + block]
         rows, weights, ends = list(chunk), [], []
         for state in chunk:
-            for weight, nxt in fam.kernel(model, state):
+            for weight, nxt in model.kernel(state):
                 rows.append(nxt)
                 weights.append(weight)
             ends.append(len(weights))
-        w_all = fam.w(model, np.array(rows)).tolist()
+        w_all = model.w(np.array(rows)).tolist()
         w_next = w_all[len(chunk) :]  # the successors of each state, in order
         begin = 0
         for state, w, end in zip(chunk, w_all, ends):
@@ -750,7 +739,7 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
                 elif wn == w - 1:
                     down += weight
             begin = end
-            probs.append(fam.prob(model, state) / d_p)
+            probs.append(model.prob(state) / d_p)
             w_vals.append(w)
             q_up.append(up / d_k)
             q_down.append(down / d_k)
@@ -768,41 +757,6 @@ def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
     return _enumerate(model)[1]
 
 
-def _joint_weights(model: PairModel):
-    """(states, a, q): the stationary weights a_i over D_P and the joint pair
-    measure q(i, j) = a_i * (kernel weight of i -> j) over D_P * D_K, all
-    Python ints, with ``q`` a sparse dict keyed by state-index pairs."""
-    states_n, _ = enumeration_size(model)
-    if states_n > JOINT_STATE_CAP:
-        raise ValueError(
-            f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
-            f"(instance has {states_n})"
-        )
-    fam = _family(model)
-    states = list(fam.iter_states(model))
-    index = {s: i for i, s in enumerate(states)}
-    weights = [fam.prob(model, s) for s in states]
-    q: dict[tuple[int, int], int] = {}
-    for i, (state, a) in enumerate(zip(states, weights)):
-        for weight, nxt in fam.kernel(model, state):
-            key = (i, index[nxt])
-            q[key] = q.get(key, 0) + a * weight
-    return states, weights, q
-
-
-def exact_joint_measure(model: PairModel):
-    """Exact-rational joint pair measure Q(state, state') on a small instance.
-
-    Returns (states, probs, q) with ``q`` a sparse dict keyed by state-index
-    pairs; all values are Fractions, each built once from the integer
-    weights of the enumeration.
-    """
-    states, weights, q = _joint_weights(model)
-    d_p, d_k = _family(model).denominators(model)
-    probs = [Fraction(a, d_p) for a in weights]
-    return states, probs, {key: Fraction(val, d_p * d_k) for key, val in q.items()}
-
-
 @dataclass(frozen=True)
 class ExchangeabilityReport:
     states: int
@@ -812,10 +766,25 @@ class ExchangeabilityReport:
 
 def verify_exchangeability(model: PairModel) -> ExchangeabilityReport:
     """Exact check that the joint pair measure is symmetric with the
-    stationary margins, in integers: q(i, j) == q(j, i), and each row sums
-    to a_i * D_K, i.e. the kernel's weights from every state sum to D_K."""
-    states, weights, q = _joint_weights(model)
-    d_k = _family(model).denominators(model)[1]
+    stationary margins, in integers: with a_i the stationary weight of state
+    i over D_P, q(i, j) = a_i * (kernel weight of i -> j) over D_P * D_K must
+    equal q(j, i), and each row must sum to a_i * D_K, i.e. the kernel's
+    weights from every state sum to D_K."""
+    states_n, _ = enumeration_size(model)
+    if states_n > JOINT_STATE_CAP:
+        raise ValueError(
+            f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
+            f"(instance has {states_n})"
+        )
+    states = list(model.iter_states())
+    index = {s: i for i, s in enumerate(states)}
+    weights = [model.prob(s) for s in states]
+    q: dict[tuple[int, int], int] = {}  # sparse, keyed by state-index pairs
+    for i, (state, a) in enumerate(zip(states, weights)):
+        for weight, nxt in model.kernel(state):
+            key = (i, index[nxt])
+            q[key] = q.get(key, 0) + a * weight
+    d_k = model.denominators()[1]
     symmetric = all(q.get((j, i), 0) == val for (i, j), val in q.items())
     margins = [0] * len(states)
     for (i, _), val in q.items():
@@ -851,8 +820,7 @@ class StepProbsReport:
 
 def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
     """Vectorized batch: predicted (up, down), realized move dw, and W."""
-    fam = _family(model)
-    return fam.step_arrays(model, fam.draw(model, size, rng), rng)
+    return model.step_arrays(model.draw(size, rng), rng)
 
 
 def verify_step_probs(
@@ -876,7 +844,7 @@ def verify_step_probs(
         if not is_enumerable(model):
             raise ValueError("instance too large to enumerate; pass trials for Monte Carlo")
         states, measure = _enumerate(model)
-        up, down, _ = _predict(_family(model), model, states)
+        up, down, _ = _predict(model, states)
         up_dev = float(np.abs(up + bias[0] - measure.q_up).max())
         down_dev = float(np.abs(down + bias[1] - measure.q_down).max())
         balance = abs(math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist()))
@@ -892,7 +860,7 @@ def verify_step_probs(
     moves = np.zeros(2, np.int64)  # realized up and down moves
     expected = np.zeros(2)  # their expected counts under the formulas
     variances = np.zeros(2)
-    rows = _chunk_rows(_family(model), model)
+    rows = _chunk_rows(model)
     done = 0
     while done < trials:
         size = min(rows, trials - done)
@@ -960,15 +928,14 @@ def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> 
     """Vectorized i.i.d. draws of the statistic W: stationary states a chunk
     at a time, W evaluated a block of rows at a time (no step observables
     and no move)."""
-    fam = _family(model)
     out = np.empty(size, dtype=np.int64)
-    rows = _chunk_rows(fam, model)
+    rows = _chunk_rows(model)
     done = 0
     while done < size:
         chunk = min(rows, size - done)
-        states = fam.draw(model, chunk, rng)
-        blocks = _blocks(fam, model, states)
-        out[done : done + chunk] = np.concatenate([fam.w(model, states[rows]) for rows in blocks])
+        states = model.draw(chunk, rng)
+        blocks = _blocks(model, states)
+        out[done : done + chunk] = np.concatenate([model.w(states[rows]) for rows in blocks])
         done += chunk
     return out
 

@@ -461,6 +461,19 @@ class TestFamilyTable:
         assert float(bound["value"].split()[0]) == float(exact["bound"])
         assert float(bound["lambda"]) == float(exact["lambda"])
 
+    @pytest.mark.parametrize("problem,flags", [
+        # a vector whose left-to-right float sum differs from the rate the
+        # bound report takes (7.0809999999999995 against 7.081)
+        ("poisson-binomial", ["--p", "0.615,0.384,0.997,0.981,0.686,0.65,0.688,0.389,0.135,"
+                                     "0.721,0.525,0.31"]),
+    ] + [(problem, POINTS[problem]) for problem, fam in FAMILIES.items() if fam.pair_model])
+    def test_mc_tv_and_exact_tv_share_lambda(self, capsys, problem, flags):
+        assert run(["exact-tv", problem] + flags) in (EXIT_OK, EXIT_FAIL)
+        exact = fields(capsys.readouterr().out)
+        assert run(["mc-tv", problem] + flags + ["--trials", "10000"]) in (EXIT_OK, EXIT_FAIL)
+        mc = fields(capsys.readouterr().out)
+        assert mc["lambda"] == exact["lambda"]
+
     def test_process_matching_bound_is_set_distance(self, capsys):
         assert run(["bound", "process-matching", "--n", "10"]) == EXIT_OK
         out = fields(capsys.readouterr().out)
@@ -707,6 +720,11 @@ class TestFlagsReadOnly:
         ("sweep matching --n 10..5,20", "reversed range '10..5' in '10..5,20'"),
         ("sweep coupon --n 10 --theta inf", "not a list of finite floats: 'inf'"),
         ("sweep coupon --n 10 --theta 1,nan", "not a list of finite floats: '1,nan'"),
+        # a finite --theta whose k overflows
+        ("sweep coupon --n 10 --theta 1e308", "--theta 1e308 gives coupon no finite k"),
+        ("sweep birthday-pairs --n 10 --theta 1e308",
+         "--theta 1e308 gives birthday-pairs no finite k"),
+        ("sweep coupon --n 10 --theta=-1e308", "--theta -1e308 gives coupon no finite k"),
     ])
     def test_refusal_exits_2_before_output(self, capsys, command, err):
         assert exit_code(shlex.split(command)) == EXIT_USAGE

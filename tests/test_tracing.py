@@ -99,3 +99,29 @@ def test_engine_sweeps_fire_one_dp_span_per_record(argv, records, capsys):
     capsys.readouterr()
     assert tracer.spans["cli.record"].calls == records
     assert tracer.spans["exact_laws.dp"].calls == records
+
+
+def test_pair_model_spans_fire(capsys):
+    # the benchmark names each Monte Carlo span after the model's ``problem``
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    points = {
+        "matching": "--n 10",
+        "poisson_binomial": "--p 0.1,0.5,0.9",
+        "birthday_pairs": "--n 50 --k 10",
+        "birthday_triples": "--n 20 --k 10",
+        "coupon": "--n 10 --k 30",
+    }
+    try:
+        tracing.install(tracer)
+        for family in tracing.MC_FAMILIES:
+            argv = f"verify-pair {family.replace('_', '-')} {points[family]} --trials 10000"
+            assert cli.main(argv.split()) == cli.EXIT_OK, argv
+        assert cli.main("verify-pair coupon --n 3 --k 3 --exact".split()) == cli.EXIT_OK
+        assert cli.main("mc-tv matching --n 10 --trials 10000".split()) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = {f"pair_models.mc_verify.{family}" for family in tracing.MC_FAMILIES}
+    assert spans | {"pair_models.exact_kernel", "pair_models.mc_tv"} <= tracing.fired(tracer)
+    assert all(tracer.spans[span].work == 10000 for span in spans)
