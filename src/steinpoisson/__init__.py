@@ -44,12 +44,7 @@ from .pair_models import (
     matching_model,
     mc_tv_estimate,
     poisson_binomial_model,
-    sample_pair,
-    sample_state,
     sample_statistics,
-    state_stats,
-    statistic,
-    step_probs,
     substream,
     substreams,
     verify_exchangeability,

@@ -61,9 +61,13 @@ CONVENTION_SET = "set_distance"
 #: calibrated constant of the triple-match surrogate C * k^4 / n^3.  The
 #: exact triple-count TV times n^3/k^4 reaches 0.0913 on the calibration
 #: sweep (n, k) in {(30, 9), (60, 15), (100, 21)} and 0.1263 over the full
-#: certification sweep (up to (512, 32)); 0.15 dominates everything computed
-#: with margin.  At desk scale the ratio still grows with n, so dominance is
-#: certified per sweep, never extrapolated.
+#: certification sweep (up to (512, 32)), so 0.15 dominates the sweep.  It
+#: is not the ratio's limit: along k = theta n^(2/3) the ratio tends to
+#: c(theta) = (1/48) ||Poi(theta^3/6) * (delta_4 - 4 delta_1 + 3 delta_0)||_1
+#: (boxes holding four balls), with c(0.5) = 0.1641, c(0.95) = 0.1500 and
+#: c(1) = 0.1474.  For theta < 0.95 ((512, 32) has theta = 0.5) the
+#: constant lies below that limit, so 0.15 k^4/n^3 is not a bound for large
+#: n there, and dominance holds only on certified sweeps, never extrapolated.
 TRIPLE_SURROGATE_C = 0.15
 
 

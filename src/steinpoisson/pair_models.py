@@ -12,8 +12,8 @@ instances hold only their own parameters.  It writes W, the step
 observables, the (up, down) formula, the stationary draw and the move once,
 over an array holding one state per row, next to an enumeration oracle
 whose stationary law and kernel are integer weights over one integer
-denominator each, so the exact checks compare Python ints.  The scalar API
-applies those batch functions to one row.
+denominator each, so the exact checks compare Python ints.  The batch
+functions are the only interface; one state is a batch of one row.
 
 Seeding contract: samplers take a ``numpy.random.Generator``.  Reproducible
 runs derive sub-streams from a non-negative integer master seed by a counter
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,14 +54,8 @@ __all__ = [
     "coupon_model",
     "substream",
     "substreams",
-    "sample_state",
-    "sample_pair",
-    "statistic",
-    "state_stats",
-    "step_probs",
     "sample_statistics",
     "is_enumerable",
-    "enumeration_size",
     "enumerate_pair_measure",
     "verify_exchangeability",
     "verify_step_probs",
@@ -88,26 +82,25 @@ _ENUM_ENTRIES = 1 << 18
 # ---------------------------------------------------------------------------
 # step observables
 # ---------------------------------------------------------------------------
-# Each field holds one value per state of a batch, or a plain scalar for the
-# one state that ``state_stats`` returns.
+# Each field holds one value per state of a batch.
 
 
 @dataclass(frozen=True)
 class BernoulliStats:
-    w: int
-    weighted_sum: float  # sum of p_i over the active coordinates
+    w: np.ndarray
+    weighted_sum: np.ndarray  # sum of p_i over the active coordinates
 
 
 @dataclass(frozen=True)
 class PlainMatchingStats:
-    w: int
-    a2: int  # number of 2-cycles
+    w: np.ndarray
+    a2: np.ndarray  # number of 2-cycles
 
 
 @dataclass(frozen=True)
 class GeneralizedMatchingStats:
-    """Per-letter transfer counts: wij[i, j] = slots showing letter j where
-    letter i originally stood (a stack of such tables for a batch)."""
+    """Per-letter transfer counts: wij[r, i, j] = slots of state r showing
+    letter j where letter i originally stood."""
 
     wij: np.ndarray
 
@@ -122,13 +115,13 @@ class GeneralizedMatchingStats:
 
 @dataclass(frozen=True)
 class OccupancyStats:
-    """Box-level profile (m0..m3) and the statistic value w of the state."""
+    """Box-level profile (m0..m3) and the statistic value w of each state."""
 
-    m0: int
-    m1: int
-    m2: int
-    m3: int
-    w: int
+    m0: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    w: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +138,15 @@ class PairModel:
 
     The pair is written once as batch functions over a (rows x dim) array
     ``states`` holding one state per row: ``draw`` (stationary states), ``w``
-    (the statistic W), ``observe`` (the step observables ``s``, of class
-    ``stats``), ``steps`` (P(W'=W+1 | state), P(W'=W-1 | state)), ``check``
-    (rejects inconsistent observables), ``move`` (columns, new values and dw
-    of one reversible move) and ``step_arrays`` (the Monte Carlo batch:
-    predicted steps, one realized move's dw, and W).  ``dim`` is the entries
-    per state, by which ``_chunk_rows`` sizes Monte Carlo chunks; ``cells``
-    bounds the entries per state of the widest table those functions build,
-    by which ``_blocks`` sizes row blocks, so a block's tables hold about as
-    many entries as the state array.
+    (the statistic W), ``observe`` (the step observables ``s``, one of the
+    ``*Stats`` classes), ``steps`` (P(W'=W+1 | state), P(W'=W-1 | state)),
+    ``move`` (columns, new values and dw of one reversible move) and
+    ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
+    move's dw, and W).  One state is a batch of one row.  ``dim`` is the
+    entries per state, by which ``_chunk_rows`` sizes Monte Carlo chunks;
+    ``cells`` bounds the entries per state of the widest table those
+    functions build, by which ``_blocks`` sizes row blocks, so a block's
+    tables hold about as many entries as the state array.
 
     The enumeration oracle shares no code with them: ``size`` (states,
     kernel transitions), ``iter_states`` (state tuples), ``denominators``
@@ -186,7 +179,6 @@ class _Bernoulli(PairModel):
 
     p: tuple[float, ...]
     problem = "poisson_binomial"
-    stats = BernoulliStats
     n = property(lambda self: len(self.p))
     c = property(lambda self: float(self.n))
     lam = property(lambda self: sum(self.p))
@@ -202,12 +194,6 @@ class _Bernoulli(PairModel):
 
     def steps(self, s):
         return (self.lam - s.weighted_sum) / self.n, (s.w - s.weighted_sum) / self.n
-
-    def check(self, s):
-        if not (0 <= s.w <= self.n):
-            raise ValueError("w out of range")
-        if s.weighted_sum < -1e-12 or s.weighted_sum > min(self.lam, float(s.w)) + 1e-9:
-            raise ValueError("weighted_sum inconsistent with w")
 
     def move(self, states, rng):
         idx = rng.integers(0, self.n, len(states))
@@ -292,7 +278,6 @@ class _PlainMatching(_Permutations):
 
     n: int
     lam = 1.0
-    stats = PlainMatchingStats
 
     def word(self):
         return np.arange(self.n)
@@ -310,10 +295,6 @@ class _PlainMatching(_Permutations):
         denom = n * (n - 1)
         return 2.0 * (n - s.w - 2 * s.a2) / denom, 2.0 * s.w * (n - s.w) / denom
 
-    def check(self, s):
-        if not (0 <= s.w <= self.n and s.a2 >= 0 and s.w + 2 * s.a2 <= self.n):
-            raise ValueError("fixed points and 2-cycles inconsistent")
-
 
 @dataclass(frozen=True)
 class _MultisetMatching(_Permutations):
@@ -321,7 +302,6 @@ class _MultisetMatching(_Permutations):
     rearrangement."""
 
     spec: MatchingSpec
-    stats = GeneralizedMatchingStats
     n = property(lambda self: self.spec.n)
     lam = property(lambda self: sum(l * l for l in self.spec.multiplicities) / self.n)
 
@@ -356,13 +336,6 @@ class _MultisetMatching(_Permutations):
         # enumeration certifies this count exactly (see test suite).
         down = 2.0 * (n * w - 2 * (wi @ l) - w * w + 2 * wi2) / denom
         return up, down
-
-    def check(self, s):
-        l = np.asarray(self.spec.multiplicities, dtype=np.int64)
-        if s.wij.shape != (l.size, l.size) or np.any(s.wij < 0):
-            raise ValueError("wij must be a nonnegative letters x letters matrix")
-        if not (np.array_equal(s.wij.sum(axis=1), l) and np.array_equal(s.wij.sum(axis=0), l)):
-            raise ValueError("wij margins must equal the multiplicities")
 
     def cells(self):
         return len(self.spec.multiplicities) ** 2
@@ -403,7 +376,6 @@ class _Boxes(PairModel):
 
     n: int
     k: int
-    stats = OccupancyStats
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 2):
@@ -475,16 +447,6 @@ class _Boxes(PairModel):
     def observe(self, states):
         return self.tally(self.occupancy(states)[0])
 
-    def check(self, s):
-        for name in ("m0", "m1", "m2", "m3", "w"):
-            if getattr(s, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if s.m0 + s.m1 + s.m2 + s.m3 > self.n:
-            raise ValueError("level counts m0 + m1 + m2 + m3 exceed the box count")
-        if s.m1 + 2 * s.m2 + 3 * s.m3 > self.k:
-            raise ValueError("level counts use more balls than available")
-        self.check_w(s)
-
     def propose(self, rows, rng):
         """The ball each row moves and the box it moves to."""
         return rng.integers(0, self.k, rows), rng.integers(0, self.n, rows)
@@ -539,10 +501,6 @@ class _BirthdayPairs(_Boxes):
         n, k = self.n, self.k
         return s.m1 * (k - 2 * s.m2 - 1) / (k * n), 2.0 * s.m2 * (n - s.m1 - 1) / (k * n)
 
-    def check_w(self, s):
-        if s.w != self.n - s.m0 - s.m1:
-            raise ValueError("pair statistic must equal n - m0 - m1")
-
 
 @dataclass(frozen=True)
 class _BirthdayTriples(_Boxes):
@@ -555,10 +513,6 @@ class _BirthdayTriples(_Boxes):
         up = (s.m1 * s.m2 + 2 * s.m2**2 - 2 * s.m2) / kn
         return up, (3.0 * s.m3 * s.m0 + 3.0 * s.m3 * s.m1) / kn
 
-    def check_w(self, s):
-        if s.w < s.m3:
-            raise ValueError("triple count cannot be below m3")
-
 
 @dataclass(frozen=True)
 class _Coupon(_Boxes):
@@ -569,10 +523,6 @@ class _Coupon(_Boxes):
     def steps(self, s):
         n, k = self.n, self.k
         return s.m1 * (n - s.w - 1) / (k * n), (k - s.m1) * s.w / (k * n)
-
-    def check_w(self, s):
-        if s.w != s.m0:
-            raise ValueError("empty-box statistic must equal m0")
 
 
 def poisson_binomial_model(p) -> PairModel:
@@ -634,71 +584,12 @@ def _predict(model: PairModel, states: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# scalar API: the batch functions applied to one row
-# ---------------------------------------------------------------------------
-
-
-def _row(model: PairModel, state) -> np.ndarray:
-    """``state`` as a batch of one row, after checking that its ball labels
-    name boxes (the batch code, fed by ``draw`` and enumeration, does not)."""
-    states = np.asarray(state)[None]
-    if isinstance(model, _Boxes) and states.size:
-        if states.min() < 0 or states.max() >= model.n:
-            raise ValueError(f"ball labels must lie in [0, {model.n})")
-    return states
-
-
-def statistic(model: PairModel, state) -> int:
-    """Value of the problem's statistic W at a state."""
-    return int(model.w(_row(model, state))[0])
-
-
-def _first_row(value):
-    row = value[0]
-    return row.item() if row.ndim == 0 else row
-
-
-def state_stats(model: PairModel, state):
-    """Extract the observables the conditional step formulas need."""
-    batch = model.observe(_row(model, state))
-    return type(batch)(**{f.name: _first_row(getattr(batch, f.name)) for f in fields(batch)})
-
-
-def step_probs(model: PairModel, stats) -> tuple[float, float]:
-    """Analytic one-step conditionals (P(W'=W+1 | state), P(W'=W-1 | state))."""
-    if not isinstance(stats, model.stats):
-        raise ValueError(f"{model.problem} expects {model.stats.__name__}")
-    model.check(stats)
-    up, down = model.steps(stats)
-    return float(up), float(down)
-
-
-def sample_state(model: PairModel, rng: np.random.Generator):
-    """One stationary draw: product Bernoulli, uniform permutation, or
-    i.i.d. uniform box assignments."""
-    return model.draw(1, rng)[0]
-
-
-def sample_pair(model: PairModel, state, rng: np.random.Generator):
-    """One reversible move from ``state``; (state, result) is exchangeable."""
-    new = _row(model, state)[0].copy()
-    columns, values, _ = model.move(new[None], rng)
-    new[columns[0]] = values[0]
-    return new
-
-
-# ---------------------------------------------------------------------------
 # exact enumeration
 # ---------------------------------------------------------------------------
 
 
-def enumeration_size(model: PairModel) -> tuple[int, int]:
-    """(number of states, number of kernel transitions) of the instance."""
-    return model.size()
-
-
 def is_enumerable(model: PairModel) -> bool:
-    states, transitions = enumeration_size(model)
+    states, transitions = model.size()
     return states <= ENUM_STATE_CAP and transitions <= ENUM_TRANSITION_CAP
 
 
@@ -709,7 +600,7 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
     W up or down by one and divides the sum once by D_K.  W is evaluated
     over a block of states and all their successors at once.
     """
-    states_n, transitions = enumeration_size(model)
+    states_n, transitions = model.size()
     if not is_enumerable(model):
         raise ValueError(
             f"instance is not enumerable: {states_n:.3e} states, "
@@ -770,7 +661,7 @@ def verify_exchangeability(model: PairModel) -> ExchangeabilityReport:
     i over D_P, q(i, j) = a_i * (kernel weight of i -> j) over D_P * D_K must
     equal q(j, i), and each row must sum to a_i * D_K, i.e. the kernel's
     weights from every state sum to D_K."""
-    states_n, _ = enumeration_size(model)
+    states_n, _ = model.size()
     if states_n > JOINT_STATE_CAP:
         raise ValueError(
             f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
@@ -818,16 +709,10 @@ class StepProbsReport:
     passed: bool
 
 
-def _mc_arrays(model: PairModel, size: int, rng: np.random.Generator):
-    """Vectorized batch: predicted (up, down), realized move dw, and W."""
-    return model.step_arrays(model.draw(size, rng), rng)
-
-
 def verify_step_probs(
     model: PairModel,
     trials: int | None = None,
     rng: np.random.Generator | None = None,
-    bias: tuple[float, float] = (0.0, 0.0),
 ) -> StepProbsReport:
     """Certify the analytic conditionals against the actual kernel.
 
@@ -836,17 +721,14 @@ def verify_step_probs(
     states each take one kernel step; the up and down move counts are judged
     against the formulas' expected counts (:func:`_count_z`) at a 4-sigma
     gate, together with the up/down balance that exchangeability forces.
-    ``bias`` adds a constant to the predicted (up, down); it exists so the
-    harness can demonstrate its own detection power and must be (0, 0) for
-    real verification.
     """
     if trials is None:
         if not is_enumerable(model):
             raise ValueError("instance too large to enumerate; pass trials for Monte Carlo")
         states, measure = _enumerate(model)
         up, down, _ = _predict(model, states)
-        up_dev = float(np.abs(up + bias[0] - measure.q_up).max())
-        down_dev = float(np.abs(down + bias[1] - measure.q_down).max())
+        up_dev = float(np.abs(up - measure.q_up).max())
+        down_dev = float(np.abs(down - measure.q_down).max())
         balance = abs(math.fsum((measure.probs * (measure.q_up - measure.q_down)).tolist()))
         max_dev = max(up_dev, down_dev)
         passed = bool(max_dev <= _EXACT_TOL and balance <= _EXACT_TOL)
@@ -864,8 +746,8 @@ def verify_step_probs(
     done = 0
     while done < trials:
         size = min(rows, trials - done)
-        up, down, dw, _ = _mc_arrays(model, size, rng)
-        for i, (step, prob) in enumerate(((1, up + bias[0]), (-1, down + bias[1]))):
+        up, down, dw, _ = model.step_arrays(model.draw(size, rng), rng)
+        for i, (step, prob) in enumerate(((1, up), (-1, down))):
             moves[i] += np.count_nonzero(dw == step)
             expected[i] += prob.sum()
             clipped = np.clip(prob, 0.0, 1.0)

@@ -18,7 +18,7 @@ from steinpoisson import (
 from steinpoisson import pair_models
 from steinpoisson.pair_models import (
     BernoulliStats,
-    _mc_arrays,
+    GeneralizedMatchingStats,
     OccupancyStats,
     PlainMatchingStats,
     birthday_pairs_model,
@@ -29,16 +29,51 @@ from steinpoisson.pair_models import (
     matching_model,
     mc_tv_estimate,
     poisson_binomial_model,
-    sample_pair,
-    sample_state,
     sample_statistics,
-    state_stats,
-    statistic,
-    step_probs,
     substream,
     verify_exchangeability,
     verify_step_probs,
 )
+
+
+def _moved(model, state, rng):
+    """A copy of ``state`` after one reversible move."""
+    new = state.copy()
+    columns, values, _ = model.move(new[None], rng)
+    new[columns[0]] = values[0]
+    return new
+
+
+def _observables_consistent(model, s):
+    """Per row, whether the step observables ``s`` can come from one state."""
+    if isinstance(s, BernoulliStats):
+        return ((0 <= s.w) & (s.w <= model.n) & (s.weighted_sum >= -1e-12)
+                & (s.weighted_sum <= np.minimum(model.lam, s.w) + 1e-9))
+    if isinstance(s, PlainMatchingStats):
+        return (s.a2 >= 0) & (s.w + 2 * s.a2 <= model.n)
+    if isinstance(s, GeneralizedMatchingStats):
+        l = model.spec.multiplicities
+        return (s.wij.sum(axis=2) == l).all(axis=1) & (s.wij.sum(axis=1) == l).all(axis=1)
+    w_rule = {"birthday_pairs": s.w == model.n - s.m0 - s.m1, "birthday_triples": s.w >= s.m3,
+              "coupon": s.w == s.m0}[model.problem]
+    return ((s.m0 + s.m1 + s.m2 + s.m3 <= model.n) & (s.m1 + 2 * s.m2 + 3 * s.m3 <= model.k)
+            & w_rule)
+
+
+def _rows(cls, *columns):
+    """Step observables of class ``cls`` with one column of rows per field."""
+    return cls(*(np.array(c) for c in columns))
+
+
+def _shift_down(monkeypatch, cls, shift):
+    """Patch the (up, down) formula of ``cls`` to add ``shift(model)`` to down."""
+    steps = cls.steps
+
+    def shifted(self, s):
+        up, down = steps(self, s)
+        return up, down + shift(self)
+
+    monkeypatch.setattr(cls, "steps", shifted)
 
 
 class TestModelFactories:
@@ -72,13 +107,13 @@ class TestSamplers:
         model = poisson_binomial_model([1.0, 0.0])
         rng = substream(1, 0)
         for _ in range(50):
-            assert np.array_equal(sample_state(model, rng), [1, 0])
+            assert np.array_equal(model.draw(1, rng)[0], [1, 0])
 
     def test_uniform_permutation_frequencies(self):
         model = matching_model(2)
         rng = substream(2, 0)
         draws = 100_000
-        hits = sum(int(sample_state(model, rng)[0] == 0) for _ in range(draws))
+        hits = sum(int(model.draw(1, rng)[0][0] == 0) for _ in range(draws))
         # identity frequency 1/2 within 4 sigma
         sigma = math.sqrt(draws * 0.25)
         assert abs(hits - draws / 2) < 4 * sigma
@@ -89,7 +124,7 @@ class TestSamplers:
         draws = 90_000
         counts = np.zeros(9)
         for _ in range(draws):
-            b = sample_state(model, rng)
+            b = model.draw(1, rng)[0]
             counts[3 * b[0] + b[1]] += 1
         sigma = math.sqrt(draws * (1 / 9) * (8 / 9))
         assert np.abs(counts - draws / 9).max() < 4.5 * sigma
@@ -97,53 +132,42 @@ class TestSamplers:
     def test_pair_step_changes_one_coordinate(self):
         model = coupon_model(6, 10)
         rng = substream(4, 0)
-        state = sample_state(model, rng)
-        new = sample_pair(model, state, rng)
+        state = model.draw(1, rng)[0]
+        new = _moved(model, state, rng)
         assert (np.asarray(state) != np.asarray(new)).sum() <= 1
 
     def test_transposition_step(self):
         model = matching_model(5)
         rng = substream(5, 0)
-        sigma = sample_state(model, rng)
-        tau = sample_pair(model, sigma, rng)
+        sigma = model.draw(1, rng)[0]
+        tau = _moved(model, sigma, rng)
         assert sorted(tau) == list(range(5))
         assert (np.asarray(sigma) != np.asarray(tau)).sum() == 2
 
     def test_determinism(self):
         model = coupon_model(8, 12)
-        a = [sample_state(model, substream(99, i)).tolist() for i in range(4)]
-        b = [sample_state(model, substream(99, i)).tolist() for i in range(4)]
+        a = [model.draw(1, substream(99, i))[0].tolist() for i in range(4)]
+        b = [model.draw(1, substream(99, i))[0].tolist() for i in range(4)]
         assert a == b
 
 
 class TestStepProbs:
     def test_matching_identity_permutation(self):
         model = matching_model(6)
-        up, down = step_probs(model, PlainMatchingStats(w=6, a2=0))
-        assert up == 0.0
-        assert down == 0.0
+        up, down = model.steps(PlainMatchingStats(w=np.array([6]), a2=np.array([0])))
+        assert up.tolist() == [0.0]
+        assert down.tolist() == [0.0]
 
     def test_birthday_all_distinct(self):
         model = birthday_pairs_model(9, 4)
-        stats = OccupancyStats(m0=5, m1=4, m2=0, m3=0, w=0)
-        up, down = step_probs(model, stats)
-        assert down == 0.0
-        assert up == pytest.approx(4 * (4 - 1) / (4 * 9))
-
-    def test_rejects_inconsistent_stats(self):
-        model = birthday_pairs_model(5, 4)
-        with pytest.raises(ValueError):
-            step_probs(model, OccupancyStats(m0=3, m1=2, m2=2, m3=0, w=0))  # counts > n
-        with pytest.raises(ValueError):
-            step_probs(model, OccupancyStats(m0=3, m1=2, m2=0, m3=0, w=1))  # w mismatch
-        with pytest.raises(ValueError):
-            step_probs(model, BernoulliStats(w=1, weighted_sum=0.2))  # wrong family
-        coupon = coupon_model(5, 4)
-        with pytest.raises(ValueError):
-            step_probs(coupon, OccupancyStats(m0=2, m1=2, m2=1, m3=0, w=1))  # w != m0
+        stats = OccupancyStats(*(np.array([v]) for v in (5, 4, 0, 0, 0)))  # m0..m3, w
+        up, down = model.steps(stats)
+        assert down.tolist() == [0.0]
+        assert up[0] == pytest.approx(4 * (4 - 1) / (4 * 9))
 
     def test_probabilities_well_formed_on_sampled_states(self):
-        # up and down are probabilities of disjoint events of one move
+        # up and down are probabilities of disjoint events of one move, and
+        # every drawn state's observables are consistent
         rng = substream(77, 0)
         models = [
             poisson_binomial_model(rng.random(12)),
@@ -154,31 +178,42 @@ class TestStepProbs:
             coupon_model(8, 20),
         ]
         for model in models:
-            for _ in range(40):
-                stats = state_stats(model, sample_state(model, rng))
-                up, down = step_probs(model, stats)
-                assert up >= -1e-15 and down >= -1e-15
-                assert up + down <= 1.0 + 1e-12
+            stats = model.observe(model.draw(40, rng))
+            assert _observables_consistent(model, stats).all(), model.problem
+            up, down = model.steps(stats)
+            assert (up >= -1e-15).all() and (down >= -1e-15).all()
+            assert (up + down <= 1.0 + 1e-12).all()
 
-    def test_rejects_inconsistent_weighted_sum(self):
-        model = poisson_binomial_model([0.5, 0.5])
-        with pytest.raises(ValueError):
-            step_probs(model, BernoulliStats(w=0, weighted_sum=0.9))
+    @pytest.mark.parametrize(
+        "model,stats",
+        [
+            (birthday_pairs_model(5, 4), _rows(OccupancyStats, [3, 3], [2, 2], [0, 2], [0, 0],
+                                               [0, 0])),
+            (birthday_pairs_model(5, 4), _rows(OccupancyStats, [3, 3], [2, 2], [0, 0], [0, 0],
+                                               [0, 1])),
+            (birthday_pairs_model(5, 4), _rows(OccupancyStats, [3, 3], [0, 0], [2, 1], [0, 1],
+                                               [2, 2])),
+            (coupon_model(5, 4), _rows(OccupancyStats, [2, 2], [2, 2], [1, 1], [0, 0], [2, 1])),
+            (birthday_triples_model(5, 4), _rows(OccupancyStats, [3, 4], [1, 0], [0, 0], [1, 1],
+                                                 [1, 0])),
+            (poisson_binomial_model([0.5, 0.5]), _rows(BernoulliStats, [1, 0], [0.5, 0.9])),
+            (matching_model(6), _rows(PlainMatchingStats, [4, 5], [1, 1])),
+            (matching_model(4, (2, 2)), GeneralizedMatchingStats(
+                wij=np.array([[[2, 0], [0, 2]], [[2, 1], [0, 1]]]))),
+        ],
+        ids=["counts_over_n", "pairs_w_not_n_minus_m0_m1", "balls_over_k", "coupon_w_not_m0",
+             "triples_w_under_m3", "weighted_sum_over_w", "matching_w_plus_2a2_over_n",
+             "multiset_margins"],
+    )
+    def test_consistency_helper_rejects_impossible_observables(self, model, stats):
+        # the first row can come from a state and the second cannot, so the
+        # invariants asserted above are not vacuous
+        assert _observables_consistent(model, stats).tolist() == [True, False]
 
-    @pytest.mark.parametrize("labels", [[400] * 23, [-1] + [0] * 22, [365] + [0] * 22])
-    def test_scalar_api_rejects_labels_outside_the_boxes(self, labels):
+    def test_every_ball_in_the_last_box(self):
         model = birthday_pairs_model(365, 23)
-        for call in (lambda: statistic(model, labels), lambda: state_stats(model, labels),
-                     lambda: sample_pair(model, labels, substream(3, 0))):
-            with pytest.raises(ValueError, match="ball labels"):
-                call()
-        assert statistic(model, [364] * 23) == 1  # one box, the last, holds every ball
-
-    def test_generalized_margin_validation(self):
-        model = matching_model(4, (2, 2))
-        bad = np.array([[2, 1], [0, 1]])
-        with pytest.raises(ValueError):
-            step_probs(model, state_stats(model, [0, 1, 2, 3]).__class__(wij=bad))
+        # one box, the last, holds every ball
+        assert model.w(np.full((1, 23), 364)).tolist() == [1]
 
 
 ENUMERABLE_CASES = [
@@ -301,16 +336,12 @@ class TestMonteCarloVerification:
         report = verify_step_probs(coupon_model(30, 120), trials=40_000, rng=substream(12, 0))
         assert report.passed, report
 
-    def test_bias_injection_detected(self):
+    def test_bias_injection_detected(self, monkeypatch):
         # harness self-test: a 1/(kn) shift of the down formula must fail at
         # 4 sigma with 10^5 trials
-        n, k = 10, 8
-        report = verify_step_probs(
-            birthday_pairs_model(n, k),
-            trials=100_000,
-            rng=substream(13, 0),
-            bias=(0.0, 1.0 / (k * n)),
-        )
+        _shift_down(monkeypatch, pair_models._BirthdayPairs, lambda m: 1.0 / (m.k * m.n))
+        report = verify_step_probs(birthday_pairs_model(10, 8), trials=100_000,
+                                   rng=substream(13, 0))
         assert not report.passed
         assert report.down_dev > 4.0
 
@@ -328,11 +359,11 @@ class TestMonteCarloVerification:
         assert report.mode == "mc"
         assert report.passed, report
 
-    def test_multiset_bias_injection_detected(self):
+    def test_multiset_bias_injection_detected(self, monkeypatch):
         # a 1/C(12, 2) shift of the down formula fails the multiset gate
-        report = verify_step_probs(
-            matching_model(12, (4, 4, 4)), trials=40_000, rng=substream(14, 0), bias=(0.0, 1 / 66)
-        )
+        _shift_down(monkeypatch, pair_models._MultisetMatching, lambda m: 1 / math.comb(m.n, 2))
+        report = verify_step_probs(matching_model(12, (4, 4, 4)), trials=40_000,
+                                   rng=substream(14, 0))
         assert not report.passed
         assert report.down_dev > 4.0
 
@@ -340,10 +371,10 @@ class TestMonteCarloVerification:
         # 100 letters: a whole-chunk letter-transfer table would take
         # 8192 x 100 x 100 int64 entries (~650 MB); blocks keep it near the
         # size of the chunk's state matrix
-        model = matching_model(200, (2,) * 100)
+        model, rng = matching_model(200, (2,) * 100), substream(15, 0)
         tracemalloc.start()
         try:
-            _mc_arrays(model, 8192, substream(15, 0))
+            model.step_arrays(model.draw(8192, rng), rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -353,11 +384,11 @@ class TestMonteCarloVerification:
         # coupon (100, 500) runs the count-table kernel: the chunk's ball
         # labels take 31 MiB, and offsetting them all at once would add as
         # much again
-        model = coupon_model(100, 500)
+        model, rng = coupon_model(100, 500), substream(1, 0)
         assert not model.sorts()
         tracemalloc.start()
         try:
-            _mc_arrays(model, 8192, substream(1, 0))
+            model.step_arrays(model.draw(8192, rng), rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -409,17 +440,19 @@ class TestMonteCarloVerification:
     def test_boxes_batch_matches_one_state_at_a_time(self, factory):
         # the batch draws the states, then each row's ball and new box, in
         # that order; its dw must equal W recomputed after the move
-        model, rows = factory(), 300
-        up, down, dw, w = _mc_arrays(model, rows, substream(16, 0))
+        model, rows, batch_rng = factory(), 300, substream(16, 0)
+        up, down, dw, w = model.step_arrays(model.draw(rows, batch_rng), batch_rng)
         rng = substream(16, 0)
         states = rng.integers(0, model.n, (rows, model.k))
         ball, newbox = rng.integers(0, model.k, rows), rng.integers(0, model.n, rows)
         for r in range(rows):
             moved = states[r].copy()
             moved[ball[r]] = newbox[r]
-            assert dw[r] == statistic(model, moved) - statistic(model, states[r])
-            assert w[r] == statistic(model, states[r])
-            assert (up[r], down[r]) == pytest.approx(step_probs(model, state_stats(model, states[r])))
+            one = model.observe(states[r][None])
+            assert dw[r] == model.w(moved[None])[0] - one.w[0]
+            assert w[r] == one.w[0]
+            one_up, one_down = model.steps(one)
+            assert (up[r], down[r]) == pytest.approx((one_up[0], one_down[0]))
 
     @pytest.mark.parametrize(
         "factory,low,sorts",
@@ -478,9 +511,10 @@ class TestMonteCarloVerification:
 
     def test_birthday_reach_without_n_wide_tables(self):
         # 40 balls in 10^7 boxes: one count table would take 80 MB per row
+        model, rng = birthday_pairs_model(10**7, 40), substream(20, 0)
         tracemalloc.start()
         try:
-            _mc_arrays(birthday_pairs_model(10**7, 40), 64, substream(20, 0))
+            model.step_arrays(model.draw(64, rng), rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -536,7 +570,7 @@ class TestSampleStatistics:
         model, rows = birthday_pairs_model(2000, 60), 300
         w = sample_statistics(model, rows, substream(24, 0))
         states = substream(24, 0).integers(0, model.n, (rows, model.k))
-        assert w.tolist() == [statistic(model, state) for state in states]
+        assert w.tolist() == [model.w(state[None])[0] for state in states]
 
 
 class TestMcTvEstimate:
