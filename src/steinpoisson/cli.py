@@ -542,7 +542,7 @@ def feasibility_error(problem: str, params: dict, bound=None) -> str | None:
         return f"unknown problem {problem!r}"
     try:
         fam.check(params, bound or fam.bounds["default"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         return str(exc)
     return None
 
@@ -598,7 +598,10 @@ def build_grid(problem: str, args) -> list[dict]:
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", newline=""), True
+    try:
+        return open(path, "w", newline=""), True
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 class RecordWriter:
@@ -828,7 +831,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:  # an integer past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

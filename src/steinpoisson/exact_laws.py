@@ -228,7 +228,7 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
 
     ``p`` is one vector (returns its ``Pmf``) or a matrix whose rows are
     vectors of one length (returns one ``Pmf`` per row, each a view of one
-    table, see :meth:`Pmf.rows_from_mass`).  Both run the same
+    table, so a kept row keeps the table alive).  Both run the same
     DP over the columns, all rows at once, updated in place:
 
         mass[1 : i + 2] = mass[1 : i + 2] * (1 - p_i) + mass[: i + 1] * p_i
@@ -250,7 +250,7 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     for i in range(rows.shape[1]):
         mass[:, 1 : i + 2] = mass[:, 1 : i + 2] * fail[i] + mass[:, : i + 1] * succ[i]
         mass[:, 0] *= fail[i, :, 0]
-    laws = Pmf.rows_from_mass(mass)
+    laws = [Pmf(row) for row in mass]
     return laws[0] if probs.ndim == 1 else laws
 
 
@@ -585,10 +585,10 @@ class AllocationTables:
             raise ValueError(f"{spec} is not, or no longer, in this plan")
         self._laws[key, cells, items] -= 1
         if (key, cells) not in self._top:
-            return Pmf.from_mass(_row_mass(self._join(key, cells, items), items))
+            return Pmf(_row_mass(self._join(key, cells, items), items))
         mass = _row_mass(self._table(key, cells), items)
         self._release(key, [cells])
-        return Pmf.from_mass(mass)
+        return Pmf(mass)
 
     def _table(self, key, size: int):
         if (key, size) not in self._live:
@@ -715,7 +715,7 @@ def _empty_boxes_pmf(n: int, k: int) -> Pmf:
     else:
         mass = _empty_boxes_mass_certified(n, k)
     last = int(np.nonzero(mass)[0].max(initial=0))
-    return Pmf.from_mass(mass[: last + 1])
+    return Pmf(mass[: last + 1])
 
 
 def check_occupancy(spec: OccupancySpec) -> None:
@@ -737,7 +737,7 @@ def check_occupancy(spec: OccupancySpec) -> None:
     states = n * k * max(1, _stat_support_max(spec))
     if states > DP_STATE_CAP:
         raise ValueError(
-            f"occupancy DP needs ~{states:.2e} states "
+            f"occupancy DP needs ~{decimal.Decimal(states):.2e} states "
             f"(cap {DP_STATE_CAP:.0e}); n={n}, k={k}, statistic={spec.statistic}"
         )
 
@@ -830,7 +830,7 @@ def check_coloring(spec: ColoringSpec) -> None:
     states = spec.n_colors * spec.n_points * max(1, math.comb(spec.n_points, spec.tuple_size))
     if states > DP_STATE_CAP:
         raise ValueError(
-            f"coloring DP needs ~{states:.2e} states (cap {DP_STATE_CAP:.0e})"
+            f"coloring DP needs ~{decimal.Decimal(states):.2e} states (cap {DP_STATE_CAP:.0e})"
         )
 
 

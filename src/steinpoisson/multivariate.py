@@ -126,18 +126,18 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     return JointPmf(_divided_once(counts.ravel(), math.factorial(n)).reshape(counts.shape))
 
 
-def product_poisson_joint(lambdas, truncation_eps: float = 1e-12) -> JointPmf:
+def product_poisson_joint(lambdas) -> JointPmf:
     """Product of truncated Poisson laws on a box, exact residual tail.
 
     The table is the outer product of the coordinate tables.  Per-coordinate
-    truncation at ``truncation_eps`` makes the total tail at most
-    ``dim * truncation_eps`` (union bound); the stored tail is the exact
+    truncation at ``TRUNCATION_EPS`` makes the total tail at most
+    ``dim * TRUNCATION_EPS`` (union bound); the stored tail is the exact
     residual ``1 - prod(coordinate masses)``.
     """
     rates = [float(l) for l in lambdas]
     if not rates or any(l <= 0 for l in rates):
         raise ValueError("all rates must be positive")
-    coords = [poisson_pmf(SteinParams(l, truncation_eps)) for l in rates]
+    coords = [poisson_pmf(SteinParams(l)) for l in rates]
     mass = functools.reduce(np.multiply.outer, [c.mass for c in coords])
     covered = math.prod(math.fsum(c.mass.tolist()) for c in coords)
     return JointPmf(mass, tail=max(0.0, 1.0 - covered))
@@ -158,14 +158,14 @@ def joint_marginal(p: JointPmf, axis: int) -> Pmf:
     if not (0 <= axis < p.dim):
         raise ValueError("axis out of range")
     others = tuple(i for i in range(p.dim) if i != axis)
-    return Pmf.from_mass(p.mass.sum(axis=others), tail=p.tail)
+    return Pmf(p.mass.sum(axis=others), tail=p.tail)
 
 
 def bound_fixed_point_succession(n: int) -> BoundReport:
     """13/n for the joint law of fixed points and cyclic successions against
     independent unit-rate Poisson coordinates."""
     if not (isinstance(n, int) and n >= 3):
-        raise ValueError("needs n >= 3")
+        raise ValueError("joint fixed-point/succession bound needs n >= 3")
     return _report("joint_fixed_point_succession", 1.0, 13.0 / n, CONVENTION_SET, n=n, dim=2)
 
 

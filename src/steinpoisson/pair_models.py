@@ -841,11 +841,11 @@ def mc_tv_estimate(
         raise ValueError("mc_tv_estimate needs samples >= 10000")
     w = sample_statistics(model, samples, rng)
     counts = np.bincount(w)
-    emp = Pmf.from_mass(counts / samples)
+    emp = Pmf(counts / samples)
     estimate = tv_distance(emp, target)
     probs = counts / samples
     reps = np.empty(_BOOTSTRAP)
     for b in range(_BOOTSTRAP):
         resampled = rng.multinomial(samples, probs)
-        reps[b] = tv_distance(Pmf.from_mass(resampled / samples), target)
+        reps[b] = tv_distance(Pmf(resampled / samples), target)
     return float(estimate), float(reps.std(ddof=1))

@@ -6,7 +6,8 @@ catalogue and the certification harness:
 * ``Pmf`` -- a finite pmf table on ``{0, ..., support_max}`` with an explicit
   tail mass, so truncation error is carried through every computation instead
   of being silently dropped.  Exact finite laws carry ``tail == 0``.
-* ``poisson_pmf`` -- truncated Poisson reference laws with certified tails.
+* ``poisson_pmf`` -- Poisson reference laws truncated at ``TRUNCATION_EPS``,
+  with certified tails.
 * ``tv_distance`` -- total variation distance with conservative tail
   handling; the result is an upper bound, tight to within the summed tails.
 * ``stein_apply`` / ``stein_inverse`` -- the characterizing operator of the
@@ -48,6 +49,9 @@ __all__ = [
 
 #: tolerance used when validating that mass + tail sums to one
 MASS_TOL = 1e-12
+#: every Poisson target is truncated at the smallest N whose upper tail is
+#: at most this
+TRUNCATION_EPS = 1e-12
 _BAD_RATE = "lam must be a positive finite real"
 #: the largest rate whose first Poisson mass exp(-lam) is a normal float;
 #: past it that mass is subnormal (from ~745, zero) and too badly rounded
@@ -90,14 +94,6 @@ def _check_mass(values: list[float], tail, total: float | None = None) -> float:
     return tail
 
 
-def _clip_dust(values) -> np.ndarray:
-    """A copy of ``values`` with rounding dust (entries in [-1e-15, 0)) set to 0."""
-    arr = np.ascontiguousarray(values, dtype=float).copy()
-    if arr.size and arr.min() < 0.0:
-        arr[(arr < 0.0) & (arr > -1e-15)] = 0.0
-    return arr
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on ``{0, ..., support_max}`` plus tail mass.
@@ -118,18 +114,6 @@ class Pmf:
         arr.flags.writeable = False
         object.__setattr__(self, "mass", arr)
         object.__setattr__(self, "tail", tail)
-
-    @classmethod
-    def from_mass(cls, values, tail: float = 0.0) -> "Pmf":
-        """Build a Pmf, clipping rounding dust (entries in [-1e-15, 0))."""
-        return cls(_clip_dust(values), tail)
-
-    @classmethod
-    def rows_from_mass(cls, table) -> list["Pmf"]:
-        """One tail-free Pmf per row of a 2-D table, each equal to
-        ``from_mass(row)``.  The rows are views of one clipped copy (one
-        clip pass, not one per row), so a kept row keeps the table alive."""
-        return [cls(row) for row in _clip_dust(table)]
 
     @property
     def support_max(self) -> int:
@@ -154,16 +138,13 @@ class Pmf:
 
 @dataclass(frozen=True)
 class SteinParams:
-    """Rate and truncation control for the Poisson reference law."""
+    """The rate of the Poisson reference law."""
 
     lam: float
-    truncation_eps: float = 1e-12
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(_BAD_RATE)
-        if not (0.0 < self.truncation_eps <= 1e-3):
-            raise ValueError("truncation_eps must lie in (0, 1e-3]")
 
 
 def check_rate(lam: float) -> None:
@@ -175,15 +156,15 @@ def check_rate(lam: float) -> None:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
 
 
-def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float, float]:
-    """Poisson(lam) masses up to the smallest N whose upper tail is <= eps,
-    the exact remainder ``1 - sum(masses)`` and that sum."""
+def _poisson_terms(lam: float) -> tuple[list[float], float, float]:
+    """Poisson(lam) masses up to the smallest N whose upper tail is <=
+    ``TRUNCATION_EPS``, the exact remainder ``1 - sum(masses)`` and that sum."""
     check_rate(lam)
     p = math.exp(-lam)
     terms = [p]
     cum = p
     k = 0
-    while 1.0 - cum > eps:
+    while 1.0 - cum > TRUNCATION_EPS:
         k += 1
         p *= lam / k
         terms.append(p)
@@ -195,12 +176,13 @@ def _poisson_terms(lam: float, eps: float) -> tuple[list[float], float, float]:
 
 
 def poisson_pmf(params: SteinParams) -> Pmf:
-    """Poisson law truncated at the smallest N whose upper tail is <= eps.
+    """Poisson law truncated at the smallest N whose upper tail is <=
+    ``TRUNCATION_EPS``.
 
     The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
     returned Pmf is a certified representation of the full law.
     """
-    terms, tail, _ = _poisson_terms(params.lam, params.truncation_eps)
+    terms, tail, _ = _poisson_terms(params.lam)
     return Pmf(np.array(terms), tail)
 
 
@@ -237,10 +219,9 @@ def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
     rows of one table zero-padded to the longest, and their tails.  Each rate
     gets :func:`check_rate`, and each target is checked as a ``Pmf`` checks
     its table but is never built as one."""
-    eps = SteinParams.truncation_eps
     targets, tails = [], []
     for lam in lams:
-        terms, tail, total = _poisson_terms(lam, eps)
+        terms, tail, total = _poisson_terms(lam)
         tails.append(_check_mass(terms, tail, total))
         targets.append(terms)
     table = np.zeros((len(targets), max(map(len, targets))))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import steinpoisson
-from steinpoisson import bounds, exact_laws, multivariate
+from steinpoisson import bounds, exact_laws, multivariate, pair_models
 from steinpoisson.cli import (
     CSV_COLUMNS,
     DEFAULT_SEED,
@@ -287,6 +287,20 @@ class TestSweepCommand:
         assert out.out == ""
         assert out.err == "error: point large: lam=800.0 too large: exp(-lam) underflows\n"
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where, reason):
+        path = tmp_path / where
+        assert run(["sweep", "matching", "--n", "4", "--out", str(path)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot write --out {path}: {reason}\n"
+
+    def test_point_refusal_comes_before_out_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        assert run(["sweep", "matching", "--n", "4,9999", "--out", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: point n=9999: matching capped")
+
     def test_over_cap_grid_rejected_before_running(self, tmp_path):
         assert (
             run(["sweep", "matching", "--n", "4,9999", "--out", str(tmp_path / "x.csv")])
@@ -395,6 +409,14 @@ class TestVerifyPairCommand:
 
     def test_exact_over_cap(self, capsys):
         assert run(["verify-pair", "matching", "--n", "30", "--exact"]) == EXIT_USAGE
+
+    def test_exact_past_joint_state_cap_skips_the_joint_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(pair_models, "JOINT_STATE_CAP", 100)
+        assert run(["verify-pair", "matching", "--n", "6", "--exact"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert ("joint measure check skipped: joint measure enumeration capped at 100 states "
+                "(instance has 720)\n") in out
+        assert out.endswith("verdict: pass\n")
 
     @pytest.mark.parametrize("command", ["verify-pair", "mc-tv"])
     def test_zero_trials_is_usage_error(self, capsys, command):
@@ -592,7 +614,9 @@ class TestDispatchHoles:
         # the law takes n = 2, but the bound needs n >= 3
         assert feasibility_error("joint-matching-succession", {"n": 2})
         assert run(["sweep", "joint-matching-succession", "--n", "2..4"]) == EXIT_USAGE
-        assert capsys.readouterr().out == ""
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: point n=2: joint fixed-point/succession bound needs n >= 3\n"
 
     def test_theta_scales_k_for_every_scaled_family(self, capsys):
         assert run(["exact-tv", "birthday-pairs", "--n", "100", "--theta", "1"]) == EXIT_OK
@@ -661,6 +685,31 @@ def test_over_cap_rejected_by_precheck_and_law_alike(problem):
     with pytest.raises(ValueError) as exc:
         law()
     assert str(exc.value) == message
+
+
+#: an integer with 401 digits, past the float range
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", [
+    "exact-tv coloring --n 2000 --k 500 --c 2",  # its state count is past the float range
+    "bound coloring --n 2000 --k 500 --c 2",
+    f"bound matching --n {HUGE}",
+    f"exact-tv birthday-pairs --n {HUGE} --k 2",
+    f"exact-tv coupon --n {HUGE} --k 3",
+    f"mc-tv matching --n {HUGE} --trials 10000",
+])
+def test_integer_past_float_range_is_usage_error(capsys, command):
+    assert exit_code(shlex.split(command)) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
+def test_over_cap_state_count_is_exact():
+    message = feasibility_error("coloring", {"n": 2000, "k": 500, "c": 2})
+    assert message == "coloring DP needs ~2.26e+490 states (cap 1e+08)"
 
 
 def test_imports_without_mpmath():

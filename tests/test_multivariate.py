@@ -23,6 +23,7 @@ from steinpoisson import (
 )
 from steinpoisson.exact_laws import MATCHING_CAP
 from steinpoisson.multivariate import JOINT_CAP, ConfigLaw, JointPmf
+from steinpoisson.stein_core import TRUNCATION_EPS
 
 import oracles
 
@@ -75,9 +76,8 @@ class TestProductPoissonJoint:
         assert joint.mass[(0, 0)] == pytest.approx(math.exp(-2.5), rel=1e-12)
 
     def test_tail_union_bound(self):
-        eps = 1e-10
-        joint = product_poisson_joint([1.0, 1.0], truncation_eps=eps)
-        assert joint.tail <= 2 * eps
+        joint = product_poisson_joint([1.0, 1.0])
+        assert joint.tail <= 2 * TRUNCATION_EPS
         # exact residual: 1 - product of covered coordinate masses
         covered = joint.mass.sum()
         assert joint.tail == pytest.approx(1.0 - covered, abs=1e-14)

@@ -18,7 +18,7 @@ from steinpoisson import (
 )
 from steinpoisson.exact_laws import poisson_binomial_pmf
 from steinpoisson import stein_core
-from steinpoisson.stein_core import _poisson_table, _poisson_tvs
+from steinpoisson.stein_core import TRUNCATION_EPS, _poisson_table, _poisson_tvs
 from steinpoisson.pair_models import (
     birthday_pairs_model,
     birthday_triples_model,
@@ -55,6 +55,10 @@ class TestPmf:
             Pmf(np.array([0.5, 0.25]), tail=0.1)  # mass + tail != 1
         with pytest.raises(ValueError):
             Pmf(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match="mass entries"):
+            Pmf([-1e-3, 1.001])
+        with pytest.raises(ValueError, match="nonempty"):
+            Pmf([])
 
     @pytest.mark.parametrize("mass", [
         [np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [np.inf, -np.inf], [-np.inf, 1.0],
@@ -71,19 +75,6 @@ class TestPmf:
 
     def test_signed_zero_is_valid(self):
         assert Pmf(np.array([-0.0, 1.0])).prob(1) == 1.0
-
-    def test_from_mass_clips_only_rounding_dust(self):
-        assert np.array_equal(Pmf.from_mass([-1e-16, 1.0]).mass, [0.0, 1.0])
-        with pytest.raises(ValueError, match="mass entries"):
-            Pmf.from_mass([-1e-3, 1.001])
-        with pytest.raises(ValueError, match="nonempty"):
-            Pmf.from_mass([])
-
-    def test_from_mass_copies(self):
-        values = np.array([0.25, 0.75])
-        law = Pmf.from_mass(values)
-        values[0] = 0.5
-        assert np.array_equal(law.mass, [0.25, 0.75])
 
     def test_immutable(self):
         p = Pmf(np.array([1.0]))
@@ -103,7 +94,7 @@ class TestPmf:
 
 class TestPoissonPmf:
     def test_mass_at_zero(self):
-        p = poisson_pmf(SteinParams(1.0, 1e-12))
+        p = poisson_pmf(SteinParams(1.0))
         assert abs(p.mass[0] - math.exp(-1.0)) < 1e-16
 
     def test_unit_rate_recursion(self):
@@ -115,7 +106,7 @@ class TestPoissonPmf:
 
     def test_mean_with_tail_correction(self):
         lam = 4.0
-        p = poisson_pmf(SteinParams(lam, 1e-12))
+        p = poisson_pmf(SteinParams(lam))
         # the mean deficit of the truncated table is exactly
         # lam * (mass[-1] + tail)
         corrected = p.mean() + lam * (p.mass[-1] + p.tail)
@@ -123,10 +114,10 @@ class TestPoissonPmf:
         assert abs(p.mean() - lam) < 1e-9
 
     def test_truncation_is_minimal(self):
-        p = poisson_pmf(SteinParams(2.0, 1e-6))
-        assert p.tail <= 1e-6
+        p = poisson_pmf(SteinParams(2.0))
+        assert p.tail <= TRUNCATION_EPS
         # one entry earlier the tail would exceed the budget
-        assert p.tail + p.mass[-1] > 1e-6
+        assert p.tail + p.mass[-1] > TRUNCATION_EPS
 
     def test_matches_direct_series(self):
         for lam in LAMBDA_GRID:
@@ -139,10 +130,6 @@ class TestPoissonPmf:
             SteinParams(0.0)
         with pytest.raises(ValueError):
             SteinParams(-1.0)
-        with pytest.raises(ValueError):
-            SteinParams(1.0, truncation_eps=0.1)
-        with pytest.raises(ValueError):
-            SteinParams(1.0, truncation_eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +154,7 @@ class TestTvDistance:
         from steinpoisson import MatchingSpec, matching_pmf
 
         brute = oracles.enumerate_matching(4)
-        ref = poisson_pmf(SteinParams(1.0, 1e-12))
+        ref = poisson_pmf(SteinParams(1.0))
         direct = oracles.poisson_series(1.0, ref.mass.size)
         oracle_value = oracles.tv_arrays(brute, direct) + 0.5 * ref.tail
         value = tv_distance(matching_pmf(MatchingSpec(4)), ref)
@@ -206,8 +193,8 @@ def _reference_tv(p: Pmf, q: Pmf) -> float:
     return 0.5 * (math.fsum(np.abs(a - b).tolist()) + p.tail + q.tail)
 
 
-#: 1 - cum of its truncated Poisson(lam) table is the float just below the
-#: default truncation_eps
+#: 1 - cum of its truncated Poisson(lam) table is the float just below
+#: TRUNCATION_EPS
 LAM_AT_EPS = 2.9276433796378063
 
 
@@ -223,7 +210,7 @@ class TestPoissonTvs:
         from itertools import accumulate
 
         *_, cum = accumulate(poisson_pmf(SteinParams(LAM_AT_EPS)).mass.tolist())
-        assert 1e-12 - 2.0**-53 < 1.0 - cum <= 1e-12
+        assert TRUNCATION_EPS - 2.0**-53 < 1.0 - cum <= TRUNCATION_EPS
 
     def test_block_targets_equal_poisson_pmf(self):
         lams = self._rates()
@@ -255,7 +242,7 @@ class TestPoissonTvs:
     def test_targets_get_the_pmf_checks(self, monkeypatch, terms, tail):
         with pytest.raises(ValueError) as scalar:
             Pmf(np.array(terms), tail)
-        monkeypatch.setattr(stein_core, "_poisson_terms", lambda lam, eps: (list(terms), tail, math.fsum(terms)))
+        monkeypatch.setattr(stein_core, "_poisson_terms", lambda lam: (list(terms), tail, math.fsum(terms)))
         with pytest.raises(ValueError) as block:
             _poisson_tvs([Pmf(np.array([0.5, 0.5]))], [1.0])
         assert str(block.value) == str(scalar.value)
@@ -319,9 +306,9 @@ class TestSteinApply:
         # E_o[T f] telescopes to the boundary term (N+1) w_{N+1} f(N+1),
         # so the truncated expectation vanishes within (N+2) * eps * ||f||
         rng = np.random.default_rng(7)
-        eps = 1e-12
+        eps = TRUNCATION_EPS
         for lam in LAMBDA_GRID:
-            params = SteinParams(lam, eps)
+            params = SteinParams(lam)
             ref = poisson_pmf(params)
             n_top = ref.support_max
             for _ in range(25):
