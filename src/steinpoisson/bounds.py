@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exact_laws import coupon_collector_diagnostics
+from .exact_laws import _success_probabilities, coupon_collector_diagnostics
 
 __all__ = [
     "BoundReport",
@@ -129,11 +129,7 @@ def _poisson_binomial_reports(p, report) -> BoundReport | list[BoundReport]:
     take the same pairwise summation as the sum of the row alone, so each
     row's report is bit-identical to the report of its vector.
     """
-    probs = np.ascontiguousarray(p, dtype=float)
-    if probs.ndim not in (1, 2) or probs.size == 0:
-        raise ValueError("p must be a nonempty 1-D sequence or a matrix of such rows")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):
-        raise ValueError("success probabilities must lie in [0, 1]")
+    probs = _success_probabilities(p)
     rows = probs.reshape(-1, probs.shape[-1])
     lams = rows.sum(axis=1).tolist()
     if min(lams) <= 0.0:
@@ -424,6 +420,14 @@ class DependencyGraph:
         return int(self.p.size)
 
 
+def _graph_rate(g: DependencyGraph) -> float:
+    """lam = sum(p), which both dependency-graph bounds need positive."""
+    lam = float(g.p.sum())
+    if lam <= 0.0:
+        raise ValueError("lam = sum(p) must be positive")
+    return lam
+
+
 def bound_dependency_graph(g: DependencyGraph) -> BoundReport:
     """min(1, 1/lam) [sum_i sum_{j in N_i \\ i} p_ij + sum_i sum_{j in N_i} p_i p_j].
 
@@ -431,9 +435,7 @@ def bound_dependency_graph(g: DependencyGraph) -> BoundReport:
     sum p_i^2; an empty edge set therefore reduces to the independent-trials
     form min(1, 1/lam) sum p_i^2.
     """
-    lam = float(g.p.sum())
-    if lam <= 0.0:
-        raise ValueError("lam = sum(p) must be positive")
+    lam = _graph_rate(g)
     joint = 0.0
     product = 0.0
     for i, nb in enumerate(g.neighborhoods):
@@ -462,9 +464,7 @@ def bound_dependency_graph_general(g: DependencyGraph, etas, z_means, xz_means) 
         raise ValueError("etas, z_means, xz_means must have one entry per vertex")
     if np.any(etas < 0.0) or np.any(z < 0.0) or np.any(xz < 0.0):
         raise ValueError("etas, z_means and xz_means must be nonnegative")
-    lam = float(g.p.sum())
-    if lam <= 0.0:
-        raise ValueError("lam = sum(p) must be positive")
+    lam = _graph_rate(g)
     core = float(np.sum(g.p**2 + g.p * z + xz))
     raw = min(1.0, 1.0 / lam) * (core + float(etas.sum()))
     return _report("dependency_graph_general", lam, raw, CONVENTION_SET,

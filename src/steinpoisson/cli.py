@@ -35,7 +35,8 @@ allocation-engine families over tables planned from the whole list, see
 ``_planned``).  A record's ``seconds`` covers its law, bound, Poisson
 target and TV plus the record's assembly; a point evaluated in a block is
 charged an even share of the block's time.  Exit codes: 0 all pass, 1
-dominance/verification failure, 2 usage error.  Identical command + seed
+dominance/verification failure, 2 usage error or records that cannot be
+written.  Identical command + seed
 produces byte-identical report bodies; the ``seconds`` column is the only
 timing field.
 """
@@ -43,12 +44,14 @@ timing field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
@@ -62,19 +65,6 @@ from . import stein_core
 from .stein_core import SteinParams, poisson_pmf, tv_distance
 
 SCHEMA_VERSION = "stein-poisson-cert-v1"
-CSV_COLUMNS = [
-    "problem",
-    "params",
-    "lambda",
-    "exact_tv",
-    "mc_tv",
-    "mc_stderr",
-    "bound",
-    "convention",
-    "surrogate",
-    "verdict",
-    "seconds",
-]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 VERDICT_SLACK = 1e-12
@@ -89,19 +79,15 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x) -> str:
-    """One record field as text: ``repr`` for a float, empty for None."""
-    if isinstance(x, float):
-        return repr(x)
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
+#: the text of a record field, by the field value's exact type
+_FIELD_TEXT = {float: repr, str: str, bool: lambda b: "true" if b else "false",
+               type(None): lambda _: ""}
 
 
 @dataclass
 class CertRecord:
+    """One certification record; its fields, in order, are the CSV columns."""
+
     problem: str
     params: str
     lam: float
@@ -115,22 +101,13 @@ class CertRecord:
     seconds: float
 
     def row(self) -> list[str]:
-        return [
-            self.problem,
-            self.params,
-            _fmt(self.lam),
-            _fmt(self.exact_tv),
-            _fmt(self.mc_tv),
-            _fmt(self.mc_stderr),
-            _fmt(self.bound),
-            self.convention,
-            "true" if self.surrogate else "false",
-            self.verdict,
-            _fmt(self.seconds),
-        ]
+        return [_FIELD_TEXT[type(x)](x) for x in vars(self).values()]
 
     def as_dict(self) -> dict:
         return dict(zip(CSV_COLUMNS, self.row()))
+
+
+CSV_COLUMNS = ["lambda" if f.name == "lam" else f.name for f in fields(CertRecord)]
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +115,29 @@ class CertRecord:
 # ---------------------------------------------------------------------------
 
 
-def parse_int_list(text: str) -> list[int]:
-    """Comma list with .. ranges: '4..7,10' -> [4, 5, 6, 7, 10]."""
+def _in_float_range(value: int, flag: str) -> int:
+    """``value``, refused with a usage error naming ``flag`` if no float holds it."""
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise UsageError(f"{flag}: a {digits}-digit integer is past the float range") from None
+    return value
+
+
+def parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma list with .. ranges: '4..7,10' -> [4, 5, 6, 7, 10].  A value
+    past the float range is a usage error that names ``flag``."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = map(int, part.split(".."))
+            lo, hi = (_in_float_range(int(x), flag) for x in part.split(".."))
             if lo > hi:
                 raise UsageError(f"reversed range {part!r} in {text!r}")
             out.extend(range(lo, hi + 1))
         elif part:
-            out.append(int(part))
+            out.append(_in_float_range(int(part), flag))
     if not out:
         raise UsageError(f"empty integer list: {text!r}")
     return out
@@ -284,11 +272,10 @@ def _matching_family(axes: tuple[str, ...], bounds: dict, pair_model) -> Family:
 def _check_probabilities(pt: dict, bound) -> None:
     """``check`` of Poisson-binomial; both its bounds take every vector it passes."""
     p = pt["p"]
-    if not p:
-        raise ValueError("empty p vector")
     if any(not 0 <= x <= 1 for x in p):
-        raise ValueError("p entries outside [0, 1]")
-    # the Poisson target's own domain, so no block of checked points raises
+        raise ValueError("success probabilities must lie in [0, 1]")
+    # the Poisson target's own domain (an empty vector's rate 0 is outside),
+    # so no block of checked points raises
     stein_core.check_rate(sum(p))
 
 
@@ -297,7 +284,7 @@ def _poisson_binomial_grid(args) -> list[dict]:
     only) --count random vectors from sub-streams of --seed."""
     if args.p and args.n:
         return [{"p": parse_p_vector(args.p, n), "tag": f"n={n} recipe={args.p}"}
-                for n in parse_int_list(args.n)]
+                for n in parse_int_list(args.n, "--n")]
     if args.p:
         return [{"p": parse_p_vector(args.p, None)}]
     if args.n:
@@ -512,8 +499,6 @@ def _params_string(params: dict) -> str:
                 parts.append("p=" + ",".join(repr(float(x)) for x in val))
         elif key == "l":
             parts.append("l=" + ",".join(str(x) for x in val))
-        elif key == "tag":
-            parts.append(str(val))
         else:
             parts.append(f"{key}={val}")
     return " ".join(parts)
@@ -574,8 +559,8 @@ def build_grid(problem: str, args) -> list[dict]:
             raise UsageError(f"{problem} does not read --{flag}{unread.get(flag, '')}")
     if fam.grid is not None:
         return fam.grid(args)
-    values = {axis: [tuple(parse_int_list(spec)) for spec in args.l] if axis == "l"
-              else parse_int_list(getattr(args, axis))
+    values = {axis: [tuple(parse_int_list(spec, "--l")) for spec in args.l] if axis == "l"
+              else parse_int_list(getattr(args, axis), f"--{axis}")
               for axis in fam.axes if getattr(args, axis)}
     if args.theta and "n" in values:
         thetas = parse_float_list(args.theta)
@@ -713,18 +698,21 @@ def cmd_sweep(args) -> int:
     bound = _bound_fn(args.problem, args.bound)
     records = _certify(args.problem, build_grid(args.problem, args), bound)
     out, close = _open_out(args.out)
-    writer = RecordWriter(args.format, out)
     try:
-        for rec in records:
-            writer.write(rec)
-    except KeyboardInterrupt:
-        writer.finish()
-        raise
-    else:
-        writer.finish()
-    finally:
-        if close:
-            out.close()
+        with out if close else contextlib.nullcontext():
+            writer = RecordWriter(args.format, out)
+            try:
+                for rec in records:
+                    writer.write(rec)
+            except KeyboardInterrupt:
+                writer.finish()
+                raise
+            writer.finish()
+    except OSError as exc:  # a full disk, or a reader that closed the pipe
+        if not close:  # the exit's flush of stdout then writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        target = f"--out {args.out}" if close else "stdout"
+        raise UsageError(f"cannot write {target}: {exc.strerror}") from None
     if writer.failed:
         print(f"{writer.failed}/{writer.written} dominance verdicts FAILED", file=sys.stderr)
         return EXIT_FAIL
@@ -735,8 +723,6 @@ def cmd_verify_pair(args) -> int:
     model = _pair_model(args.problem, _single_point(args))
     ok = True
     if args.exact:
-        if not pm.is_enumerable(model):
-            raise UsageError("instance too large for exact verification; drop --exact")
         report = pm.verify_step_probs(model)
         print(f"mode: exact over {report.samples} states")
         print(f"max |formula - enumerated conditional|: {report.max_dev!r}")
@@ -831,7 +817,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, OverflowError) as exc:  # an integer past the float range
+    except (UsageError, ValueError, OverflowError) as exc:  # e.g. a bound past the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

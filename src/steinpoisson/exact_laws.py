@@ -223,6 +223,17 @@ def _completions(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _success_probabilities(p) -> np.ndarray:
+    """``p`` as a C-contiguous float array: one vector of success
+    probabilities, or a matrix whose rows are vectors of one length."""
+    probs = np.ascontiguousarray(p, dtype=float)
+    if probs.ndim not in (1, 2) or probs.size == 0:
+        raise ValueError("p must be a nonempty 1-D sequence or a matrix of such rows")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValueError("success probabilities must lie in [0, 1]")
+    return probs
+
+
 def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     """Exact law of a sum of independent indicators via one-pass convolution.
 
@@ -237,11 +248,7 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     Each row sees exactly the operations of its own one-vector call, so a
     row's law is bit-identical to the law of that vector alone.
     """
-    probs = np.ascontiguousarray(p, dtype=float)
-    if probs.ndim not in (1, 2) or probs.size == 0:
-        raise ValueError("p must be a nonempty 1-D sequence or a matrix of such rows")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):
-        raise ValueError("each success probability must lie in [0, 1]")
+    probs = _success_probabilities(p)
     rows = probs.reshape(-1, probs.shape[-1])
     succ = rows.T[:, :, None]
     fail = 1.0 - succ
@@ -336,7 +343,10 @@ def matching_moments(spec: MatchingSpec) -> MatchingMoments:
 # ---------------------------------------------------------------------------
 
 
-def _stat_support_max(spec: OccupancySpec) -> int:
+def _stat_support_max(spec) -> int:
+    """Largest value the statistic of an engine law can take."""
+    if isinstance(spec, ColoringSpec):
+        return math.comb(spec.n_points, spec.tuple_size)
     n, k = spec.n_boxes, spec.k_balls
     if spec.statistic == "pairs":
         return min(n, k // 2)
@@ -344,9 +354,14 @@ def _stat_support_max(spec: OccupancySpec) -> int:
         return math.comb(k, 3)
     if spec.statistic == "pair_count":
         return math.comb(k, 2)
-    if spec.statistic == "exact_level":
-        return n if spec.level == 0 else min(n, k // spec.level)
-    return n  # empty
+    return n if spec.level == 0 else min(n, k // spec.level)  # exact_level
+
+
+def _scientific(count: int, digits: int) -> str:
+    """``count`` in the style of ``f"{float(count):.{digits}e}"``, rounded
+    from the exact integer, so that a count past the float range prints."""
+    mantissa, exponent = f"{decimal.Decimal(count):.{digits}e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
 
 
 def _split_weights(share: float, top: int):
@@ -524,6 +539,17 @@ def _engine_point(spec):
     return (spec.statistic, spec.level), spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
 
 
+def _check_engine(spec) -> None:
+    """Raise ValueError if the allocation engine's cells * items * statistic
+    states for ``spec`` exceed ``DP_STATE_CAP``."""
+    _, cells, items, _ = _engine_point(spec)
+    states = cells * items * max(1, _stat_support_max(spec))
+    if states > DP_STATE_CAP:
+        raise ValueError(
+            f"allocation engine needs ~{_scientific(states, 2)} states (cap {DP_STATE_CAP:.0e})"
+        )
+
+
 class AllocationTables:
     """The allocation engine, planned over the laws of a list of specs.
 
@@ -635,11 +661,6 @@ def _empty_boxes_counts(n: int, k: int) -> np.ndarray:
     return _hits_exactly([c * (n - j) ** k for j, c in enumerate(_binomial_row(n))])
 
 
-def _empty_exact_fits(n: int, k: int) -> bool:
-    """Whether the exact-integer empty-box path takes n boxes and k balls."""
-    return n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP
-
-
 def _empty_boxes_mass_exact(n: int, k: int) -> np.ndarray:
     """Law of the empty-box count: exact integer counts, each divided once by
     ``n**k`` with correct rounding."""
@@ -676,13 +697,9 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
     under 400 below ``EMPTY_CERTIFIED_RATIO_CAP``, so this is far inside the
     budget.  A mass that comes out negative is set to 0 only when it lies
     within the budget; anything more negative raises ValueError.
+    :func:`_empty_boxes_path` sends it only points under that cap.
     """
     r0 = n * math.exp(-k / n)
-    if r0 > EMPTY_CERTIFIED_RATIO_CAP:
-        raise ValueError(
-            "certified empty-box path needs n*exp(-k/n) <= "
-            f"{EMPTY_CERTIFIED_RATIO_CAP}; got {r0:.3g} (n={n}, k={k})"
-        )
     digits = math.ceil(2 * r0 * math.log10(math.e)) + 40
     with decimal.localcontext(decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)):
         budget = decimal.Decimal(_CERTIFIED_TRUNCATION)
@@ -705,41 +722,42 @@ def _empty_boxes_mass_certified(n: int, k: int) -> np.ndarray:
     return mass
 
 
+def _empty_boxes_path(n: int, k: int):
+    """The empty-box mass function that takes n boxes and k >= 1 balls: the
+    exact-integer path within its caps, else the certified one within its
+    ratio cap; raises ValueError where neither does."""
+    if n <= EMPTY_EXACT_BOX_CAP and k * math.log10(n) <= EMPTY_EXACT_DIGIT_CAP:
+        return _empty_boxes_mass_exact
+    r0 = n * math.exp(-k / n)
+    if r0 > EMPTY_CERTIFIED_RATIO_CAP:
+        raise ValueError(
+            "empty-box law infeasible: exact path needs about "
+            f"{k * math.log10(n):.0f}-digit integers over {n + 1} support points "
+            f"(caps: n<={EMPTY_EXACT_BOX_CAP}, {EMPTY_EXACT_DIGIT_CAP} digits) "
+            f"and the certified path needs n*exp(-k/n) <= "
+            f"{EMPTY_CERTIFIED_RATIO_CAP} (got {r0:.3g})"
+        )
+    return _empty_boxes_mass_certified
+
+
 def _empty_boxes_pmf(n: int, k: int) -> Pmf:
     if k == 0:
         mass = np.zeros(n + 1)
         mass[n] = 1.0
         return Pmf(mass)
-    if _empty_exact_fits(n, k):
-        mass = _empty_boxes_mass_exact(n, k)
-    else:
-        mass = _empty_boxes_mass_certified(n, k)
+    mass = _empty_boxes_path(n, k)(n, k)
     last = int(np.nonzero(mass)[0].max(initial=0))
     return Pmf(mass[: last + 1])
 
 
 def check_occupancy(spec: OccupancySpec) -> None:
     """Raise ValueError if :func:`occupancy_pmf` cannot take ``spec``."""
-    n, k = spec.n_boxes, spec.k_balls
-    if k == 0:
+    if spec.k_balls == 0:
         return
     if spec.statistic == "empty":
-        r0 = n * math.exp(-k / n)
-        if not _empty_exact_fits(n, k) and r0 > EMPTY_CERTIFIED_RATIO_CAP:
-            raise ValueError(
-                "empty-box law infeasible: exact path needs about "
-                f"{k * math.log10(n):.0f}-digit integers over {n + 1} support points "
-                f"(caps: n<={EMPTY_EXACT_BOX_CAP}, {EMPTY_EXACT_DIGIT_CAP} digits) "
-                f"and the certified path needs n*exp(-k/n) <= "
-                f"{EMPTY_CERTIFIED_RATIO_CAP} (got {r0:.3g})"
-            )
-        return
-    states = n * k * max(1, _stat_support_max(spec))
-    if states > DP_STATE_CAP:
-        raise ValueError(
-            f"occupancy DP needs ~{decimal.Decimal(states):.2e} states "
-            f"(cap {DP_STATE_CAP:.0e}); n={n}, k={k}, statistic={spec.statistic}"
-        )
+        _empty_boxes_path(spec.n_boxes, spec.k_balls)
+    else:
+        _check_engine(spec)
 
 
 def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -> Pmf:
@@ -750,8 +768,8 @@ def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -
     binomial splits of the balls, binary powering over the boxes) with boxes
     as cells and balls as items, on ``tables`` (a plan listing ``spec``)
     or on a plan of its own.  :func:`check_occupancy` applies the caps up
-    front, e.g. ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` for the
-    engine.
+    front: :func:`_empty_boxes_path` for the empty boxes, else
+    ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` (:func:`_check_engine`).
     """
     check_occupancy(spec)
     n, k = spec.n_boxes, spec.k_balls
@@ -827,11 +845,7 @@ def occupancy_moments(spec: OccupancySpec, levels=None) -> OccupancyMoments:
 
 def check_coloring(spec: ColoringSpec) -> None:
     """Raise ValueError if :func:`coloring_pmf` cannot take ``spec``."""
-    states = spec.n_colors * spec.n_points * max(1, math.comb(spec.n_points, spec.tuple_size))
-    if states > DP_STATE_CAP:
-        raise ValueError(
-            f"coloring DP needs ~{decimal.Decimal(states):.2e} states (cap {DP_STATE_CAP:.0e})"
-        )
+    _check_engine(spec)
 
 
 def coloring_pmf(spec: ColoringSpec, tables: AllocationTables | None = None) -> Pmf:

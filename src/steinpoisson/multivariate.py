@@ -126,6 +126,14 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
     return JointPmf(_divided_once(counts.ravel(), math.factorial(n)).reshape(counts.shape))
 
 
+def _positive_rates(lambdas) -> list[float]:
+    """The coordinate rates as floats, refused unless nonempty and positive."""
+    rates = [float(l) for l in lambdas]
+    if not rates or any(l <= 0 for l in rates):
+        raise ValueError("all rates must be positive")
+    return rates
+
+
 def product_poisson_joint(lambdas) -> JointPmf:
     """Product of truncated Poisson laws on a box, exact residual tail.
 
@@ -134,9 +142,7 @@ def product_poisson_joint(lambdas) -> JointPmf:
     ``dim * TRUNCATION_EPS`` (union bound); the stored tail is the exact
     residual ``1 - prod(coordinate masses)``.
     """
-    rates = [float(l) for l in lambdas]
-    if not rates or any(l <= 0 for l in rates):
-        raise ValueError("all rates must be positive")
+    rates = _positive_rates(lambdas)
     coords = [poisson_pmf(SteinParams(l)) for l in rates]
     mass = functools.reduce(np.multiply.outer, [c.mass for c in coords])
     covered = math.prod(math.fsum(c.mass.tolist()) for c in coords)
@@ -177,9 +183,7 @@ def multivariate_error_bound(lambdas, error_terms) -> BoundReport:
     bound is ``sum_k min(1, 1.4 lam_k^{-1/2}) (e_up + e_down)``.  With one
     coordinate this reduces to the univariate error form.
     """
-    rates = [float(l) for l in lambdas]
-    if not rates or any(l <= 0 for l in rates):
-        raise ValueError("all rates must be positive")
+    rates = _positive_rates(lambdas)
     if len(error_terms) != len(rates):
         raise ValueError("need one (e_up, e_down) pair per coordinate")
     raw = 0.0

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact_laws import BOX_STATISTICS, MatchingSpec
+from .exact_laws import BOX_STATISTICS, MatchingSpec, _scientific
 from .seeding import substream, substreams
 from .stein_core import EnumeratedPairMeasure, Pmf, tv_distance
 
@@ -603,8 +603,8 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
     states_n, transitions = model.size()
     if not is_enumerable(model):
         raise ValueError(
-            f"instance is not enumerable: {states_n:.3e} states, "
-            f"{transitions:.3e} transitions "
+            f"instance is not enumerable: {_scientific(states_n, 3)} states, "
+            f"{_scientific(transitions, 3)} transitions "
             f"(caps {ENUM_STATE_CAP:.0e} / {ENUM_TRANSITION_CAP:.0e})"
         )
     d_p, d_k = model.denominators()
@@ -716,15 +716,14 @@ def verify_step_probs(
 ) -> StepProbsReport:
     """Certify the analytic conditionals against the actual kernel.
 
-    Enumerable instances (``trials`` omitted) are checked state by state
-    against the exactly enumerated kernel.  Otherwise ``trials`` sampled
+    With ``trials`` omitted the instance is checked state by state against
+    the exactly enumerated kernel (:func:`_enumerate` refuses one past the
+    enumeration caps).  Otherwise ``trials`` sampled
     states each take one kernel step; the up and down move counts are judged
     against the formulas' expected counts (:func:`_count_z`) at a 4-sigma
     gate, together with the up/down balance that exchangeability forces.
     """
     if trials is None:
-        if not is_enumerable(model):
-            raise ValueError("instance too large to enumerate; pass trials for Monte Carlo")
         states, measure = _enumerate(model)
         up, down, _ = _predict(model, states)
         up_dev = float(np.abs(up - measure.q_up).max())

@@ -137,7 +137,7 @@ class TestPoissonBinomialBlocks:
         rows[2, 1] = bad
         with pytest.raises(ValueError, match=r"^success probabilities must lie in \[0, 1\]$"):
             POISSON_BINOMIAL_BOUNDS[kind](rows)
-        with pytest.raises(ValueError, match=r"^each success probability must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^success probabilities must lie in \[0, 1\]$"):
             poisson_binomial_pmf(rows)
 
     @pytest.mark.parametrize("kind", ["default", "coupling"])

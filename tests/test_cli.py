@@ -69,14 +69,14 @@ def strip_seconds(rows):
 
 class TestParsers:
     def test_int_list(self):
-        assert parse_int_list("4..7,10") == [4, 5, 6, 7, 10]
-        assert parse_int_list("3") == [3]
-        assert parse_int_list("5..5") == [5]
+        assert parse_int_list("4..7,10", "--n") == [4, 5, 6, 7, 10]
+        assert parse_int_list("3", "--n") == [3]
+        assert parse_int_list("5..5", "--n") == [5]
 
     def test_reversed_range_refused(self):
         # it used to be dropped: "10..5,20" gave [20]
         with pytest.raises(UsageError, match="reversed range '10..5'"):
-            parse_int_list("10..5,20")
+            parse_int_list("10..5,20", "--n")
 
     @pytest.mark.parametrize("text", ["inf", "1,nan", "-inf,0"])
     def test_non_finite_float_refused(self, text):
@@ -295,6 +295,31 @@ class TestSweepCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: cannot write --out {path}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_device_is_usage_error(self, capsys, fmt):
+        argv = ["sweep", "matching", "--n", "4..6", "--format", fmt, "--out", "/dev/full"]
+        assert run(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: cannot write --out /dev/full: No space left on device\n"
+
+    def test_closed_pipe_is_one_usage_line(self):
+        # the records far outrun a pipe's buffer, so writing fails once the
+        # reader has gone, however fast the sweep runs
+        src = os.path.dirname(os.path.dirname(steinpoisson.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "steinpoisson.cli", "sweep", "poisson-binomial",
+                "--count", "5000"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+        assert proc.stdout.readline() == "# schema=stein-poisson-cert-v1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_USAGE
+        assert err == "error: cannot write stdout: Broken pipe\n"
 
     def test_point_refusal_comes_before_out_path(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -691,25 +716,73 @@ def test_over_cap_rejected_by_precheck_and_law_alike(problem):
 HUGE = "1" + "0" * 400
 
 
-@pytest.mark.parametrize("command", [
-    "exact-tv coloring --n 2000 --k 500 --c 2",  # its state count is past the float range
-    "bound coloring --n 2000 --k 500 --c 2",
-    f"bound matching --n {HUGE}",
-    f"exact-tv birthday-pairs --n {HUGE} --k 2",
-    f"exact-tv coupon --n {HUGE} --k 3",
-    f"mc-tv matching --n {HUGE} --trials 10000",
+@pytest.mark.parametrize("command, err", [
+    # in range, but its state count is past the float range
+    ("exact-tv coloring --n 2000 --k 500 --c 2", None),
+    ("bound coloring --n 2000 --k 500 --c 2", None),
+    # the parser refuses the value itself, naming its flag
+    (f"bound matching --n {HUGE}", "--n: a 401-digit integer is past the float range"),
+    (f"exact-tv birthday-pairs --n {HUGE} --k 2",
+     "--n: a 401-digit integer is past the float range"),
+    (f"exact-tv coupon --n {HUGE} --k 3", "--n: a 401-digit integer is past the float range"),
+    (f"mc-tv matching --n {HUGE} --trials 10000",
+     "--n: a 401-digit integer is past the float range"),
 ])
-def test_integer_past_float_range_is_usage_error(capsys, command):
+def test_integer_past_float_range_is_usage_error(capsys, command, err):
     assert exit_code(shlex.split(command)) == EXIT_USAGE
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
     assert out.err.count("\n") == 1 and out.err.endswith("\n")
+    if err is not None:
+        assert out.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["exact-tv", "birthday-pairs", "--n", "10", "--k", HUGE], "--k"),
+    (["exact-tv", "coloring", "--n", "10", "--k", "2", "--c", HUGE], "--c"),
+    (["exact-tv", "generalized-matching", "--l", f"2,{HUGE}"], "--l"),
+    (["exact-tv", "poisson-binomial", "--p", "harmonic", "--n", HUGE], "--n"),
+    (["exact-tv", "matching", "--n", f"1..{HUGE}"], "--n"),  # not expanded first
+])
+def test_every_integer_flag_names_itself_past_the_float_range(capsys, flags, flag):
+    assert run(flags) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag}: a 401-digit integer is past the float range\n"
+
+
+#: each refusal rule with one owner, and the one line it prints
+OWNED_REFUSALS = [
+    # the allocation engine's cap, for occupancy counts and colorings alike
+    ("exact-tv birthday-triples --n 1000 --k 50",
+     "point k=50 n=1000: allocation engine needs ~9.80e+08 states (cap 1e+08)"),
+    ("exact-tv coloring --n 100 --k 3 --c 10",
+     "point c=10 k=3 n=100: allocation engine needs ~1.62e+08 states (cap 1e+08)"),
+    # the empty-box route
+    ("exact-tv coupon --n 5000 --k 100",
+     "point k=100 n=5000: empty-box law infeasible: exact path needs about 370-digit integers "
+     "over 5001 support points (caps: n<=400, 20000 digits) and the certified path needs "
+     "n*exp(-k/n) <= 50.0 (got 4.9e+03)"),
+    # the pair-enumeration cap
+    ("verify-pair matching --n 30 --exact",
+     "instance is not enumerable: 2.653e+32 states, 1.154e+35 transitions (caps 4e+05 / 3e+07)"),
+    # the probability rule, from the precheck and from the bound
+    ("exact-tv poisson-binomial --p 0.5,1.5",
+     "point p=0.5,1.5: success probabilities must lie in [0, 1]"),
+    ("bound poisson-binomial --p 0.5,1.5", "success probabilities must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("command, err", OWNED_REFUSALS)
+def test_each_refusal_prints_its_owner_line(capsys, command, err):
+    assert run(shlex.split(command)) == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {err}\n"
 
 
 def test_over_cap_state_count_is_exact():
     message = feasibility_error("coloring", {"n": 2000, "k": 500, "c": 2})
-    assert message == "coloring DP needs ~2.26e+490 states (cap 1e+08)"
+    assert message == "allocation engine needs ~2.26e+490 states (cap 1e+08)"
 
 
 def test_imports_without_mpmath():

@@ -82,9 +82,9 @@ class TestPoissonBinomial:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_probs(self, bad):
-        with pytest.raises(ValueError, match="success probability must lie in"):
+        with pytest.raises(ValueError, match="success probabilities must lie in"):
             poisson_binomial_pmf([0.5, bad])
-        with pytest.raises(ValueError, match="success probability must lie in"):
+        with pytest.raises(ValueError, match="success probabilities must lie in"):
             poisson_binomial_pmf([[0.5, 0.5], [0.5, bad]])
 
     def test_rejects_other_shapes(self):

@@ -325,6 +325,17 @@ class TestExactVerification:
             enumerate_pair_measure(matching_model(50))
         assert not is_enumerable(matching_model(50))
 
+    @pytest.mark.parametrize("check, model, counts", [
+        # counts past the float range are printed from the exact integers
+        (enumerate_pair_measure, birthday_pairs_model(1000, 200), "1.000e+600 states, 2.000e+605"),
+        (verify_step_probs, matching_model(200), "7.887e+374 states, 1.569e+379"),
+    ])
+    def test_refusal_names_both_counts_and_caps(self, check, model, counts):
+        with pytest.raises(ValueError) as exc:
+            check(model)
+        assert str(exc.value) == (
+            f"instance is not enumerable: {counts} transitions (caps 4e+05 / 3e+07)")
+
 
 class TestMonteCarloVerification:
     def test_matching_large_instance(self):
