@@ -31,6 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .exact_laws import _success_probabilities, coupon_collector_diagnostics
+from .stein_core import check_rate
 
 __all__ = [
     "BoundReport",
@@ -266,11 +267,13 @@ def bound_coupon_collector(n: int, k: int) -> BoundReport:
     rate-mismatch term and D_hat the singleton-concentration term driven by
     the closed-form variance bound of the singleton count.  theta may be
     negative; absolute values are used where the chain assumed theta >= 0.
+    A rate outside (0, ``MAX_LAM``] raises ``check_rate``'s ValueError.
     """
     _check_coupon(n, k, "coupon collector chain")
     log_n = math.log(n)
     theta = (k - n * log_n) / n
     lam = math.exp(-theta)
+    check_rate(lam)  # exp(-theta) underflows to 0 at large k
     diag = coupon_collector_diagnostics(n, k)
     b_hat = n * (1.0 - 2.0 / n) ** (k - 1)
     c_hat = lam * (abs(theta) * n + (lam + 1.0) * log_n) / k

@@ -9,10 +9,12 @@ inclusion-exclusion truncated after its first terms, in ``decimal`` arithmetic
 with a rigorous truncation and rounding certificate.
 The additive occupancy and coloring statistics share one allocation engine:
 a group of cells holds, for every item count m, the law of its statistic
-given m items; two groups join by splitting the items binomially between
-them, and binary powering over the bits of the cell count needs O(log cells)
-joins, all with nonnegative weights.  The laws of a sweep share one plan of
-group tables (:class:`AllocationTables`), each built once.
+given m items.  With at most cells + 1 items the rows come from one ball
+insertion recurrence; otherwise two groups join by splitting the items
+binomially between them, and binary powering over the bits of the cell count
+needs O(log cells) joins.  Both routes use nonnegative weights only.  The
+laws of a sweep share one plan of group tables (:class:`AllocationTables`),
+each built once.
 Brute-force enumeration oracles live in the test suite, not here; these
 functions are the quantities they certify.
 """
@@ -528,6 +530,45 @@ def _row_mass(table, m: int) -> np.ndarray:
     return mass
 
 
+def _insert(value, cells: int, top: int):
+    """Rows ``0..top`` of the table of ``cells`` cells by ball insertion,
+    for ``top <= cells + 1`` and ``value(0) == 0``.
+
+    J. C. P. Miller's recurrence for the powers of a power series (Knuth,
+    TAOCP vol. 2, 4.7), applied to ``F(x, y)**cells`` with
+    ``F = sum_c y**value(c) x**c / c!``, gives for the row generating
+    functions ``h_m(y) = E[y**S | m items]``:
+
+        h_m = sum_{i=1..m} w(m, i) y**value(i) h_{m-i},
+        w(m, i) = C(m, i) ((cells + 1) i - m) / (m cells**i).
+
+    The weights sum to 1, and they are nonnegative exactly when
+    ``m <= cells + 1``, so each row is a convex mix of shifted earlier rows.
+    ``C(m, i) / cells**i`` is a running product, and the sum stops only where
+    it underflows to 0 (every later term is smaller still); a zero weight
+    alone is skipped, since ``w(cells + 1, 1) = 0`` while later ones are not.
+    """
+    shift = [int(value(c)) for c in range(top + 1)]
+    lo, rows = [0], [np.ones(1)]
+    for m in range(1, top + 1):
+        ratio, terms = 1.0, []
+        for i in range(1, m + 1):
+            ratio *= (m - i + 1) / (i * cells)  # C(m, i) / cells**i
+            if not ratio:
+                break
+            w = ratio * (((cells + 1) * i - m) / m)
+            if w:
+                terms.append((w, rows[m - i], lo[m - i] + shift[i]))
+        base = min(start for _, _, start in terms)
+        out = np.zeros(max(start + row.size for _, row, start in terms) - base)
+        for w, row, start in terms:
+            out[start - base : start - base + row.size] += w * row
+        nz = np.flatnonzero(out)
+        lo.append(base + int(nz[0]))
+        rows.append(out[nz[0] : nz[-1] + 1])
+    return np.array(lo, np.int64), rows
+
+
 def _engine_point(spec):
     """``(statistic key, cells, items, cell value)`` of an engine law."""
     if isinstance(spec, ColoringSpec):
@@ -555,23 +596,35 @@ class AllocationTables:
 
     A group of cells has a table whose row m is the law of the group's
     statistic given that m of the items fall in it; for one cell, row m is
-    the point mass at the cell's value.  Two groups of a and b cells join by
-    splitting m items Binomial(m, a/(a+b)) between them (Barbour, Holst &
-    Janson, *Poisson Approximation*, ch. 6, conditioning on the total):
-    row m of the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``.  Binary
-    powering over the bits of the cell count (square, then add one cell for
-    each set bit) reaches it in O(log cells) joins.  Row 0 is an exact point
-    mass at every size, and all weights are nonnegative.
+    the point mass at the cell's value.  A table is built on one of two
+    routes, chosen from its cell count, its last row and the statistic alone:
+
+    * **Ball insertion** (:func:`_insert`) when the last row is at most
+      ``cells + 1`` and an empty cell is worth 0: each row is a convex mix of
+      earlier rows shifted by one cell's value, with no convolution.
+    * **Joins** otherwise.  Two groups of a and b cells join by splitting m
+      items Binomial(m, a/(a+b)) between them (Barbour, Holst & Janson,
+      *Poisson Approximation*, ch. 6, conditioning on the total): row m of
+      the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``.  Binary powering
+      over the bits of the cell count (square, then add one cell for each
+      set bit) reaches it in O(log cells) joins.  Row 0 is an exact point
+      mass at every size.
+
+    Both routes use nonnegative weights only.  ``DP_STATE_CAP`` is checked by
+    the law functions the same way on either route.
 
     Row m depends on the statistic, the group size and m, not on the spec,
-    so the specs share tables: each group size on any spec's chain is built
-    once per statistic, with rows up to the most items of the specs whose
-    chains pass through it.  A spec whose cell count is an inner group of
-    some chain reads its row from that table; any other forms only its own
-    row, in a last join.  A table is built when a law first needs it and
-    dropped after its last reader (a join or a law), so a one-spec plan
-    holds what one chain does: the one-cell table, the predecessor and the
-    join's output.  :meth:`law` gives a spec's law once per listing.
+    so the specs share tables.  A spec of at most ``cells + 1`` items whose
+    statistic allows it reads its row from the inserted table of its cell
+    count, one table up to the most items of those specs.  Every other spec
+    has a join chain: each group size on any such chain is built once per
+    statistic, with rows up to the most items of the specs whose chains pass
+    through it.  A spec whose cell count is an inner group of some chain
+    reads its row from that table; any other forms only its own row, in a
+    last join.  A table is built when a law first needs it and dropped
+    after its last reader (a join or a law), so a one-spec plan holds what
+    one chain does: the one-cell table, the predecessor and the join's
+    output.  :meth:`law` gives a spec's law once per listing.
 
     Each join runs on whichever kernel the row lengths it sees make cheaper:
     dense tables with one matrix product per row (short rows, many items),
@@ -583,26 +636,40 @@ class AllocationTables:
         self._readers = Counter()  # (key, size) -> joins and laws still to read it
         self._laws = Counter()  # (key, cells, items) -> laws still to give
         self._live = {}  # (key, size) -> built table
-        chains = []
+        points, chains = [], []
         for spec in specs:
             key, cells, items, value = _engine_point(spec)
             self._values.setdefault(key, value)
             self._laws[key, cells, items] += 1
-            chain = [cells]
-            while chain[-1] > 1:
-                chain.append(_sources(chain[-1])[0])
-            chains.append((key, items, chain))
+            points.append((key, cells, items))
+            if not self._inserts(key, cells, items):
+                chain = [cells]
+                while chain[-1] > 1:
+                    chain.append(_sources(chain[-1])[0])
+                chains.append((key, items, chain))
         # (key, size) of each table -> the last row it needs
         self._top = {(key, size): 0 for key, _, chain in chains for size in chain[1:] + [1]}
         for key, items, chain in chains:
             for size in chain:
                 if (key, size) in self._top:
                     self._top[key, size] = max(self._top[key, size], items)
-            final = [chain[0]] if (key, chain[0]) in self._top else _sources(chain[0])
-            self._readers.update((key, size) for size in final)
-        for key, size in self._top:
-            if size > 1:
+        for key, cells, items in points:
+            if self._inserts(key, cells, items):
+                self._top[key, cells] = max(self._top.get((key, cells), 0), items)
+        for key, cells, items in points:
+            if self._top.get((key, cells), -1) >= items:
+                self._readers[key, cells] += 1
+            else:  # a last join
+                self._readers.update((key, size) for size in _sources(cells))
+        for (key, size), top in self._top.items():
+            if size > 1 and not self._inserts(key, size, top):
                 self._readers.update((key, source) for source in _sources(size))
+
+    def _inserts(self, key, cells: int, items: int) -> bool:
+        """Whether rows up to ``items`` of ``cells`` cells come from ball
+        insertion: its weights are nonnegative up to ``cells + 1`` items, and
+        it needs an empty cell to be worth 0."""
+        return items <= cells + 1 and self._values[key](0) == 0
 
     def law(self, spec) -> Pmf:
         """The law of ``spec``, which the plan must still list."""
@@ -610,7 +677,7 @@ class AllocationTables:
         if not self._laws[key, cells, items]:
             raise ValueError(f"{spec} is not, or no longer, in this plan")
         self._laws[key, cells, items] -= 1
-        if (key, cells) not in self._top:
+        if self._top.get((key, cells), -1) < items:
             return Pmf(_row_mass(self._join(key, cells, items), items))
         mass = _row_mass(self._table(key, cells), items)
         self._release(key, [cells])
@@ -618,9 +685,12 @@ class AllocationTables:
 
     def _table(self, key, size: int):
         if (key, size) not in self._live:
+            top = self._top[key, size]
             if size == 1:
-                values = [int(self._values[key](c)) for c in range(self._top[key, 1] + 1)]
+                values = [int(self._values[key](c)) for c in range(top + 1)]
                 table = (np.array(values, np.int64), [np.ones(1)] * len(values))
+            elif self._inserts(key, size, top):
+                table = _insert(self._values[key], size, top)
             else:
                 table = self._join(key, size)
             self._live[key, size] = table
@@ -764,11 +834,14 @@ def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -
     """Exact law of the requested occupancy statistic.
 
     The empty-box count uses the inclusion-exclusion closed form; the other
-    statistics run the allocation engine (conditional per-box laws joined by
-    binomial splits of the balls, binary powering over the boxes) with boxes
-    as cells and balls as items, on ``tables`` (a plan listing ``spec``)
-    or on a plan of its own.  :func:`check_occupancy` applies the caps up
-    front: :func:`_empty_boxes_path` for the empty boxes, else
+    statistics run the allocation engine with boxes as cells and balls as
+    items, on ``tables`` (a plan listing ``spec``) or on a plan of its own.
+    With ``k_balls <= n_boxes + 1`` (and, for ``exact_level``, a level
+    above 0) the engine inserts the balls one recurrence step at a time;
+    otherwise it joins conditional per-box laws by binomial splits of the
+    balls, binary powering over the boxes.  :func:`check_occupancy` applies
+    the caps up front, the same on both routes: :func:`_empty_boxes_path`
+    for the empty boxes, else
     ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` (:func:`_check_engine`).
     """
     check_occupancy(spec)
@@ -852,10 +925,13 @@ def coloring_pmf(spec: ColoringSpec, tables: AllocationTables | None = None) -> 
     """Exact law of the monochromatic tuple count.
 
     Color class sizes are a uniform multinomial over the colors, so the
-    allocation engine (conditional per-cell laws, binomial splits, binary
-    powering) applies with colors as cells and points as items; a class of
-    size m contributes C(m, tuple_size).  ``tables`` is as in
-    :func:`occupancy_pmf`.
+    allocation engine applies with colors as cells and points as items; a
+    class of size m contributes C(m, tuple_size).  With
+    ``n_points <= n_colors + 1`` it inserts the points one recurrence step at
+    a time, otherwise it joins conditional per-color laws by binomial splits
+    (binary powering over the colors).  ``tables`` is as in
+    :func:`occupancy_pmf`, and the cap of :func:`check_coloring` is the same
+    on both routes.
     """
     check_coloring(spec)
     return (AllocationTables([spec]) if tables is None else tables).law(spec)

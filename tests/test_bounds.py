@@ -275,6 +275,11 @@ class TestCouponBound:
         with pytest.raises(ValueError):
             bound_coupon_collector(2, 5)
 
+    def test_rate_underflow_is_refused(self):
+        # lam = exp(-theta) is 0 at theta ~ 1665; the chain divides by sqrt(lam)
+        with pytest.raises(ValueError, match="lam must be a positive finite real"):
+            bound_coupon_collector(3, 5000)
+
 
 class TestCouplingBounds:
     def test_matching(self):

@@ -970,6 +970,11 @@ class TestBoundDomains:
          "point k=1 n=2: coupon coupling needs n >= 3 boxes and k >= 1 balls"),
         ("bound coupon --n 2 --k 1 --bound coupling",
          "coupon coupling needs n >= 3 boxes and k >= 1 balls"),
+        # the chain's rate exp(-theta) underflows to 0, once a ZeroDivisionError
+        ("exact-tv coupon --n 3 --k 5000", "point k=5000 n=3: lam must be a positive finite real"),
+        ("sweep coupon --n 3 --k 10,5000", "point k=5000 n=3: lam must be a positive finite real"),
+        ("bound coupon --n 3 --k 5000", "lam must be a positive finite real"),
+        ("bound coupon --n 1000 --k 100", "lam=904.8374180359589 too large: exp(-lam) underflows"),
     ])
     def test_refused_before_output(self, capsys, command, err):
         assert run(shlex.split(command)) == EXIT_USAGE

@@ -499,6 +499,19 @@ def _law(spec, tables=None):
     return pmf(spec, tables)
 
 
+def _engine_law_error(spec, law) -> float:
+    """Largest gap between ``law`` and the exact-rational law of ``spec``."""
+    if isinstance(spec, ColoringSpec):
+        cells, items, value = spec.n_colors, spec.n_points, lambda m: math.comb(m, spec.tuple_size)
+    else:
+        box = BOX_STATISTICS[spec.statistic]
+        cells, items, value = spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
+    exact = np.array([float(x) for x in oracles.allocation_law_exact(cells, items, value)])
+    size = max(exact.size, law.mass.size)
+    return float(np.abs(np.pad(exact, (0, size - exact.size))
+                        - np.pad(law.mass, (0, size - law.mass.size))).max())
+
+
 def _track_joins(monkeypatch) -> tuple[list, list]:
     """Weak references to every join's output table, and how many earlier
     outputs were still alive as each join started."""
@@ -513,15 +526,29 @@ def _track_joins(monkeypatch) -> tuple[list, list]:
     return outputs, alive_at_start
 
 
+def _track_inserts(monkeypatch) -> list:
+    """``(cells, top)`` of every table built by ball insertion."""
+    built = []
+    def tracked(value, cells, top, _insert=exact_laws._insert):
+        built.append((cells, top))
+        return _insert(value, cells, top)
+    monkeypatch.setattr(exact_laws, "_insert", tracked)
+    return built
+
+
 class TestAllocationTables:
-    # the engine sweeps of the many-small benchmark workload
-    @pytest.mark.parametrize("argv", [
-        "sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2",
-        "sweep birthday-triples --n 8..40 --theta 0.5,1",
-        "sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5",
-        "sweep coloring --n 6..12 --k 2,3 --c 2..6",
+    @pytest.mark.parametrize("argv, joins", [
+        # the engine sweeps of the many-small benchmark workload: every
+        # birthday point has k <= n + 1 balls, so its table inserts them
+        ("sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2", False),
+        ("sweep birthday-triples --n 8..40 --theta 0.5,1", False),
+        ("sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5", False),
+        ("sweep coloring --n 6..12 --k 2,3 --c 2..6", True),
+        # past n + 1 balls the tables join, some inner groups shared
+        ("sweep birthday-pairs --n 10..24 --k 5,26,40", True),
+        ("sweep birthday-triples --n 8..20 --k 6,22", True),
     ])
-    def test_plan_laws_match_one_point_laws(self, argv, monkeypatch):
+    def test_plan_laws_match_one_point_laws(self, argv, joins, monkeypatch):
         specs = _sweep_specs(argv)
         alone = [_law(spec) for spec in specs]
         outputs, _ = _track_joins(monkeypatch)
@@ -531,35 +558,29 @@ class TestAllocationTables:
             assert planned.mass.size == law.mass.size
             assert np.abs(planned.mass - law.mass).max() <= 1e-15
         # after the last law the plan holds no table
-        assert outputs and all(ref() is None for ref in outputs)
+        assert bool(outputs) == joins
+        assert all(ref() is None for ref in outputs)
         assert not tables._live
 
     def test_shared_prefixes_against_exact_allocation(self):
-        # chains 1-2-4-5, 5-10, 10-11 and 10-20: 5 and 10 are read from their
-        # tables, 11 and 20 come from last joins; (10, 3) is listed twice
-        points = [(5, 7), (10, 3), (11, 9), (20, 6), (10, 3), (1, 4)]
+        # join chains 1-2-4-5, 5-10, 10-11 and 10-20: 5 and 10 are read from
+        # their tables, 11 and 20 come from last joins; (10, 12) is listed
+        # twice; (10, 3) reads the joined table of 10, while (20, 6) and
+        # (11, 9) insert their balls beside the last joins of 20 and 11
+        points = [(5, 7), (10, 12), (11, 13), (20, 22), (10, 12), (1, 4), (10, 3), (20, 6),
+                  (11, 9)]
         specs = [OccupancySpec(n, k, stat, level=1 if stat == "exact_level" else None)
                  for stat in ("pairs", "triples", "pair_count", "exact_level") for n, k in points]
         specs += [ColoringSpec(k + 2, 2, n) for n, k in points]
         tables = AllocationTables(specs)
         for spec in specs:
-            if isinstance(spec, ColoringSpec):
-                cells, items, value = spec.n_colors, spec.n_points, lambda m: math.comb(m, 2)
-            else:
-                box = BOX_STATISTICS[spec.statistic]
-                cells, items = spec.n_boxes, spec.k_balls
-                value = lambda c, box=box, level=spec.level: box(c, level)  # noqa: E731
-            law = _law(spec, tables)
-            exact = np.array([float(x) for x in oracles.allocation_law_exact(cells, items, value)])
-            size = max(exact.size, law.mass.size)
-            assert np.abs(np.pad(exact, (0, size - exact.size))
-                          - np.pad(law.mass, (0, size - law.mass.size))).max() <= 1e-15
+            assert _engine_law_error(spec, _law(spec, tables)) <= 1e-15
         assert not tables._live
         with pytest.raises(ValueError, match="plan"):
             _law(specs[1], tables)
 
-    @pytest.mark.parametrize("spec", [OccupancySpec(1000, 47, "pairs"),
-                                      OccupancySpec(216, 36, "triples"),
+    @pytest.mark.parametrize("spec", [OccupancySpec(20, 40, "pairs"),
+                                      OccupancySpec(24, 30, "triples"),
                                       ColoringSpec(40, 3, 23)])
     def test_one_point_plan_holds_two_tables_at_most(self, spec, monkeypatch):
         outputs, alive_at_start = _track_joins(monkeypatch)
@@ -568,6 +589,66 @@ class TestAllocationTables:
         assert len(alive_at_start) > 3
         assert max(alive_at_start) == 1
         assert all(ref() is None for ref in outputs)
+
+    @pytest.mark.parametrize("stat, level", [("pairs", None), ("triples", None),
+                                             ("pair_count", None), ("exact_level", 1),
+                                             ("exact_level", 2)])
+    def test_insertion_boundary_against_exact_allocation(self, stat, level):
+        # k = n + 1 is the last ball count with nonnegative weights; there
+        # the weight of the one-ball term is exactly 0 and later ones are not
+        for n in range(1, 18):
+            for k in range(max(0, n - 1), n + 3):
+                spec = OccupancySpec(n, k, stat, level=level)
+                assert _engine_law_error(spec, occupancy_pmf(spec)) <= 1e-15, spec
+
+    @pytest.mark.parametrize("spec", [ColoringSpec(6, 2, 5), ColoringSpec(6, 3, 5),
+                                      ColoringSpec(7, 2, 6), ColoringSpec(7, 3, 6)])
+    def test_coloring_insertion_against_exact_allocation(self, spec):
+        # points = colors + 1
+        assert _engine_law_error(spec, coloring_pmf(spec)) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [OccupancySpec(n, k, stat, level=level)
+                                      for stat, level in (("pairs", None), ("triples", None),
+                                                          ("pair_count", None),
+                                                          ("exact_level", 1))
+                                      for n, k in ((1, 2), (9, 10), (40, 41), (200, 30))]
+                             + [ColoringSpec(6, 3, 5), ColoringSpec(20, 2, 23)])
+    def test_balls_up_to_boxes_plus_one_never_join(self, spec, monkeypatch):
+        outputs, _ = _track_joins(monkeypatch)
+        inserted = _track_inserts(monkeypatch)
+        _law(spec)
+        assert outputs == []
+        cells, items = ((spec.n_colors, spec.n_points) if isinstance(spec, ColoringSpec)
+                        else (spec.n_boxes, spec.k_balls))
+        assert inserted == ([] if cells == 1 else [(cells, items)])
+
+    @pytest.mark.parametrize("spec", [OccupancySpec(n, n + 2, stat, level=level)
+                                      for stat, level in (("pairs", None), ("triples", None),
+                                                          ("pair_count", None),
+                                                          ("exact_level", 1))
+                                      for n in (2, 9, 40)]
+                             + [OccupancySpec(9, 5, "exact_level", level=0),
+                                ColoringSpec(7, 3, 5)])
+    def test_more_balls_or_a_valued_empty_box_join(self, spec, monkeypatch):
+        # an empty box counted at level 0 takes the joins at any ball count;
+        # one box is its own one-cell table, with no join
+        outputs, _ = _track_joins(monkeypatch)
+        inserted = _track_inserts(monkeypatch)
+        _law(spec)
+        assert outputs
+        assert inserted == []
+
+    def test_one_table_serves_a_box_count(self, monkeypatch):
+        # the points of `sweep birthday-pairs --n 1000 --theta 0.5,1.5`
+        specs = _sweep_specs("sweep birthday-pairs --n 1000 --theta 0.5,1.5")
+        assert [spec.k_balls for spec in specs] == [16, 47]
+        alone = [_law(spec) for spec in specs]
+        inserted = _track_inserts(monkeypatch)
+        tables = AllocationTables(specs)
+        for spec, law in zip(specs, alone):
+            assert np.array_equal(_law(spec, tables).mass, law.mass)
+        assert inserted == [(1000, 47)]
+        assert not tables._live
 
     def test_empty_boxes_have_no_plan(self):
         with pytest.raises(ValueError, match="closed form"):
