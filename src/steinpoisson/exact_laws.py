@@ -54,7 +54,7 @@ __all__ = [
 #: matching laws (plain and multiset letters) are computed up to this many letters
 MATCHING_CAP = 500
 #: feasibility cap for the allocation engine, counted as cells * items *
-#: statistic states (the size of a cell-by-cell table, not the engine's work)
+#: statistic states on the joins and as the values read on ball insertion
 DP_STATE_CAP = 100_000_000
 #: exact-integer empty-box path: max boxes and max digits of n^k
 EMPTY_EXACT_BOX_CAP = 400
@@ -580,11 +580,32 @@ def _engine_point(spec):
     return (spec.statistic, spec.level), spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
 
 
+def _inserts(value, cells: int, items: int) -> bool:
+    """Whether rows up to ``items`` of ``cells`` cells come from ball
+    insertion: its weights are nonnegative up to ``cells + 1`` items, and
+    it needs an empty cell to be worth 0."""
+    return items <= cells + 1 and value(0) == 0
+
+
+def _engine_states(spec) -> int:
+    """The allocation engine's states for ``spec``: on the joins cells *
+    items * statistic, on ball insertion an upper bound on the values the
+    recurrence reads.  Row j spans at most C(j, t) + 1 values (t = 3 for
+    triples, 2 for the pair count, the tuple size for colorings, else 1) and
+    rows j+1..items read it, so the reads are at most
+    C(items + 1, t + 2) + C(items + 1, 2)."""
+    _, cells, items, value = _engine_point(spec)
+    if not _inserts(value, cells, items):
+        return cells * items * max(1, _stat_support_max(spec))
+    t = spec.tuple_size if isinstance(spec, ColoringSpec) else {
+        "triples": 3, "pair_count": 2}.get(spec.statistic, 1)
+    return math.comb(items + 1, t + 2) + math.comb(items + 1, 2)
+
+
 def _check_engine(spec) -> None:
-    """Raise ValueError if the allocation engine's cells * items * statistic
-    states for ``spec`` exceed ``DP_STATE_CAP``."""
-    _, cells, items, _ = _engine_point(spec)
-    states = cells * items * max(1, _stat_support_max(spec))
+    """Raise ValueError if the engine's states for ``spec`` exceed
+    ``DP_STATE_CAP``."""
+    states = _engine_states(spec)
     if states > DP_STATE_CAP:
         raise ValueError(
             f"allocation engine needs ~{_scientific(states, 2)} states (cap {DP_STATE_CAP:.0e})"
@@ -610,8 +631,8 @@ class AllocationTables:
       set bit) reaches it in O(log cells) joins.  Row 0 is an exact point
       mass at every size.
 
-    Both routes use nonnegative weights only.  ``DP_STATE_CAP`` is checked by
-    the law functions the same way on either route.
+    Both routes use nonnegative weights only.  The law functions check
+    ``DP_STATE_CAP`` against each route's own work (:func:`_engine_states`).
 
     Row m depends on the statistic, the group size and m, not on the spec,
     so the specs share tables.  A spec of at most ``cells + 1`` items whose
@@ -642,7 +663,7 @@ class AllocationTables:
             self._values.setdefault(key, value)
             self._laws[key, cells, items] += 1
             points.append((key, cells, items))
-            if not self._inserts(key, cells, items):
+            if not _inserts(self._values[key], cells, items):
                 chain = [cells]
                 while chain[-1] > 1:
                     chain.append(_sources(chain[-1])[0])
@@ -654,7 +675,7 @@ class AllocationTables:
                 if (key, size) in self._top:
                     self._top[key, size] = max(self._top[key, size], items)
         for key, cells, items in points:
-            if self._inserts(key, cells, items):
+            if _inserts(self._values[key], cells, items):
                 self._top[key, cells] = max(self._top.get((key, cells), 0), items)
         for key, cells, items in points:
             if self._top.get((key, cells), -1) >= items:
@@ -662,14 +683,8 @@ class AllocationTables:
             else:  # a last join
                 self._readers.update((key, size) for size in _sources(cells))
         for (key, size), top in self._top.items():
-            if size > 1 and not self._inserts(key, size, top):
+            if size > 1 and not _inserts(self._values[key], size, top):
                 self._readers.update((key, source) for source in _sources(size))
-
-    def _inserts(self, key, cells: int, items: int) -> bool:
-        """Whether rows up to ``items`` of ``cells`` cells come from ball
-        insertion: its weights are nonnegative up to ``cells + 1`` items, and
-        it needs an empty cell to be worth 0."""
-        return items <= cells + 1 and self._values[key](0) == 0
 
     def law(self, spec) -> Pmf:
         """The law of ``spec``, which the plan must still list."""
@@ -689,7 +704,7 @@ class AllocationTables:
             if size == 1:
                 values = [int(self._values[key](c)) for c in range(top + 1)]
                 table = (np.array(values, np.int64), [np.ones(1)] * len(values))
-            elif self._inserts(key, size, top):
+            elif _inserts(self._values[key], size, top):
                 table = _insert(self._values[key], size, top)
             else:
                 table = self._join(key, size)
@@ -840,9 +855,8 @@ def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -
     above 0) the engine inserts the balls one recurrence step at a time;
     otherwise it joins conditional per-box laws by binomial splits of the
     balls, binary powering over the boxes.  :func:`check_occupancy` applies
-    the caps up front, the same on both routes: :func:`_empty_boxes_path`
-    for the empty boxes, else
-    ``n_boxes * k_balls * max_statistic <= DP_STATE_CAP`` (:func:`_check_engine`).
+    the caps up front: :func:`_empty_boxes_path` for the empty boxes, else
+    ``DP_STATE_CAP`` on the chosen route's work (:func:`_check_engine`).
     """
     check_occupancy(spec)
     n, k = spec.n_boxes, spec.k_balls
@@ -930,8 +944,8 @@ def coloring_pmf(spec: ColoringSpec, tables: AllocationTables | None = None) -> 
     ``n_points <= n_colors + 1`` it inserts the points one recurrence step at
     a time, otherwise it joins conditional per-color laws by binomial splits
     (binary powering over the colors).  ``tables`` is as in
-    :func:`occupancy_pmf`, and the cap of :func:`check_coloring` is the same
-    on both routes.
+    :func:`occupancy_pmf`, and :func:`check_coloring` caps each route's
+    work as :func:`check_occupancy` does.
     """
     check_coloring(spec)
     return (AllocationTables([spec]) if tables is None else tables).law(spec)

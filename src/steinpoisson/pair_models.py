@@ -72,8 +72,8 @@ JOINT_STATE_CAP = 20_000
 _MC_CHUNK, _MC_ENTRIES = 8192, 1 << 22
 #: the exact check's tolerance, and the bootstrap resamples of mc_tv_estimate
 _EXACT_TOL, _BOOTSTRAP = 1e-12, 200
-#: rows per sub-block of the balls-in-boxes count table
-_TABLE_ROWS = 512
+#: ball labels offset at a time by the balls-in-boxes count table
+_TABLE_LABELS = 1 << 18
 #: observable-table entries per batch evaluation of W over enumerated states
 #: and their successors (rows times ``PairModel.cells``)
 _ENUM_ENTRIES = 1 << 18
@@ -356,18 +356,21 @@ class _Boxes(PairModel):
     ball count of any one box per row.  Which of two kernels computes them
     follows from (n, k) alone:
 
-    * 3k < n, sorted runs: each row's ball labels are sorted and offset by
+    * 2k < n, sorted runs: each row's ball labels are sorted and offset by
       row * n; the runs of equal keys are the occupied boxes and their
       lengths the counts, and a box's count is read by binary search in the
       keys.  Nothing is n wide, so the cost grows with k, not n.
-    * 3k >= n, count table: the rows' n-wide box-count tables, built
-      ``_TABLE_ROWS`` rows at a time and histogrammed by one more bincount;
-      a box's count is read from its table.
+    * 2k >= n, count table: the rows' n-wide box-count tables, built about
+      ``_TABLE_LABELS`` offset labels at a time and histogrammed by one more
+      bincount; a box's count is read from its table.
 
-    The switch sits where the two cost the same per row of ``step_arrays``:
-    timed on 8192-row chunks (2-vCPU VM), the table took 0.82-1.23 times the sorted
-    runs' time at k/n = 0.3 for n from 100 to 40 000, and 0.4-0.6 times at
-    k >= n (coupon (100, 500): 14.6 ms against 34 ms per chunk).
+    The switch sits near where the two cost the same per row of
+    ``step_arrays``: timed on full chunks of 16-bit labels (2-vCPU VM), the
+    table took 1.10-1.24 times the sorted runs' time at k/n = 0.5 for n from
+    365 to 40 000 (0.89-1.19 at n = 100), 0.95-0.97 times at k/n = 0.6 for n
+    from 1000, and 0.4-0.6 times at k >= n (coupon (100, 500): 17.8 ms
+    against 29.8 ms per chunk).  The switch sits higher than it would with
+    64-bit labels, which sort more slowly (those sorted runs took 50 ms).
 
     ``cells`` bounds the kernel's widest row: the histogram has at most
     max(k, 3) + 1 columns (box counts 0..k, at least four), the sorted keys
@@ -388,7 +391,7 @@ class _Boxes(PairModel):
 
     def sorts(self):
         """Whether ``occupancy`` runs the sorted-runs kernel."""
-        return 3 * self.k < self.n
+        return 2 * self.k < self.n
 
     def cells(self):
         return max(self.k, 3) + 1 if self.sorts() else max(self.n, self.k, 3) + 1
@@ -417,12 +420,13 @@ class _Boxes(PairModel):
                 at = rows * n + box
                 return np.searchsorted(keys, at, "right") - np.searchsorted(keys, at, "left")
         else:
-            # built a sub-block of rows at a time, so the offset labels are
-            # never states-sized
+            # built about _TABLE_LABELS labels at a time, so the offset
+            # (intp) labels are never states-sized
+            step = max(1, _TABLE_LABELS // k)
             table = np.empty((len(states), n), dtype=np.intp)
-            offsets = np.arange(_TABLE_ROWS)[:, None] * n
-            for start in range(0, len(states), _TABLE_ROWS):
-                block = states[start : start + _TABLE_ROWS]
+            offsets = np.arange(step)[:, None] * n
+            for start in range(0, len(states), step):
+                block = states[start : start + step]
                 table[start : start + len(block)] = np.bincount(
                     (block + offsets[: len(block)]).ravel(), minlength=len(block) * n
                 ).reshape(len(block), n)
@@ -439,7 +443,10 @@ class _Boxes(PairModel):
         return OccupancyStats(m0=h[:, 0], m1=h[:, 1], m2=h[:, 2], m3=h[:, 3], w=w)
 
     def draw(self, rows, rng):
-        return rng.integers(0, self.n, (rows, self.k))
+        # labels in the narrowest type of at least 16 bits that holds 0..n-1
+        # (8-bit draws are several times slower than 16-bit ones)
+        dtype = np.int16 if self.n <= 1 << 15 else np.int32 if self.n <= 1 << 31 else np.int64
+        return rng.integers(0, self.n, (rows, self.k), dtype=dtype)
 
     def w(self, states):
         return self.observe(states).w
@@ -817,6 +824,7 @@ def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> 
         states = model.draw(chunk, rng)
         blocks = _blocks(model, states)
         out[done : done + chunk] = np.concatenate([model.w(states[rows]) for rows in blocks])
+        del states  # so that the next chunk is drawn with this one freed
         done += chunk
     return out
 

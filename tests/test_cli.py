@@ -668,12 +668,12 @@ OVER_CAP = {
         lambda: exact_laws.matching_pmf(exact_laws.MatchingSpec(501, (2,) * 250 + (1,))),
     ),
     "birthday-pairs": (
-        {"n": 10_000, "k": 300},
-        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(10_000, 300, "pairs")),
+        {"n": 10_000, "k": 2000},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(10_000, 2000, "pairs")),
     ),
     "birthday-pair-count": (
-        {"n": 1000, "k": 100},
-        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(1000, 100, "pair_count")),
+        {"n": 1000, "k": 300},
+        lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(1000, 300, "pair_count")),
     ),
     "birthday-triples": (
         {"n": 4000, "k": 300},
@@ -684,8 +684,8 @@ OVER_CAP = {
         lambda: exact_laws.occupancy_pmf(exact_laws.OccupancySpec(5000, 100, "empty")),
     ),
     "coloring": (
-        {"n": 40, "k": 5, "c": 100},
-        lambda: exact_laws.coloring_pmf(exact_laws.ColoringSpec(40, 5, 100)),
+        {"n": 60, "k": 5, "c": 100},
+        lambda: exact_laws.coloring_pmf(exact_laws.ColoringSpec(60, 5, 100)),
     ),
     "joint-matching-succession": (
         {"n": multivariate.JOINT_CAP + 1},
@@ -753,8 +753,8 @@ def test_every_integer_flag_names_itself_past_the_float_range(capsys, flags, fla
 #: each refusal rule with one owner, and the one line it prints
 OWNED_REFUSALS = [
     # the allocation engine's cap, for occupancy counts and colorings alike
-    ("exact-tv birthday-triples --n 1000 --k 50",
-     "point k=50 n=1000: allocation engine needs ~9.80e+08 states (cap 1e+08)"),
+    ("exact-tv birthday-triples --n 4000 --k 126",
+     "point k=126 n=4000: allocation engine needs ~2.54e+08 states (cap 1e+08)"),
     ("exact-tv coloring --n 100 --k 3 --c 10",
      "point c=10 k=3 n=100: allocation engine needs ~1.62e+08 states (cap 1e+08)"),
     # the empty-box route
@@ -778,6 +778,12 @@ def test_each_refusal_prints_its_owner_line(capsys, command, err):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {err}\n"
+
+
+def test_insertion_reach_past_the_join_count(capsys):
+    # the joins would need 9.80e+08 states; ball insertion reads ~2.35e+06 values
+    assert run(shlex.split("exact-tv birthday-triples --n 1000 --k 50")) == 0
+    assert "verdict: pass" in capsys.readouterr().out
 
 
 def test_over_cap_state_count_is_exact():

@@ -638,6 +638,32 @@ class TestAllocationTables:
         assert outputs
         assert inserted == []
 
+    @pytest.mark.parametrize("specs", [
+        [OccupancySpec(n, k, stat, level=level) for n in range(1, 14) for k in range(1, n + 2)]
+        for stat, level in (("pairs", None), ("triples", None), ("pair_count", None),
+                            ("exact_level", 1), ("exact_level", 3))
+    ] + [[ColoringSpec(k, t, n) for n in range(1, 10) for k in range(t, n + 2)] for t in (2, 3)])
+    def test_insertion_states_bound_the_recurrence_reads(self, specs):
+        # row m reads each of rows 0..m-1 at most once
+        for spec in specs:
+            _, cells, items, value = exact_laws._engine_point(spec)
+            _, rows = exact_laws._insert(value, cells, items)
+            reads = sum((items - j) * row.size for j, row in enumerate(rows))
+            assert reads <= exact_laws._engine_states(spec), spec
+
+    def test_cap_and_plan_share_the_route_test(self, monkeypatch):
+        # triples (1000, 50) insertion reads at most ~2.35e6 values, where
+        # the joins would need 9.80e8 states
+        spec = OccupancySpec(1000, 50, "triples")
+        exact_laws.check_occupancy(spec)
+        monkeypatch.setattr(exact_laws, "_inserts", lambda value, cells, items: False)
+        with pytest.raises(ValueError, match=r"needs ~9\.80e\+08 states"):
+            exact_laws.check_occupancy(spec)
+        outputs, _ = _track_joins(monkeypatch)
+        inserted = _track_inserts(monkeypatch)
+        _law(OccupancySpec(9, 5, "pairs"))
+        assert outputs and not inserted
+
     def test_one_table_serves_a_box_count(self, monkeypatch):
         # the points of `sweep birthday-pairs --n 1000 --theta 0.5,1.5`
         specs = _sweep_specs("sweep birthday-pairs --n 1000 --theta 0.5,1.5")

@@ -392,9 +392,9 @@ class TestMonteCarloVerification:
         assert peak < 64 * 2**20
 
     def test_count_table_memory_is_bounded(self):
-        # coupon (100, 500) runs the count-table kernel: the chunk's ball
-        # labels take 31 MiB, and offsetting them all at once would add as
-        # much again
+        # coupon (100, 500) runs the count-table kernel: the chunk's 16-bit
+        # ball labels take 8 MiB, and offsetting them all at once would add
+        # 31 MiB of intp labels
         model, rng = coupon_model(100, 500), substream(1, 0)
         assert not model.sorts()
         tracemalloc.start()
@@ -403,12 +403,12 @@ class TestMonteCarloVerification:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2**20
+        assert peak < 32 * 2**20
 
     def test_wide_states_chunk_by_entries(self):
         # coupon (1000, 8000): the ball labels of an 8192-row chunk alone
-        # would take 500 MiB; chunks of at most _MC_ENTRIES entries keep both
-        # Monte Carlo paths near one 32 MiB chunk
+        # would take 125 MiB; chunks of at most _MC_ENTRIES 16-bit entries
+        # keep both Monte Carlo paths near one 8 MiB chunk
         model = coupon_model(1000, 8000)
         assert pair_models._chunk_rows(model) == pair_models._MC_ENTRIES // 8000
         target = poisson_pmf(SteinParams(model.lam))
@@ -420,7 +420,7 @@ class TestMonteCarloVerification:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 96 * 2**20
+            assert peak < 32 * 2**20
 
     def test_states_up_to_512_wide_keep_full_chunks(self):
         # the seeded streams of the benchmark's commands depend on the chunk size
@@ -430,10 +430,10 @@ class TestMonteCarloVerification:
         assert pair_models._chunk_rows(model) < 8192
 
     def test_count_table_across_sub_blocks(self):
-        model = coupon_model(8, 40)
-        rows = 2 * pair_models._TABLE_ROWS + 3
+        model = coupon_model(8, 4000)
+        rows = 2 * (pair_models._TABLE_LABELS // model.k) + 3
         rng = substream(18, 0)
-        states = rng.integers(0, model.n, (rows, model.k))
+        states = model.draw(rows, rng)
         counts = np.array([np.bincount(state, minlength=model.n) for state in states])
         h, count = model.occupancy(states)
         assert h.tolist() == [np.bincount(c, minlength=h.shape[1]).tolist() for c in counts]
@@ -454,8 +454,8 @@ class TestMonteCarloVerification:
         model, rows, batch_rng = factory(), 300, substream(16, 0)
         up, down, dw, w = model.step_arrays(model.draw(rows, batch_rng), batch_rng)
         rng = substream(16, 0)
-        states = rng.integers(0, model.n, (rows, model.k))
-        ball, newbox = rng.integers(0, model.k, rows), rng.integers(0, model.n, rows)
+        states = model.draw(rows, rng)
+        ball, newbox = model.propose(rows, rng)
         for r in range(rows):
             moved = states[r].copy()
             moved[ball[r]] = newbox[r]
@@ -468,7 +468,7 @@ class TestMonteCarloVerification:
     @pytest.mark.parametrize(
         "factory,low,sorts",
         [
-            # for every family: sorted runs (3k < n), and the count table
+            # for every family: sorted runs (2k < n), and the count table
             # with k < n and with k >= n
             (lambda: birthday_pairs_model(50, 12), 0, True),
             (lambda: birthday_pairs_model(20, 12), 0, False),
@@ -477,7 +477,7 @@ class TestMonteCarloVerification:
             (lambda: birthday_triples_model(40, 25), 0, False),
             (lambda: birthday_triples_model(5, 30), 0, False),
             (lambda: coupon_model(50, 12), 0, True),
-            (lambda: coupon_model(30, 12), 0, False),
+            (lambda: coupon_model(30, 16), 0, False),
             (lambda: coupon_model(8, 40), 0, False),
             (lambda: birthday_pairs_model(4, 1), 0, True),
             (lambda: birthday_pairs_model(2, 1), 0, False),
@@ -519,6 +519,35 @@ class TestMonteCarloVerification:
         boxes = rng.integers(low, model.n, rows)
         count = model.occupancy(states)[1]
         assert count(boxes).tolist() == [int(c[b]) for c, b in zip(counts, boxes)]
+
+    @pytest.mark.parametrize("n, dtype", [
+        (100, np.int16), (2**15, np.int16), (2**15 + 1, np.int32), (10**7, np.int32),
+        (2**31, np.int32), (2**31 + 1, np.int64),
+    ])
+    def test_labels_are_drawn_at_their_width(self, n, dtype):
+        assert birthday_pairs_model(n, 5).draw(8, substream(25, 0)).dtype == dtype
+
+    @pytest.mark.parametrize("factory, sorts", [
+        # both kernels, at the top of the 16-bit range, where any offset
+        # row * n or block offset summed in int16 would wrap
+        (lambda: birthday_triples_model(2**15, 20), True),
+        (lambda: birthday_pairs_model(2**15, 10_000), True),
+        (lambda: coupon_model(2**15, 20_000), False),
+    ])
+    def test_16_and_64_bit_labels_give_the_same_numbers(self, factory, sorts):
+        model, rows = factory(), 45
+        assert model.sorts() is sorts
+        narrow = model.draw(rows, substream(26, 0))
+        assert narrow.dtype == np.int16
+        narrow[:, :3] = 2**15 - 1 - np.arange(3)  # boxes near the top label
+        wide = narrow.astype(np.int64)
+        (h16, count16), (h64, count64) = model.occupancy(narrow), model.occupancy(wide)
+        assert np.array_equal(h16, h64)
+        assert np.array_equal(count16(narrow[:, 0]), count64(wide[:, 0]))
+        for run in (model.step_arrays, model.move):
+            got16, got64 = run(narrow, substream(26, 1)), run(wide, substream(26, 1))
+            for a, b in zip(got16, got64):
+                assert np.array_equal(a, b)
 
     def test_birthday_reach_without_n_wide_tables(self):
         # 40 balls in 10^7 boxes: one count table would take 80 MB per row
@@ -580,7 +609,7 @@ class TestSampleStatistics:
         # row, in order
         model, rows = birthday_pairs_model(2000, 60), 300
         w = sample_statistics(model, rows, substream(24, 0))
-        states = substream(24, 0).integers(0, model.n, (rows, model.k))
+        states = model.draw(rows, substream(24, 0))
         assert w.tolist() == [model.w(state[None])[0] for state in states]
 
 

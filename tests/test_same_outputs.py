@@ -1,4 +1,5 @@
-"""tools/same_outputs.py tells a sweep's exact_tv drift from a changed record."""
+"""tools/same_outputs.py tells a sweep's exact_tv drift and a Monte Carlo run's
+new stream from a changed record."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +37,21 @@ def test_other_changes_are_not_drift():
     assert drift(a, _sweep("0.25", "0.126", verdict="fail")) is None
     assert drift(a, _sweep("0.25")) is None
     assert drift("seconds: <masked>\nvalue: 1", "seconds: <masked>\nvalue: 2") is None
+
+
+VERIFY = """mode: monte-carlo, 100000 trials
+max standardized deviation: {dev} (gate 4.0)
+  up z: {dev}  down z: 0.9  balance z: 0.5
+verdict: {verdict}"""
+MC_TV = "problem: matching\nmc_tv: {dev}\nmc_stderr: 0.001\nbound: 0.01\nverdict: {verdict}"
+
+
+def test_sample_values_alone_are_a_stream():
+    stream = _module().stream_only
+    for report in (VERIFY, MC_TV):
+        a = report.format(dev="1.415", verdict="pass")
+        assert stream(a, report.format(dev="1.654", verdict="pass"))
+        assert not stream(a, report.format(dev="1.654", verdict="fail"))
+    assert not stream(VERIFY.format(dev="1.4", verdict="pass"),
+                      VERIFY.format(dev="1.4", verdict="pass").replace("100000", "50000"))
+    assert not stream("up z: 1.0", "up z: 2.0")  # no verdict line

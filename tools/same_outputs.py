@@ -6,7 +6,10 @@ stderr or exit code differs between the trees.  Timing is masked: the last
 column of a CSV whose header ends in ``seconds``, and the ``seconds:`` line
 of a single-point report.  A sweep whose records differ only in
 ``exact_tv`` is listed as drift, with how many records moved and the largest
-change.  Exits 1 if any run differs, else 0.
+change.  A Monte Carlo run whose ``mode:``, ``verdict:`` and other report
+lines match, and whose sample values alone differ, is listed as ``STREAM``
+apart from the real differences: the same law drawn from another stream.
+Exits 1 if any run differs, else 0.
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 """
@@ -25,6 +28,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 7)
+#: report keys of Monte Carlo sample values: verify-pair's standardized
+#: deviations and mc-tv's estimate
+SAMPLE_KEYS = ("max standardized deviation", "up z", "mc_tv", "mc_stderr")
 
 
 def mask_seconds(stdout: str) -> str:
@@ -59,6 +65,15 @@ def exact_tv_drift(a: str, b: str) -> tuple[int, float] | None:
     return moved, largest
 
 
+def stream_only(a: str, b: str) -> bool:
+    """Whether two masked reports with a ``verdict:`` line differ only in
+    their Monte Carlo sample values."""
+    def kept(text):
+        return [line for line in text.splitlines()
+                if line.lstrip().partition(":")[0] not in SAMPLE_KEYS]
+    return kept(a) == kept(b) and any(line.startswith("verdict:") for line in kept(a))
+
+
 def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
     """Exit code, masked stdout and stderr of one command on ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -73,6 +88,7 @@ def main() -> int:
     ap.add_argument("change", type=Path)
     args = ap.parse_args()
     runs = differ = 0
+    streams = []
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
             for template in workload.commands:
@@ -84,13 +100,20 @@ def main() -> int:
                 if not parts:
                     continue
                 differ += 1
+                if parts == ["stdout"] and stream_only(a[1], b[1]):
+                    streams.append(f"STREAM (sample values only): {name} seed {seed}: "
+                                   f"{shlex.join(argv)}")
+                    continue
                 drift = exact_tv_drift(a[1], b[1]) if parts == ["stdout"] else None
                 if drift:
                     what = f"exact_tv only: {drift[0]} records moved, largest |Δ| {drift[1]:.1e}"
                 else:
                     what = ", ".join(parts)
                 print(f"DIFFERS ({what}): {name} seed {seed}: {shlex.join(argv)}")
-    print(f"{runs - differ} of {runs} runs identical")
+    for line in streams:
+        print(line)
+    print(f"{runs - differ} of {runs} runs identical, {len(streams)} differ in their "
+          "Monte Carlo stream only")
     return 1 if differ else 0
 
 
