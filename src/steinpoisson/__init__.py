@@ -22,16 +22,12 @@ from .stein_core import (
 from .exact_laws import (
     ColoringSpec,
     CouponDiagnostics,
-    MatchingMoments,
     MatchingSpec,
-    OccupancyMoments,
     OccupancySpec,
     coloring_pmf,
     coupon_collector_diagnostics,
     derangement_numbers,
-    matching_moments,
     matching_pmf,
-    occupancy_moments,
     occupancy_pmf,
     poisson_binomial_pmf,
 )
@@ -79,7 +75,6 @@ from .multivariate import (
     joint_marginal,
     joint_tv,
     matching_config_law,
-    multivariate_error_bound,
     process_tv,
     product_poisson_config_law,
     product_poisson_joint,

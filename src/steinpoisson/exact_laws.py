@@ -32,18 +32,14 @@ from .stein_core import Pmf
 
 __all__ = [
     "MatchingSpec",
-    "MatchingMoments",
     "OccupancySpec",
-    "OccupancyMoments",
     "ColoringSpec",
     "CouponDiagnostics",
     "AllocationTables",
     "derangement_numbers",
     "poisson_binomial_pmf",
     "matching_pmf",
-    "matching_moments",
     "occupancy_pmf",
-    "occupancy_moments",
     "coloring_pmf",
     "coupon_collector_diagnostics",
     "check_matching",
@@ -64,16 +60,16 @@ EMPTY_EXACT_DIGIT_CAP = 20_000
 #: most ~85 digits
 EMPTY_CERTIFIED_RATIO_CAP = 50.0
 
-#: contribution ``f(c, level)`` of a box holding ``c`` balls to each additive
+#: contribution ``f(c)`` of a box holding ``c`` balls to each additive
 #: occupancy statistic, elementwise over count arrays (indicators stay boolean,
 #: so count matrices are never widened); the allocation engine and the pair
-#: models both read it
+#: models both read it.  Every statistic but ``empty`` is 0 at an empty box,
+#: and only those reach the engine
 BOX_STATISTICS = {
-    "pairs": lambda c, level: c >= 2,
-    "triples": lambda c, level: c * (c - 1) * (c - 2) // 6,
-    "empty": lambda c, level: c == 0,
-    "exact_level": lambda c, level: c == level,
-    "pair_count": lambda c, level: c * (c - 1) // 2,
+    "pairs": lambda c: c >= 2,
+    "triples": lambda c: c * (c - 1) * (c - 2) // 6,
+    "empty": lambda c: c == 0,
+    "pair_count": lambda c: c * (c - 1) // 2,
 }
 OCCUPANCY_STATISTICS = tuple(BOX_STATISTICS)
 
@@ -128,14 +124,12 @@ class OccupancySpec:
       * ``"pairs"``      -- number of boxes holding at least two balls
       * ``"triples"``    -- number of ball triples sharing a box
       * ``"empty"``      -- number of empty boxes
-      * ``"exact_level"``-- number of boxes holding exactly ``level`` balls
       * ``"pair_count"`` -- number of ball pairs sharing a box
     """
 
     n_boxes: int
     k_balls: int
     statistic: str
-    level: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.n_boxes, int) and self.n_boxes >= 1):
@@ -144,11 +138,6 @@ class OccupancySpec:
             raise ValueError("k_balls must be a nonnegative integer")
         if self.statistic not in OCCUPANCY_STATISTICS:
             raise ValueError(f"statistic must be one of {OCCUPANCY_STATISTICS}")
-        if self.statistic == "exact_level":
-            if self.level is None or self.level < 0:
-                raise ValueError("exact_level requires a nonnegative level")
-        elif self.level is not None:
-            raise ValueError("level is only meaningful for exact_level")
 
 
 @dataclass(frozen=True)
@@ -297,49 +286,6 @@ def matching_pmf(spec: MatchingSpec) -> Pmf:
     return Pmf(_divided_once(counts, math.factorial(n)))
 
 
-@dataclass(frozen=True)
-class MatchingMoments:
-    """Closed-form moments of the fixed-point statistic.
-
-    ``e2a2`` (twice the expected number of 2-cycles) is only defined for the
-    plain problem; the per-letter tables follow the multiplicity order.
-    """
-
-    lam: float
-    ew2: float
-    e2a2: float | None
-    ewi: tuple[float, ...]
-    ewi2: tuple[float, ...]
-    ewij_wji: np.ndarray
-    cross_term: float
-
-
-def matching_moments(spec: MatchingSpec) -> MatchingMoments:
-    n = spec.n
-    if n < 2:
-        raise ValueError("moments require n >= 2")
-    mult = spec.multiplicities if spec.multiplicities is not None else (1,) * n
-    l = np.array(mult, dtype=float)
-    lam = float(np.sum(l**2) / n)
-    ewi = l**2 / n
-    ewi2 = l**2 * (n + l**2 - 2 * l) / (n * (n - 1))
-    cross = np.outer(l**2, l**2) / (n * (n - 1))
-    np.fill_diagonal(cross, 0.0)
-    cross_term = float(cross.sum())
-    ew2 = cross_term + float(ewi2.sum())
-    e2a2 = 1.0 if spec.is_plain else None
-    cross.flags.writeable = False
-    return MatchingMoments(
-        lam=lam,
-        ew2=ew2,
-        e2a2=e2a2,
-        ewi=tuple(ewi),
-        ewi2=tuple(ewi2),
-        ewij_wji=cross,
-        cross_term=cross_term,
-    )
-
-
 # ---------------------------------------------------------------------------
 # occupancy laws
 # ---------------------------------------------------------------------------
@@ -354,9 +300,7 @@ def _stat_support_max(spec) -> int:
         return min(n, k // 2)
     if spec.statistic == "triples":
         return math.comb(k, 3)
-    if spec.statistic == "pair_count":
-        return math.comb(k, 2)
-    return n if spec.level == 0 else min(n, k // spec.level)  # exact_level
+    return math.comb(k, 2)  # pair_count
 
 
 def _scientific(count: int, digits: int) -> str:
@@ -576,15 +520,14 @@ def _engine_point(spec):
         return ("coloring", k), spec.n_colors, spec.n_points, lambda m: math.comb(m, k)
     if spec.statistic == "empty":
         raise ValueError("the empty-box law has a closed form, not an engine plan")
-    box = BOX_STATISTICS[spec.statistic]
-    return (spec.statistic, spec.level), spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
+    return spec.statistic, spec.n_boxes, spec.k_balls, BOX_STATISTICS[spec.statistic]
 
 
-def _inserts(value, cells: int, items: int) -> bool:
+def _inserts(cells: int, items: int) -> bool:
     """Whether rows up to ``items`` of ``cells`` cells come from ball
-    insertion: its weights are nonnegative up to ``cells + 1`` items, and
-    it needs an empty cell to be worth 0."""
-    return items <= cells + 1 and value(0) == 0
+    insertion: its weights are nonnegative up to ``cells + 1`` items.  Every
+    cell value the engine takes is 0 at an empty cell, as insertion needs."""
+    return items <= cells + 1
 
 
 def _engine_states(spec) -> int:
@@ -594,8 +537,8 @@ def _engine_states(spec) -> int:
     triples, 2 for the pair count, the tuple size for colorings, else 1) and
     rows j+1..items read it, so the reads are at most
     C(items + 1, t + 2) + C(items + 1, 2)."""
-    _, cells, items, value = _engine_point(spec)
-    if not _inserts(value, cells, items):
+    _, cells, items, _ = _engine_point(spec)
+    if not _inserts(cells, items):
         return cells * items * max(1, _stat_support_max(spec))
     t = spec.tuple_size if isinstance(spec, ColoringSpec) else {
         "triples": 3, "pair_count": 2}.get(spec.statistic, 1)
@@ -618,11 +561,11 @@ class AllocationTables:
     A group of cells has a table whose row m is the law of the group's
     statistic given that m of the items fall in it; for one cell, row m is
     the point mass at the cell's value.  A table is built on one of two
-    routes, chosen from its cell count, its last row and the statistic alone:
+    routes, chosen from its cell count and its last row alone:
 
     * **Ball insertion** (:func:`_insert`) when the last row is at most
-      ``cells + 1`` and an empty cell is worth 0: each row is a convex mix of
-      earlier rows shifted by one cell's value, with no convolution.
+      ``cells + 1``: each row is a convex mix of earlier rows shifted by one
+      cell's value, with no convolution.
     * **Joins** otherwise.  Two groups of a and b cells join by splitting m
       items Binomial(m, a/(a+b)) between them (Barbour, Holst & Janson,
       *Poisson Approximation*, ch. 6, conditioning on the total): row m of
@@ -635,9 +578,9 @@ class AllocationTables:
     ``DP_STATE_CAP`` against each route's own work (:func:`_engine_states`).
 
     Row m depends on the statistic, the group size and m, not on the spec,
-    so the specs share tables.  A spec of at most ``cells + 1`` items whose
-    statistic allows it reads its row from the inserted table of its cell
-    count, one table up to the most items of those specs.  Every other spec
+    so the specs share tables.  A spec of at most ``cells + 1`` items reads
+    its row from the inserted table of its cell count, one table up to the
+    most items of those specs.  Every other spec
     has a join chain: each group size on any such chain is built once per
     statistic, with rows up to the most items of the specs whose chains pass
     through it.  A spec whose cell count is an inner group of some chain
@@ -663,7 +606,7 @@ class AllocationTables:
             self._values.setdefault(key, value)
             self._laws[key, cells, items] += 1
             points.append((key, cells, items))
-            if not _inserts(self._values[key], cells, items):
+            if not _inserts(cells, items):
                 chain = [cells]
                 while chain[-1] > 1:
                     chain.append(_sources(chain[-1])[0])
@@ -675,7 +618,7 @@ class AllocationTables:
                 if (key, size) in self._top:
                     self._top[key, size] = max(self._top[key, size], items)
         for key, cells, items in points:
-            if _inserts(self._values[key], cells, items):
+            if _inserts(cells, items):
                 self._top[key, cells] = max(self._top.get((key, cells), 0), items)
         for key, cells, items in points:
             if self._top.get((key, cells), -1) >= items:
@@ -683,7 +626,7 @@ class AllocationTables:
             else:  # a last join
                 self._readers.update((key, size) for size in _sources(cells))
         for (key, size), top in self._top.items():
-            if size > 1 and not _inserts(self._values[key], size, top):
+            if size > 1 and not _inserts(size, top):
                 self._readers.update((key, source) for source in _sources(size))
 
     def law(self, spec) -> Pmf:
@@ -704,7 +647,7 @@ class AllocationTables:
             if size == 1:
                 values = [int(self._values[key](c)) for c in range(top + 1)]
                 table = (np.array(values, np.int64), [np.ones(1)] * len(values))
-            elif _inserts(self._values[key], size, top):
+            elif _inserts(size, top):
                 table = _insert(self._values[key], size, top)
             else:
                 table = self._join(key, size)
@@ -851,10 +794,9 @@ def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -
     The empty-box count uses the inclusion-exclusion closed form; the other
     statistics run the allocation engine with boxes as cells and balls as
     items, on ``tables`` (a plan listing ``spec``) or on a plan of its own.
-    With ``k_balls <= n_boxes + 1`` (and, for ``exact_level``, a level
-    above 0) the engine inserts the balls one recurrence step at a time;
-    otherwise it joins conditional per-box laws by binomial splits of the
-    balls, binary powering over the boxes.  :func:`check_occupancy` applies
+    With ``k_balls <= n_boxes + 1`` the engine inserts the balls one
+    recurrence step at a time; otherwise it joins conditional per-box laws by
+    binomial splits of the balls, binary powering over the boxes.  :func:`check_occupancy` applies
     the caps up front: :func:`_empty_boxes_path` for the empty boxes, else
     ``DP_STATE_CAP`` on the chosen route's work (:func:`_check_engine`).
     """
@@ -863,66 +805,6 @@ def occupancy_pmf(spec: OccupancySpec, tables: AllocationTables | None = None) -
     if spec.statistic == "empty":
         return _empty_boxes_pmf(n, k)
     return (AllocationTables([spec]) if tables is None else tables).law(spec)
-
-
-@dataclass(frozen=True)
-class OccupancyMoments:
-    """Closed-form boxes-at-level moments: em[l] = E M_l, em2[l] = E M_l^2."""
-
-    em: dict[int, float]
-    em2: dict[int, float]
-    ew: float
-
-
-def occupancy_moments(spec: OccupancySpec, levels=None) -> OccupancyMoments:
-    """First and second moments of the level counts, plus E W per statistic.
-
-    ``E M_l = n C(k,l) n^{-l} (1-1/n)^{k-l}`` and
-    ``E M_l^2 = E M_l + n(n-1) C(k,l) C(k-l,l) n^{-2l} (1-2/n)^{k-2l}``
-    (the joint term vanishes when ``2l > k``).
-    """
-    n, k = spec.n_boxes, spec.k_balls
-    if levels is None:
-        levels = range(0, min(k, 6) + 1)
-    levels = [int(l) for l in levels]
-    if any(l < 0 or l > k for l in levels):
-        raise ValueError("levels must lie in [0, k_balls]")
-    em: dict[int, float] = {}
-    em2: dict[int, float] = {}
-    for l in levels:
-        m1 = n * math.comb(k, l) * n**-l * (1.0 - 1.0 / n) ** (k - l) if n >= 1 else 0.0
-        if n == 1:
-            m1 = 1.0 if l == k else 0.0
-        joint = 0.0
-        if 2 * l <= k and n >= 2:
-            joint = (
-                n
-                * (n - 1)
-                * math.comb(k, l)
-                * math.comb(k - l, l)
-                * float(n) ** (-2 * l)
-                * (1.0 - 2.0 / n) ** (k - 2 * l)
-            )
-        em[l] = m1
-        em2[l] = m1 + joint
-    if spec.statistic == "triples":
-        ew = math.comb(k, 3) / n**2
-    elif spec.statistic == "pair_count":
-        ew = math.comb(k, 2) / n
-    elif spec.statistic == "empty":
-        ew = n * (1.0 - 1.0 / n) ** k if n >= 2 else (1.0 if k == 0 else 0.0)
-    elif spec.statistic == "pairs":
-        m0 = n * (1.0 - 1.0 / n) ** k if n >= 2 else (1.0 if k == 0 else 0.0)
-        m1 = n * math.comb(k, 1) * (1.0 / n) * (1.0 - 1.0 / n) ** (k - 1) if k >= 1 else 0.0
-        if n == 1:
-            m1 = 1.0 if k == 1 else 0.0
-        ew = n - m0 - m1
-    else:  # exact_level
-        l = spec.level
-        ew = em.get(l)
-        if ew is None:
-            ew = occupancy_moments(spec, levels=[l]).em[l] if l <= k else 0.0
-    return OccupancyMoments(em=em, em2=em2, ew=float(ew))
 
 
 # ---------------------------------------------------------------------------

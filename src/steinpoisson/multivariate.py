@@ -38,7 +38,6 @@ __all__ = [
     "joint_tv",
     "joint_marginal",
     "bound_fixed_point_succession",
-    "multivariate_error_bound",
     "matching_config_law",
     "product_poisson_config_law",
     "process_tv",
@@ -175,27 +174,6 @@ def bound_fixed_point_succession(n: int) -> BoundReport:
     return _report("joint_fixed_point_succession", 1.0, 13.0 / n, CONVENTION_SET, n=n, dim=2)
 
 
-def multivariate_error_bound(lambdas, error_terms) -> BoundReport:
-    """Combination rule for coordinatewise exchangeable-pair errors.
-
-    ``error_terms[k] = (e_up, e_down)`` are the caller-computed expectations
-    ``E|lam_k - c_k P(up event)|`` and ``E|W_k - c_k P(down event)|``; the
-    bound is ``sum_k min(1, 1.4 lam_k^{-1/2}) (e_up + e_down)``.  With one
-    coordinate this reduces to the univariate error form.
-    """
-    rates = _positive_rates(lambdas)
-    if len(error_terms) != len(rates):
-        raise ValueError("need one (e_up, e_down) pair per coordinate")
-    raw = 0.0
-    for lam_k, (e_up, e_down) in zip(rates, error_terms):
-        if e_up < 0 or e_down < 0:
-            raise ValueError("error expectations must be nonnegative")
-        raw += min(1.0, 1.4 / math.sqrt(lam_k)) * (e_up + e_down)
-    return _report(
-        "multivariate_combination", float(sum(rates)), raw, CONVENTION_SET, dim=len(rates)
-    )
-
-
 # ---------------------------------------------------------------------------
 # configuration laws
 # ---------------------------------------------------------------------------
@@ -222,9 +200,7 @@ def product_poisson_config_law(p) -> ConfigLaw:
     stored as tail.  Unequal rates give a law that is not exchangeable, with
     no by-size form, and are rejected.
     """
-    rates = [float(x) for x in p]
-    if not rates or any(x <= 0 for x in rates):
-        raise ValueError("rates must be positive")
+    rates = _positive_rates(p)
     if any(x != rates[0] for x in rates):
         raise ValueError("a configuration law by size needs equal rates")
     n, x = len(rates), rates[0]

@@ -387,7 +387,7 @@ class _Boxes(PairModel):
             raise ValueError("need at least one ball")
 
     def box_w(self, c):
-        return BOX_STATISTICS[self.statistic](c, None)
+        return BOX_STATISTICS[self.statistic](c)
 
     def sorts(self):
         """Whether ``occupancy`` runs the sorted-runs kernel."""

@@ -142,42 +142,6 @@ def config_generator_apply(h, p, xi) -> float:
     return total
 
 
-def matching_moment_oracle(n: int, word) -> dict:
-    """Exact moments of the multiset fixed-point statistic by enumeration."""
-    letters = sorted(set(word))
-    k = len(letters)
-    total = math.factorial(n)
-    ew = Fraction(0)
-    ew2 = Fraction(0)
-    ewi = [Fraction(0)] * k
-    ewi2 = [Fraction(0)] * k
-    ewijwji = [[Fraction(0)] * k for _ in range(k)]
-    cross = Fraction(0)
-    for sigma in itertools.permutations(range(n)):
-        wij = [[0] * k for _ in range(k)]
-        for slot in range(n):
-            wij[word[slot]][word[sigma[slot]]] += 1
-        wi = [wij[i][i] for i in range(k)]
-        w = sum(wi)
-        ew += w
-        ew2 += w * w
-        for i in range(k):
-            ewi[i] += wi[i]
-            ewi2[i] += wi[i] * wi[i]
-            for j in range(k):
-                if j != i:
-                    ewijwji[i][j] += wij[i][j] * wij[j][i]
-        cross += w * w - sum(x * x for x in wi)
-    return {
-        "lam": float(ew / total),
-        "ew2": float(ew2 / total),
-        "ewi": [float(x / total) for x in ewi],
-        "ewi2": [float(x / total) for x in ewi2],
-        "ewij_wji": [[float(x / total) for x in row] for row in ewijwji],
-        "cross_term": float(cross / total),
-    }
-
-
 def enumerate_occupancy(n: int, k: int, statistic, top: int) -> np.ndarray:
     """Occupancy-statistic law over all n^k placements.
 
@@ -207,10 +171,6 @@ def stat_triples(counts):
 
 def stat_pair_count(counts):
     return sum(math.comb(c, 2) for c in counts)
-
-
-def stat_level(level):
-    return lambda counts: sum(1 for c in counts if c == level)
 
 
 def pairs_law_exact(n: int, k: int) -> np.ndarray:
@@ -278,22 +238,6 @@ def enumerate_coloring(n: int, k: int, c: int) -> np.ndarray:
         w = sum(1 for s in subsets if len({coloring[i] for i in s}) == 1)
         mass[w] += 1
     return mass / c**n
-
-
-def occupancy_level_moments(n: int, k: int) -> dict:
-    """E M_l and E M_l^2 for every level l by full enumeration."""
-    em = np.zeros(k + 1)
-    em2 = np.zeros(k + 1)
-    total = n**k
-    for placement in itertools.product(range(n), repeat=k):
-        counts = [0] * n
-        for box in placement:
-            counts[box] += 1
-        for l in range(k + 1):
-            m_l = sum(1 for c in counts if c == l)
-            em[l] += m_l
-            em2[l] += m_l * m_l
-    return {"em": em / total, "em2": em2 / total}
 
 
 def coupon_oracle(n: int, k: int) -> dict:

@@ -11,12 +11,16 @@ from steinpoisson import (
     ColoringSpec,
     MatchingSpec,
     OccupancySpec,
+    bound_birthday_triples,
+    bound_coupling_coupon,
+    bound_coupling_pair_count,
+    bound_coupon_negative_association,
+    bound_generalized_matching,
+    bound_monochromatic,
     coloring_pmf,
     coupon_collector_diagnostics,
     derangement_numbers,
-    matching_moments,
     matching_pmf,
-    occupancy_moments,
     occupancy_pmf,
     poisson_binomial_pmf,
 )
@@ -186,40 +190,6 @@ class TestMatchingPmf:
             MatchingSpec(0)
 
 
-class TestMatchingMoments:
-    def test_plain_values(self):
-        for n in (2, 6, 50):
-            mom = matching_moments(MatchingSpec(n))
-            assert mom.lam == pytest.approx(1.0, abs=1e-15)
-            assert mom.ew2 == pytest.approx(2.0, abs=1e-12)
-            assert mom.e2a2 == 1.0
-
-    def test_card_deck_rate(self):
-        mom = matching_moments(MatchingSpec(52, (4,) * 13))
-        assert mom.lam == pytest.approx(4.0, abs=1e-15)
-        assert mom.e2a2 is None
-
-    def test_two_pairs_against_enumeration(self):
-        spec = MatchingSpec(4, (2, 2))
-        mom = matching_moments(spec)
-        brute = oracles.matching_moment_oracle(4, spec.word())
-        assert mom.lam == pytest.approx(brute["lam"], abs=1e-13)
-        assert mom.ew2 == pytest.approx(brute["ew2"], abs=1e-12)
-        assert mom.cross_term == pytest.approx(brute["cross_term"], abs=1e-12)
-        assert np.allclose(mom.ewi, brute["ewi"], atol=1e-13)
-        assert np.allclose(mom.ewi2, brute["ewi2"], atol=1e-13)
-        assert np.allclose(mom.ewij_wji, brute["ewij_wji"], atol=1e-13)
-
-    def test_triple_letters_against_enumeration(self):
-        spec = MatchingSpec(6, (3, 2, 1))
-        mom = matching_moments(spec)
-        brute = oracles.matching_moment_oracle(6, spec.word())
-        assert mom.lam == pytest.approx(brute["lam"], abs=1e-13)
-        assert mom.ew2 == pytest.approx(brute["ew2"], abs=1e-12)
-        assert np.allclose(mom.ewi2, brute["ewi2"], atol=1e-12)
-        assert np.allclose(mom.ewij_wji, brute["ewij_wji"], atol=1e-12)
-
-
 class TestOccupancyPmf:
     def test_empty_two_boxes(self):
         law = occupancy_pmf(OccupancySpec(2, 2, "empty"))
@@ -247,28 +217,12 @@ class TestOccupancyPmf:
             (5, 6, "triples", oracles.stat_triples),
             (5, 4, "empty", oracles.stat_empty),
             (4, 5, "pair_count", oracles.stat_pair_count),
-            (3, 6, "exact_level", oracles.stat_level(2)),
         ],
     )
     def test_against_enumeration(self, n, k, stat, oracle_stat):
-        spec = (
-            OccupancySpec(n, k, stat, level=2)
-            if stat == "exact_level"
-            else OccupancySpec(n, k, stat)
-        )
-        law = occupancy_pmf(spec)
+        law = occupancy_pmf(OccupancySpec(n, k, stat))
         brute = oracles.enumerate_occupancy(n, k, lambda c: oracle_stat(c), law.support_max)
         assert np.abs(law.mass - brute).max() < 1e-13
-
-    def test_exact_level_zero_equals_empty(self):
-        a = occupancy_pmf(OccupancySpec(6, 9, "exact_level", level=0))
-        b = occupancy_pmf(OccupancySpec(6, 9, "empty"))
-        size = max(a.mass.size, b.mass.size)
-        pa = np.zeros(size)
-        pb = np.zeros(size)
-        pa[: a.mass.size] = a.mass
-        pb[: b.mass.size] = b.mass
-        assert np.abs(pa - pb).max() < 1e-13
 
     def test_sums_to_one(self):
         for spec in (
@@ -323,11 +277,10 @@ class TestOccupancyPmf:
 
     # per-box contribution of each statistic, written independently of the package
     BOX_VALUES = {
-        "pairs": lambda c, level: c >= 2,
-        "triples": lambda c, level: math.comb(c, 3),
-        "empty": lambda c, level: c == 0,
-        "exact_level": lambda c, level: c == level,
-        "pair_count": lambda c, level: math.comb(c, 2),
+        "pairs": lambda c: c >= 2,
+        "triples": lambda c: math.comb(c, 3),
+        "empty": lambda c: c == 0,
+        "pair_count": lambda c: math.comb(c, 2),
     }
 
     @pytest.mark.parametrize("stat", sorted(BOX_STATISTICS))
@@ -336,13 +289,12 @@ class TestOccupancyPmf:
         # 1..17 boxes run every odd/even bit path of the powering
         assert set(self.BOX_VALUES) == set(BOX_STATISTICS)
         for k in (0, 1, 2, 5, 9):
-            for level in (0, 1, 2) if stat == "exact_level" else (None,):
-                law = occupancy_pmf(OccupancySpec(n, k, stat, level=level))
-                exact = oracles.allocation_law_exact(n, k, lambda c: self.BOX_VALUES[stat](c, level))
-                exact = np.array([float(x) for x in exact])
-                size = max(exact.size, law.mass.size)
-                assert np.abs(np.pad(exact, (0, size - exact.size))
-                              - np.pad(law.mass, (0, size - law.mass.size))).max() < 1e-15
+            law = occupancy_pmf(OccupancySpec(n, k, stat))
+            exact = oracles.allocation_law_exact(n, k, self.BOX_VALUES[stat])
+            exact = np.array([float(x) for x in exact])
+            size = max(exact.size, law.mass.size)
+            assert np.abs(np.pad(exact, (0, size - exact.size))
+                          - np.pad(law.mass, (0, size - law.mass.size))).max() < 1e-15
 
     def test_cap_rejection_mentions_size(self):
         with pytest.raises(ValueError, match="states"):
@@ -355,10 +307,11 @@ class TestOccupancyPmf:
             assert law.mean() == pytest.approx(n * (1 - 1 / n) ** k, abs=1e-12)
 
     def test_multiset_mean_matches_moments(self):
+        # the rate the multiset matching verdict compares the law with
         for mult in SMALL_PARTITIONS[1:]:  # (2, 2), (3, 2, 1), (2, 2, 2) among them; n >= 2
             spec = MatchingSpec(sum(mult), mult)
             assert matching_pmf(spec).mean() == pytest.approx(
-                matching_moments(spec).lam, abs=1e-12
+                bound_generalized_matching(mult).lam, abs=1e-12
             )
 
     @pytest.mark.parametrize("n", range(1, 18))
@@ -409,37 +362,38 @@ class TestOccupancyPmf:
             OccupancySpec(2, -1, "pairs")
         with pytest.raises(ValueError):
             OccupancySpec(2, 2, "nope")
-        with pytest.raises(ValueError):
-            OccupancySpec(2, 2, "exact_level")  # missing level
-        with pytest.raises(ValueError):
-            OccupancySpec(2, 2, "pairs", level=1)
 
 
-class TestOccupancyMoments:
-    def test_single_ball_level(self):
-        mom = occupancy_moments(OccupancySpec(2, 2, "exact_level", level=1), levels=[1])
-        assert mom.em[1] == pytest.approx(1.0, abs=1e-15)
+class TestVerdictRates:
+    """Each rate a verdict compares its law with is that law's exact mean."""
 
-    def test_triples_rate(self):
-        for n, k in ((10, 9), (50, 40)):
-            mom = occupancy_moments(OccupancySpec(n, k, "triples"))
-            assert mom.ew == pytest.approx(math.comb(k, 3) / n**2, rel=1e-14)
+    @pytest.mark.parametrize("mult", [(2, 2), (3, 2, 1), (2, 2, 2), (4, 1, 1)])
+    def test_matching_rate_against_enumeration(self, mult):
+        spec = MatchingSpec(sum(mult), mult)
+        brute = oracles.enumerate_matching(spec.n, spec.word())
+        assert bound_generalized_matching(mult).lam == pytest.approx(
+            float(np.arange(brute.size) @ brute), abs=1e-13)
 
-    def test_against_enumeration(self):
-        n, k = 3, 3
-        brute = oracles.occupancy_level_moments(n, k)
-        mom = occupancy_moments(OccupancySpec(n, k, "empty"), levels=range(k + 1))
-        for l in range(k + 1):
-            assert mom.em[l] == pytest.approx(brute["em"][l], abs=1e-13)
-            assert mom.em2[l] == pytest.approx(brute["em2"][l], abs=1e-13)
+    def test_card_deck_rate(self):
+        rep = bound_generalized_matching((4,) * 13)
+        assert rep.lam == 4.0
+        assert matching_pmf(MatchingSpec(52, (4,) * 13)).mean() == pytest.approx(4.0, abs=1e-12)
 
-    def test_empty_rate(self):
-        mom = occupancy_moments(OccupancySpec(9, 20, "empty"))
-        assert mom.ew == pytest.approx(9 * (1 - 1 / 9) ** 20, rel=1e-14)
+    @pytest.mark.parametrize("bound, spec", [
+        (bound_birthday_triples, OccupancySpec(10, 9, "triples")),
+        (bound_birthday_triples, OccupancySpec(50, 40, "triples")),
+        (bound_coupling_pair_count, OccupancySpec(9, 12, "pair_count")),
+        (bound_coupling_coupon, OccupancySpec(9, 20, "empty")),
+        (bound_coupon_negative_association, OccupancySpec(9, 20, "empty")),
+    ], ids=lambda x: getattr(x, "__name__", None) or f"{x.n_boxes}-{x.k_balls}")
+    def test_occupancy_rate_is_the_law_mean(self, bound, spec):
+        rep = bound(spec.n_boxes, spec.k_balls)
+        assert rep.lam == pytest.approx(occupancy_pmf(spec).mean(), rel=1e-12)
 
-    def test_pairs_rate_matches_law(self):
-        spec = OccupancySpec(6, 7, "pairs")
-        assert occupancy_moments(spec).ew == pytest.approx(occupancy_pmf(spec).mean(), abs=1e-12)
+    @pytest.mark.parametrize("n, k, c", [(7, 3, 4), (12, 2, 30)])
+    def test_monochromatic_rate_is_the_law_mean(self, n, k, c):
+        rep = bound_monochromatic(n, k, c)
+        assert rep.lam == pytest.approx(coloring_pmf(ColoringSpec(n, k, c)).mean(), rel=1e-12)
 
 
 class TestColoringPmf:
@@ -504,8 +458,7 @@ def _engine_law_error(spec, law) -> float:
     if isinstance(spec, ColoringSpec):
         cells, items, value = spec.n_colors, spec.n_points, lambda m: math.comb(m, spec.tuple_size)
     else:
-        box = BOX_STATISTICS[spec.statistic]
-        cells, items, value = spec.n_boxes, spec.k_balls, lambda c: box(c, spec.level)
+        cells, items, value = spec.n_boxes, spec.k_balls, BOX_STATISTICS[spec.statistic]
     exact = np.array([float(x) for x in oracles.allocation_law_exact(cells, items, value)])
     size = max(exact.size, law.mass.size)
     return float(np.abs(np.pad(exact, (0, size - exact.size))
@@ -569,8 +522,8 @@ class TestAllocationTables:
         # (11, 9) insert their balls beside the last joins of 20 and 11
         points = [(5, 7), (10, 12), (11, 13), (20, 22), (10, 12), (1, 4), (10, 3), (20, 6),
                   (11, 9)]
-        specs = [OccupancySpec(n, k, stat, level=1 if stat == "exact_level" else None)
-                 for stat in ("pairs", "triples", "pair_count", "exact_level") for n, k in points]
+        specs = [OccupancySpec(n, k, stat)
+                 for stat in ("pairs", "triples", "pair_count") for n, k in points]
         specs += [ColoringSpec(k + 2, 2, n) for n, k in points]
         tables = AllocationTables(specs)
         for spec in specs:
@@ -590,15 +543,13 @@ class TestAllocationTables:
         assert max(alive_at_start) == 1
         assert all(ref() is None for ref in outputs)
 
-    @pytest.mark.parametrize("stat, level", [("pairs", None), ("triples", None),
-                                             ("pair_count", None), ("exact_level", 1),
-                                             ("exact_level", 2)])
-    def test_insertion_boundary_against_exact_allocation(self, stat, level):
+    @pytest.mark.parametrize("stat", ["pairs", "triples", "pair_count"])
+    def test_insertion_boundary_against_exact_allocation(self, stat):
         # k = n + 1 is the last ball count with nonnegative weights; there
         # the weight of the one-ball term is exactly 0 and later ones are not
         for n in range(1, 18):
             for k in range(max(0, n - 1), n + 3):
-                spec = OccupancySpec(n, k, stat, level=level)
+                spec = OccupancySpec(n, k, stat)
                 assert _engine_law_error(spec, occupancy_pmf(spec)) <= 1e-15, spec
 
     @pytest.mark.parametrize("spec", [ColoringSpec(6, 2, 5), ColoringSpec(6, 3, 5),
@@ -607,12 +558,20 @@ class TestAllocationTables:
         # points = colors + 1
         assert _engine_law_error(spec, coloring_pmf(spec)) <= 1e-15
 
-    @pytest.mark.parametrize("spec", [OccupancySpec(n, k, stat, level=level)
-                                      for stat, level in (("pairs", None), ("triples", None),
-                                                          ("pair_count", None),
-                                                          ("exact_level", 1))
+    @pytest.mark.parametrize("c", range(1, 18))
+    def test_coloring_insertion_boundary_against_exact_allocation(self, c):
+        # the coloring twin of the ball-count boundary above, at tuple sizes 2-4
+        for t in (2, 3, 4):
+            for n in range(max(t, c - 1), c + 3):
+                spec = ColoringSpec(n, t, c)
+                assert _engine_law_error(spec, coloring_pmf(spec)) <= 1e-15, spec
+
+    @pytest.mark.parametrize("spec", [OccupancySpec(n, k, stat)
+                                      for stat in ("pairs", "triples", "pair_count")
                                       for n, k in ((1, 2), (9, 10), (40, 41), (200, 30))]
-                             + [ColoringSpec(6, 3, 5), ColoringSpec(20, 2, 23)])
+                             + [ColoringSpec(6, 3, 5), ColoringSpec(20, 2, 23)]
+                             + [ColoringSpec(k, t, n) for n, k, t in ((1, 2, 2), (9, 10, 3),
+                                                                       (40, 41, 4), (200, 30, 5))])
     def test_balls_up_to_boxes_plus_one_never_join(self, spec, monkeypatch):
         outputs, _ = _track_joins(monkeypatch)
         inserted = _track_inserts(monkeypatch)
@@ -622,16 +581,12 @@ class TestAllocationTables:
                         else (spec.n_boxes, spec.k_balls))
         assert inserted == ([] if cells == 1 else [(cells, items)])
 
-    @pytest.mark.parametrize("spec", [OccupancySpec(n, n + 2, stat, level=level)
-                                      for stat, level in (("pairs", None), ("triples", None),
-                                                          ("pair_count", None),
-                                                          ("exact_level", 1))
+    @pytest.mark.parametrize("spec", [OccupancySpec(n, n + 2, stat)
+                                      for stat in ("pairs", "triples", "pair_count")
                                       for n in (2, 9, 40)]
-                             + [OccupancySpec(9, 5, "exact_level", level=0),
-                                ColoringSpec(7, 3, 5)])
-    def test_more_balls_or_a_valued_empty_box_join(self, spec, monkeypatch):
-        # an empty box counted at level 0 takes the joins at any ball count;
-        # one box is its own one-cell table, with no join
+                             + [ColoringSpec(n + 2, t, n) for n, t in ((2, 2), (5, 3), (9, 4),
+                                                                        (40, 2))])
+    def test_more_balls_than_boxes_plus_one_join(self, spec, monkeypatch):
         outputs, _ = _track_joins(monkeypatch)
         inserted = _track_inserts(monkeypatch)
         _law(spec)
@@ -639,10 +594,10 @@ class TestAllocationTables:
         assert inserted == []
 
     @pytest.mark.parametrize("specs", [
-        [OccupancySpec(n, k, stat, level=level) for n in range(1, 14) for k in range(1, n + 2)]
-        for stat, level in (("pairs", None), ("triples", None), ("pair_count", None),
-                            ("exact_level", 1), ("exact_level", 3))
-    ] + [[ColoringSpec(k, t, n) for n in range(1, 10) for k in range(t, n + 2)] for t in (2, 3)])
+        [OccupancySpec(n, k, stat) for n in range(1, 14) for k in range(1, n + 2)]
+        for stat in ("pairs", "triples", "pair_count")
+    ] + [[ColoringSpec(k, t, n) for n in range(1, 10) for k in range(t, n + 2)]
+          for t in (2, 3, 4, 5)])
     def test_insertion_states_bound_the_recurrence_reads(self, specs):
         # row m reads each of rows 0..m-1 at most once
         for spec in specs:
@@ -656,7 +611,7 @@ class TestAllocationTables:
         # the joins would need 9.80e8 states
         spec = OccupancySpec(1000, 50, "triples")
         exact_laws.check_occupancy(spec)
-        monkeypatch.setattr(exact_laws, "_inserts", lambda value, cells, items: False)
+        monkeypatch.setattr(exact_laws, "_inserts", lambda cells, items: False)
         with pytest.raises(ValueError, match=r"needs ~9\.80e\+08 states"):
             exact_laws.check_occupancy(spec)
         outputs, _ = _track_joins(monkeypatch)
@@ -675,6 +630,14 @@ class TestAllocationTables:
             assert np.array_equal(_law(spec, tables).mass, law.mass)
         assert inserted == [(1000, 47)]
         assert not tables._live
+
+    @pytest.mark.parametrize("spec", [OccupancySpec(3, 2, stat)
+                                      for stat in sorted(BOX_STATISTICS) if stat != "empty"]
+                             + [ColoringSpec(6, t, 3) for t in range(2, 6)])
+    def test_every_engine_cell_value_is_zero_at_an_empty_cell(self, spec):
+        # ball insertion needs it, and `_inserts` takes it as given
+        _, _, _, value = exact_laws._engine_point(spec)
+        assert value(0) == 0
 
     def test_empty_boxes_have_no_plan(self):
         with pytest.raises(ValueError, match="closed form"):

@@ -14,7 +14,6 @@ from steinpoisson import (
     joint_tv,
     matching_config_law,
     matching_pmf,
-    multivariate_error_bound,
     poisson_pmf,
     process_tv,
     product_poisson_config_law,
@@ -83,6 +82,13 @@ class TestProductPoissonJoint:
         assert joint.tail == pytest.approx(1.0 - covered, abs=1e-14)
 
 
+    @pytest.mark.parametrize("law", [product_poisson_joint, product_poisson_config_law])
+    @pytest.mark.parametrize("rates", [[], [0.0], [-0.5], [1.0, 0.0]], ids=str)
+    def test_product_laws_share_the_positive_rate_rule(self, law, rates):
+        with pytest.raises(ValueError, match="rates must be positive"):
+            law(rates)
+
+
 class TestJointTv:
     def test_identical_zero(self):
         law = joint_fixed_point_succession_pmf(4)
@@ -124,25 +130,6 @@ class TestMultivariateBounds:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             bound_fixed_point_succession(2)
-
-    def test_combination_rule_single_coordinate(self):
-        lam = 2.5
-        e_up, e_down = 0.03, 0.04
-        rep = multivariate_error_bound([lam], [(e_up, e_down)])
-        assert rep.raw_value == pytest.approx(
-            min(1.0, 1.4 / math.sqrt(lam)) * (e_up + e_down), rel=1e-14
-        )
-
-    def test_combination_rule_additivity(self):
-        rep = multivariate_error_bound([1.0, 4.0], [(0.1, 0.2), (0.05, 0.05)])
-        expected = 1.0 * 0.3 + 0.7 * 0.1
-        assert rep.raw_value == pytest.approx(expected, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            multivariate_error_bound([1.0], [(0.1, 0.2), (0.3, 0.4)])
-        with pytest.raises(ValueError):
-            multivariate_error_bound([1.0], [(-0.1, 0.2)])
 
 
 class TestMatchingConfigLaw:
