@@ -21,11 +21,9 @@ from .stein_core import (
 )
 from .exact_laws import (
     ColoringSpec,
-    CouponDiagnostics,
     MatchingSpec,
     OccupancySpec,
     coloring_pmf,
-    coupon_collector_diagnostics,
     derangement_numbers,
     matching_pmf,
     occupancy_pmf,

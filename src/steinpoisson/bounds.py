@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .exact_laws import _success_probabilities, coupon_collector_diagnostics
+from .exact_laws import _success_probabilities
 from .stein_core import check_rate
 
 __all__ = [
@@ -254,6 +254,14 @@ def _check_coupon(n, k, name: str) -> None:
         raise ValueError(f"{name} needs n >= 3 boxes and k >= 1 balls")
 
 
+def _singleton_variance_bound(n: int, k: int) -> float:
+    """Closed-form upper bound on the variance of the number of boxes that
+    hold exactly one of k >= 1 balls in n boxes."""
+    one_minus_1 = 1.0 - 1.0 / n
+    one_minus_2 = 1.0 - 2.0 / n
+    return k * one_minus_1 ** (k - 1) + (2.0 * k * k / n) * one_minus_2 ** (k - 2)
+
+
 def bound_coupon_collector(n: int, k: int) -> BoundReport:
     """Assembled error chain for the empty-box count at k = n log n + theta n.
 
@@ -274,14 +282,13 @@ def bound_coupon_collector(n: int, k: int) -> BoundReport:
     theta = (k - n * log_n) / n
     lam = math.exp(-theta)
     check_rate(lam)  # exp(-theta) underflows to 0 at large k
-    diag = coupon_collector_diagnostics(n, k)
     b_hat = n * (1.0 - 2.0 / n) ** (k - 1)
     c_hat = lam * (abs(theta) * n + (lam + 1.0) * log_n) / k
     d_hat = (n * log_n / k) * (
         n * abs(theta) * lam / ((n - 1) * log_n)
         + lam / (n - 1)
         + lam * (log_n + theta) / (2.0 * (n - 1))
-        + math.sqrt(diag.var_n1_bound) / log_n
+        + math.sqrt(_singleton_variance_bound(n, k)) / log_n
     )
     raw = min(1.0, 1.4 / math.sqrt(lam)) * (c_hat + d_hat + b_hat)
     return _report(

@@ -1,4 +1,4 @@
-"""Exact reference distributions and moments for the combinatorial problems.
+"""Exact reference distributions for the combinatorial problems.
 
 Every law here is ground truth.  Inclusion-exclusion, rencontres and rook
 polynomials give exact integer counts; the counts are checked to sum to the
@@ -34,14 +34,12 @@ __all__ = [
     "MatchingSpec",
     "OccupancySpec",
     "ColoringSpec",
-    "CouponDiagnostics",
     "AllocationTables",
     "derangement_numbers",
     "poisson_binomial_pmf",
     "matching_pmf",
     "occupancy_pmf",
     "coloring_pmf",
-    "coupon_collector_diagnostics",
     "check_matching",
     "check_occupancy",
     "check_coloring",
@@ -331,25 +329,12 @@ def _split_weights(share: float, top: int):
         yield m, row
 
 
-def _split_law(share: float, m: int) -> np.ndarray:
-    """Row ``m`` alone of the split law: term ratios multiplied outwards from
-    the mode, then divided by their sum."""
-    mode = min(m, int((m + 1) * share))
-    odds = share / (1.0 - share)
-    row = np.empty(m + 1)
-    row[mode] = 1.0
-    i = np.arange(mode, m, dtype=float)
-    row[mode + 1 :] = np.cumprod((m - i) / (i + 1.0) * odds)
-    i = np.arange(mode, 0, -1, dtype=float)
-    row[:mode] = np.cumprod(i / (m - i + 1.0) / odds)[::-1]
-    return row / row.sum()
-
-
 # A cell-group table holds, for m = 0..items, the law of the group's statistic
 # given that m of the items fall in the group, as (lo, rows): row m holds the
 # probabilities of the statistic values lo[m], lo[m] + 1, ..., trimmed to the
-# values it reaches.  A join that runs on dense arrays converts its inputs
-# with ``_dense`` and its output back with ``_ragged``.
+# values it reaches.  Every row, inserted or joined on either kernel, comes out
+# of ``_row``; a join that runs on dense arrays converts its inputs with
+# ``_dense``.
 
 
 def _lengths(table) -> np.ndarray:
@@ -373,31 +358,33 @@ def _dense(table) -> np.ndarray:
     return out
 
 
-def _ragged(table: np.ndarray):
-    """A (statistic x items) array as a table, each row trimmed to the values
-    it reaches."""
-    reached = table != 0.0
-    lo = reached.argmax(axis=0)
-    hi = table.shape[0] - reached[::-1].argmax(axis=0)
-    by_row = np.ascontiguousarray(table.T)
-    return lo, [row[a:b] for row, a, b in zip(by_row, lo.tolist(), hi.tolist())]
+def _row(base: int, size: int, pieces):
+    """``(lo, row)`` of one table row: the ``(offset, values)`` pieces summed,
+    in order, into ``size`` zeros, trimmed to the first and last nonzero
+    (``lo`` is ``base`` plus the first one's offset)."""
+    out = np.zeros(size)
+    for offset, values in pieces:
+        out[offset : offset + values.size] += values
+    nz = out.nonzero()[0]
+    return base + int(nz[0]), out[nz[0] : nz[-1] + 1]
 
 
 def _join_dense(a, b, splits, square: bool):
     """Row m is ``sum_{s+t=u} g[s, t]`` with ``g = (a_{.,<=m} * w) b_rev^T``:
-    one matrix product over the splits for every row, on the tables as
-    dense arrays (a squaring converts ``a`` once)."""
+    one matrix product and one bincount over the splits for every row, on the
+    tables as dense arrays (a squaring converts ``a`` once)."""
     a = _dense(a)
     b = a if square else _dense(b)
     top = a.shape[1] - 1
     wa, wb = a.shape[0], b.shape[0]
+    size = wa + wb - 1
     diagonal = np.add.outer(np.arange(wa), np.arange(wb)).ravel()
     b_rev = np.ascontiguousarray(b[:, ::-1])  # column top - m + i holds b's column m - i
-    out = np.zeros((wa + wb - 1, top + 1))
+    lo_c, rows_c = np.zeros(top + 1, np.int64), [None] * (top + 1)
     for m, w in splits:
         g = (a[:, : m + 1] * w) @ b_rev[:, top - m :].T
-        out[:, m] = np.bincount(diagonal, g.ravel(), wa + wb - 1)
-    return _ragged(out[: np.flatnonzero(out.any(axis=1))[-1] + 1])
+        lo_c[m], rows_c[m] = _row(0, size, [(0, np.bincount(diagonal, g.ravel(), size))])
+    return lo_c, rows_c
 
 
 def _join_ragged(a, b, splits, square: bool):
@@ -408,27 +395,20 @@ def _join_ragged(a, b, splits, square: bool):
     top = len(rows_a) - 1
     hi_a = lo_a + _lengths(a)
     hi_b = lo_b + _lengths(b)
-    lo_c = np.zeros(top + 1, np.int64)
-    rows_c = [None] * (top + 1)
+    lo_c, rows_c = np.zeros(top + 1, np.int64), [None] * (top + 1)
     for m, w in splits:
         starts = lo_a[: m + 1] + lo_b[m::-1]
         base = int(starts.min())
-        out = np.zeros(int((hi_a[: m + 1] + hi_b[m::-1]).max()) - base - 1)
+        size = int((hi_a[: m + 1] + hi_b[m::-1]).max()) - base - 1
         weights = w[: m // 2 + 1] * 2.0 if square else w
         if square and m % 2 == 0:
             weights[-1] = w[m // 2]
-        for i, (wi, start) in enumerate(zip(weights.tolist(), (starts - base).tolist())):
-            if wi == 0.0:
-                continue
-            row_a, row_b = rows_a[i], rows_b[m - i]
-            if row_b.size == 1:  # a point mass shifts row_a
-                out[start : start + row_a.size] += (wi * row_b[0]) * row_a
-            else:
-                seg = np.convolve(row_a, row_b)
-                out[start : start + seg.size] += wi * seg
-        nz = np.flatnonzero(out)
-        lo_c[m] = base + nz[0]
-        rows_c[m] = out[nz[0] : nz[-1] + 1]
+        terms = zip(weights.tolist(), rows_a, rows_b[m::-1], (starts - base).tolist())
+        lo_c[m], rows_c[m] = _row(base, size, (
+            # a point mass in row_b shifts row_a
+            (start, (wi * row_b[0]) * row_a if row_b.size == 1 else wi * np.convolve(row_a, row_b))
+            for wi, row_a, row_b, start in terms if wi != 0.0
+        ))
     return lo_c, rows_c
 
 
@@ -436,17 +416,15 @@ def _join_ragged(a, b, splits, square: bool):
 _CALL_COST = 2000
 
 
-def _dense_is_cheaper(len_a, len_b, width: int, square: bool, last: bool) -> bool:
-    """Compare a join's estimated work on dense tables (one call and
-    ``(m + 1) * width`` multiply-adds per row, ``width`` the product of the
-    two table widths) with its work on trimmed rows (one convolution per
-    split, of the two rows' lengths)."""
+def _dense_is_cheaper(len_a, len_b, width: int, square: bool, first: int) -> bool:
+    """Compare a join's estimated work for rows ``first..top`` on dense
+    tables (one call and ``(m + 1) * width`` multiply-adds per row, ``width``
+    the product of the two table widths) with its work on trimmed rows (one
+    convolution per split, of the two rows' lengths)."""
     top = len(len_a) - 1
-    if last:
-        rows, split_count, products = 1, top + 1, int(len_a @ len_b[::-1])
-    else:
-        rows, split_count = top + 1, (top + 1) * (top + 2) // 2
-        products = int(np.convolve(len_a, len_b)[: top + 1].sum())
+    rows = top + 1 - first
+    split_count = (top + 1) * (top + 2) // 2 - first * (first + 1) // 2
+    products = int(np.convolve(len_a, len_b)[first : top + 1].sum())
     convolutions = split_count // 2 + rows if square else split_count
     if square:
         products //= 2
@@ -504,12 +482,10 @@ def _insert(value, cells: int, top: int):
             if w:
                 terms.append((w, rows[m - i], lo[m - i] + shift[i]))
         base = min(start for _, _, start in terms)
-        out = np.zeros(max(start + row.size for _, row, start in terms) - base)
-        for w, row, start in terms:
-            out[start - base : start - base + row.size] += w * row
-        nz = np.flatnonzero(out)
-        lo.append(base + int(nz[0]))
-        rows.append(out[nz[0] : nz[-1] + 1])
+        size = max(start + row.size for _, row, start in terms) - base
+        lo_m, row_m = _row(base, size, ((start - base, w * row) for w, row, start in terms))
+        lo.append(lo_m)
+        rows.append(row_m)
     return np.array(lo, np.int64), rows
 
 
@@ -585,14 +561,17 @@ class AllocationTables:
     statistic, with rows up to the most items of the specs whose chains pass
     through it.  A spec whose cell count is an inner group of some chain
     reads its row from that table; any other forms only its own row, in a
-    last join.  A table is built when a law first needs it and dropped
-    after its last reader (a join or a law), so a one-spec plan holds what
-    one chain does: the one-cell table, the predecessor and the join's
-    output.  :meth:`law` gives a spec's law once per listing.
+    last join: a join that forms row m alone, from the same split rows and
+    the same kernel cost estimate as a full join.  A table is built when a
+    law first needs it and dropped after its last reader (a join or a law),
+    so a one-spec plan holds what one chain does: the one-cell table, the
+    predecessor and the join's output.  :meth:`law` gives a spec's law once
+    per listing.
 
     Each join runs on whichever kernel the row lengths it sees make cheaper:
     dense tables with one matrix product per row (short rows, many items),
-    or one 1-D convolution per split of the trimmed rows (long rows).
+    or one 1-D convolution per split of the trimmed rows (long rows).  On
+    either route and kernel, :func:`_row` sums and trims every row.
     """
 
     def __init__(self, specs):
@@ -661,18 +640,21 @@ class AllocationTables:
                 del self._live[key, size]
 
     def _join(self, key, size: int, last: int | None = None):
-        """The table of ``size`` cells from its sources: every row up to its
-        plan's top, or with ``last`` only row ``last`` (the others empty)."""
+        """The table of ``size`` cells from its sources: rows 0 up to its
+        plan's top, or with ``last`` only row ``last`` (the others None).
+        Either way the rows come from the same split rows and cost estimate,
+        counted over the rows formed."""
         sources = _sources(size)
         square = len(sources) == 1
         top = self._top[key, size] if last is None else last
+        first = 0 if last is None else top
         a = _top_rows(self._table(key, sources[0]), top)
         b = a if square else _top_rows(self._table(key, 1), top)
         share = 0.5 if square else sources[0] / size
-        splits = _split_weights(share, top) if last is None else [(top, _split_law(share, top))]
+        splits = ((m, w) for m, w in _split_weights(share, top) if m >= first)
         len_a, width_a = _lengths(a), _width(a)
         len_b, width_b = (len_a, width_a) if square else (_lengths(b), _width(b))
-        dense = _dense_is_cheaper(len_a, len_b, width_a * width_b, square, last is not None)
+        dense = _dense_is_cheaper(len_a, len_b, width_a * width_b, square, first)
         table = (_join_dense if dense else _join_ragged)(a, b, splits, square)
         self._release(key, sources)
         return table
@@ -831,54 +813,3 @@ def coloring_pmf(spec: ColoringSpec, tables: AllocationTables | None = None) -> 
     """
     check_coloring(spec)
     return (AllocationTables([spec]) if tables is None else tables).law(spec)
-
-
-# ---------------------------------------------------------------------------
-# coupon collector diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouponDiagnostics:
-    """Exact empty/singleton-box quantities for k balls in n boxes.
-
-    ``var_n1_exact`` is the textbook indicator-sum variance
-    ``n p (1-p) + n(n-1)(rho - p^2)``; ``var_n1_bound`` is the companion
-    closed-form upper bound used by the error-chain assembly.
-    """
-
-    ew: float
-    en1w: float
-    p: float
-    rho: float
-    var_n1_exact: float
-    var_n1_bound: float
-
-
-def coupon_collector_diagnostics(n: int, k: int) -> CouponDiagnostics:
-    if not (isinstance(n, int) and n >= 3):
-        raise ValueError("n must be an integer >= 3")
-    if not (isinstance(k, int) and k >= 0):
-        raise ValueError("k must be a nonnegative integer")
-    one_minus_1 = 1.0 - 1.0 / n
-    one_minus_2 = 1.0 - 2.0 / n
-    ew = n * one_minus_1**k
-    if k >= 1:
-        en1w = n * (n - 1) * (k / n) * one_minus_2 ** (k - 1)
-        p = k * (1.0 / n) * one_minus_1 ** (k - 1)
-        var_bound = k * one_minus_1 ** (k - 1) + (2.0 * k * k / n) * one_minus_2 ** (k - 2)
-    else:
-        en1w = 0.0
-        p = 0.0
-        var_bound = 0.0
-    rho = k * (k - 1) / n**2 * one_minus_2 ** (k - 2) if k >= 2 else 0.0
-    var_exact = n * p * (1.0 - p) + n * (n - 1) * (rho - p * p)
-    var_exact = max(0.0, var_exact)
-    return CouponDiagnostics(
-        ew=ew,
-        en1w=en1w,
-        p=p,
-        rho=rho,
-        var_n1_exact=var_exact,
-        var_n1_bound=var_bound,
-    )

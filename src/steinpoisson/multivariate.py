@@ -126,10 +126,11 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
 
 
 def _positive_rates(lambdas) -> list[float]:
-    """The coordinate rates as floats, refused unless nonempty and positive."""
+    """The coordinate rates as floats, refused unless nonempty and each in
+    (0, inf)."""
     rates = [float(l) for l in lambdas]
-    if not rates or any(l <= 0 for l in rates):
-        raise ValueError("all rates must be positive")
+    if not rates or not all(0.0 < l < math.inf for l in rates):
+        raise ValueError("all rates must be positive and finite")
     return rates
 
 

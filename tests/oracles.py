@@ -240,30 +240,29 @@ def enumerate_coloring(n: int, k: int, c: int) -> np.ndarray:
     return mass / c**n
 
 
-def coupon_oracle(n: int, k: int) -> dict:
-    """Empty/singleton diagnostics by full enumeration of n^k placements."""
+def coupon_oracle(n: int, k: int) -> Fraction:
+    """Variance of the number of singleton boxes by full enumeration of the
+    n^k placements of k balls in n boxes."""
     total = n**k
-    ew = Fraction(0)
-    en1w = Fraction(0)
-    en1 = Fraction(0)
-    en1_sq = Fraction(0)
+    en1 = 0
+    en1_sq = 0
     for placement in itertools.product(range(n), repeat=k):
         counts = [0] * n
         for box in placement:
             counts[box] += 1
-        w = sum(1 for c in counts if c == 0)
         n1 = sum(1 for c in counts if c == 1)
-        ew += w
-        en1w += n1 * w
         en1 += n1
         en1_sq += n1 * n1
-    var = Fraction(en1_sq, total) - Fraction(en1, total) ** 2
-    return {
-        "ew": float(Fraction(ew, total)),
-        "en1w": float(Fraction(en1w, total)),
-        "var_n1": float(var),
-        "p_single": float(Fraction(en1, total)) / n,
-    }
+    return Fraction(en1_sq, total) - Fraction(en1, total) ** 2
+
+
+def singleton_variance(n: int, k: int) -> Fraction:
+    """Exact variance of the number of singleton boxes, k balls in n >= 3
+    boxes: n p (1 - p) + n (n - 1) (rho - p^2), where p is the chance that a
+    box holds exactly one ball and rho that two given boxes each do."""
+    p = k * Fraction(n - 1, n) ** (k - 1) / n
+    rho = k * (k - 1) * Fraction(n - 2, n) ** (k - 2) / n**2
+    return n * p * (1 - p) + n * (n - 1) * (rho - p * p)
 
 
 def pair_chain_fractions(model):

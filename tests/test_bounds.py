@@ -32,7 +32,9 @@ from steinpoisson import (
     poisson_pmf,
     tv_distance,
 )
-from steinpoisson.bounds import TRIPLE_SURROGATE_C, _report
+from steinpoisson.bounds import TRIPLE_SURROGATE_C, _report, _singleton_variance_bound
+
+import oracles
 
 
 class TestPoissonBinomialBound:
@@ -279,6 +281,17 @@ class TestCouponBound:
         # lam = exp(-theta) is 0 at theta ~ 1665; the chain divides by sqrt(lam)
         with pytest.raises(ValueError, match="lam must be a positive finite real"):
             bound_coupon_collector(3, 5000)
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (3, 2), (3, 4), (4, 3), (5, 5)])
+    def test_singleton_variance_against_enumeration(self, n, k):
+        assert oracles.singleton_variance(n, k) == oracles.coupon_oracle(n, k)
+
+    def test_variance_bound_dominates_on_sweep(self):
+        # the chain's closed-form variance bound against the exact variance
+        for n in range(50, 501, 50):
+            for theta in (-1.0, 0.0, 1.0):
+                k = max(1, round(n * math.log(n) + theta * n))
+                assert oracles.singleton_variance(n, k) <= _singleton_variance_bound(n, k)
 
 
 class TestCouplingBounds:

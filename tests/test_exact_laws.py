@@ -18,7 +18,6 @@ from steinpoisson import (
     bound_generalized_matching,
     bound_monochromatic,
     coloring_pmf,
-    coupon_collector_diagnostics,
     derangement_numbers,
     matching_pmf,
     occupancy_pmf,
@@ -490,18 +489,22 @@ def _track_inserts(monkeypatch) -> list:
 
 
 class TestAllocationTables:
-    @pytest.mark.parametrize("argv, joins", [
+    @pytest.mark.parametrize("argv, joins, exact", [
         # the engine sweeps of the many-small benchmark workload: every
-        # birthday point has k <= n + 1 balls, so its table inserts them
-        ("sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2", False),
-        ("sweep birthday-triples --n 8..40 --theta 0.5,1", False),
-        ("sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5", False),
-        ("sweep coloring --n 6..12 --k 2,3 --c 2..6", True),
+        # birthday point has k <= n + 1 balls, so its table inserts them, and
+        # an inserted row does not depend on the table's last row
+        ("sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2", False, True),
+        ("sweep birthday-triples --n 8..40 --theta 0.5,1", False, True),
+        ("sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5", False, True),
+        ("sweep coloring --n 6..12 --k 2,3 --c 2..6", True, False),
         # past n + 1 balls the tables join, some inner groups shared
-        ("sweep birthday-pairs --n 10..24 --k 5,26,40", True),
-        ("sweep birthday-triples --n 8..20 --k 6,22", True),
+        ("sweep birthday-pairs --n 10..24 --k 5,26,40", True, False),
+        ("sweep birthday-triples --n 8..20 --k 6,22", True, False),
+        # the occupancy-dp workload's coloring sweep: its last joins read the
+        # split rows and pick the kernel of the full joins of its shared table
+        ("sweep coloring --n 30,40 --k 3 --c 10,20", True, True),
     ])
-    def test_plan_laws_match_one_point_laws(self, argv, joins, monkeypatch):
+    def test_plan_laws_match_one_point_laws(self, argv, joins, exact, monkeypatch):
         specs = _sweep_specs(argv)
         alone = [_law(spec) for spec in specs]
         outputs, _ = _track_joins(monkeypatch)
@@ -510,10 +513,23 @@ class TestAllocationTables:
             planned = _law(spec, tables)
             assert planned.mass.size == law.mass.size
             assert np.abs(planned.mass - law.mass).max() <= 1e-15
+            assert np.array_equal(planned.mass, law.mass) or not exact, spec
         # after the last law the plan holds no table
         assert bool(outputs) == joins
         assert all(ref() is None for ref in outputs)
         assert not tables._live
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_both_join_kernels_against_exact_allocation(self, dense, monkeypatch):
+        # every point has more balls than boxes + 1, so its laws join; the
+        # kernel not chosen is unset, so calling it would fail
+        monkeypatch.setattr(exact_laws, "_dense_is_cheaper", lambda *args: dense)
+        monkeypatch.setattr(exact_laws, "_join_ragged" if dense else "_join_dense", None)
+        specs = [OccupancySpec(n, k, stat) for stat in ("pairs", "triples", "pair_count")
+                 for n, k in ((2, 5), (5, 9), (9, 12), (7, 20))]
+        specs += [ColoringSpec(n, t, c) for n, t, c in ((8, 2, 3), (14, 3, 4), (10, 4, 3))]
+        for spec in specs:
+            assert _engine_law_error(spec, _law(spec)) <= 1e-15, spec
 
     def test_shared_prefixes_against_exact_allocation(self):
         # join chains 1-2-4-5, 5-10, 10-11 and 10-20: 5 and 10 are read from
@@ -642,40 +658,3 @@ class TestAllocationTables:
     def test_empty_boxes_have_no_plan(self):
         with pytest.raises(ValueError, match="closed form"):
             AllocationTables([OccupancySpec(5, 3, "empty")])
-
-
-class TestCouponDiagnostics:
-    def test_no_balls(self):
-        diag = coupon_collector_diagnostics(5, 0)
-        assert diag.ew == 5.0
-        assert diag.p == 0.0
-        assert diag.var_n1_exact == 0.0
-
-    def test_small_case_against_enumeration(self):
-        diag = coupon_collector_diagnostics(3, 2)
-        brute = oracles.coupon_oracle(3, 2)
-        assert diag.ew == pytest.approx(brute["ew"], abs=1e-14)
-        assert diag.en1w == pytest.approx(brute["en1w"], abs=1e-13)
-        assert diag.var_n1_exact == pytest.approx(brute["var_n1"], abs=1e-12)
-        assert diag.p == pytest.approx(brute["p_single"], abs=1e-14)
-
-    def test_more_cases_against_enumeration(self):
-        for n, k in ((3, 4), (4, 3), (5, 5)):
-            diag = coupon_collector_diagnostics(n, k)
-            brute = oracles.coupon_oracle(n, k)
-            assert diag.ew == pytest.approx(brute["ew"], abs=1e-12)
-            assert diag.en1w == pytest.approx(brute["en1w"], abs=1e-12)
-            assert diag.var_n1_exact == pytest.approx(brute["var_n1"], abs=1e-11)
-
-    def test_variance_bound_dominates_on_sweep(self):
-        for n in range(50, 501, 50):
-            for theta in (-1.0, 0.0, 1.0):
-                k = max(1, round(n * math.log(n) + theta * n))
-                diag = coupon_collector_diagnostics(n, k)
-                assert diag.var_n1_exact <= diag.var_n1_bound + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            coupon_collector_diagnostics(2, 5)
-        with pytest.raises(ValueError):
-            coupon_collector_diagnostics(5, -1)

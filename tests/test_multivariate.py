@@ -83,9 +83,10 @@ class TestProductPoissonJoint:
 
 
     @pytest.mark.parametrize("law", [product_poisson_joint, product_poisson_config_law])
-    @pytest.mark.parametrize("rates", [[], [0.0], [-0.5], [1.0, 0.0]], ids=str)
+    @pytest.mark.parametrize("rates", [[], [0.0], [-0.5], [1.0, 0.0], [math.nan], [math.inf],
+                                       [math.nan, math.nan], [1.0, math.nan]], ids=str)
     def test_product_laws_share_the_positive_rate_rule(self, law, rates):
-        with pytest.raises(ValueError, match="rates must be positive"):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
             law(rates)
 
 
