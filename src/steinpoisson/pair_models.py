@@ -68,15 +68,17 @@ ENUM_TRANSITION_CAP = 30_000_000
 #: state cap of the joint-measure (exchangeability) check, which holds one
 #: integer weight per kernel transition in a dict keyed by state-index pairs
 JOINT_STATE_CAP = 20_000
-#: Monte Carlo chunks hold at most this many rows and state entries
-_MC_CHUNK, _MC_ENTRIES = 8192, 1 << 22
+#: entries per batch of rows: a Monte Carlo chunk or block, or an evaluation
+#: of W over enumerated states and their successors, holds at most this many
+#: per array (rows times ``PairModel.cells``), so its arrays stay in cache
+_ENTRIES = 1 << 18
+#: Monte Carlo chunks hold at most this many rows
+_MC_CHUNK = 8192
 #: the exact check's tolerance, and the bootstrap resamples of mc_tv_estimate
 _EXACT_TOL, _BOOTSTRAP = 1e-12, 200
-#: ball labels offset at a time by the balls-in-boxes count table
-_TABLE_LABELS = 1 << 18
-#: observable-table entries per batch evaluation of W over enumerated states
-#: and their successors (rows times ``PairModel.cells``)
-_ENUM_ENTRIES = 1 << 18
+#: permutations are drawn by sorting 32-bit keys while at most this share of
+#: rows is expected to tie in the keys' random bits
+_TIED_SHARE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +144,12 @@ class PairModel:
     ``*Stats`` classes), ``steps`` (P(W'=W+1 | state), P(W'=W-1 | state)),
     ``move`` (columns, new values and dw of one reversible move) and
     ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
-    move's dw, and W).  One state is a batch of one row.  ``dim`` is the
-    entries per state, by which ``_chunk_rows`` sizes Monte Carlo chunks;
-    ``cells`` bounds the entries per state of the widest table those
-    functions build, by which ``_blocks`` sizes row blocks, so a block's
-    tables hold about as many entries as the state array.
+    move's dw, and W).  One state is a batch of one row.  ``cells`` bounds
+    the entries per row of the widest array a batch holds, the states
+    themselves or a table those functions build; ``_chunk_rows`` sizes both
+    Monte Carlo chunks and ``_blocks``' row blocks by it, so that no array
+    of a batch holds more than about ``_ENTRIES`` entries and a Monte Carlo
+    chunk is one block.
 
     The enumeration oracle shares no code with them: ``size`` (states,
     kernel transitions), ``iter_states`` (state tuples), ``denominators``
@@ -158,9 +161,6 @@ class PairModel:
     problem: str
 
     def cells(self):
-        return self.n
-
-    def dim(self):
         return self.n
 
     def step_arrays(self, states, rng):
@@ -239,9 +239,13 @@ class _Permutations(PairModel):
     c = property(lambda self: (self.n - 1) / 2.0)
 
     def draw(self, rows, rng):
-        states = np.tile(np.arange(self.n), (rows, 1))
-        rng.permuted(states, axis=1, out=states)
-        return states
+        """``rows`` uniform permutations as 32-bit slot indices, from sorted
+        packed keys (``_sorted_permutations``) where ``_random_bits`` gives
+        the keys random bits, else from shuffles."""
+        bits = _random_bits(self.n)
+        if bits:
+            return _sorted_permutations(rows, self.n, bits, rng)
+        return _shuffled(rows, self.n, rng)
 
     def move(self, states, rng):
         n = self.n
@@ -286,9 +290,11 @@ class _PlainMatching(_Permutations):
         return (states == np.arange(self.n)).sum(axis=1)
 
     def observe(self, states):
-        ident = np.arange(self.n)
-        two_cycle = (np.take_along_axis(states, states, axis=1) == ident) & (states != ident)
-        return PlainMatchingStats(w=self.w(states), a2=two_cycle.sum(axis=1) // 2)
+        # slots with sigma(sigma(i)) = i are the fixed points and the slots
+        # of the 2-cycles, two per cycle
+        w = self.w(states)
+        involuted = (np.take_along_axis(states, states, axis=1) == np.arange(self.n)).sum(axis=1)
+        return PlainMatchingStats(w=w, a2=(involuted - w) // 2)
 
     def steps(self, s):
         n = self.n
@@ -338,7 +344,7 @@ class _MultisetMatching(_Permutations):
         return up, down
 
     def cells(self):
-        return len(self.spec.multiplicities) ** 2
+        return max(self.n, len(self.spec.multiplicities) ** 2)
 
 
 @dataclass(frozen=True)
@@ -356,21 +362,23 @@ class _Boxes(PairModel):
     ball count of any one box per row.  Which of two kernels computes them
     follows from (n, k) alone:
 
-    * 2k < n, sorted runs: each row's ball labels are sorted and offset by
+    * 4k < 3n, sorted runs: each row's ball labels are sorted and offset by
       row * n; the runs of equal keys are the occupied boxes and their
       lengths the counts, and a box's count is read by binary search in the
       keys.  Nothing is n wide, so the cost grows with k, not n.
-    * 2k >= n, count table: the rows' n-wide box-count tables, built about
-      ``_TABLE_LABELS`` offset labels at a time and histogrammed by one more
-      bincount; a box's count is read from its table.
+    * 4k >= 3n, count table: the rows' n-wide box-count tables, built by one
+      bincount of the offset labels and histogrammed by one more; a box's
+      count is read from its table.  A block holds at most ``_ENTRIES``
+      labels and table entries, so the intp copies stay near 2 MiB.
 
     The switch sits near where the two cost the same per row of
-    ``step_arrays``: timed on full chunks of 16-bit labels (2-vCPU VM), the
-    table took 1.10-1.24 times the sorted runs' time at k/n = 0.5 for n from
-    365 to 40 000 (0.89-1.19 at n = 100), 0.95-0.97 times at k/n = 0.6 for n
-    from 1000, and 0.4-0.6 times at k >= n (coupon (100, 500): 17.8 ms
-    against 29.8 ms per chunk).  The switch sits higher than it would with
-    64-bit labels, which sort more slowly (those sorted runs took 50 ms).
+    ``step_arrays``, each on its own chunks of ``_ENTRIES // cells`` rows
+    (draw included; 16-bit labels, 2-vCPU VM, n from 100 to 40 000): the
+    table took 1.39-1.68 times the sorted runs' time at k/n = 0.3,
+    1.02-1.50 times from 0.5 to 0.65, 0.98-1.13 times at 0.7, 0.81-1.27
+    times at 0.8, 0.75-1.07 times at 0.9 and 0.56-0.80 times at k >= n.
+    Coupon (100, 500) takes 523-row chunks either way: 3.6 against 4.5 us
+    per row.
 
     ``cells`` bounds the kernel's widest row: the histogram has at most
     max(k, 3) + 1 columns (box counts 0..k, at least four), the sorted keys
@@ -391,13 +399,10 @@ class _Boxes(PairModel):
 
     def sorts(self):
         """Whether ``occupancy`` runs the sorted-runs kernel."""
-        return 2 * self.k < self.n
+        return 4 * self.k < 3 * self.n
 
     def cells(self):
         return max(self.k, 3) + 1 if self.sorts() else max(self.n, self.k, 3) + 1
-
-    def dim(self):
-        return self.k
 
     def occupancy(self, states):
         """(h, count): the rows' occupancy histogram, at least four columns
@@ -420,16 +425,8 @@ class _Boxes(PairModel):
                 at = rows * n + box
                 return np.searchsorted(keys, at, "right") - np.searchsorted(keys, at, "left")
         else:
-            # built about _TABLE_LABELS labels at a time, so the offset
-            # (intp) labels are never states-sized
-            step = max(1, _TABLE_LABELS // k)
-            table = np.empty((len(states), n), dtype=np.intp)
-            offsets = np.arange(step)[:, None] * n
-            for start in range(0, len(states), step):
-                block = states[start : start + step]
-                table[start : start + len(block)] = np.bincount(
-                    (block + offsets[: len(block)]).ravel(), minlength=len(block) * n
-                ).reshape(len(block), n)
+            table = np.bincount((states + rows[:, None] * n).ravel(), minlength=len(states) * n)
+            table = table.reshape(len(states), n)
             top = table.max(initial=3) + 1
             h = np.bincount((table + rows[:, None] * top).ravel(), minlength=len(states) * top)
             h = h.reshape(len(states), top)
@@ -568,17 +565,59 @@ def coupon_model(n: int, k: int) -> PairModel:
     return _Coupon(n, k)
 
 
+def _chunk_rows(model: PairModel) -> int:
+    """Rows per Monte Carlo chunk and per row block: ``_ENTRIES //
+    model.cells()``, so that neither the states nor any table of a batch
+    holds more than ``_ENTRIES`` entries, capped at ``_MC_CHUNK`` and at
+    least one."""
+    return max(1, min(_MC_CHUNK, _ENTRIES // model.cells()))
+
+
 def _blocks(model: PairModel, states: np.ndarray) -> list[slice]:
-    """Row blocks of ``states`` whose observable tables hold no more entries
-    than ``states``."""
-    step = max(1, states.size // model.cells())
+    """Row blocks of ``states`` of ``_chunk_rows`` rows each, so a Monte
+    Carlo chunk is one block."""
+    step = _chunk_rows(model)
     return [slice(start, start + step) for start in range(0, len(states), step)]
 
 
-def _chunk_rows(model: PairModel) -> int:
-    """Rows per Monte Carlo chunk: ``_MC_CHUNK``, fewer (at least one) where
-    the states are wider than ``_MC_ENTRIES / _MC_CHUNK`` = 512 entries."""
-    return max(1, min(_MC_CHUNK, _MC_ENTRIES // model.dim()))
+def _random_bits(n: int) -> int:
+    """Random bits above the slot index in the 32-bit sort keys of n slots,
+    or 0 where permutations are shuffled instead.  The keys are used from
+    n = 5, below which shuffles are faster (up to 1.6 times at n = 3), while
+    C(n, 2) / 2^bits, which bounds the share of rows with a tie in their
+    random bits, is at most ``_TIED_SHARE`` (up to n = 410)."""
+    bits = 32 - (n - 1).bit_length()
+    return bits if n >= 5 and math.comb(n, 2) <= _TIED_SHARE * 2**bits else 0
+
+
+def _shuffled(rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` uniform permutations of n slots by Fisher-Yates shuffles."""
+    states = np.tile(np.arange(n, dtype=np.int32), (rows, 1))
+    rng.permuted(states, axis=1, out=states)
+    return states
+
+
+def _sorted_permutations(rows: int, n: int, bits: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` uniform permutations of n slots from one sort per row of
+    32-bit keys, each ``bits`` random bits above its slot index.
+
+    Sorting orders the slots by their random bits, which gives a uniform
+    permutation where those are distinct.  A row where two of them tie would
+    keep its tied slots in index order, so it is redrawn by ``_shuffled``:
+    the law stays exactly uniform at every n and ``bits``.
+    """
+    shift = (n - 1).bit_length()
+    keys = rng.integers(0, 1 << bits, (rows, n), dtype=np.uint32)
+    keys <<= shift
+    keys |= np.arange(n, dtype=np.uint32)
+    keys.sort(axis=1)
+    rand = keys >> shift
+    tied = (rand[:, 1:] == rand[:, :-1]).any(axis=1)
+    keys &= (1 << shift) - 1
+    states = keys.view(np.int32)
+    if tied.any():
+        states[tied] = _shuffled(np.count_nonzero(tied), n, rng)
+    return states
 
 
 def _predict(model: PairModel, states: np.ndarray):
@@ -616,7 +655,7 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
         )
     d_p, d_k = model.denominators()
     states = list(model.iter_states())
-    block = max(1, _ENUM_ENTRIES // ((1 + transitions // states_n) * model.cells()))
+    block = max(1, _ENTRIES // ((1 + transitions // states_n) * model.cells()))
     probs, w_vals, q_up, q_down = [], [], [], []
     for start in range(0, states_n, block):
         chunk = states[start : start + block]
@@ -813,17 +852,16 @@ def _tail_z(count: int, mean: float, log_pmf) -> float:
 
 
 def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized i.i.d. draws of the statistic W: stationary states a chunk
-    at a time, W evaluated a block of rows at a time (no step observables
-    and no move)."""
+    """Vectorized i.i.d. draws of the statistic W: stationary states one
+    chunk of ``_chunk_rows`` rows at a time, W evaluated over the whole
+    chunk, which is one block (no step observables and no move)."""
     out = np.empty(size, dtype=np.int64)
     rows = _chunk_rows(model)
     done = 0
     while done < size:
         chunk = min(rows, size - done)
         states = model.draw(chunk, rng)
-        blocks = _blocks(model, states)
-        out[done : done + chunk] = np.concatenate([model.w(states[rows]) for rows in blocks])
+        out[done : done + chunk] = model.w(states)
         del states  # so that the next chunk is drawn with this one freed
         done += chunk
     return out

@@ -118,6 +118,42 @@ class TestSamplers:
         sigma = math.sqrt(draws * 0.25)
         assert abs(hits - draws / 2) < 4 * sigma
 
+    @pytest.mark.parametrize("n, bits", [(3, 1), (3, 2), (4, 3), (5, 3)])
+    def test_sorted_permutations_are_uniform_where_keys_tie(self, n, bits):
+        # 1-3 random bits tie in 59-100 % of the rows, each redrawn by a
+        # shuffle; tied rows kept in index order gave chi2 ~ 1e5
+        cells = math.factorial(n)
+        draws = 500 * cells
+        states = pair_models._sorted_permutations(draws, n, bits, substream(40, n * bits))
+        assert (np.sort(states, axis=1) == np.arange(n)).all()
+        counts = np.bincount(states @ n ** np.arange(n), minlength=n**n)
+        counts = counts[counts > 0]
+        assert counts.size == cells
+        chi2 = float(((counts - draws / cells) ** 2).sum() / (draws / cells))
+        # 4-sigma upper quantile of chi2 with cells - 1 degrees of freedom
+        # (Wilson-Hilferty)
+        df = cells - 1
+        assert chi2 < df * (1 - 2 / (9 * df) + 4 * math.sqrt(2 / (9 * df))) ** 3, chi2
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 8, 9, 100, 256, 257, 410, 411, 1000])
+    def test_draws_are_permutations_at_every_key_layout(self, n):
+        # n = 2^j + 1 takes one more index bit than 2^j; below n = 5 and
+        # past n = 410 the rows are shuffled
+        states = matching_model(n).draw(50, substream(41, n))
+        assert states.dtype == np.int32
+        assert (np.sort(states, axis=1) == np.arange(n)).all()
+
+    def test_key_width_keeps_the_tied_share_within_one_percent(self):
+        # the exact share of rows with a tie among n draws of ``bits``
+        # random bits, where the sort keys are used; shuffles have none
+        for n in range(2, 10**6 + 1):
+            bits = pair_models._random_bits(n)
+            if bits:
+                assert bits + (n - 1).bit_length() == 32
+                tied = 1 - math.prod(1 - i / 2**bits for i in range(n))
+                assert tied <= 0.01, (n, tied)
+        assert [n for n in (4, 5, 410, 411) if pair_models._random_bits(n)] == [5, 410]
+
     def test_uniform_box_frequencies(self):
         model = birthday_pairs_model(3, 2)
         rng = substream(3, 0)
@@ -315,7 +351,7 @@ class TestExactVerification:
         # one state (and its successors) per evaluation of W
         model = factory()
         whole = enumerate_pair_measure(model)
-        monkeypatch.setattr(pair_models, "_ENUM_ENTRIES", 1)
+        monkeypatch.setattr(pair_models, "_ENTRIES", 1)
         blocked = enumerate_pair_measure(model)
         for field in ("probs", "w", "q_up", "q_down"):
             assert np.array_equal(getattr(whole, field), getattr(blocked, field)), (name, field)
@@ -379,9 +415,9 @@ class TestMonteCarloVerification:
         assert report.down_dev > 4.0
 
     def test_multiset_batch_memory_is_bounded(self):
-        # 100 letters: a whole-chunk letter-transfer table would take
-        # 8192 x 100 x 100 int64 entries (~650 MB); blocks keep it near the
-        # size of the chunk's state matrix
+        # 100 letters: a whole-batch letter-transfer table would take
+        # 8192 x 100 x 100 int64 entries (~650 MB); blocks of _ENTRIES table
+        # entries keep it near 2 MiB beside the 6.25 MiB of 32-bit states
         model, rng = matching_model(200, (2,) * 100), substream(15, 0)
         tracemalloc.start()
         try:
@@ -389,28 +425,30 @@ class TestMonteCarloVerification:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 24 * 2**20
 
     def test_count_table_memory_is_bounded(self):
-        # coupon (100, 500) runs the count-table kernel: the chunk's 16-bit
-        # ball labels take 8 MiB, and offsetting them all at once would add
-        # 31 MiB of intp labels
+        # coupon (100, 500) runs the count-table kernel: a whole-batch
+        # table would offset every ball label as intp; blocks of about
+        # _ENTRIES labels keep a batch of 8192 rows near its 8 MiB of 16-bit
+        # labels, and one Monte Carlo chunk (523 rows) near 2 MiB
         model, rng = coupon_model(100, 500), substream(1, 0)
         assert not model.sorts()
-        tracemalloc.start()
-        try:
-            model.step_arrays(model.draw(8192, rng), rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        for rows, bound in ((8192, 16), (pair_models._chunk_rows(model), 4)):
+            tracemalloc.start()
+            try:
+                model.step_arrays(model.draw(rows, rng), rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, rows
 
     def test_wide_states_chunk_by_entries(self):
         # coupon (1000, 8000): the ball labels of an 8192-row chunk alone
-        # would take 125 MiB; chunks of at most _MC_ENTRIES 16-bit entries
-        # keep both Monte Carlo paths near one 8 MiB chunk
+        # would take 125 MiB; chunks of at most _ENTRIES entries per array
+        # keep both Monte Carlo paths near 2 MiB
         model = coupon_model(1000, 8000)
-        assert pair_models._chunk_rows(model) == pair_models._MC_ENTRIES // 8000
+        assert pair_models._chunk_rows(model) == pair_models._ENTRIES // 8001
         target = poisson_pmf(SteinParams(model.lam))
         for run in (lambda: verify_step_probs(model, trials=10_000, rng=substream(3, 0)),
                     lambda: mc_tv_estimate(model, target, 10_000, substream(4, 0))):
@@ -420,18 +458,36 @@ class TestMonteCarloVerification:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 32 * 2**20
+            assert peak < 4 * 2**20
 
-    def test_states_up_to_512_wide_keep_full_chunks(self):
-        # the seeded streams of the benchmark's commands depend on the chunk size
-        for model in (coupon_model(100, 500), matching_model(512), birthday_pairs_model(365, 23)):
+    @pytest.mark.parametrize("model, cells", [
+        (coupon_model(100, 500), 501),
+        (birthday_pairs_model(2000, 60), 61),
+        (matching_model(100), 100),
+        (matching_model(512), 512),
+        (matching_model(12, (4, 4, 4)), 12),
+        (matching_model(200, (2,) * 100), 10_000),
+        (poisson_binomial_model([0.5] * 200), 200),
+        (coupon_model(300_000, 400_000), 400_001),
+    ])
+    def test_chunks_hold_entries_by_the_widest_array(self, model, cells):
+        # rows = _ENTRIES // cells, at most 8192 and at least one; a chunk
+        # is one block
+        assert model.cells() == cells
+        rows = pair_models._chunk_rows(model)
+        assert rows == min(8192, max(1, pair_models._ENTRIES // cells))
+        assert len(pair_models._blocks(model, model.draw(rows, substream(19, 0)))) == 1
+
+    def test_narrow_birthday_states_keep_full_chunks(self):
+        # the seeded streams of the benchmark's birthday commands depend on
+        # the chunk size: their states and histograms are at most 31 wide
+        for model in (birthday_pairs_model(365, 23), birthday_triples_model(200, 30)):
             assert pair_models._chunk_rows(model) == 8192
-        model = poisson_binomial_model([0.5] * 513)
-        assert pair_models._chunk_rows(model) < 8192
 
     def test_count_table_across_sub_blocks(self):
+        # 133 rows of 4000 balls: step_arrays takes blocks of 65, 65 and 3
         model = coupon_model(8, 4000)
-        rows = 2 * (pair_models._TABLE_LABELS // model.k) + 3
+        rows = 2 * (pair_models._ENTRIES // model.cells()) + 3
         rng = substream(18, 0)
         states = model.draw(rows, rng)
         counts = np.array([np.bincount(state, minlength=model.n) for state in states])
@@ -439,6 +495,8 @@ class TestMonteCarloVerification:
         assert h.tolist() == [np.bincount(c, minlength=h.shape[1]).tolist() for c in counts]
         boxes = rng.integers(0, model.n, rows)
         assert count(boxes).tolist() == counts[np.arange(rows), boxes].tolist()
+        w = model.step_arrays(states, rng)[3]
+        assert w.tolist() == [model.w(state[None])[0] for state in states]
 
     @pytest.mark.parametrize(
         "factory",
@@ -468,19 +526,19 @@ class TestMonteCarloVerification:
     @pytest.mark.parametrize(
         "factory,low,sorts",
         [
-            # for every family: sorted runs (2k < n), and the count table
+            # for every family: sorted runs (4k < 3n), and the count table
             # with k < n and with k >= n
             (lambda: birthday_pairs_model(50, 12), 0, True),
-            (lambda: birthday_pairs_model(20, 12), 0, False),
+            (lambda: birthday_pairs_model(20, 16), 0, False),
             (lambda: birthday_pairs_model(6, 40), 0, False),
             (lambda: birthday_triples_model(60, 12), 0, True),
-            (lambda: birthday_triples_model(40, 25), 0, False),
+            (lambda: birthday_triples_model(40, 32), 0, False),
             (lambda: birthday_triples_model(5, 30), 0, False),
             (lambda: coupon_model(50, 12), 0, True),
-            (lambda: coupon_model(30, 16), 0, False),
+            (lambda: coupon_model(30, 24), 0, False),
             (lambda: coupon_model(8, 40), 0, False),
             (lambda: birthday_pairs_model(4, 1), 0, True),
-            (lambda: birthday_pairs_model(2, 1), 0, False),
+            (lambda: birthday_pairs_model(2, 2), 0, False),
             # labels packed into the top six of 40 000 boxes: long runs and
             # keys far past any small-int range
             (lambda: birthday_triples_model(40_000, 20), 39_994, True),
@@ -532,7 +590,7 @@ class TestMonteCarloVerification:
         # row * n or block offset summed in int16 would wrap
         (lambda: birthday_triples_model(2**15, 20), True),
         (lambda: birthday_pairs_model(2**15, 10_000), True),
-        (lambda: coupon_model(2**15, 20_000), False),
+        (lambda: coupon_model(2**15, 25_000), False),
     ])
     def test_16_and_64_bit_labels_give_the_same_numbers(self, factory, sorts):
         model, rows = factory(), 45
@@ -603,13 +661,16 @@ class TestSampleStatistics:
         assert emp.size == law.mass.size
         assert np.abs(emp - law.mass).max() < 0.01
 
-    def test_boxes_w_of_the_stationary_draws(self):
+    def test_boxes_w_of_the_stationary_draws(self, monkeypatch):
         # 300 rows of 60 balls in 2000 boxes run the sorted-runs kernel in
-        # blocks of 295 and 5 rows; W must be the statistic of each drawn
-        # row, in order
+        # chunks of 4096 // 61 = 67 rows and a last one of 32; W must be the
+        # statistic of each drawn row, in order
+        monkeypatch.setattr(pair_models, "_ENTRIES", 4096)
         model, rows = birthday_pairs_model(2000, 60), 300
         w = sample_statistics(model, rows, substream(24, 0))
-        states = model.draw(rows, substream(24, 0))
+        rng = substream(24, 0)
+        states = np.concatenate([model.draw(min(67, rows - start), rng)
+                                 for start in range(0, rows, 67)])
         assert w.tolist() == [model.w(state[None])[0] for state in states]
 
 
