@@ -289,8 +289,10 @@ def _poisson_binomial_grid(args) -> list[dict]:
         return [{"p": parse_p_vector(args.p, None)}]
     if args.n:
         raise UsageError("--n is read by the --p recipes only")
-    if not getattr(args, "count", None) or args.count <= 0:
+    if getattr(args, "count", None) is None:
         raise UsageError("poisson-binomial needs --p (or, in sweep, --count)")
+    if args.count < 1:
+        raise UsageError("--count must be >= 1")
     maxlen = RANDOM_MAXLEN if args.maxlen is None else args.maxlen
     if maxlen < 1:
         raise UsageError("--maxlen must be >= 1")

@@ -332,30 +332,12 @@ def _split_weights(share: float, top: int):
 # A cell-group table holds, for m = 0..items, the law of the group's statistic
 # given that m of the items fall in the group, as (lo, rows): row m holds the
 # probabilities of the statistic values lo[m], lo[m] + 1, ..., trimmed to the
-# values it reaches.  Every row, inserted or joined on either kernel, comes out
-# of ``_row``; a join that runs on dense arrays converts its inputs with
-# ``_dense``.
+# values it reaches.  Every row, inserted or joined, comes out of ``_row``.
 
 
 def _lengths(table) -> np.ndarray:
     """Length of every row from its first to its last reached value."""
     return np.fromiter(map(len, table[1]), np.int64, len(table[1]))
-
-
-def _width(table) -> int:
-    """Number of statistic values up to the largest one any row reaches."""
-    return int((table[0] + _lengths(table)).max())
-
-
-def _dense(table) -> np.ndarray:
-    """The table as a (statistic x items) array."""
-    lo, rows = table
-    lens = _lengths(table)
-    ends = np.cumsum(lens)
-    offset = np.arange(ends[-1]) - np.repeat(ends - lens, lens)
-    out = np.zeros((int((lo + lens).max()), len(rows)))
-    out[np.repeat(lo, lens) + offset, np.repeat(np.arange(len(rows)), lens)] = np.concatenate(rows)
-    return out
 
 
 def _row(base: int, size: int, pieces):
@@ -367,24 +349,6 @@ def _row(base: int, size: int, pieces):
         out[offset : offset + values.size] += values
     nz = out.nonzero()[0]
     return base + int(nz[0]), out[nz[0] : nz[-1] + 1]
-
-
-def _join_dense(a, b, splits, square: bool):
-    """Row m is ``sum_{s+t=u} g[s, t]`` with ``g = (a_{.,<=m} * w) b_rev^T``:
-    one matrix product and one bincount over the splits for every row, on the
-    tables as dense arrays (a squaring converts ``a`` once)."""
-    a = _dense(a)
-    b = a if square else _dense(b)
-    top = a.shape[1] - 1
-    wa, wb = a.shape[0], b.shape[0]
-    size = wa + wb - 1
-    diagonal = np.add.outer(np.arange(wa), np.arange(wb)).ravel()
-    b_rev = np.ascontiguousarray(b[:, ::-1])  # column top - m + i holds b's column m - i
-    lo_c, rows_c = np.zeros(top + 1, np.int64), [None] * (top + 1)
-    for m, w in splits:
-        g = (a[:, : m + 1] * w) @ b_rev[:, top - m :].T
-        lo_c[m], rows_c[m] = _row(0, size, [(0, np.bincount(diagonal, g.ravel(), size))])
-    return lo_c, rows_c
 
 
 def _join_ragged(a, b, splits, square: bool):
@@ -410,26 +374,6 @@ def _join_ragged(a, b, splits, square: bool):
             for wi, row_a, row_b, start in terms if wi != 0.0
         ))
     return lo_c, rows_c
-
-
-#: cost of one NumPy call in multiply-adds, for choosing a join's kernel
-_CALL_COST = 2000
-
-
-def _dense_is_cheaper(len_a, len_b, width: int, square: bool, first: int) -> bool:
-    """Compare a join's estimated work for rows ``first..top`` on dense
-    tables (one call and ``(m + 1) * width`` multiply-adds per row, ``width``
-    the product of the two table widths) with its work on trimmed rows (one
-    convolution per split, of the two rows' lengths)."""
-    top = len(len_a) - 1
-    rows = top + 1 - first
-    split_count = (top + 1) * (top + 2) // 2 - first * (first + 1) // 2
-    products = int(np.convolve(len_a, len_b)[first : top + 1].sum())
-    convolutions = split_count // 2 + rows if square else split_count
-    if square:
-        products //= 2
-    dense = _CALL_COST * rows + split_count * width
-    return dense <= _CALL_COST * convolutions + products
 
 
 def _sources(size: int) -> list[int]:
@@ -545,33 +489,30 @@ class AllocationTables:
     * **Joins** otherwise.  Two groups of a and b cells join by splitting m
       items Binomial(m, a/(a+b)) between them (Barbour, Holst & Janson,
       *Poisson Approximation*, ch. 6, conditioning on the total): row m of
-      the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``.  Binary powering
+      the join is ``sum_i P(i | m) conv(A_i, B_{m-i})``, one 1-D
+      convolution of trimmed rows per split (:func:`_join_ragged`), for
+      every join, full or last, squaring or one cell.  Binary powering
       over the bits of the cell count (square, then add one cell for each
       set bit) reaches it in O(log cells) joins.  Row 0 is an exact point
       mass at every size.
 
-    Both routes use nonnegative weights only.  The law functions check
-    ``DP_STATE_CAP`` against each route's own work (:func:`_engine_states`).
+    Both routes use nonnegative weights only, and :func:`_row` sums and
+    trims every row.  The law functions check ``DP_STATE_CAP`` against each
+    route's own work (:func:`_engine_states`).
 
     Row m depends on the statistic, the group size and m, not on the spec,
     so the specs share tables.  A spec of at most ``cells + 1`` items reads
     its row from the inserted table of its cell count, one table up to the
-    most items of those specs.  Every other spec
-    has a join chain: each group size on any such chain is built once per
-    statistic, with rows up to the most items of the specs whose chains pass
-    through it.  A spec whose cell count is an inner group of some chain
-    reads its row from that table; any other forms only its own row, in a
-    last join: a join that forms row m alone, from the same split rows and
-    the same kernel cost estimate as a full join.  A table is built when a
-    law first needs it and dropped after its last reader (a join or a law),
-    so a one-spec plan holds what one chain does: the one-cell table, the
-    predecessor and the join's output.  :meth:`law` gives a spec's law once
-    per listing.
-
-    Each join runs on whichever kernel the row lengths it sees make cheaper:
-    dense tables with one matrix product per row (short rows, many items),
-    or one 1-D convolution per split of the trimmed rows (long rows).  On
-    either route and kernel, :func:`_row` sums and trims every row.
+    most items of those specs.  Every other spec has a join chain: each
+    group size on any such chain is built once per statistic, with rows up
+    to the most items of the specs whose chains pass through it.  A spec
+    whose cell count is an inner group of some chain reads its row from that
+    table; any other forms only its own row, in a last join: a join that
+    forms row m alone, from the same split rows as a full join.  A table is
+    built when a law first needs it and dropped after its last reader (a
+    join or a law), so a one-spec plan holds what one chain does: the
+    one-cell table, the predecessor and the join's output.  :meth:`law`
+    gives a spec's law once per listing.
     """
 
     def __init__(self, specs):
@@ -642,8 +583,7 @@ class AllocationTables:
     def _join(self, key, size: int, last: int | None = None):
         """The table of ``size`` cells from its sources: rows 0 up to its
         plan's top, or with ``last`` only row ``last`` (the others None).
-        Either way the rows come from the same split rows and cost estimate,
-        counted over the rows formed."""
+        Either way each row formed convolves the same split rows."""
         sources = _sources(size)
         square = len(sources) == 1
         top = self._top[key, size] if last is None else last
@@ -652,10 +592,7 @@ class AllocationTables:
         b = a if square else _top_rows(self._table(key, 1), top)
         share = 0.5 if square else sources[0] / size
         splits = ((m, w) for m, w in _split_weights(share, top) if m >= first)
-        len_a, width_a = _lengths(a), _width(a)
-        len_b, width_b = (len_a, width_a) if square else (_lengths(b), _width(b))
-        dense = _dense_is_cheaper(len_a, len_b, width_a * width_b, square, first)
-        table = (_join_dense if dense else _join_ragged)(a, b, splits, square)
+        table = _join_ragged(a, b, splits, square)
         self._release(key, sources)
         return table
 

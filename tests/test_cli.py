@@ -199,6 +199,17 @@ class TestSweepCommand:
         assert out.out == ""
         assert out.err == "error: --maxlen must be >= 1\n"
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--count", "0"], "--count must be >= 1"),
+        (["--count=-3"], "--count must be >= 1"),
+        ([], "poisson-binomial needs --p (or, in sweep, --count)"),
+    ])
+    def test_count_below_one_usage_error(self, capsys, flags, err):
+        assert run(["sweep", "poisson-binomial", *flags]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {err}\n"
+
     def test_negative_seed_usage_error(self, capsys):
         assert run(["sweep", "poisson-binomial", "--count", "2", "--seed=-1"]) == EXIT_USAGE
         out = capsys.readouterr()
@@ -959,6 +970,24 @@ class TestBoundDomains:
                         failed.append((problem, kind, rec.params))
         assert certified > 300
         assert failed == []
+
+    @pytest.mark.parametrize("problem", ["birthday-pairs", "birthday-pair-count",
+                                         "birthday-triples"])
+    def test_bounds_past_one_more_ball_than_boxes_are_one(self, problem):
+        # a birthday point joins its tables only when k > n + 1 (below that
+        # it inserts its balls), and there each bound kind prints exactly 1.0,
+        # so no verdict rests on those joins.  A new kind (say two-moment or
+        # negative association) may be below 1 there: when one is, time the
+        # joins of those points before a verdict relies on them.
+        fam = FAMILIES[problem]
+        points = [{"n": n, "k": k} for n in range(2, 41) for k in range(n + 2, n + 61)]
+        for kind in ("default", "coupling"):
+            bound = fam.bounds.get(kind)
+            if bound is None:
+                continue
+            admitted = [pt for pt in points if feasibility_error(problem, pt, bound) is None]
+            assert len(admitted) > 1000
+            assert [pt for pt in admitted if bound(pt).value != 1.0] == []
 
     @pytest.mark.parametrize("command, err", [
         # rates past stein_core.MAX_LAM, once refused only when the target was built

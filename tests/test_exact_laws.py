@@ -468,13 +468,12 @@ def _track_joins(monkeypatch) -> tuple[list, list]:
     """Weak references to every join's output table, and how many earlier
     outputs were still alive as each join started."""
     outputs, alive_at_start = [], []
-    for name in ("_join_dense", "_join_ragged"):
-        def tracked(*args, _join=getattr(exact_laws, name)):
-            alive_at_start.append(sum(ref() is not None for ref in outputs))
-            table = _join(*args)
-            outputs.append(weakref.ref(table if isinstance(table, np.ndarray) else table[0]))
-            return table
-        monkeypatch.setattr(exact_laws, name, tracked)
+    def tracked(*args, _join=exact_laws._join_ragged):
+        alive_at_start.append(sum(ref() is not None for ref in outputs))
+        table = _join(*args)
+        outputs.append(weakref.ref(table[0]))
+        return table
+    monkeypatch.setattr(exact_laws, "_join_ragged", tracked)
     return outputs, alive_at_start
 
 
@@ -496,12 +495,12 @@ class TestAllocationTables:
         ("sweep birthday-pairs --n 10..40 --theta 0.5,1,1.5,2", False, True),
         ("sweep birthday-triples --n 8..40 --theta 0.5,1", False, True),
         ("sweep birthday-pair-count --n 10..40 --theta 0.5,1,1.5", False, True),
-        ("sweep coloring --n 6..12 --k 2,3 --c 2..6", True, False),
+        ("sweep coloring --n 6..12 --k 2,3 --c 2..6", True, True),
         # past n + 1 balls the tables join, some inner groups shared
         ("sweep birthday-pairs --n 10..24 --k 5,26,40", True, False),
         ("sweep birthday-triples --n 8..20 --k 6,22", True, False),
         # the occupancy-dp workload's coloring sweep: its last joins read the
-        # split rows and pick the kernel of the full joins of its shared table
+        # same split rows as the full joins of its shared table
         ("sweep coloring --n 30,40 --k 3 --c 10,20", True, True),
     ])
     def test_plan_laws_match_one_point_laws(self, argv, joins, exact, monkeypatch):
@@ -519,12 +518,8 @@ class TestAllocationTables:
         assert all(ref() is None for ref in outputs)
         assert not tables._live
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_both_join_kernels_against_exact_allocation(self, dense, monkeypatch):
-        # every point has more balls than boxes + 1, so its laws join; the
-        # kernel not chosen is unset, so calling it would fail
-        monkeypatch.setattr(exact_laws, "_dense_is_cheaper", lambda *args: dense)
-        monkeypatch.setattr(exact_laws, "_join_ragged" if dense else "_join_dense", None)
+    def test_joins_against_exact_allocation(self):
+        # every point has more balls than boxes + 1, so its laws join
         specs = [OccupancySpec(n, k, stat) for stat in ("pairs", "triples", "pair_count")
                  for n, k in ((2, 5), (5, 9), (9, 12), (7, 20))]
         specs += [ColoringSpec(n, t, c) for n, t, c in ((8, 2, 3), (14, 3, 4), (10, 4, 3))]
