@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .exact_laws import _success_probabilities
-from .stein_core import check_rate
+from .stein_core import _positive_rate, check_rate
 
 __all__ = [
     "BoundReport",
@@ -133,8 +133,7 @@ def _poisson_binomial_reports(p, report) -> BoundReport | list[BoundReport]:
     probs = _success_probabilities(p)
     rows = probs.reshape(-1, probs.shape[-1])
     lams = rows.sum(axis=1).tolist()
-    if min(lams) <= 0.0:
-        raise ValueError("lam = sum(p) must be positive")
+    _positive_rate(min(lams))  # every sum is finite, so the least decides
     n = rows.shape[1]
     reports = [report(lam, sum_p_sq, n)
                for lam, sum_p_sq in zip(lams, (rows**2).sum(axis=1).tolist())]
@@ -347,8 +346,7 @@ def bound_coupling_pair_count(n: int, k: int) -> BoundReport:
 def bound_negative_association(lam: float, sigma2: float) -> BoundReport:
     """(1 - e^-lam)(1 - sigma^2 / lam) for binary negatively associated
     summands with mean lam and variance sigma^2 <= lam."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive")
+    _positive_rate(lam)
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError("sigma2 must be positive")
     if sigma2 > lam * (1.0 + 1e-12):
@@ -432,10 +430,7 @@ class DependencyGraph:
 
 def _graph_rate(g: DependencyGraph) -> float:
     """lam = sum(p), which both dependency-graph bounds need positive."""
-    lam = float(g.p.sum())
-    if lam <= 0.0:
-        raise ValueError("lam = sum(p) must be positive")
-    return lam
+    return _positive_rate(float(g.p.sum()))
 
 
 def bound_dependency_graph(g: DependencyGraph) -> BoundReport:

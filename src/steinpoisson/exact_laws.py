@@ -58,16 +58,22 @@ EMPTY_EXACT_DIGIT_CAP = 20_000
 #: most ~85 digits
 EMPTY_CERTIFIED_RATIO_CAP = 50.0
 
+
+def _tuples(c, t: int):
+    """C(c, t), the t-subsets of c items in one cell, of an int or elementwise."""
+    return math.prod((c - i for i in range(1, t)), start=c) // math.factorial(t)
+
+
 #: contribution ``f(c)`` of a box holding ``c`` balls to each additive
 #: occupancy statistic, elementwise over count arrays (indicators stay boolean,
-#: so count matrices are never widened); the allocation engine and the pair
-#: models both read it.  Every statistic but ``empty`` is 0 at an empty box,
-#: and only those reach the engine
+#: so count matrices are never widened); the pair models read it, and the
+#: allocation engine reads ``pairs`` and, as the tuple size t = 3 and 2,
+#: ``triples`` and ``pair_count`` (see :func:`_engine_point`)
 BOX_STATISTICS = {
     "pairs": lambda c: c >= 2,
-    "triples": lambda c: c * (c - 1) * (c - 2) // 6,
+    "triples": lambda c: _tuples(c, 3),
     "empty": lambda c: c == 0,
-    "pair_count": lambda c: c * (c - 1) // 2,
+    "pair_count": lambda c: _tuples(c, 2),
 }
 OCCUPANCY_STATISTICS = tuple(BOX_STATISTICS)
 
@@ -289,18 +295,6 @@ def matching_pmf(spec: MatchingSpec) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
-def _stat_support_max(spec) -> int:
-    """Largest value the statistic of an engine law can take."""
-    if isinstance(spec, ColoringSpec):
-        return math.comb(spec.n_points, spec.tuple_size)
-    n, k = spec.n_boxes, spec.k_balls
-    if spec.statistic == "pairs":
-        return min(n, k // 2)
-    if spec.statistic == "triples":
-        return math.comb(k, 3)
-    return math.comb(k, 2)  # pair_count
-
-
 def _scientific(count: int, digits: int) -> str:
     """``count`` in the style of ``f"{float(count):.{digits}e}"``, rounded
     from the exact integer, so that a count past the float range prints."""
@@ -434,34 +428,39 @@ def _insert(value, cells: int, top: int):
 
 
 def _engine_point(spec):
-    """``(statistic key, cells, items, cell value)`` of an engine law."""
+    """``(statistic, cells, items)`` of an engine law: ``"pairs"`` or the
+    tuple size t.  A coloring of n points with c colors is the birthday
+    t-tuple count of n balls in c boxes: ``pair_count`` is 2, ``triples`` 3."""
     if isinstance(spec, ColoringSpec):
-        k = spec.tuple_size
-        return ("coloring", k), spec.n_colors, spec.n_points, lambda m: math.comb(m, k)
+        return spec.tuple_size, spec.n_colors, spec.n_points
     if spec.statistic == "empty":
         raise ValueError("the empty-box law has a closed form, not an engine plan")
-    return spec.statistic, spec.n_boxes, spec.k_balls, BOX_STATISTICS[spec.statistic]
+    statistic = {"pair_count": 2, "triples": 3}.get(spec.statistic, spec.statistic)
+    return statistic, spec.n_boxes, spec.k_balls
+
+
+def _cell_value(statistic):
+    """An engine statistic at one cell by its item count, 0 when it is empty."""
+    return BOX_STATISTICS["pairs"] if statistic == "pairs" else lambda c: _tuples(c, statistic)
 
 
 def _inserts(cells: int, items: int) -> bool:
     """Whether rows up to ``items`` of ``cells`` cells come from ball
-    insertion: its weights are nonnegative up to ``cells + 1`` items.  Every
-    cell value the engine takes is 0 at an empty cell, as insertion needs."""
+    insertion: its weights are nonnegative up to ``cells + 1`` items."""
     return items <= cells + 1
 
 
 def _engine_states(spec) -> int:
     """The allocation engine's states for ``spec``: on the joins cells *
-    items * statistic, on ball insertion an upper bound on the values the
-    recurrence reads.  Row j spans at most C(j, t) + 1 values (t = 3 for
-    triples, 2 for the pair count, the tuple size for colorings, else 1) and
-    rows j+1..items read it, so the reads are at most
-    C(items + 1, t + 2) + C(items + 1, 2)."""
-    _, cells, items, _ = _engine_point(spec)
+    items * the statistic's largest value, on ball insertion an upper bound
+    on the values the recurrence reads.  Row j spans at most C(j, t) + 1
+    values (t = 1 for ``"pairs"``) and rows j+1..items read it, so the reads
+    are at most C(items + 1, t + 2) + C(items + 1, 2)."""
+    statistic, cells, items = _engine_point(spec)
+    t = 1 if statistic == "pairs" else statistic
     if not _inserts(cells, items):
-        return cells * items * max(1, _stat_support_max(spec))
-    t = spec.tuple_size if isinstance(spec, ColoringSpec) else {
-        "triples": 3, "pair_count": 2}.get(spec.statistic, 1)
+        top = min(cells, items // 2) if statistic == "pairs" else _tuples(items, t)
+        return cells * items * max(1, top)
     return math.comb(items + 1, t + 2) + math.comb(items + 1, 2)
 
 
@@ -501,29 +500,27 @@ class AllocationTables:
     route's own work (:func:`_engine_states`).
 
     Row m depends on the statistic, the group size and m, not on the spec,
-    so the specs share tables.  A spec of at most ``cells + 1`` items reads
-    its row from the inserted table of its cell count, one table up to the
-    most items of those specs.  Every other spec has a join chain: each
-    group size on any such chain is built once per statistic, with rows up
-    to the most items of the specs whose chains pass through it.  A spec
-    whose cell count is an inner group of some chain reads its row from that
-    table; any other forms only its own row, in a last join: a join that
-    forms row m alone, from the same split rows as a full join.  A table is
-    built when a law first needs it and dropped after its last reader (a
-    join or a law), so a one-spec plan holds what one chain does: the
-    one-cell table, the predecessor and the join's output.  :meth:`law`
-    gives a spec's law once per listing.
+    so the specs share tables, a coloring those of its tuple count.  A spec
+    of at most ``cells + 1`` items reads its row from the inserted table of
+    its cell count, one table up to the most items of those specs.  Every
+    other spec has a join chain: each group size on any such chain is built
+    once per statistic, with rows up to the most items of the specs whose
+    chains pass through it.  A spec whose cell count is an inner group of
+    some chain reads its row from that table; any other forms only its own
+    row, in a last join: a join that forms row m alone, from the same split
+    rows as a full join.  A table is built when a law first needs it and
+    dropped after its last reader (a join or a law), so a one-spec plan
+    holds what one chain does: the one-cell table, the predecessor and the
+    join's output.  :meth:`law` gives a spec's law once per listing.
     """
 
     def __init__(self, specs):
-        self._values = {}  # statistic key -> value of one cell holding c items
         self._readers = Counter()  # (key, size) -> joins and laws still to read it
         self._laws = Counter()  # (key, cells, items) -> laws still to give
         self._live = {}  # (key, size) -> built table
         points, chains = [], []
         for spec in specs:
-            key, cells, items, value = _engine_point(spec)
-            self._values.setdefault(key, value)
+            key, cells, items = _engine_point(spec)
             self._laws[key, cells, items] += 1
             points.append((key, cells, items))
             if not _inserts(cells, items):
@@ -551,7 +548,7 @@ class AllocationTables:
 
     def law(self, spec) -> Pmf:
         """The law of ``spec``, which the plan must still list."""
-        key, cells, items, _ = _engine_point(spec)
+        key, cells, items = _engine_point(spec)
         if not self._laws[key, cells, items]:
             raise ValueError(f"{spec} is not, or no longer, in this plan")
         self._laws[key, cells, items] -= 1
@@ -565,10 +562,10 @@ class AllocationTables:
         if (key, size) not in self._live:
             top = self._top[key, size]
             if size == 1:
-                values = [int(self._values[key](c)) for c in range(top + 1)]
+                values = [int(_cell_value(key)(c)) for c in range(top + 1)]
                 table = (np.array(values, np.int64), [np.ones(1)] * len(values))
             elif _inserts(size, top):
-                table = _insert(self._values[key], size, top)
+                table = _insert(_cell_value(key), size, top)
             else:
                 table = self._join(key, size)
             self._live[key, size] = table

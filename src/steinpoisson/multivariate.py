@@ -26,7 +26,7 @@ from .exact_laws import (
     _hits_exactly,
     matching_pmf,
 )
-from .stein_core import Pmf, SteinParams, poisson_pmf, tv_distance
+from .stein_core import Pmf, SteinParams, _positive_rate, _tv, poisson_pmf, tv_distance
 
 __all__ = [
     "JointPmf",
@@ -128,9 +128,9 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
 def _positive_rates(lambdas) -> list[float]:
     """The coordinate rates as floats, refused unless nonempty and each in
     (0, inf)."""
-    rates = [float(l) for l in lambdas]
-    if not rates or not all(0.0 < l < math.inf for l in rates):
-        raise ValueError("all rates must be positive and finite")
+    rates = [_positive_rate(float(l)) for l in lambdas]
+    if not rates:
+        raise ValueError("need at least one rate")
     return rates
 
 
@@ -151,12 +151,12 @@ def product_poisson_joint(lambdas) -> JointPmf:
 
 def joint_tv(p: JointPmf, q: JointPmf) -> float:
     """Total variation between tables zero-padded to a common box, tails
-    added conservatively."""
+    added conservatively as in :func:`tv_distance`."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     shape = np.maximum(p.mass.shape, q.mass.shape)
     a, b = (np.pad(x.mass, [(0, s - k) for s, k in zip(shape, x.mass.shape)]) for x in (p, q))
-    return 0.5 * (math.fsum(np.abs(a - b).ravel().tolist()) + p.tail + q.tail)
+    return _tv(np.abs(a - b).ravel().tolist(), p.tail, q.tail)
 
 
 def joint_marginal(p: JointPmf, axis: int) -> Pmf:

@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -844,11 +845,7 @@ def _tail_z(count: int, mean: float, log_pmf) -> float:
         j += step
     if tail <= 0.0:
         return math.inf
-    lo, hi = 0.0, 40.0  # bisect for the z whose normal tail erfc(z / sqrt 2) / 2 is ``tail``
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2.0)) / 2 > tail else (lo, mid)
-    return lo
+    return max(0.0, -NormalDist().inv_cdf(min(tail, 0.5)))
 
 
 def sample_statistics(model: PairModel, size: int, rng: np.random.Generator) -> np.ndarray:

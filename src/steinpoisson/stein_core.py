@@ -143,16 +143,20 @@ class SteinParams:
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(_BAD_RATE)
+        _positive_rate(self.lam)
+
+
+def _positive_rate(lam: float) -> float:
+    """``lam``, refused unless in (0, inf): the package's one rate rule."""
+    if not 0.0 < lam < math.inf:  # also refuses nan
+        raise ValueError(_BAD_RATE)
+    return lam
 
 
 def check_rate(lam: float) -> None:
     """Raise ValueError unless ``lam`` lies in (0, ``MAX_LAM``], the rates
     whose target :func:`poisson_pmf` builds."""
-    if not 0.0 < lam < math.inf:  # finite and positive
-        raise ValueError(_BAD_RATE)
-    if lam > MAX_LAM:
+    if _positive_rate(lam) > MAX_LAM:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
 
 
@@ -200,8 +204,8 @@ def _abs_diff(a: np.ndarray, b: np.ndarray) -> list:
 
 
 def _tv(abs_diff: list[float], p_tail: float, q_tail: float) -> float:
-    """Half the l1 distance from the entries of ``|p - q|``, plus both tails."""
-    return 0.5 * (math.fsum(abs_diff) + p_tail + q_tail)
+    """Half the l1 distance from the entries of ``|p - q|`` plus both tails, at most 1."""
+    return min(1.0, 0.5 * (math.fsum(abs_diff) + p_tail + q_tail))
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
@@ -382,8 +386,6 @@ def stein_identity_oracle(
         raise ValueError("c must be a positive real")
     g_arr = _as_fn_table(g, "g")
     lam = measure.lam
-    if lam <= 0.0:
-        raise ValueError("the enumerated statistic has zero mean; identity is vacuous")
     params = SteinParams(lam)
     ref = poisson_pmf(params)
     w_max = int(measure.w.max())

@@ -144,14 +144,14 @@ class TestPoissonBinomialBlocks:
 
     @pytest.mark.parametrize("kind", ["default", "coupling"])
     def test_zero_rate_refused_by_both_bounds(self, kind):
-        # one convention from every entry point: the sweep's own precheck
-        # raises the same message
+        # stein_core's one rate rule: the sweep's precheck and the Poisson
+        # target refuse the point with the same message (see test_cli)
         bound = POISSON_BINOMIAL_BOUNDS[kind]
-        with pytest.raises(ValueError, match=r"^lam = sum\(p\) must be positive$"):
+        with pytest.raises(ValueError, match=r"^lam must be a positive finite real$"):
             bound([0.0, 0.0])
         rows = np.full((3, 2), 0.3)
         rows[1] = 0.0
-        with pytest.raises(ValueError, match=r"^lam = sum\(p\) must be positive$"):
+        with pytest.raises(ValueError, match=r"^lam must be a positive finite real$"):
             bound(rows)
 
 

@@ -121,7 +121,15 @@ class TestBoundCommand:
         assert run(argv) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: lam = sum(p) must be positive\n"
+        assert out.err == "error: lam must be a positive finite real\n"
+
+    def test_zero_rate_refused_alike_by_every_entry_point(self, capsys):
+        for argv in (["bound", "poisson-binomial", "--p", "0,0", "--bound", "default"],
+                     ["bound", "poisson-binomial", "--p", "0,0", "--bound", "coupling"],
+                     ["exact-tv", "poisson-binomial", "--p", "0,0"],
+                     ["sweep", "poisson-binomial", "--p", "0,0"]):
+            assert run(argv) == EXIT_USAGE, argv
+            assert capsys.readouterr().err.endswith("lam must be a positive finite real\n"), argv
 
 
 class TestExactTvCommand:

@@ -612,8 +612,8 @@ class TestAllocationTables:
     def test_insertion_states_bound_the_recurrence_reads(self, specs):
         # row m reads each of rows 0..m-1 at most once
         for spec in specs:
-            _, cells, items, value = exact_laws._engine_point(spec)
-            _, rows = exact_laws._insert(value, cells, items)
+            statistic, cells, items = exact_laws._engine_point(spec)
+            _, rows = exact_laws._insert(exact_laws._cell_value(statistic), cells, items)
             reads = sum((items - j) * row.size for j, row in enumerate(rows))
             assert reads <= exact_laws._engine_states(spec), spec
 
@@ -629,6 +629,25 @@ class TestAllocationTables:
         inserted = _track_inserts(monkeypatch)
         _law(OccupancySpec(9, 5, "pairs"))
         assert outputs and not inserted
+
+    def test_colorings_share_the_tables_of_their_tuple_counts(self, monkeypatch):
+        # a coloring of n points with c colors is the birthday t-tuple count
+        # of n balls in c boxes, so one join chain serves both
+        specs = [ColoringSpec(12, 2, 5), OccupancySpec(5, 12, "pair_count"),
+                 ColoringSpec(30, 3, 7), OccupancySpec(7, 30, "triples")]
+        outputs, _ = _track_joins(monkeypatch)
+        tables = AllocationTables(specs)
+        laws = [_law(spec, tables) for spec in specs]
+        assert len(outputs) == 9
+        for coloring, count in zip(laws[::2], laws[1::2]):
+            assert np.array_equal(coloring.mass, count.mass)
+
+    @pytest.mark.parametrize("t, stat", [(2, "pair_count"), (3, "triples")])
+    def test_colorings_are_tuple_counts(self, t, stat):
+        for c in range(1, 9):
+            for n in range(t, 21):
+                assert np.array_equal(_law(ColoringSpec(n, t, c)).mass,
+                                      _law(OccupancySpec(c, n, stat)).mass), (n, c)
 
     def test_one_table_serves_a_box_count(self, monkeypatch):
         # the points of `sweep birthday-pairs --n 1000 --theta 0.5,1.5`
@@ -647,8 +666,8 @@ class TestAllocationTables:
                              + [ColoringSpec(6, t, 3) for t in range(2, 6)])
     def test_every_engine_cell_value_is_zero_at_an_empty_cell(self, spec):
         # ball insertion needs it, and `_inserts` takes it as given
-        _, _, _, value = exact_laws._engine_point(spec)
-        assert value(0) == 0
+        statistic, _, _ = exact_laws._engine_point(spec)
+        assert exact_laws._cell_value(statistic)(0) == 0
 
     def test_empty_boxes_have_no_plan(self):
         with pytest.raises(ValueError, match="closed form"):

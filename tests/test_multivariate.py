@@ -86,7 +86,8 @@ class TestProductPoissonJoint:
     @pytest.mark.parametrize("rates", [[], [0.0], [-0.5], [1.0, 0.0], [math.nan], [math.inf],
                                        [math.nan, math.nan], [1.0, math.nan]], ids=str)
     def test_product_laws_share_the_positive_rate_rule(self, law, rates):
-        with pytest.raises(ValueError, match="rates must be positive and finite"):
+        message = "lam must be a positive finite real" if rates else "need at least one rate"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             law(rates)
 
 
@@ -94,6 +95,9 @@ class TestJointTv:
     def test_identical_zero(self):
         law = joint_fixed_point_succession_pmf(4)
         assert joint_tv(law, law) == 0.0
+
+    def test_capped_at_one_as_tv_distance(self):
+        assert joint_tv(JointPmf(np.array([[0.0, 1 + 5e-13]])), JointPmf(np.array([[1.0]]))) == 1.0
 
     def test_seven_letters_pinned(self):
         law = joint_fixed_point_succession_pmf(7)

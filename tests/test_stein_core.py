@@ -166,6 +166,10 @@ class TestTvDistance:
         q = Pmf(np.array([0.0, 0.4]), tail=0.6)
         assert tv_distance(p, q) <= 1.0
 
+    def test_rounding_past_one_is_capped(self):
+        # a mass within MASS_TOL of 1 can carry half the l1 sum past 1
+        assert tv_distance(Pmf([0.0, 1 + 5e-13]), Pmf([1.0])) == 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         a=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8),
