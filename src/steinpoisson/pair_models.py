@@ -10,10 +10,11 @@ large instances are certified statistically.
 Each family is one frozen class, a subclass of :class:`PairModel` whose
 instances hold only their own parameters.  It writes W, the step
 observables, the (up, down) formula, the stationary draw and the move once,
-over an array holding one state per row, next to an enumeration oracle
-whose stationary law and kernel are integer weights over one integer
-denominator each, so the exact checks compare Python ints.  The batch
-functions are the only interface; one state is a batch of one row.
+over an array holding one state per row, next to an enumeration oracle,
+also over arrays, whose stationary law and kernel are integer weights over
+one integer denominator each, so the exact checks compare exact integers.
+The batch functions are the only interface; one state is a batch of one
+row.
 
 Seeding contract: samplers take a ``numpy.random.Generator``.  Reproducible
 runs derive sub-streams from a non-negative integer master seed by a counter
@@ -28,7 +29,6 @@ identical sample streams.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,12 +66,14 @@ __all__ = [
 #: enumeration caps (states / kernel transitions) for the exact checks
 ENUM_STATE_CAP = 400_000
 ENUM_TRANSITION_CAP = 30_000_000
-#: state cap of the joint-measure (exchangeability) check, which holds one
-#: integer weight per kernel transition in a dict keyed by state-index pairs
+#: state cap of the joint-measure (exchangeability) check, which holds a
+#: state-index pair code and an integer kernel weight per kernel transition
+#: and sorts them by code
 JOINT_STATE_CAP = 20_000
-#: entries per batch of rows: a Monte Carlo chunk or block, or an evaluation
-#: of W over enumerated states and their successors, holds at most this many
-#: per array (rows times ``PairModel.cells``), so its arrays stay in cache
+#: entries per batch of rows: a Monte Carlo chunk or block, or a block of
+#: enumerated states with their successors, holds at most this many per array
+#: (rows times ``PairModel.cells``, times the moves plus one for a block of
+#: enumerated states)
 _ENTRIES = 1 << 18
 #: Monte Carlo chunks hold at most this many rows
 _MC_CHUNK = 8192
@@ -146,17 +148,20 @@ class PairModel:
     ``move`` (columns, new values and dw of one reversible move) and
     ``step_arrays`` (the Monte Carlo batch: predicted steps, one realized
     move's dw, and W).  One state is a batch of one row.  ``cells`` bounds
-    the entries per row of the widest array a batch holds, the states
-    themselves or a table those functions build; ``_chunk_rows`` sizes both
-    Monte Carlo chunks and ``_blocks``' row blocks by it, so that no array
-    of a batch holds more than about ``_ENTRIES`` entries and a Monte Carlo
-    chunk is one block.
+    the entries per row of what a batch holds, the states themselves or the
+    tables those functions build; ``_chunk_rows`` sizes both Monte Carlo
+    chunks and ``_blocks``' row blocks by it, so that no array of a batch
+    holds more than about ``_ENTRIES`` entries and a Monte Carlo chunk is
+    one block.
 
     The enumeration oracle shares no code with them: ``size`` (states,
-    kernel transitions), ``iter_states`` (state tuples), ``denominators``
-    (D_P, D_K), and ``prob`` and ``kernel`` in integer weights: a state has
-    stationary probability ``prob / D_P`` and ``kernel`` yields (weight,
-    next state) pairs, each of probability ``weight / D_K``.
+    kernel transitions), ``denominators`` (D_P, D_K), ``all_states`` (every
+    state, one per row, in the lexicographic order of the rows, with
+    ``draw``'s dtype), ``weights`` (each state's stationary probability
+    times D_P, in that order) and ``successors`` (each row's successor under
+    every move, one explicit entry per move, and each move's kernel weight:
+    its probability times D_K, the same from every state).  The weights are
+    int64 arrays where their sums fit, else arrays of Python ints.
     """
 
     problem: str
@@ -170,8 +175,8 @@ class PairModel:
         up, down, w = _predict(self, states)
         return up, down, self.move(states, rng)[2], w
 
-    def prob(self, state):  # uniform stationary law over D_P states
-        return 1
+    def weights(self):  # uniform stationary law over D_P states
+        return np.ones(self.size()[0], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -205,8 +210,8 @@ class _Bernoulli(PairModel):
     def size(self):
         return 2**self.n, 2**self.n * 2 * self.n
 
-    def iter_states(self):
-        return itertools.product((0, 1), repeat=self.n)
+    def all_states(self):
+        return _digit_rows(2, self.n, bool)
 
     @functools.cached_property
     def _numerators(self) -> tuple[int, tuple[int, ...]]:
@@ -220,16 +225,25 @@ class _Bernoulli(PairModel):
         scale = self._numerators[0]
         return scale**self.n, self.n * scale
 
-    def prob(self, state):
+    def weights(self):
+        # the product of a_i or L - a_i over the coordinates, which join one
+        # at a time as the next lower digit of the state index
         scale, a = self._numerators
-        return math.prod(ai if x else scale - ai for x, ai in zip(state, a))
+        dtype = np.int64 if scale**self.n < 1 << 63 else object
+        out = np.ones(1, dtype)
+        for ai in a:
+            out = np.multiply.outer(out, np.array([scale - ai, ai], dtype)).ravel()
+        return out
 
-    def kernel(self, state):
+    def successors(self, states):
+        # move 2i sets coordinate i to 1 (weight a_i), move 2i + 1 to 0
+        # (weight L - a_i); the weights of one state sum to D_K = n L
         scale, a = self._numerators
-        for i, ai in enumerate(a):
-            for eps, weight in ((1, ai), (0, scale - ai)):
-                if weight:
-                    yield weight, state[:i] + (eps,) + state[i + 1 :]
+        moves = np.arange(2 * self.n)
+        nxt = np.repeat(states[:, None], len(moves), axis=1)
+        nxt[:, moves, moves // 2] = moves % 2 == 0
+        dtype = np.int64 if self.n * scale < 1 << 63 else object
+        return nxt, np.array([w for ai in a for w in (ai, scale - ai)], dtype)
 
 
 class _Permutations(PairModel):
@@ -263,18 +277,27 @@ class _Permutations(PairModel):
     def size(self):
         return math.factorial(self.n), math.factorial(self.n) * math.comb(self.n, 2)
 
-    def iter_states(self):
-        return itertools.permutations(range(self.n))
+    def all_states(self):
+        # the permutations of m values in lexicographic order: each first
+        # value f in turn, before those of m - 1 values with f left out
+        perms = np.zeros((1, 0), dtype=np.int32)
+        for m in range(1, self.n + 1):
+            perms = np.concatenate([
+                np.column_stack((np.full(len(perms), f, np.int32), perms + (perms >= f)))
+                for f in range(m)])
+        return perms
 
     def denominators(self):
         return math.factorial(self.n), math.comb(self.n, 2)
 
-    def kernel(self, state):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                nxt = list(state)
-                nxt[i], nxt[j] = nxt[j], nxt[i]
-                yield 1, tuple(nxt)
+    def successors(self, states):
+        # move (i, j), i < j, swaps the values of slots i and j
+        i, j = np.triu_indices(self.n, 1)
+        moves = np.arange(len(i))
+        nxt = np.repeat(states[:, None], len(moves), axis=1)
+        nxt[:, moves, i] = states[:, j]
+        nxt[:, moves, j] = states[:, i]
+        return nxt, np.ones(len(moves), np.int64)
 
 
 @dataclass(frozen=True)
@@ -372,18 +395,20 @@ class _Boxes(PairModel):
       count is read from its table.  A block holds at most ``_ENTRIES``
       labels and table entries, so the intp copies stay near 2 MiB.
 
-    The switch sits near where the two cost the same per row of
-    ``step_arrays``, each on its own chunks of ``_ENTRIES // cells`` rows
-    (draw included; 16-bit labels, 2-vCPU VM, n from 100 to 40 000): the
-    table took 1.39-1.68 times the sorted runs' time at k/n = 0.3,
-    1.02-1.50 times from 0.5 to 0.65, 0.98-1.13 times at 0.7, 0.81-1.27
-    times at 0.8, 0.75-1.07 times at 0.9 and 0.56-0.80 times at k >= n.
-    Coupon (100, 500) takes 523-row chunks either way: 3.6 against 4.5 us
-    per row.
+    Per row of ``step_arrays``, each kernel on its own chunks of
+    ``_ENTRIES // cells`` rows (draw included; coupon, 16-bit labels, 2-vCPU
+    VM, n from 100 to 10 000), the table took 1.4-3.0 times the sorted
+    runs' time at k/n = 0.3, 1.4-1.9 times from 0.7 to 0.9, 1.13-1.23 times
+    at k = n and 0.49-0.55 times at k = 5n.  So the switch at 4k = 3n lies
+    below where the two cost the same, which is between k = n and 5n.
 
-    ``cells`` bounds the kernel's widest row: the histogram has at most
-    max(k, 3) + 1 columns (box counts 0..k, at least four), the sorted keys
-    k, the count table n.
+    ``cells`` counts what a row holds at once.  The sorted runs keep four
+    intp arrays about as long as the labels alive together (the offset
+    keys, the run bounds, the run lengths and each run's histogram cell),
+    so they count four entries for each of max(k, 3) + 1, which bounds both
+    the labels and the histogram's columns (box counts 0..k, at least
+    four).  The count table counts its widest array: the states (k), the
+    table (n) or the histogram (at most max(k, 3) + 1 columns).
     """
 
     n: int
@@ -403,7 +428,7 @@ class _Boxes(PairModel):
         return 4 * self.k < 3 * self.n
 
     def cells(self):
-        return max(self.k, 3) + 1 if self.sorts() else max(self.n, self.k, 3) + 1
+        return 4 * (max(self.k, 3) + 1) if self.sorts() else max(self.n, self.k, 3) + 1
 
     def occupancy(self, states):
         """(h, count): the rows' occupancy histogram, at least four columns
@@ -440,11 +465,14 @@ class _Boxes(PairModel):
         w = h @ self.box_w(np.arange(h.shape[1])).astype(np.int64)
         return OccupancyStats(m0=h[:, 0], m1=h[:, 1], m2=h[:, 2], m3=h[:, 3], w=w)
 
+    def labels(self):
+        """The dtype of ball labels: the narrowest of at least 16 bits that
+        holds 0..n-1 (8-bit draws are several times slower than 16-bit
+        ones)."""
+        return np.int16 if self.n <= 1 << 15 else np.int32 if self.n <= 1 << 31 else np.int64
+
     def draw(self, rows, rng):
-        # labels in the narrowest type of at least 16 bits that holds 0..n-1
-        # (8-bit draws are several times slower than 16-bit ones)
-        dtype = np.int16 if self.n <= 1 << 15 else np.int32 if self.n <= 1 << 31 else np.int64
-        return rng.integers(0, self.n, (rows, self.k), dtype=dtype)
+        return rng.integers(0, self.n, (rows, self.k), dtype=self.labels())
 
     def w(self, states):
         return self.observe(states).w
@@ -484,16 +512,18 @@ class _Boxes(PairModel):
     def size(self):
         return self.n**self.k, self.n**self.k * self.k * self.n
 
-    def iter_states(self):
-        return itertools.product(range(self.n), repeat=self.k)
+    def all_states(self):
+        return _digit_rows(self.n, self.k, self.labels())
 
     def denominators(self):
         return self.n**self.k, self.k * self.n
 
-    def kernel(self, state):
-        for ball in range(self.k):
-            for box in range(self.n):
-                yield 1, state[:ball] + (box,) + state[ball + 1 :]
+    def successors(self, states):
+        # move (ball, box) puts that ball in that box, its own box included
+        ball, box = np.divmod(np.arange(self.k * self.n), self.n)
+        nxt = np.repeat(states[:, None], len(box), axis=1)
+        nxt[:, np.arange(len(box)), ball] = box
+        return nxt, np.ones(len(box), np.int64)
 
 
 @dataclass(frozen=True)
@@ -566,11 +596,21 @@ def coupon_model(n: int, k: int) -> PairModel:
     return _Coupon(n, k)
 
 
+def _digit_rows(base: int, width: int, dtype) -> np.ndarray:
+    """Every row of ``width`` digits below ``base`` in lexicographic order,
+    which is the order of the numbers they write, the first digit highest."""
+    index = np.arange(base**width)
+    rows = np.empty((len(index), width), dtype=dtype)
+    for column in range(width - 1, -1, -1):
+        index, rows[:, column] = np.divmod(index, base)
+    return rows
+
+
 def _chunk_rows(model: PairModel) -> int:
     """Rows per Monte Carlo chunk and per row block: ``_ENTRIES //
     model.cells()``, so that neither the states nor any table of a batch
-    holds more than ``_ENTRIES`` entries, capped at ``_MC_CHUNK`` and at
-    least one."""
+    (nor the sorted runs' four label-long arrays together) holds more than
+    ``_ENTRIES`` entries, capped at ``_MC_CHUNK`` and at least one."""
     return max(1, min(_MC_CHUNK, _ENTRIES // model.cells()))
 
 
@@ -655,36 +695,39 @@ def _enumerate(model: PairModel) -> tuple[np.ndarray, EnumeratedPairMeasure]:
             f"(caps {ENUM_STATE_CAP:.0e} / {ENUM_TRANSITION_CAP:.0e})"
         )
     d_p, d_k = model.denominators()
-    states = list(model.iter_states())
-    block = max(1, _ENTRIES // ((1 + transitions // states_n) * model.cells()))
-    probs, w_vals, q_up, q_down = [], [], [], []
-    for start in range(0, states_n, block):
-        chunk = states[start : start + block]
-        rows, weights, ends = list(chunk), [], []
-        for state in chunk:
-            for weight, nxt in model.kernel(state):
-                rows.append(nxt)
-                weights.append(weight)
-            ends.append(len(weights))
-        w_all = model.w(np.array(rows)).tolist()
-        w_next = w_all[len(chunk) :]  # the successors of each state, in order
-        begin = 0
-        for state, w, end in zip(chunk, w_all, ends):
-            up = down = 0
-            for weight, wn in zip(weights[begin:end], w_next[begin:end]):
-                if wn == w + 1:
-                    up += weight
-                elif wn == w - 1:
-                    down += weight
-            begin = end
-            probs.append(model.prob(state) / d_p)
-            w_vals.append(w)
-            q_up.append(up / d_k)
-            q_down.append(down / d_k)
+    states = model.all_states()
+    w, up, down = [], [], []
+    for rows, nxt, weights in _successor_blocks(model, states):
+        w_now = model.w(states[rows])[:, None]
+        w_next = model.w(nxt.reshape(-1, nxt.shape[2])).reshape(nxt.shape[:2])
+        w.append(w_now[:, 0])
+        up.append((w_next == w_now + 1) @ weights)
+        down.append((w_next == w_now - 1) @ weights)
     measure = EnumeratedPairMeasure(
-        probs=np.array(probs), w=np.array(w_vals), q_up=np.array(q_up), q_down=np.array(q_down)
+        probs=_quotients(model.weights(), d_p), w=np.concatenate(w),
+        q_up=_quotients(np.concatenate(up), d_k), q_down=_quotients(np.concatenate(down), d_k),
     )
-    return np.array(states), measure
+    return states, measure
+
+
+def _successor_blocks(model: PairModel, states: np.ndarray):
+    """(rows, successors, weights) of ``model.successors`` over row blocks of
+    the enumerated ``states``, each block with its successors holding at
+    most about ``_ENTRIES`` entries per array."""
+    moves = model.size()[1] // len(states)
+    step = max(1, _ENTRIES // ((1 + moves) * model.cells()))
+    for start in range(0, len(states), step):
+        rows = slice(start, start + step)
+        yield rows, *model.successors(states[rows])
+
+
+def _quotients(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den for an array of non-negative integers, each quotient the
+    correctly rounded double of the exact one, as Python's int / int
+    gives: in doubles where both sides are exact in them, else in ints."""
+    if num.dtype != object and den <= 1 << 53 and num.max(initial=0) <= 1 << 53:
+        return num / den
+    return np.array([x / den for x in num.tolist()], dtype=float)
 
 
 def enumerate_pair_measure(model: PairModel) -> EnumeratedPairMeasure:
@@ -704,31 +747,63 @@ class ExchangeabilityReport:
 
 def verify_exchangeability(model: PairModel) -> ExchangeabilityReport:
     """Exact check that the joint pair measure is symmetric with the
-    stationary margins, in integers: with a_i the stationary weight of state
-    i over D_P, q(i, j) = a_i * (kernel weight of i -> j) over D_P * D_K must
-    equal q(j, i), and each row must sum to a_i * D_K, i.e. the kernel's
-    weights from every state sum to D_K."""
+    stationary margins, in Python ints: with a_i the stationary weight of
+    state i over D_P, q(i, j) = a_i * (kernel weight of i -> j) over D_P *
+    D_K must equal q(j, i), and each row must sum to a_i * D_K, i.e. the
+    kernel's weights from every state sum to D_K."""
     states_n, _ = model.size()
     if states_n > JOINT_STATE_CAP:
         raise ValueError(
             f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
             f"(instance has {states_n})"
         )
-    states = list(model.iter_states())
-    index = {s: i for i, s in enumerate(states)}
-    weights = [model.prob(s) for s in states]
-    q: dict[tuple[int, int], int] = {}  # sparse, keyed by state-index pairs
-    for i, (state, a) in enumerate(zip(states, weights)):
-        for weight, nxt in model.kernel(state):
-            key = (i, index[nxt])
-            q[key] = q.get(key, 0) + a * weight
-    d_k = model.denominators()[1]
-    symmetric = all(q.get((j, i), 0) == val for (i, j), val in q.items())
-    margins = [0] * len(states)
-    for (i, _), val in q.items():
-        margins[i] += val
-    margins_ok = all(m == a * d_k for m, a in zip(margins, weights))
-    return ExchangeabilityReport(states=len(states), symmetric=symmetric, margins_ok=margins_ok)
+    pairs, q = _transitions(model, model.all_states())
+    i = pairs // states_n
+    a = model.weights().astype(object)
+    q = q.astype(object)
+    q *= a[i]
+    # each q(i, j) against q(j, i), which is 0 where j -> i is no transition
+    turned = pairs % states_n * states_n + i
+    back = np.minimum(np.searchsorted(pairs, turned), len(pairs) - 1)
+    symmetric = bool(np.array_equal(np.where(pairs[back] == turned, q[back], 0), q))
+    margins = np.zeros(states_n, dtype=object)  # q's rows lie in order
+    row_first = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+    margins[i[row_first]] = np.add.reduceat(q, row_first)
+    margins_ok = bool(np.array_equal(margins, a * model.denominators()[1]))
+    return ExchangeabilityReport(states=states_n, symmetric=symmetric, margins_ok=margins_ok)
+
+
+def _transitions(model: PairModel, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, weights): each transition i -> j between the enumerated
+    ``states`` coded i * states + j, in increasing order and each once, and
+    the summed kernel weight of the moves that make it.
+
+    Successors are found among the states by their base-b codes (b one more
+    than the largest entry of a state; ``np.ravel_multi_index``), which
+    increase along the lexicographic order of the states.  Within a block,
+    each move's key (transition code * moves + move) is sorted in place
+    along its row, and equal transition codes are summed before the next
+    block, so only one copy of each transition outlives its block.
+    """
+    digits = (int(states.max()) + 1,) * states.shape[1]
+    index = np.ravel_multi_index(states.T, digits)
+    pairs, kernel = [], []
+    for rows, nxt, weights in _successor_blocks(model, states):
+        moves = len(weights)
+        key = np.searchsorted(index, np.ravel_multi_index(np.moveaxis(nxt, 2, 0), digits))
+        del nxt
+        key += np.arange(len(states))[rows, None] * len(states)
+        key *= moves
+        key += np.arange(moves)
+        key.sort(axis=1)
+        key = key.ravel()
+        weight = weights[key % moves]
+        key //= moves
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        pairs.append(key[first])
+        kernel.append(np.add.reduceat(weight, first))
+        del key, weight, first  # before the next block's, or the concatenation
+    return np.concatenate(pairs), np.concatenate(kernel)
 
 
 # ---------------------------------------------------------------------------

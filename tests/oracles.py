@@ -315,6 +315,44 @@ def pair_chain_fractions(model):
     return states, lambda state: Fraction(1, len(states)), kernel
 
 
+def pair_statistic(model, state) -> int:
+    """W of one state tuple, counted from its definition: successes,
+    letters matched in their own slots, or the per-box statistic summed
+    over the box counts."""
+    if model.problem == "poisson_binomial":
+        return sum(state)
+    if model.problem == "matching":
+        word = list(model.spec.word()) if hasattr(model, "spec") else list(range(model.n))
+        return sum(word[s] == word[i] for i, s in enumerate(state))
+    counts = [0] * model.n
+    for box in state:
+        counts[box] += 1
+    stat = {"birthday_pairs": stat_pairs, "birthday_triples": stat_triples,
+            "coupon": stat_empty}[model.problem]
+    return stat(counts)
+
+
+def pair_measure_fractions(model) -> tuple[list, list, list, list]:
+    """(probs, w, q_up, q_down) over the states in enumeration order: each
+    probability the float of its exact Fraction."""
+    states, prob, kernel = pair_chain_fractions(model)
+    probs, ws, ups, downs = [], [], [], []
+    for state in states:
+        w = pair_statistic(model, state)
+        up = down = Fraction(0)
+        for pr, nxt in kernel(state):
+            wn = pair_statistic(model, nxt)
+            if wn == w + 1:
+                up += pr
+            elif wn == w - 1:
+                down += pr
+        probs.append(float(prob(state)))
+        ws.append(w)
+        ups.append(float(up))
+        downs.append(float(down))
+    return probs, ws, ups, downs
+
+
 def pair_joint_measure_fractions(model):
     """Joint pair measure Q(state, state') by enumeration in Fractions:
     (states, probs, q) with ``q`` a sparse dict keyed by state-index pairs."""

@@ -264,6 +264,13 @@ ENUMERABLE_CASES = [
     ("coupon_32", lambda: coupon_model(3, 2)),
 ]
 
+# stationary and kernel weights past int64 (the lcm of the denominators of
+# the p_i is 2**1074), and zero-weight moves
+EXTREME_WEIGHT_CASES = [
+    ("poisson_binomial_tiny", lambda: poisson_binomial_model([1e-5, 0.3, 1e-300, 5e-324, 0.7])),
+    ("poisson_binomial_0_1", lambda: poisson_binomial_model([0.0, 1.0, 0.25, 0.5])),
+]
+
 SYMMETRIC_PAIR_CASES = [
     lambda: matching_model(4),
     lambda: poisson_binomial_model([0.3, 0.9, 0.44, 0.18, 0.7, 0.05, 0.99, 0.5, 0.2, 0.6]),
@@ -290,7 +297,8 @@ class TestExactVerification:
         assert report.margins_ok
 
     @pytest.mark.parametrize(
-        "factory", [factory for _, factory in ENUMERABLE_CASES] + SYMMETRIC_PAIR_CASES
+        "factory",
+        [factory for _, factory in ENUMERABLE_CASES + EXTREME_WEIGHT_CASES] + SYMMETRIC_PAIR_CASES,
     )
     def test_integer_check_matches_fraction_oracle(self, factory):
         # the integer-weight check against the exact-rational enumeration
@@ -302,24 +310,25 @@ class TestExactVerification:
 
     def test_kernel_missing_moves_is_asymmetric(self, monkeypatch):
         # no ball ever moves into box 0: leaving box 0 has no reverse move
-        def no_box_zero(self, state):
-            for ball in range(self.k):
-                for box in range(1, self.n):
-                    yield 1, state[:ball] + (box,) + state[ball + 1 :]
+        def no_box_zero(self, states):
+            ball, box = np.divmod(np.arange(self.k * (self.n - 1)), self.n - 1)
+            nxt = np.repeat(states[:, None], len(box), axis=1)
+            nxt[:, np.arange(len(box)), ball] = box + 1
+            return nxt, np.ones(len(box), np.int64)
 
-        monkeypatch.setattr(pair_models._BirthdayPairs, "kernel", no_box_zero)
+        monkeypatch.setattr(pair_models._BirthdayPairs, "successors", no_box_zero)
         report = verify_exchangeability(birthday_pairs_model(3, 2))
         assert not report.symmetric
 
     def test_kernel_extra_weight_breaks_margins(self, monkeypatch):
         # one more self-loop weight: still symmetric, but each row sums to D_K + 1
-        kernel = pair_models._Coupon.kernel
+        successors = pair_models._Coupon.successors
 
-        def extra_weight(self, state):
-            yield from kernel(self, state)
-            yield 1, state
+        def extra_weight(self, states):
+            nxt, weights = successors(self, states)
+            return np.concatenate((nxt, states[:, None]), axis=1), np.append(weights, 1)
 
-        monkeypatch.setattr(pair_models._Coupon, "kernel", extra_weight)
+        monkeypatch.setattr(pair_models._Coupon, "successors", extra_weight)
         report = verify_exchangeability(coupon_model(3, 2))
         assert report.symmetric
         assert not report.margins_ok
@@ -328,16 +337,47 @@ class TestExactVerification:
         # p = (1/4, 1/2) gives D_K = 2 * 4; resampling coordinate 0 with p_0
         # and 1 - p_0 swapped keeps every row summing to D_K, but the move no
         # longer preserves the stationary law
-        def swapped(self, state):
-            yield 3, (1,) + state[1:]
-            yield 1, (0,) + state[1:]
-            yield 2, state[:1] + (1,)
-            yield 2, state[:1] + (0,)
+        def swapped(self, states):
+            nxt = np.repeat(states[:, None], 4, axis=1)
+            nxt[:, [0, 1, 2, 3], [0, 0, 1, 1]] = [True, False, True, False]
+            return nxt, np.array([3, 1, 2, 2])
 
-        monkeypatch.setattr(pair_models._Bernoulli, "kernel", swapped)
+        monkeypatch.setattr(pair_models._Bernoulli, "successors", swapped)
         report = verify_exchangeability(poisson_binomial_model([0.25, 0.5]))
         assert not report.symmetric
         assert report.margins_ok
+
+    @pytest.mark.parametrize("name,factory", ENUMERABLE_CASES + EXTREME_WEIGHT_CASES)
+    def test_measure_matches_fraction_chain(self, name, factory):
+        # every field the correctly rounded double of the exact rational the
+        # Fraction chain that shares no code with the arrays gives
+        model = factory()
+        measure = enumerate_pair_measure(model)
+        expected = oracles.pair_measure_fractions(model)
+        for field, values in zip(("probs", "w", "q_up", "q_down"), expected):
+            assert getattr(measure, field).tolist() == values, (name, field)
+
+    def test_states_follow_the_lexicographic_order_in_the_draw_dtype(self):
+        for model in (poisson_binomial_model([0.5] * 3), matching_model(4),
+                      matching_model(4, (2, 2)), coupon_model(3, 3), birthday_pairs_model(4, 2)):
+            states, _, _ = oracles.pair_chain_fractions(model)
+            ours = model.all_states()
+            assert [tuple(row) for row in ours.tolist()] == states
+            assert ours.dtype == model.draw(1, substream(1, 0)).dtype
+
+    @pytest.mark.parametrize("check, bound", [
+        (verify_step_probs, 3.5),  # 5.2 MiB with a tuple per state and per successor
+        (verify_exchangeability, 1.2),  # 1.4 MiB with a dict of the joint measure
+    ])
+    def test_exact_checks_hold_arrays_not_tuples(self, check, bound):
+        model = coupon_model(4, 5)
+        tracemalloc.start()
+        try:
+            check(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
     def test_up_down_rates_balance(self):
         for _, factory in ENUMERABLE_CASES:
@@ -462,7 +502,7 @@ class TestMonteCarloVerification:
 
     @pytest.mark.parametrize("model, cells", [
         (coupon_model(100, 500), 501),
-        (birthday_pairs_model(2000, 60), 61),
+        (birthday_pairs_model(2000, 60), 244),
         (matching_model(100), 100),
         (matching_model(512), 512),
         (matching_model(12, (4, 4, 4)), 12),
@@ -478,11 +518,35 @@ class TestMonteCarloVerification:
         assert rows == min(8192, max(1, pair_models._ENTRIES // cells))
         assert len(pair_models._blocks(model, model.draw(rows, substream(19, 0)))) == 1
 
-    def test_narrow_birthday_states_keep_full_chunks(self):
+    def test_sorted_runs_chunks_count_four_arrays_per_label(self):
         # the seeded streams of the benchmark's birthday commands depend on
-        # the chunk size: their states and histograms are at most 31 wide
-        for model in (birthday_pairs_model(365, 23), birthday_triples_model(200, 30)):
-            assert pair_models._chunk_rows(model) == 8192
+        # the chunk size: the sorted-runs kernel holds four intp arrays as
+        # long as the chunk's labels, and histograms of max(k, 3) + 1 columns
+        for model, rows in ((birthday_pairs_model(365, 23), 2730),
+                            (birthday_triples_model(200, 30), 2114),
+                            (birthday_pairs_model(2000, 60), 1074)):
+            assert model.sorts()
+            assert model.cells() == 4 * (model.k + 1)
+            assert pair_models._chunk_rows(model) == rows
+
+    @pytest.mark.parametrize("model, run", [
+        (birthday_pairs_model(365, 23), "step_arrays"),  # 6.7 MiB at 8192-row chunks
+        (birthday_triples_model(200, 30), "step_arrays"),  # 8.4 MiB at 8192-row chunks
+        (birthday_pairs_model(2000, 60), "w"),  # 8.7 MiB at 4297-row chunks
+    ])
+    def test_sorted_runs_chunk_memory_is_bounded(self, model, run):
+        # one Monte Carlo chunk of the sorted-runs kernel: its keys, run
+        # bounds, run lengths and histogram cells hold _ENTRIES intp entries
+        # together, 2 MiB
+        rng = substream(1, 0)
+        tracemalloc.start()
+        try:
+            states = model.draw(pair_models._chunk_rows(model), rng)
+            model.step_arrays(states, rng) if run == "step_arrays" else model.w(states)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_count_table_across_sub_blocks(self):
         # 133 rows of 4000 balls: step_arrays takes blocks of 65, 65 and 3
@@ -663,14 +727,14 @@ class TestSampleStatistics:
 
     def test_boxes_w_of_the_stationary_draws(self, monkeypatch):
         # 300 rows of 60 balls in 2000 boxes run the sorted-runs kernel in
-        # chunks of 4096 // 61 = 67 rows and a last one of 32; W must be the
+        # chunks of 4096 // 244 = 16 rows and a last one of 12; W must be the
         # statistic of each drawn row, in order
         monkeypatch.setattr(pair_models, "_ENTRIES", 4096)
         model, rows = birthday_pairs_model(2000, 60), 300
         w = sample_statistics(model, rows, substream(24, 0))
         rng = substream(24, 0)
-        states = np.concatenate([model.draw(min(67, rows - start), rng)
-                                 for start in range(0, rows, 67)])
+        states = np.concatenate([model.draw(min(16, rows - start), rng)
+                                 for start in range(0, rows, 16)])
         assert w.tolist() == [model.w(state[None])[0] for state in states]
 
 
