@@ -161,7 +161,8 @@ class PairModel:
     times D_P, in that order) and ``successors`` (each row's successor under
     every move, one explicit entry per move, and each move's kernel weight:
     its probability times D_K, the same from every state).  The weights are
-    int64 arrays where their sums fit, else arrays of Python ints.
+    int64 ones for the uniform families and Python ints for independent
+    indicators, whose products outgrow int64 (L is 2**1074 for p_i = 5e-324).
     """
 
     problem: str
@@ -229,10 +230,9 @@ class _Bernoulli(PairModel):
         # the product of a_i or L - a_i over the coordinates, which join one
         # at a time as the next lower digit of the state index
         scale, a = self._numerators
-        dtype = np.int64 if scale**self.n < 1 << 63 else object
-        out = np.ones(1, dtype)
+        out = np.ones(1, object)
         for ai in a:
-            out = np.multiply.outer(out, np.array([scale - ai, ai], dtype)).ravel()
+            out = np.multiply.outer(out, np.array([scale - ai, ai], object)).ravel()
         return out
 
     def successors(self, states):
@@ -242,8 +242,7 @@ class _Bernoulli(PairModel):
         moves = np.arange(2 * self.n)
         nxt = np.repeat(states[:, None], len(moves), axis=1)
         nxt[:, moves, moves // 2] = moves % 2 == 0
-        dtype = np.int64 if self.n * scale < 1 << 63 else object
-        return nxt, np.array([w for ai in a for w in (ai, scale - ai)], dtype)
+        return nxt, np.array([w for ai in a for w in (ai, scale - ai)], object)
 
 
 class _Permutations(PairModel):
@@ -723,10 +722,7 @@ def _successor_blocks(model: PairModel, states: np.ndarray):
 
 def _quotients(num: np.ndarray, den: int) -> np.ndarray:
     """num / den for an array of non-negative integers, each quotient the
-    correctly rounded double of the exact one, as Python's int / int
-    gives: in doubles where both sides are exact in them, else in ints."""
-    if num.dtype != object and den <= 1 << 53 and num.max(initial=0) <= 1 << 53:
-        return num / den
+    correctly rounded double of the exact one, as Python's int / int gives."""
     return np.array([x / den for x in num.tolist()], dtype=float)
 
 

@@ -281,6 +281,14 @@ SYMMETRIC_PAIR_CASES = [
 ]
 
 
+@pytest.fixture(params=["one_block", "one_state_per_block"])
+def joint_blocks(request, monkeypatch):
+    """The joint check over one block of states, or over one state per
+    block, where each transition and its reverse lie in different blocks."""
+    if request.param == "one_state_per_block":
+        monkeypatch.setattr(pair_models, "_ENTRIES", 1)
+
+
 class TestExactVerification:
     @pytest.mark.parametrize("name,factory", ENUMERABLE_CASES)
     def test_per_state_conditionals_exact(self, name, factory):
@@ -300,7 +308,7 @@ class TestExactVerification:
         "factory",
         [factory for _, factory in ENUMERABLE_CASES + EXTREME_WEIGHT_CASES] + SYMMETRIC_PAIR_CASES,
     )
-    def test_integer_check_matches_fraction_oracle(self, factory):
+    def test_integer_check_matches_fraction_oracle(self, factory, joint_blocks):
         # the integer-weight check against the exact-rational enumeration
         # that shares no code with it
         model = factory()
@@ -308,7 +316,7 @@ class TestExactVerification:
         expected = oracles.pair_exchangeability_fractions(model)
         assert (report.states, report.symmetric, report.margins_ok) == expected
 
-    def test_kernel_missing_moves_is_asymmetric(self, monkeypatch):
+    def test_kernel_missing_moves_is_asymmetric(self, monkeypatch, joint_blocks):
         # no ball ever moves into box 0: leaving box 0 has no reverse move
         def no_box_zero(self, states):
             ball, box = np.divmod(np.arange(self.k * (self.n - 1)), self.n - 1)
@@ -320,7 +328,7 @@ class TestExactVerification:
         report = verify_exchangeability(birthday_pairs_model(3, 2))
         assert not report.symmetric
 
-    def test_kernel_extra_weight_breaks_margins(self, monkeypatch):
+    def test_kernel_extra_weight_breaks_margins(self, monkeypatch, joint_blocks):
         # one more self-loop weight: still symmetric, but each row sums to D_K + 1
         successors = pair_models._Coupon.successors
 
@@ -333,7 +341,7 @@ class TestExactVerification:
         assert report.symmetric
         assert not report.margins_ok
 
-    def test_kernel_with_wrong_weights_is_asymmetric(self, monkeypatch):
+    def test_kernel_with_wrong_weights_is_asymmetric(self, monkeypatch, joint_blocks):
         # p = (1/4, 1/2) gives D_K = 2 * 4; resampling coordinate 0 with p_0
         # and 1 - p_0 swapped keeps every row summing to D_K, but the move no
         # longer preserves the stationary law
