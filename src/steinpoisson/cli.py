@@ -150,21 +150,35 @@ def parse_float_list(text: str) -> list[float]:
     return out
 
 
+def _p_float(word: str, text: str) -> float:
+    """``float(word)`` of the --p value ``text``, or a usage error naming --p."""
+    try:
+        return float(word)
+    except ValueError:
+        raise UsageError(f"--p {text!r}: {word!r} is not a float") from None
+
+
+def _recipe_n(recipe: str, n: int | None) -> int:
+    """The --n of a --p recipe, refused with a usage error unless given and >= 1."""
+    if n is None:
+        raise UsageError(f"recipe {recipe} needs --n")
+    if n < 1:
+        raise UsageError(f"--n must be >= 1 for the --p recipes (got {n})")
+    return n
+
+
 def parse_p_vector(text: str, n: int | None) -> tuple[float, ...]:
     """Explicit comma list, which takes no --n, or the recipes 'uniform:LAM'
-    (p_i = LAM/n) and 'harmonic' (p_i = 1/i), both of which need --n."""
+    (p_i = LAM/n) and 'harmonic' (p_i = 1/i), both of which need --n >= 1."""
     if text.startswith("uniform:"):
-        lam = float(text.split(":", 1)[1])
-        if n is None:
-            raise UsageError("recipe uniform:LAM needs --n")
+        lam = _p_float(text.split(":", 1)[1], text)
+        n = _recipe_n("uniform:LAM", n)
         return tuple(lam / n for _ in range(n))
     if text == "harmonic":
-        if n is None:
-            raise UsageError("recipe harmonic needs --n")
-        return tuple(1.0 / i for i in range(1, n + 1))
+        return tuple(1.0 / i for i in range(1, _recipe_n("harmonic", n) + 1))
     if n is not None:
         raise UsageError("an explicit --p list takes no --n")
-    return tuple(float(x) for x in text.split(","))
+    return tuple(_p_float(word, text) for word in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +319,11 @@ def _poisson_binomial_grid(args) -> list[dict]:
 
 
 #: a Poisson-binomial block holds grid points up to this many law entries
-#: (rows x (n + 1)); a single longer vector makes a block of its own, so a
-#: block's tables stay within a small constant of one point's
-PB_BLOCK_ENTRIES = 1 << 12
+#: (rows x (n + 1)); a single longer vector makes a block of its own.  On
+#: vectors of up to 12 entries a block's length groups are about 180 rows
+#: each, enough to spread NumPy's per-call cost, and the records a block
+#: holds until its last group is done stay under 1 MiB
+PB_BLOCK_ENTRIES = 1 << 14
 
 
 def _poisson_binomial_blocks(points: list[dict], bound) -> Iterator[Evaluation]:
@@ -328,9 +344,10 @@ def _poisson_binomial_blocks(points: list[dict], bound) -> Iterator[Evaluation]:
 
 def _poisson_binomial_block(vectors: list[tuple[float, ...]], bound) -> Iterator[Evaluation]:
     """Each vector length in the block gets one matrix of its vectors, and
-    from it one ``poisson_binomial_pmf`` call (the laws), one ``bound`` call
-    on the point ``{"p": matrix}`` (the reports, one per row) and one
-    ``stein_core._poisson_tvs`` call (the targets and TVs)."""
+    from it one ``poisson_binomial_pmf`` call (the laws, one DP table checked
+    once), one ``bound`` call on the point ``{"p": matrix}`` (the reports,
+    one per row) and one ``stein_core._poisson_tvs`` call (the targets, one
+    column recurrence, and the TVs)."""
     start = time.perf_counter()
     by_length: dict[int, list[int]] = {}
     for i, p in enumerate(vectors):

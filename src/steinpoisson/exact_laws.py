@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stein_core import Pmf
+from .stein_core import Pmf, _table_laws
 
 __all__ = [
     "MatchingSpec",
@@ -241,7 +241,8 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
         mass[0] *= 1 - p_i
 
     Each row sees exactly the operations of its own one-vector call, so a
-    row's law is bit-identical to the law of that vector alone.
+    row's law is bit-identical to the law of that vector alone.  The table
+    is checked once, as a ``Pmf`` checks its rows (``stein_core._table_laws``).
     """
     probs = _success_probabilities(p)
     rows = probs.reshape(-1, probs.shape[-1])
@@ -252,7 +253,7 @@ def poisson_binomial_pmf(p) -> Pmf | list[Pmf]:
     for i in range(rows.shape[1]):
         mass[:, 1 : i + 2] = mass[:, 1 : i + 2] * fail[i] + mass[:, : i + 1] * succ[i]
         mass[:, 0] *= fail[i, :, 0]
-    laws = [Pmf(row) for row in mass]
+    laws = _table_laws(mass)
     return laws[0] if probs.ndim == 1 else laws
 
 

@@ -66,10 +66,13 @@ __all__ = [
 #: enumeration caps (states / kernel transitions) for the exact checks
 ENUM_STATE_CAP = 400_000
 ENUM_TRANSITION_CAP = 30_000_000
-#: state cap of the joint-measure (exchangeability) check, which holds a
+#: transition cap of the joint-measure (exchangeability) check, which holds a
 #: state-index pair code and an integer kernel weight per kernel transition
-#: and sorts them by code
-JOINT_STATE_CAP = 20_000
+#: and sorts them by code: its traced peak measured 45-57 bytes per
+#: transition on the uniform families (birthday pairs (1000, 1): 54 MiB at
+#: 10^6 transitions) and 103 on independent indicators with p = 0.05, whose
+#: Python-int weights are as wide as their lcm; so about 60 MiB at the cap
+JOINT_TRANSITION_CAP = 1 << 20
 #: entries per batch of rows: a Monte Carlo chunk or block, or a block of
 #: enumerated states with their successors, holds at most this many per array
 #: (rows times ``PairModel.cells``, times the moves plus one for a block of
@@ -747,11 +750,11 @@ def verify_exchangeability(model: PairModel) -> ExchangeabilityReport:
     state i over D_P, q(i, j) = a_i * (kernel weight of i -> j) over D_P *
     D_K must equal q(j, i), and each row must sum to a_i * D_K, i.e. the
     kernel's weights from every state sum to D_K."""
-    states_n, _ = model.size()
-    if states_n > JOINT_STATE_CAP:
+    states_n, transitions = model.size()
+    if transitions > JOINT_TRANSITION_CAP:
         raise ValueError(
-            f"joint measure enumeration capped at {JOINT_STATE_CAP} states "
-            f"(instance has {states_n})"
+            f"joint measure enumeration capped at {JOINT_TRANSITION_CAP} transitions "
+            f"(instance has {transitions})"
         )
     pairs, q = _transitions(model, model.all_states())
     i = pairs // states_n

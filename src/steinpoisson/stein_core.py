@@ -68,30 +68,59 @@ def _as_fn_table(values, name: str = "f", min_len: int = 1) -> np.ndarray:
     return arr
 
 
-def _check_mass(values: list[float], tail, total: float | None = None) -> float:
+_NOT_FINITE = "mass must be finite"
+_ENTRY_RANGE = "mass entries must lie in [0, 1]"
+_TAIL_RANGE = "tail must lie in [0, 1]"
+
+
+def _bad_sum(total: float) -> str:
+    return f"mass + tail must sum to 1 (got {total:.17g})"
+
+
+def _check_mass(values: list[float], tail) -> float:
     """The checks of a :class:`Pmf`, on its entries as Python floats; returns
-    the tail as a float.  ``total``, where given, is ``math.fsum(values)``,
-    already taken by the caller.
+    the tail as a float.
 
     One pass over the entries: a nan or inf entry makes the sum non-finite
     (or raises), and only then are entries inspected.
     """
-    if total is None:
-        try:
-            total = math.fsum(values)
-        except (OverflowError, ValueError):  # past the float range, or inf - inf
-            total = math.inf
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
+        total = math.inf
     if not math.isfinite(total) and not all(map(math.isfinite, values)):
-        raise ValueError("mass must be finite")
+        raise ValueError(_NOT_FINITE)
     if min(values) < 0.0 or max(values) > 1.0 + MASS_TOL:
-        raise ValueError("mass entries must lie in [0, 1]")
+        raise ValueError(_ENTRY_RANGE)
     tail = float(tail)
     if not (0.0 <= tail <= 1.0 + MASS_TOL):
-        raise ValueError("tail must lie in [0, 1]")
+        raise ValueError(_TAIL_RANGE)
     total += tail
     if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"mass + tail must sum to 1 (got {total:.17g})")
+        raise ValueError(_bad_sum(total))
     return tail
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D table, after the entry rules of
+    :func:`_check_mass` on the whole table (entries finite and in [0, 1], so
+    no sum can leave the float range); zero padding adds nothing to a sum."""
+    if not np.isfinite(table).all():
+        raise ValueError(_NOT_FINITE)
+    if table.min() < 0.0 or table.max() > 1.0 + MASS_TOL:
+        raise ValueError(_ENTRY_RANGE)
+    return np.array([math.fsum(row) for row in table.tolist()])
+
+
+def _check_sums(totals: np.ndarray, tails: np.ndarray) -> None:
+    """The tail and sum rules of :func:`_check_mass` on the rows of a table
+    at once: ``totals`` from :func:`_row_sums`, ``tails`` the rows' tails."""
+    if not ((0.0 <= tails) & (tails <= 1.0 + MASS_TOL)).all():  # also refuses nan
+        raise ValueError(_TAIL_RANGE)
+    sums = totals + tails
+    off = np.abs(sums - 1.0) > MASS_TOL
+    if off.any():
+        raise ValueError(_bad_sum(sums[off.argmax()]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +129,8 @@ class Pmf:
 
     ``mass[j]`` is ``P(W = j)``; ``tail`` is the (certified) probability of
     ``W > support_max``.  The invariant ``sum(mass) + tail == 1`` is enforced
-    to within ``MASS_TOL`` at construction.
+    to within ``MASS_TOL`` at construction, or once for a whole table of
+    rows by :func:`_table_laws`.
     """
 
     mass: np.ndarray
@@ -136,6 +166,19 @@ class Pmf:
         return max(0.0, float(np.dot(j * j, self.mass)) - m * m)
 
 
+def _table_laws(table: np.ndarray) -> list[Pmf]:
+    """One tail-free ``Pmf`` per row of a 2-D float table, each a read-only
+    view of it.  The table is checked once, as a ``Pmf`` checks its rows
+    (:func:`_row_sums`, :func:`_check_sums`), and the rows skip
+    ``Pmf.__post_init__``.  Nothing is clipped."""
+    _check_sums(_row_sums(table), np.zeros(len(table)))
+    table.flags.writeable = False
+    laws = [object.__new__(Pmf) for _ in range(len(table))]
+    for law, row in zip(laws, table):
+        vars(law).update(mass=row, tail=0.0)
+    return laws
+
+
 @dataclass(frozen=True)
 class SteinParams:
     """The rate of the Poisson reference law."""
@@ -160,9 +203,9 @@ def check_rate(lam: float) -> None:
         raise ValueError(f"lam={lam} too large: exp(-lam) underflows")
 
 
-def _poisson_terms(lam: float) -> tuple[list[float], float, float]:
+def _poisson_terms(lam: float) -> tuple[list[float], float]:
     """Poisson(lam) masses up to the smallest N whose upper tail is <=
-    ``TRUNCATION_EPS``, the exact remainder ``1 - sum(masses)`` and that sum."""
+    ``TRUNCATION_EPS``, and the exact remainder ``1 - sum(masses)``."""
     check_rate(lam)
     p = math.exp(-lam)
     terms = [p]
@@ -175,8 +218,7 @@ def _poisson_terms(lam: float) -> tuple[list[float], float, float]:
         cum += p
         if k > 100_000:
             raise RuntimeError("Poisson truncation failed to converge")
-    total = math.fsum(terms)
-    return terms, max(0.0, 1.0 - total), total
+    return terms, max(0.0, 1.0 - math.fsum(terms))
 
 
 def poisson_pmf(params: SteinParams) -> Pmf:
@@ -186,7 +228,7 @@ def poisson_pmf(params: SteinParams) -> Pmf:
     The ``tail`` field holds the exact remainder ``1 - sum(mass)``, so the
     returned Pmf is a certified representation of the full law.
     """
-    terms, tail, _ = _poisson_terms(params.lam)
+    terms, tail = _poisson_terms(params.lam)
     return Pmf(np.array(terms), tail)
 
 
@@ -220,26 +262,48 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 def _poisson_table(lams) -> tuple[np.ndarray, list[float]]:
     """The masses of ``poisson_pmf(SteinParams(lam))`` for each rate, as the
-    rows of one table zero-padded to the longest, and their tails.  Each rate
-    gets :func:`check_rate`, and each target is checked as a ``Pmf`` checks
-    its table but is never built as one."""
-    targets, tails = [], []
-    for lam in lams:
-        terms, tail, total = _poisson_terms(lam)
-        tails.append(_check_mass(terms, tail, total))
-        targets.append(terms)
-    table = np.zeros((len(targets), max(map(len, targets))))
-    for row, terms in zip(table, targets):
-        row[: len(terms)] = terms
-    return table, tails
+    rows of one table zero-padded to the longest, and their tails.
+
+    Each rate gets :func:`check_rate`.  The rows are :func:`_poisson_terms`'
+    loop (which the one-rate :func:`poisson_pmf` keeps: a single row is
+    faster there) run as one column recurrence, each column the same float
+    operations the loop does on each rate: ``p_0 = math.exp(-lam)`` (not
+    ``np.exp``, whose rounding differs), then ``p_k = p_{k-1} * (lam / k)``
+    and ``cum_k = cum_{k-1} + p_k`` until every row's ``1 - cum`` is at most
+    ``TRUNCATION_EPS``.  A row ends at its own first such column, and
+    entries past it are zero.  Each tail is ``1 - math.fsum(row)`` as in the
+    loop, and the table is checked once as a ``Pmf`` checks its rows
+    (:func:`_row_sums`, :func:`_check_sums`), never built as Pmfs.
+    """
+    rate = np.array(lams, dtype=float)
+    bad = ~((rate > 0.0) & (rate <= MAX_LAM))  # check_rate's domain; nan is bad
+    if bad.any():
+        check_rate(lams[bad.argmax()])
+    p = np.array([math.exp(-lam) for lam in lams])
+    columns, cums = [p], [p]
+    # 1 - cum is monotone in cum, so the least cum decides whether any row is open
+    while 1.0 - cums[-1].min() > TRUNCATION_EPS:
+        if len(columns) > 100_000:
+            raise RuntimeError("Poisson truncation failed to converge")
+        p = p * (rate / len(columns))
+        columns.append(p)
+        cums.append(cums[-1] + p)
+    table = np.stack(columns, axis=1)
+    # entry k belongs to the rows still open after entry k - 1
+    table[:, 1:][1.0 - np.stack(cums[:-1], axis=1) <= TRUNCATION_EPS] = 0.0
+    totals = _row_sums(table)
+    tails = np.maximum(0.0, 1.0 - totals)
+    _check_sums(totals, tails)
+    return table, tails.tolist()
 
 
 def _poisson_tvs(laws: list[Pmf], lams: list[float]) -> list[float]:
     """``tv_distance(law, poisson_pmf(SteinParams(lam)))`` of each of a
     nonempty list of laws of one support size and its rate, bit for bit.
 
-    The targets fill one table (:func:`_poisson_table`), and the distances
-    are taken over the two tables at once.
+    The targets fill one table (:func:`_poisson_table`, one column
+    recurrence for all rates), and the distances are taken over the two
+    tables at once.
     """
     targets, tails = _poisson_table(lams)
     rows = _abs_diff(np.array([law.mass for law in laws]), targets)

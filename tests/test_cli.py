@@ -454,12 +454,12 @@ class TestVerifyPairCommand:
     def test_exact_over_cap(self, capsys):
         assert run(["verify-pair", "matching", "--n", "30", "--exact"]) == EXIT_USAGE
 
-    def test_exact_past_joint_state_cap_skips_the_joint_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(pair_models, "JOINT_STATE_CAP", 100)
+    def test_exact_past_joint_transition_cap_skips_the_joint_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(pair_models, "JOINT_TRANSITION_CAP", 1000)
         assert run(["verify-pair", "matching", "--n", "6", "--exact"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert ("joint measure check skipped: joint measure enumeration capped at 100 states "
-                "(instance has 720)\n") in out
+        assert ("joint measure check skipped: joint measure enumeration capped at 1000 "
+                "transitions (instance has 10800)\n") in out
         assert out.endswith("verdict: pass\n")
 
     @pytest.mark.parametrize("command", ["verify-pair", "mc-tv"])
@@ -862,6 +862,10 @@ class TestFlagsReadOnly:
         ("exact-tv matching --n 1", "point n=1: matching bound needs n >= 2"),
         ("exact-tv poisson-binomial --p uniform:720 --n 1000", "too large: exp(-lam) underflows"),
         ("sweep poisson-binomial --p uniform:740 --n 1000", "too large: exp(-lam) underflows"),
+        # a recipe's --n below 1, and a --p word that is no float, name their flag
+        ("exact-tv poisson-binomial --p uniform:1 --n -3",
+         "error: --n must be >= 1 for the --p recipes (got -3)\n"),
+        ("exact-tv poisson-binomial --p 0.5,abc", "error: --p '0.5,abc': 'abc' is not a float\n"),
         # --seed that --exact leaves unread, and point lists that are no grid
         ("verify-pair matching --n 6 --exact --seed 5", "matching does not read --seed with --exact"),
         ("sweep matching --n 10..5,20", "reversed range '10..5' in '10..5,20'"),

@@ -11,6 +11,7 @@ from steinpoisson import (
     ColoringSpec,
     MatchingSpec,
     OccupancySpec,
+    Pmf,
     bound_birthday_triples,
     bound_coupling_coupon,
     bound_coupling_pair_count,
@@ -110,6 +111,33 @@ class TestPoissonBinomial:
             assert np.array_equal(law.mass, poisson_binomial_pmf(row).mass)
             assert np.abs(law.mass - oracles.enumerate_poisson_binomial(row)).max() < 1e-13
         assert np.array_equal(laws[1].mass, np.eye(length + 1)[length])
+
+    def test_laws_are_read_only_tail_free_pmfs(self):
+        laws = poisson_binomial_pmf(np.random.default_rng(2).random((5, 3)))
+        for law in laws:
+            checked = Pmf(law.mass.copy())
+            assert type(law) is Pmf and law.tail == checked.tail == 0.0
+            assert np.array_equal(law.mass, checked.mass)
+            assert not law.mass.flags.writeable
+
+    @pytest.mark.parametrize("entry, value", [(0, 0.25), (1, -0.625), (2, math.nan), (0, 1.5)])
+    def test_a_bad_row_of_the_law_table_gets_the_pmf_message(self, monkeypatch, entry, value):
+        # the table is checked once, not per row: one bad DP row is still refused
+        # with the message a Pmf of that row gives
+        table_laws = exact_laws._table_laws
+        bad_rows = []
+
+        def corrupted(table):
+            table[2, entry] += value
+            bad_rows.append(table[2].copy())
+            return table_laws(table)
+
+        monkeypatch.setattr(exact_laws, "_table_laws", corrupted)
+        with pytest.raises(ValueError) as block:
+            poisson_binomial_pmf(np.full((4, 2), 0.5))
+        with pytest.raises(ValueError) as scalar:
+            Pmf(bad_rows[0])
+        assert str(block.value) == str(scalar.value)
 
     def test_one_row_matrix_gives_a_list(self):
         [law] = poisson_binomial_pmf([[0.25, 0.75]])

@@ -316,6 +316,22 @@ class TestExactVerification:
         expected = oracles.pair_exchangeability_fractions(model)
         assert (report.states, report.symmetric, report.margins_ok) == expected
 
+    def test_transition_cap_refuses_before_allocating(self):
+        # 5000 states pass any state cap, but their 2.5e7 transitions would
+        # hold over a GiB; the cap counts transitions and refuses at once
+        model = birthday_pairs_model(5000, 1)
+        assert model.size() == (5000, 25_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^joint measure enumeration capped at {pair_models.JOINT_TRANSITION_CAP} "
+                    r"transitions \(instance has 25000000\)$")):
+                verify_exchangeability(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_kernel_missing_moves_is_asymmetric(self, monkeypatch, joint_blocks):
         # no ball ever moves into box 0: leaving box 0 has no reverse move
         def no_box_zero(self, states):

@@ -200,6 +200,12 @@ def _reference_tv(p: Pmf, q: Pmf) -> float:
 #: 1 - cum of its truncated Poisson(lam) table is the float just below
 #: TRUNCATION_EPS
 LAM_AT_EPS = 2.9276433796378063
+#: rates whose table ends where 1 - cum first lands within 2**-53 (an ulp of
+#: cum) below TRUNCATION_EPS, as LAM_AT_EPS's does ...
+LAMS_ENDING_AT_EPS = [LAM_AT_EPS, 15.041942569315324, 27.948252740576724]
+#: ... and rates whose table goes on one more entry because 1 - cum lands
+#: within 2**-53 above it; both found by a search over random rates
+LAMS_GOING_ON_AT_EPS = [16.087969241785146, 27.35297414885948]
 
 
 class TestPoissonTvs:
@@ -208,23 +214,42 @@ class TestPoissonTvs:
 
     def _rates(self):
         rng = np.random.default_rng(5)
-        return [1e-9, LAM_AT_EPS, 1.0, 700.0] + rng.uniform(0.01, 40.0, 300).tolist()
+        return ([1e-9, *LAMS_ENDING_AT_EPS, 1.0, *LAMS_GOING_ON_AT_EPS, 700.0]
+                + rng.uniform(0.01, 40.0, 300).tolist())
 
-    def test_lam_at_eps_lands_next_to_eps(self):
+    def test_rates_at_eps_land_next_to_eps(self):
         from itertools import accumulate
 
-        *_, cum = accumulate(poisson_pmf(SteinParams(LAM_AT_EPS)).mass.tolist())
-        assert TRUNCATION_EPS - 2.0**-53 < 1.0 - cum <= TRUNCATION_EPS
+        for lam in LAMS_ENDING_AT_EPS + LAMS_GOING_ON_AT_EPS:
+            *_, before, cum = accumulate(poisson_pmf(SteinParams(lam)).mass.tolist())
+            assert 1.0 - before > TRUNCATION_EPS >= 1.0 - cum
+            if lam in LAMS_ENDING_AT_EPS:
+                assert TRUNCATION_EPS - 2.0**-53 < 1.0 - cum
+            else:
+                assert 1.0 - before <= TRUNCATION_EPS + 2.0**-53
 
-    def test_block_targets_equal_poisson_pmf(self):
-        lams = self._rates()
-        table, tails = _poisson_table(lams)
+    def _assert_targets(self, lams, table, tails):
+        lengths = [poisson_pmf(SteinParams(lam)).mass.size for lam in lams]
+        assert table.shape == (len(lams), max(lengths)) and len(tails) == len(lams)
         for row, tail, lam in zip(table, tails, lams):
             target = poisson_pmf(SteinParams(lam))
             assert tail == target.tail
             assert row[0] == math.exp(-lam)
             assert np.array_equal(row[: target.mass.size], target.mass)
+            assert row[target.mass.size - 1] > 0.0
             assert not row[target.mass.size :].any()
+
+    def test_block_targets_equal_poisson_pmf(self):
+        lams = self._rates()
+        self._assert_targets(lams, *_poisson_table(lams))
+
+    def test_rates_at_eps_next_to_extremes_in_one_group(self):
+        # the column recurrence ends each row at its own column, whatever
+        # the rows around it need
+        lams = [1e-9, *LAMS_ENDING_AT_EPS, *LAMS_GOING_ON_AT_EPS, 700.0]
+        self._assert_targets(lams, *_poisson_table(lams))
+        for lam in lams:
+            self._assert_targets([lam], *_poisson_table([lam]))
 
     def test_block_tvs_equal_tv_distance(self):
         lams = self._rates()
@@ -242,13 +267,20 @@ class TestPoissonTvs:
         assert _poisson_tvs([law, law], lams) == [
             _reference_tv(law, poisson_pmf(SteinParams(lam))) for lam in lams]
 
-    @pytest.mark.parametrize("terms, tail", [([0.5, 0.6], 0.0), ([1.5, -0.5], 0.0), ([1.0], 2.0)])
-    def test_targets_get_the_pmf_checks(self, monkeypatch, terms, tail):
+    @pytest.mark.parametrize("terms, tail", [
+        ([0.5, 0.6], 0.0), ([1.5, -0.5], 0.0), ([1.0], 2.0), ([1.0], math.nan),
+        ([math.nan, 1.0], 0.0), ([math.inf, -math.inf], 0.0)])
+    def test_the_table_check_gives_the_pmf_messages(self, terms, tail):
+        # a group's targets are checked once as a table, rule by rule; a bad
+        # row between good ones (one per rule of the check) gets the message
+        # a Pmf of that row gives
         with pytest.raises(ValueError) as scalar:
             Pmf(np.array(terms), tail)
-        monkeypatch.setattr(stein_core, "_poisson_terms", lambda lam: (list(terms), tail, math.fsum(terms)))
+        table = np.zeros((3, 3))
+        table[[0, 2], :2] = 0.5
+        table[1, : len(terms)] = terms
         with pytest.raises(ValueError) as block:
-            _poisson_tvs([Pmf(np.array([0.5, 0.5]))], [1.0])
+            stein_core._check_sums(stein_core._row_sums(table), np.array([0.0, tail, 0.0]))
         assert str(block.value) == str(scalar.value)
 
     def test_underflow_and_bad_rates_raise_the_scalar_message(self):

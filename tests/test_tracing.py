@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from steinpoisson import cli
+from steinpoisson import cli, exact_laws
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,6 +37,10 @@ def test_trace_plan_installs_and_multivariate_spans_fire(capsys):
 def test_poisson_binomial_spans_fire_across_blocks(capsys, monkeypatch):
     # blocks of 10 length-1 vectors: 11 points make two blocks
     monkeypatch.setattr(cli, "PB_BLOCK_ENTRIES", 20)
+    table_checks = []
+    table_laws = exact_laws._table_laws
+    monkeypatch.setattr(exact_laws, "_table_laws",
+                        lambda table: table_checks.append(len(table)) or table_laws(table))
     tracing = _tracing_module()
     tracer = tracing.Tracer()
     try:
@@ -46,14 +50,15 @@ def test_poisson_binomial_spans_fire_across_blocks(capsys, monkeypatch):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert {"exact_laws.poisson_binomial", "stein_core.pmf_check", "bounds",
-            "cli.write"} <= tracing.fired(tracer)
+    assert {"exact_laws.poisson_binomial", "bounds", "cli.write"} <= tracing.fired(tracer)
     assert tracer.spans["cli.record"].calls == 11
     assert tracer.spans["cli.write"].calls == 11
     assert tracer.spans["exact_laws.poisson_binomial"].calls == 2
-    # one bound call per (block, length) group, and a Pmf check per law
+    # one bound call and one check of the law table per (block, length)
+    # group, and no Pmf check per law
     assert tracer.spans["bounds"].calls == 2
-    assert tracer.spans["stein_core.pmf_check"].calls >= 11
+    assert table_checks == [10, 1]
+    assert "stein_core.pmf_check" not in tracing.fired(tracer)
 
 
 def test_poisson_binomial_bounds_fire_once_per_length_group(capsys, monkeypatch):
