@@ -100,21 +100,19 @@ class BoundReport:
 
 
 def _report(theorem_id, lam, raw, convention, surrogate=False, degenerate=False, **inputs):
+    """The ``BoundReport`` of a raw bound value, refused unless finite and
+    nonnegative.  Its fields are set directly, as ``BoundReport(...)`` would
+    set them, without the frozen dataclass's per-field ``__setattr__``."""
     raw = float(raw)
-    if not math.isfinite(raw):
-        raise ValueError(f"{theorem_id}: bound evaluated non-finite ({raw})")
-    if raw < 0:
+    if not 0.0 <= raw < math.inf:
+        if not math.isfinite(raw):
+            raise ValueError(f"{theorem_id}: bound evaluated non-finite ({raw})")
         raise ValueError(f"{theorem_id}: bound evaluated negative ({raw})")
-    return BoundReport(
-        theorem_id=theorem_id,
-        lam=float(lam),
-        value=min(1.0, raw),
-        raw_value=raw,
-        convention=convention,
-        surrogate=surrogate,
-        degenerate=degenerate,
-        inputs=inputs,
-    )
+    report = object.__new__(BoundReport)
+    vars(report).update(theorem_id=theorem_id, lam=float(lam), value=min(1.0, raw),
+                        raw_value=raw, convention=convention, surrogate=surrogate,
+                        degenerate=degenerate, inputs=inputs)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,6 @@ class UsageError(Exception):
     pass
 
 
-#: the text of a record field, by the field value's exact type
-_FIELD_TEXT = {float: repr, str: str, bool: lambda b: "true" if b else "false",
-               type(None): lambda _: ""}
-
-
 @dataclass
 class CertRecord:
     """One certification record; its fields, in order, are the CSV columns."""
@@ -101,7 +96,14 @@ class CertRecord:
     seconds: float
 
     def row(self) -> list[str]:
-        return [_FIELD_TEXT[type(x)](x) for x in vars(self).values()]
+        """The CSV text of each field: floats by ``repr``, a missing value
+        empty, a flag ``true`` or ``false``."""
+        return [self.problem, self.params, repr(self.lam),
+                "" if self.exact_tv is None else repr(self.exact_tv),
+                "" if self.mc_tv is None else repr(self.mc_tv),
+                "" if self.mc_stderr is None else repr(self.mc_stderr),
+                repr(self.bound), self.convention, "true" if self.surrogate else "false",
+                self.verdict, repr(self.seconds)]
 
     def as_dict(self) -> dict:
         return dict(zip(CSV_COLUMNS, self.row()))
@@ -682,15 +684,15 @@ def _single_point(args) -> dict:
 def _certify(problem: str, grid: list[dict], bound) -> Iterator[CertRecord]:
     """The records of a list of points, made as the returned iterator is
     advanced; every point is prechecked with ``bound`` first, and the first
-    one refused raises a usage error that names it."""
-    points = [{k: v for k, v in point.items() if k != "tag"} for point in grid]
-    for point, clean in zip(grid, points):
-        err = feasibility_error(problem, clean, bound)
+    one refused raises a usage error that names it.  A point's ``tag`` key,
+    which no family reads, names it in place of its params string."""
+    for point in grid:
+        err = feasibility_error(problem, point, bound)
         if err:
-            raise UsageError(f"point {point.get('tag') or _params_string(clean)}: {err}")
-    evaluations = FAMILIES[problem].evaluate(points, bound)
-    return (compute_record(problem, clean, evaluation, point.get("tag"))
-            for point, clean, evaluation in zip(grid, points, evaluations, strict=True))
+            raise UsageError(f"point {point.get('tag') or _params_string(point)}: {err}")
+    evaluations = FAMILIES[problem].evaluate(grid, bound)
+    return (compute_record(problem, point, evaluation, point.get("tag"))
+            for point, evaluation in zip(grid, evaluations, strict=True))
 
 
 def _seed(args) -> int:

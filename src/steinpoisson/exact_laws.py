@@ -25,6 +25,7 @@ import decimal
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -175,19 +176,20 @@ def derangement_numbers(n: int) -> list[int]:
     return d[: n + 1]
 
 
-def _hits_exactly(at_least, axis: int = 0) -> np.ndarray:
+def _hits_exactly(at_least) -> list:
     """Inclusion-exclusion from "at least these hits" to "exactly m hits".
 
-    ``E_m = sum_j (-1)^(j-m) C(j, m) N_j`` along ``axis`` of an exact-integer
-    array: the Taylor shift ``E(x) = N(x - 1)`` of the generating polynomials,
-    taken as ``N(-x)`` shifted by +1, one suffix sum per coefficient.
+    ``E_m = sum_j (-1)^(j-m) C(j, m) N_j`` over exact entries ``N_j``: the
+    Taylor shift ``E(x) = N(x - 1)`` of the generating polynomials, taken as
+    ``N(-x)`` shifted by +1, one suffix sum per coefficient.  The entries are
+    Python ints, ``Decimal``s (summed in the caller's context), or the rows of
+    an object array, for one pass along its first axis.
     """
-    counts = np.moveaxis(np.array(at_least, dtype=object), axis, 0)
-    counts[1::2] = -counts[1::2]
-    for i in range(len(counts) - 1):
-        counts[i:] = np.cumsum(counts[i:][::-1], axis=0)[::-1]
-    counts[1::2] = -counts[1::2]
-    return np.moveaxis(counts, 0, axis)
+    # highest coefficient first, so that a suffix sum is a running sum
+    counts = [-c if j % 2 else c for j, c in enumerate(at_least)][::-1]
+    for end in range(len(counts), 1, -1):  # coefficients len - end .. len - 1
+        counts[:end] = accumulate(counts[:end])
+    return [-c if j % 2 else c for j, c in enumerate(reversed(counts))]
 
 
 def _binomial_row(n: int) -> list[int]:
@@ -203,8 +205,14 @@ def _divided_once(counts, total: int) -> np.ndarray:
 
     Python's int/int true division rounds the exact rational once, so each
     value is the double nearest ``count / total``, with no gcd normalization.
+    Counts that do not sum to ``total`` raise RuntimeError.
     """
-    assert sum(counts) == total
+    counted = sum(counts)
+    if counted != total:
+        raise RuntimeError(
+            f"exact counts sum to {_scientific(counted, 17)}, not to their total "
+            f"{_scientific(total, 17)} (off by {_scientific(counted - total, 3)})"
+        )
     return np.array([c / total for c in counts])
 
 
@@ -595,7 +603,7 @@ class AllocationTables:
         return table
 
 
-def _empty_boxes_counts(n: int, k: int) -> np.ndarray:
+def _empty_boxes_counts(n: int, k: int) -> list[int]:
     """Allocations of k labelled balls to n boxes with exactly w empty boxes,
     w = 0..n, as exact integers summing to ``n**k``.
 

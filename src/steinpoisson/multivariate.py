@@ -121,7 +121,8 @@ def joint_fixed_point_succession_pmf(n: int) -> JointPmf:
         rooks += free if first else free + taken  # (n-1,0) neighbours (0,0)
     j = np.arange(n + 1)  # rooks vanish past j1 + j2 = n
     at_least = rooks * _completions(n)[np.minimum(j[:, None] + j[None, :], n)]
-    counts = _hits_exactly(_hits_exactly(at_least, 0), 1)
+    counts = np.array(_hits_exactly(at_least))  # along j1, rows as entries
+    counts = np.array(_hits_exactly(counts.T)).T  # along j2
     return JointPmf(_divided_once(counts.ravel(), math.factorial(n)).reshape(counts.shape))
 
 

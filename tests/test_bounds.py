@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,12 @@ from steinpoisson import (
     poisson_pmf,
     tv_distance,
 )
-from steinpoisson.bounds import TRIPLE_SURROGATE_C, _report, _singleton_variance_bound
+from steinpoisson.bounds import (
+    TRIPLE_SURROGATE_C,
+    BoundReport,
+    _report,
+    _singleton_variance_bound,
+)
 
 import oracles
 
@@ -480,11 +486,22 @@ class TestMonochromaticBound:
 
 
 class TestReport:
-    @pytest.mark.parametrize("raw", [math.nan, math.inf])
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_raw(self, raw):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=rf"^t: bound evaluated non-finite \({raw}\)$"):
             _report("t", 1.0, raw, "tv")
 
-    def test_rejects_negative_raw(self):
-        with pytest.raises(ValueError, match="negative"):
-            _report("t", 1.0, -0.5, "tv")
+    @pytest.mark.parametrize("raw", [-0.5, -5e-324])
+    def test_rejects_negative_raw(self, raw):
+        with pytest.raises(ValueError, match=rf"^t: bound evaluated negative \({raw}\)$"):
+            _report("t", 1.0, raw, "tv")
+
+    @pytest.mark.parametrize("raw, value", [(0.25, 0.25), (2.5, 1.0), (0.0, 0.0), (-0.0, -0.0)])
+    def test_equals_the_constructed_report(self, raw, value):
+        report = _report("t", 3, raw, "tv", surrogate=True, n=4, k=(1, 2))
+        built = BoundReport("t", 3.0, value, raw, "tv", True, False, {"n": 4, "k": (1, 2)})
+        assert type(report) is BoundReport
+        assert report == built and repr(report) == repr(built)
+        assert type(report.lam) is float and type(report.raw_value) is float
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.value = 0.0

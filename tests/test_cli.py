@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ import steinpoisson
 from steinpoisson import bounds, exact_laws, multivariate, pair_models
 from steinpoisson.cli import (
     CSV_COLUMNS,
+    CertRecord,
     DEFAULT_SEED,
     EXIT_FAIL,
     EXIT_OK,
@@ -430,6 +432,27 @@ class TestSweepCommand:
         rows = read_csv(out)
         assert len(rows) == 3
         assert all(row[9] == "pass" for row in rows)
+
+
+#: the text of a record field by the field value's exact type: the
+#: reference that ``CertRecord.row`` formats each column as
+FIELD_TEXT = {float: repr, str: str, bool: lambda b: "true" if b else "false",
+              type(None): lambda _: ""}
+
+
+class TestCertRecordRow:
+    @pytest.mark.parametrize("values", [
+        ("matching", "n=8", 1.0, 0.0015, None, None, 0.25, "set_distance", False, "pass", 1e-05),
+        ("poisson-binomial", "random#3 len=2", 5e-324, None, 0.125, 2.5e-05, 1.0, "tv", True,
+         "fail", 1e16),
+        ("coupon", "k=60 n=20", 1e16, 5e-324, 1e-300, 0.0, 5e-324, "tv", True, "pass", 0.0),
+        ("p,q", 'a "b"', -0.0, 1.7976931348623157e308, None, 1e16, 0.1, "x", False, "fail",
+         123456.789),
+    ])
+    def test_row_formats_each_field_as_its_type(self, values):
+        rec = CertRecord(*values)
+        assert rec.row() == [FIELD_TEXT[type(x)](x) for x in vars(rec).values()]
+        assert rec.as_dict() == dict(zip(CSV_COLUMNS, rec.row()))
 
 
 class TestVerifyPairCommand:
@@ -968,6 +991,19 @@ class TestBoundDomains:
     def test_theorem_id_of_each_kind(self, capsys, problem, kind):
         assert run(["bound", problem, *POINTS[problem], "--bound", kind]) == EXIT_OK
         assert fields(capsys.readouterr().out)["theorem_id"] == THEOREM_IDS[problem, kind]
+
+    @pytest.mark.parametrize("problem, kind", sorted(THEOREM_IDS))
+    def test_report_of_each_kind_equals_its_constructed_report(self, problem, kind):
+        args = build_parser().parse_args(["bound", problem, *POINTS[problem]])
+        [point] = build_grid(problem, args)
+        report = FAMILIES[problem].bounds[kind](point)
+        built = bounds.BoundReport(**{f.name: getattr(report, f.name)
+                                      for f in dataclasses.fields(bounds.BoundReport)})
+        assert type(report) is bounds.BoundReport
+        assert report == built and repr(report) == repr(built)
+        assert list(vars(report)) == list(vars(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.lam = 2.0
 
     def test_every_accepted_point_is_certified(self):
         failed, certified = [], 0

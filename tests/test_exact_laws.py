@@ -1,6 +1,11 @@
+import decimal
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +36,11 @@ from steinpoisson.exact_laws import (
     EMPTY_CERTIFIED_RATIO_CAP,
     EMPTY_EXACT_DIGIT_CAP,
     _CERTIFIED_TRUNCATION,
+    _divided_once,
     _empty_boxes_counts,
     _empty_boxes_mass_certified,
     _empty_boxes_mass_exact,
+    _hits_exactly,
 )
 
 import oracles
@@ -151,6 +158,59 @@ class TestPoissonBinomial:
         a = poisson_binomial_pmf(p).mass
         b = poisson_binomial_pmf(shuffled).mass
         assert np.abs(a - b).max() < 1e-13
+
+
+def direct_hits(at_least):
+    """``E_m = sum_j (-1)^(j-m) C(j, m) N_j``, term by term."""
+    return [sum((-1) ** (j - m) * math.comb(j, m) * at_least[j] for j in range(m, len(at_least)))
+            for m in range(len(at_least))]
+
+
+class TestInclusionExclusion:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**400), 2**400), min_size=1, max_size=40))
+    def test_hits_exactly_is_the_direct_sum(self, at_least):
+        assert _hits_exactly(at_least) == direct_hits(at_least)
+
+    def test_hits_exactly_along_both_axes_of_a_table(self):
+        # the joint law's call: the rows of an object array as the entries
+        # give axis 0, the rows of its transpose axis 1
+        rng = np.random.default_rng(3)
+        table = np.array([[int(x) * 7**60 for x in row]
+                          for row in rng.integers(-10**6, 10**6, (9, 6))], dtype=object)
+        down = np.array(_hits_exactly(table))
+        across = np.array(_hits_exactly(table.T)).T
+        for col in range(6):
+            assert down[:, col].tolist() == direct_hits(table[:, col].tolist())
+        for row in range(9):
+            assert across[row].tolist() == direct_hits(table[row].tolist())
+
+    def test_hits_exactly_on_decimals_is_exact_with_enough_digits(self):
+        at_least = [c * (9 - j) ** 40 for j, c in enumerate(exact_laws._binomial_row(9))]
+        with decimal.localcontext(decimal.Context(prec=100)):
+            hits = _hits_exactly([decimal.Decimal(c) for c in at_least])
+        assert hits == direct_hits(at_least) == _empty_boxes_counts(9, 40)
+
+    def test_divided_once_refuses_counts_off_their_total(self):
+        with pytest.raises(RuntimeError, match=r"sum to 3\.0+e\+00, not to their total "
+                                               r"4\.0+e\+00 \(off by -1\.000e\+00\)"):
+            _divided_once([1, 2], 4)
+        # counts past the int-to-str digit limit are named too
+        big = 10**20_000
+        with pytest.raises(RuntimeError, match=r"sum to 1\.0+e\+20000, not to their total "
+                                               r"1\.0+e\+20000 \(off by 1\.000e\+00\)"):
+            _divided_once([big, 1], big)
+
+    def test_divided_once_refuses_under_python_o(self):
+        code = "from steinpoisson.exact_laws import _divided_once; _divided_once([1, 2], 4)"
+        src = Path(exact_laws.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1] == (
+            "RuntimeError: exact counts sum to 3.00000000000000000e+00, not to their total "
+            "4.00000000000000000e+00 (off by -1.000e+00)")
 
 
 class TestMatchingPmf:

@@ -143,6 +143,18 @@ class TestSamplers:
         assert states.dtype == np.int32
         assert (np.sort(states, axis=1) == np.arange(n)).all()
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 100, 411])
+    def test_plain_matching_counts_fixed_points_and_two_cycles(self, n):
+        # the int32 draws against a per-slot count of sigma(i) = i and of
+        # sigma(sigma(i)) = i != sigma(i), whose slots pair into 2-cycles
+        states = matching_model(n).draw(300, substream(42, n))
+        s = matching_model(n).observe(states)
+        fixed = [sum(row[i] == i for i in range(n)) for row in states.tolist()]
+        paired = [sum(row[row[i]] == i != row[i] for i in range(n)) for row in states.tolist()]
+        assert s.w.tolist() == fixed
+        assert (2 * s.a2).tolist() == paired
+        assert 0 < sum(paired)
+
     def test_key_width_keeps_the_tied_share_within_one_percent(self):
         # the exact share of rows with a tie among n draws of ``bits``
         # random bits, where the sort keys are used; shuffles have none
