@@ -317,9 +317,15 @@ class _PlainMatching(_Permutations):
 
     def observe(self, states):
         # slots with sigma(sigma(i)) = i are the fixed points and the slots
-        # of the 2-cycles, two per cycle
+        # of the 2-cycles, two per cycle.  sigma(sigma(i)) is one gather from
+        # the flat rows, indexed in the narrowest signed type that holds the
+        # flat indices (int32 for a block of draws): intp indices, at twice
+        # the width, made the pair-verify benchmark slower and larger
+        n = self.n
         w = self.w(states)
-        involuted = (np.take_along_axis(states, states, axis=1) == np.arange(self.n)).sum(axis=1)
+        index = np.promote_types(states.dtype, np.min_scalar_type(-len(states) * n))
+        rows = np.arange(0, len(states) * n, n, dtype=index)[:, None]
+        involuted = (states.ravel()[states + rows] == np.arange(n, dtype=index)).sum(axis=1)
         return PlainMatchingStats(w=w, a2=(involuted - w) // 2)
 
     def steps(self, s):

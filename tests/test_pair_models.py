@@ -145,15 +145,18 @@ class TestSamplers:
 
     @pytest.mark.parametrize("n", [2, 3, 6, 100, 411])
     def test_plain_matching_counts_fixed_points_and_two_cycles(self, n):
-        # the int32 draws against a per-slot count of sigma(i) = i and of
-        # sigma(sigma(i)) = i != sigma(i), whose slots pair into 2-cycles
+        # the int32 draws, and the same states as int16 (whose flat indices,
+        # up to 300 n, need a wider type) and int64, against a per-slot count
+        # of sigma(i) = i and of sigma(sigma(i)) = i != sigma(i), whose slots
+        # pair into 2-cycles
         states = matching_model(n).draw(300, substream(42, n))
-        s = matching_model(n).observe(states)
         fixed = [sum(row[i] == i for i in range(n)) for row in states.tolist()]
         paired = [sum(row[row[i]] == i != row[i] for i in range(n)) for row in states.tolist()]
-        assert s.w.tolist() == fixed
-        assert (2 * s.a2).tolist() == paired
         assert 0 < sum(paired)
+        for dtype in (np.int32, np.int16, np.int64):
+            s = matching_model(n).observe(states.astype(dtype))
+            assert s.w.tolist() == fixed
+            assert (2 * s.a2).tolist() == paired
 
     def test_key_width_keeps_the_tied_share_within_one_percent(self):
         # the exact share of rows with a tie among n draws of ``bits``
